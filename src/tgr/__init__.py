@@ -13,196 +13,63 @@ Two independent machines and the harness that plays them against each other:
 `terms`, `graphs`, `rules`, `parsing`, and `dot` supply finite terms,
 term graphs and rational terms, the two rule formats and their
 translations, the workspace file format, and DOT export.
+
+The package namespace holds the entry points of the README's library
+example, the report and error types, and the comparison helpers the
+benchmark replays; everything else is imported from its submodule.
 """
 
-from .dot import export_dot
-from .dpo import (
-    DirectDerivation,
-    Match,
-    derive,
-    derive_rational,
-    find_matches,
-    induced_parallel_redex,
-    pushout,
-    pushout_complement,
-    track_substitution,
-)
+from .dpo import derive_rational, find_matches, induced_parallel_redex
 from .graphs import (
-    GraphMorphism,
     RationalTerm,
     TermGraph,
-    bisim_equal,
-    check_wellformed,
-    find_tree_morphisms,
-    graph_of_terms,
-    induced_substitution,
     minimize,
-    node_key,
-    paths_to,
     rational_approx_leq,
-    rational_of_term,
     truncated_equal,
-    unravel,
 )
 from .harness import (
     CofinalityReport,
     NormalFormReport,
     SoundnessReport,
     SuiteReport,
-    check_cofinality_step,
-    check_weak_normal_form_preservation,
-    gen_case,
     rewrite_sequence,
-    run_property_suite,
-    verify_soundness,
-    verify_soundness_all,
 )
 from .parallel import (
     ConvergenceError,
-    Development,
     OracleError,
     OracleReport,
-    RationalRedexSet,
-    Redex,
     UnsupportedRuleError,
-    chain_term,
-    complete_development,
-    develop_rational,
-    enumerate_occurrences,
-    find_redexes,
     infinite_parallel_reduce,
-    join_parallel,
-    reduce,
-    residuals,
 )
-from .parsing import (
-    ParseError,
-    Workspace,
-    format_graph,
-    format_graph_inline,
-    parse_workspace,
-)
-from .rules import (
-    TGRS,
-    TRS,
-    EvaluationRule,
-    RewriteRule,
-    check_evaluation_rule,
-    check_orthogonal,
-    check_rule,
-    check_self_overlap,
-    graph_of_rule,
-    graph_trs,
-    is_infinite_copying,
-    unravel_rule,
-    unravel_trs,
-)
-from .terms import (
-    BOTTOM,
-    FiniteTerm,
-    Signature,
-    apply_subst,
-    approx_leq,
-    chain_lub,
-    format_term,
-    match_linear,
-    occ_disjoint,
-    occ_leq,
-    op,
-    parse_term,
-    replace,
-    subterm,
-    truncate,
-    var,
-)
+from .parsing import ParseError, parse_workspace
+from .rules import RewriteRule, graph_of_rule
+from .terms import Signature, parse_term
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOTTOM",
     "CofinalityReport",
     "ConvergenceError",
-    "Development",
-    "DirectDerivation",
-    "EvaluationRule",
-    "FiniteTerm",
-    "GraphMorphism",
-    "Match",
     "NormalFormReport",
     "OracleError",
     "OracleReport",
     "ParseError",
-    "RationalRedexSet",
     "RationalTerm",
-    "Redex",
     "RewriteRule",
     "Signature",
     "SoundnessReport",
     "SuiteReport",
-    "TGRS",
-    "TRS",
     "TermGraph",
     "UnsupportedRuleError",
-    "Workspace",
-    "apply_subst",
-    "approx_leq",
-    "bisim_equal",
-    "chain_lub",
-    "chain_term",
-    "check_cofinality_step",
-    "check_evaluation_rule",
-    "check_orthogonal",
-    "check_rule",
-    "check_self_overlap",
-    "check_weak_normal_form_preservation",
-    "check_wellformed",
-    "complete_development",
-    "derive",
     "derive_rational",
-    "develop_rational",
-    "enumerate_occurrences",
-    "export_dot",
     "find_matches",
-    "find_redexes",
-    "find_tree_morphisms",
-    "format_graph",
-    "format_graph_inline",
-    "format_term",
-    "gen_case",
     "graph_of_rule",
-    "graph_of_terms",
-    "graph_trs",
     "induced_parallel_redex",
-    "induced_substitution",
     "infinite_parallel_reduce",
-    "is_infinite_copying",
-    "join_parallel",
-    "match_linear",
     "minimize",
-    "node_key",
-    "occ_disjoint",
-    "occ_leq",
-    "op",
     "parse_term",
     "parse_workspace",
-    "paths_to",
-    "pushout",
-    "pushout_complement",
     "rational_approx_leq",
-    "rational_of_term",
-    "reduce",
-    "replace",
-    "residuals",
     "rewrite_sequence",
-    "run_property_suite",
-    "subterm",
-    "track_substitution",
-    "truncate",
     "truncated_equal",
-    "unravel",
-    "unravel_rule",
-    "unravel_trs",
-    "var",
-    "verify_soundness",
-    "verify_soundness_all",
 ]

@@ -4,7 +4,8 @@ One workspace file in, one analysis out.  Exit codes are uniform across
 subcommands: 0 means the command ran and every checked property held, 1
 means a verification failed (a chain was not monotone, routes disagreed, a
 diamond did not close, ...), 2 means the input was unusable (parse error,
-unknown name, rule does not match, unsupported rule).
+unknown name, rule does not match, unsupported rule, a negative count or
+bound, a depth too large for the interpreter's recursion limit).
 
 Every subcommand accepts `--json` to emit a machine-readable mirror of its
 text output on stdout.
@@ -18,22 +19,17 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from .dot import export_dot
-from .dpo import (
-    Match,
-    derive_rational,
-    find_matches,
-    induced_parallel_redex,
-)
+from .dpo import Match, derive_rational, find_matches
 from .graphs import (
     RationalTerm,
     check_wellformed,
+    cycle_nodes,
     find_tree_morphisms,
     node_key,
 )
 from .harness import (
     check_cofinality_step,
     check_weak_normal_form_preservation,
-    rewrite_sequence,
     run_property_suite,
     verify_soundness,
     verify_soundness_all,
@@ -49,7 +45,7 @@ from .parallel import (
 from .parsing import (
     ParseError,
     Workspace,
-    format_graph_inline,
+    format_graph,
     graph_to_json,
     parse_workspace,
 )
@@ -93,29 +89,9 @@ def _track_lines(track: Dict[str, str]) -> List[str]:
     return out
 
 
-def _is_cyclic(rt: RationalTerm) -> bool:
-    seen: Dict[str, int] = {}  # 1 = on stack, 2 = done
-    stack = [(rt.point, 0)]
-    while stack:
-        node, i = stack.pop()
-        if i == 0:
-            if seen.get(node) == 1:
-                return True
-            if seen.get(node) == 2:
-                continue
-            seen[node] = 1
-        succ = rt.graph.successors(node)
-        if i < len(succ):
-            stack.append((node, i + 1))
-            stack.append((succ[i], 0))
-        else:
-            seen[node] = 2
-    return False
-
-
 def _show_rhs(rhs: RationalTerm) -> str:
-    if _is_cyclic(rhs):
-        return format_graph_inline(rhs)
+    if cycle_nodes(rhs.graph, rhs.point):
+        return format_graph(rhs, name=None)
     return format_term(rhs.unravel(64))
 
 
@@ -220,7 +196,8 @@ def _cmd_rewrite(args) -> int:
         drv, after = derive_rational(current, ms[0])
         lines.append(
             f"STEP {drv.rule.name} at {drv.match.root_image} : "
-            f"{format_graph_inline(current)} => {format_graph_inline(after)}"
+            f"{format_graph(current, name=None)} => "
+            f"{format_graph(after, name=None)}"
         )
         lines.extend(_track_lines(drv.track))
         steps.append(
@@ -234,7 +211,7 @@ def _cmd_rewrite(args) -> int:
         )
         current = after
     nf = not find_matches(current.graph, tgrs)
-    lines.append(f"result: {format_graph_inline(current)}")
+    lines.append(f"result: {format_graph(current, name=None)}")
     lines.append(f"unravel: {format_term(current.unravel(args.depth))}")
     lines.append(f"normal form: {'yes' if nf else 'no'}")
     _emit(
@@ -261,9 +238,9 @@ def _cmd_derive(args) -> int:
     )
     lines = [
         f"derive {drv.describe()}",
-        f"host:      {format_graph_inline(host)}",
-        f"interface: {format_graph_inline(interface)}",
-        f"result:    {format_graph_inline(after)}",
+        f"host:      {format_graph(host, name=None)}",
+        f"interface: {format_graph(interface, name=None)}",
+        f"result:    {format_graph(after, name=None)}",
     ]
     lines.extend(_track_lines(drv.track))
     lines.append(f"unravel: {format_term(after.unravel(args.depth))}")
@@ -531,6 +508,13 @@ def _cmd_dot(args) -> int:
 # Parser
 
 
+def natural(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def _add_common(p, file=True, graph=False, depth=False):
     if file:
         p.add_argument("file", help="workspace file")
@@ -538,7 +522,7 @@ def _add_common(p, file=True, graph=False, depth=False):
         p.add_argument("--graph", required=True, help="graph name")
     if depth:
         p.add_argument(
-            "--depth", type=int, default=DEFAULT_DEPTH, help="truncation depth"
+            "--depth", type=natural, default=DEFAULT_DEPTH, help="truncation depth"
         )
     p.add_argument("--json", action="store_true", help="emit JSON")
 
@@ -564,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rewrite", help="derive until normal form")
     _add_common(p, graph=True, depth=True)
-    p.add_argument("--steps", type=int, default=20, help="step limit")
+    p.add_argument("--steps", type=natural, default=20, help="step limit")
     p.set_defaults(fn=_cmd_rewrite)
 
     p = sub.add_parser("derive", help="one double-pushout step")
@@ -578,8 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", required=True, help="rule name")
     p.add_argument("--at", required=True, help="matched node")
     p.add_argument("--from", dest="start", help="start node (default: root)")
-    p.add_argument("--maxlen", type=int, help="occurrence length bound")
-    p.add_argument("--count", type=int, help="how many to list (default 20)")
+    p.add_argument("--maxlen", type=natural, help="occurrence length bound")
+    p.add_argument("--count", type=natural, help="how many to list (default 20)")
     p.set_defaults(fn=_cmd_redex_set)
 
     p = sub.add_parser("oracle", help="develop an infinite redex set")
@@ -587,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", required=True, help="rule name")
     p.add_argument("--at", required=True, help="matched node")
     p.add_argument("--from", dest="start", help="start node (default: root)")
-    p.add_argument("--budget", type=int, default=2048, help="occurrence budget")
+    p.add_argument("--budget", type=natural, default=2048, help="occurrence budget")
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser(
@@ -596,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, graph=True, depth=True)
     p.add_argument("--rule", help="verify one rule (with --at)")
     p.add_argument("--at", help="verify one node (with --rule)")
-    p.add_argument("--budget", type=int, default=2048, help="occurrence budget")
+    p.add_argument("--budget", type=natural, default=2048, help="occurrence budget")
     p.set_defaults(fn=_cmd_verify_soundness)
 
     p = sub.add_parser(
@@ -616,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, file=False, depth=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=50)
-    p.add_argument("--budget", type=int, default=512)
+    p.add_argument("--budget", type=natural, default=512)
     p.add_argument("--properties", help="comma-separated property names")
     p.set_defaults(fn=_cmd_suite)
 
@@ -650,6 +634,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(
+            "error: the input nests too deeply for this depth; lower --depth",
+            file=sys.stderr,
+        )
         return 2
 
 

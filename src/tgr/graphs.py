@@ -21,15 +21,24 @@ empty nodes matched by rendered name unless a correspondence is supplied).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .terms import (
     BOTTOM,
     FiniteTerm,
     Occurrence,
     Signature,
-    occ_sort_key,
     op,
     var,
 )
@@ -183,24 +192,71 @@ def unravel(
     return go(n, depth)
 
 
-def paths_to(
-    g: TermGraph, src: NodeId, dst: NodeId, maxlen: int
-) -> List[Occurrence]:
-    """All occurrences of paths src -> dst of length <= maxlen, length-lex."""
-    out: List[Occurrence] = []
-    frontier: List[Tuple[NodeId, Occurrence]] = [(src, ())]
-    for _ in range(maxlen + 1):
-        nxt: List[Tuple[NodeId, Occurrence]] = []
+def occurrences_to(
+    g: TermGraph, src: NodeId, dst: NodeId, maxlen: Optional[int] = None
+) -> Iterator[Occurrence]:
+    """Occurrences of the paths src -> dst in length-lex order, none longer
+    than maxlen if given.
+
+    Breadth first with children in index order, which is already length-lex.
+    Each level keeps only nodes that can still reach dst (one reverse search
+    up front), so without maxlen the generator ends exactly when the set of
+    paths is finite; callers bound it otherwise.
+    """
+    if maxlen is not None and maxlen < 0:
+        return
+    preds: Dict[NodeId, List[NodeId]] = {}
+    for n in g.reachable(src):
+        for s in g.successors(n):
+            preds.setdefault(s, []).append(n)
+    co = {dst}
+    todo = [dst]
+    while todo:
+        for p in preds.get(todo.pop(), ()):
+            if p not in co:
+                co.add(p)
+                todo.append(p)
+    frontier: List[Tuple[NodeId, Occurrence]] = [(src, ())] if src in co else []
+    while frontier:
         for node, occ in frontier:
             if node == dst:
-                out.append(occ)
-            if len(occ) < maxlen:
-                for i, s in enumerate(g.succs.get(node, ()), start=1):
-                    nxt.append((s, occ + (i,)))
-        frontier = nxt
-        if not frontier:
-            break
-    return sorted(out, key=occ_sort_key)
+                yield occ
+        if maxlen is not None and len(frontier[0][1]) >= maxlen:
+            return
+        frontier = [
+            (s, occ + (i,))
+            for node, occ in frontier
+            for i, s in enumerate(g.successors(node), start=1)
+            if s in co
+        ]
+
+
+def count_paths(
+    g: TermGraph, src: NodeId, bound: int, dst: Optional[NodeId] = None
+) -> int:
+    """Number of paths from src of length < bound (only those ending at dst,
+    if given), by dynamic programming over path counts per length: no
+    enumeration, so exponentially many paths cost nothing extra."""
+    counts: Dict[NodeId, int] = {src: 1}
+    total = 0
+    for _ in range(bound):
+        total += sum(counts.values()) if dst is None else counts.get(dst, 0)
+        nxt: Dict[NodeId, int] = {}
+        for node, c in counts.items():
+            for s in g.successors(node):
+                nxt[s] = nxt.get(s, 0) + c
+        counts = nxt
+    return total
+
+
+def cycle_nodes(g: TermGraph, start: NodeId) -> FrozenSet[NodeId]:
+    """The nodes reachable from start that lie on a cycle: those reachable
+    from one of their own successors."""
+    return frozenset(
+        n
+        for n in g.reachable(start)
+        if any(n in g.reachable(s) for s in g.successors(n))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +270,6 @@ class GraphMorphism:
     src: TermGraph
     dst: TermGraph
     mapping: Dict[NodeId, NodeId]
-
-    def __call__(self, n: NodeId) -> NodeId:
-        return self.mapping[n]
-
-    def then(self, other: "GraphMorphism") -> "GraphMorphism":
-        return GraphMorphism(
-            self.src, other.dst, {n: other.mapping[m] for n, m in self.mapping.items()}
-        )
 
 
 def morphism_errors(f: GraphMorphism) -> List[str]:

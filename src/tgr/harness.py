@@ -39,9 +39,10 @@ from .graphs import (
     RationalTerm,
     TermGraph,
     apply_subst_rational,
+    count_paths,
     find_tree_morphisms,
     induced_substitution,
-    paths_to,
+    occurrences_to,
     truncated_equal,
 )
 from .parallel import (
@@ -56,7 +57,7 @@ from .parallel import (
     rule_matches_at,
     develop_rational,
 )
-from .parsing import Workspace, format_graph_inline, parse_workspace  # noqa: F401
+from .parsing import format_graph
 from .rules import (
     TGRS,
     TRS,
@@ -197,12 +198,9 @@ def check_weak_normal_form_preservation(
     for rule in trs.rules:
         nodes = matching_nodes(host, rule)
         if nodes:
-            occs = paths_to(
-                host.graph, host.point, nodes[0], len(host.graph.nodes)
-            )
-            if occs:
-                term_witness = f"({occ_format(occs[0])}, {rule.name})"
-                break
+            w = next(occurrences_to(host.graph, host.point, nodes[0]))
+            term_witness = f"({occ_format(w)}, {rule.name})"
+            break
     return NormalFormReport(
         graph_nf=not matches,
         term_nf=term_witness is None,
@@ -368,7 +366,7 @@ class RandomCase:
             f"{r.name}: {format_term(r.lhs)} -> {format_term(r.rhs.unravel(8))}"
             for r in self.trs.rules
         )
-        return f"rules [{rules}] on {format_graph_inline(self.host)}"
+        return f"rules [{rules}] on {format_graph(self.host, name=None)}"
 
 
 def gen_signature(rng: random.Random) -> Signature:
@@ -686,24 +684,6 @@ def _substituted_graph(
     return terms, mapping
 
 
-def _paths_below(g: TermGraph, start: NodeId, depth: int) -> int:
-    """Number of paths from `start` of length < depth (the node count of the
-    materialized unraveling)."""
-    memo: Dict[Tuple[NodeId, int], int] = {}
-
-    def count(n: NodeId, d: int) -> int:
-        if d <= 0:
-            return 0
-        key = (n, d)
-        if key not in memo:
-            memo[key] = 1 + sum(
-                count(s, d - 1) for s in g.successors(n)
-            )
-        return memo[key]
-
-    return count(start, depth)
-
-
 def _prop_morphism_subst(
     case: RandomCase, rng: random.Random, depth: int, budget: int
 ) -> Optional[str]:
@@ -739,7 +719,8 @@ def _prop_morphism_subst(
                         f"{tr.name} at {n}: square fails at {m} "
                         f"(depth {depth})"
                     )
-            if _paths_below(H, n, depth) <= 4000:
+            # the path count is the node count of the materialized unraveling
+            if count_paths(H, n, depth) <= 4000:
                 sigma = induced_substitution(f)
                 left_t = apply_subst_rational(
                     RationalTerm(er.L, er.root).unravel(depth), sigma, depth

@@ -34,14 +34,17 @@ them up front.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .graphs import (
     NodeId,
     RationalTerm,
     TermGraph,
+    count_paths,
+    cycle_nodes,
     node_key,
-    paths_to,
+    occurrences_to,
     rational_approx_leq,
     truncated_equal,
 )
@@ -158,7 +161,7 @@ def find_redexes(
     out: List[Redex] = []
     for rule in rules:
         for n in matching_nodes(rt, rule):
-            for w in paths_to(rt.graph, rt.point, n, maxlen):
+            for w in occurrences_to(rt.graph, rt.point, n, maxlen):
                 out.append(Redex(w, rule))
     out.sort(key=lambda r: (occ_sort_key(r.occ), r.rule.name))
     if max_count is not None:
@@ -185,6 +188,41 @@ def _fresh_namer(used: set) -> "callable":
     return fresh
 
 
+def _import_rhs(
+    rule: RewriteRule,
+    g: TermGraph,
+    at: NodeId,
+    labels: Dict[NodeId, str],
+    succs: Dict[NodeId, Tuple[NodeId, ...]],
+    new_id: Callable[[], NodeId],
+    point_id: Optional[NodeId] = None,
+) -> NodeId:
+    """Copy the live right-hand side of a rule matched at `at` into the given
+    label and successor maps; returns the image of its point.
+
+    Pattern variables are bound by walking g from `at`.  Labelled nodes get
+    `new_id()` in node order, except that the point takes `point_id` when
+    given.  A collapsing rule copies nothing and returns its variable's image.
+    """
+    bind = {x: g.walk(at, v) for x, v in var_positions(rule).items()}
+    rhs = rule.rhs
+    live = sorted(rhs.graph.reachable(rhs.point), key=node_key)
+    imported: Dict[NodeId, NodeId] = {}
+    for n in live:
+        if rhs.graph.is_empty_node(n):
+            imported[n] = bind[rhs.render_name(n)]
+        elif n == rhs.point and point_id is not None:
+            imported[n] = point_id
+        else:
+            imported[n] = new_id()
+    for n in live:
+        lbl = rhs.graph.labels.get(n)
+        if lbl is not None:
+            labels[imported[n]] = lbl
+            succs[imported[n]] = tuple(imported[s] for s in rhs.graph.succs[n])
+    return imported[rhs.point]
+
+
 def reduce(rt: RationalTerm, redex: Redex) -> RationalTerm:
     """Contract one redex occurrence; the term-level small step.
 
@@ -208,34 +246,13 @@ def reduce(rt: RationalTerm, redex: Redex) -> RationalTerm:
             f"rule {rule.name} does not match at {occ_format(redex.occ)}"
         )
 
-    bind = {x: g.walk(hub, v) for x, v in var_positions(rule).items()}
     used = set(g.nodes)
     fresh = _fresh_namer(used)
     labels = dict(g.labels)
     succs = dict(g.succs)
-
-    rhs = rule.rhs
-    if rule.is_collapsing():
-        result = bind[rhs.render_name(rhs.point)]
-    else:
-        imported: Dict[NodeId, NodeId] = {}
-        live = rhs.graph.reachable(rhs.point)
-        for n in sorted(live, key=node_key):
-            if rhs.graph.is_empty_node(n):
-                imported[n] = bind[rhs.render_name(n)]
-            else:
-                imported[n] = fresh("r#")
-        for n in live:
-            lbl = rhs.graph.labels.get(n)
-            if lbl is not None:
-                labels[imported[n]] = lbl
-                succs[imported[n]] = tuple(
-                    imported[s] for s in rhs.graph.succs[n]
-                )
-        result = imported[rhs.point]
+    point = _import_rhs(rule, g, hub, labels, succs, lambda: fresh("r#"))
 
     # Copy the spine bottom-up, rerouting one child per level.
-    point = result
     for depth in range(len(redex.occ) - 1, -1, -1):
         orig = spine[depth]
         copy = fresh("s#")
@@ -269,7 +286,7 @@ def _rhs_variable_occurrences(rule: RewriteRule, name: str) -> List[Occurrence]:
             break
     if target is None:
         return []
-    return paths_to(rhs.graph, rhs.point, target, len(rhs.graph.nodes))
+    return list(occurrences_to(rhs.graph, rhs.point, target, len(rhs.graph.nodes)))
 
 
 def residuals(redex: Redex, contracted: Redex) -> List[Redex]:
@@ -414,66 +431,17 @@ class RationalRedexSet:
     def contains(self, w: Occurrence) -> bool:
         return self.carrier.walk(self.start, w) == self.target
 
-    def is_empty(self) -> bool:
-        return self.target not in self.carrier.reachable(self.start)
-
     def is_finite(self) -> bool:
-        """Finite iff the target is not co-reachable from any cycle node
-        that the start reaches."""
-        g = self.carrier
-        live = g.reachable(self.start)
-        co = {n for n in live if self.target in g.reachable(n)}
-        for n in co:
-            # n lies on a cycle within the co-reachable region?
-            todo = [s for s in g.successors(n) if s in co]
-            seen = set()
-            while todo:
-                m = todo.pop()
-                if m == n:
-                    return False
-                if m in seen:
-                    continue
-                seen.add(m)
-                todo.extend(s for s in g.successors(m) if s in co)
-        return True
-
-    def iter_occurrences(self) -> Iterator[Occurrence]:
-        """Members in length-lex order (never terminates on its own for an
-        infinite set; wrap with a bound)."""
-        g = self.carrier
-        co = {
-            n
-            for n in g.reachable(self.start)
-            if self.target in g.reachable(n)
-        }
-        if self.start not in co:
-            return
-        frontier: List[Tuple[NodeId, Occurrence]] = [(self.start, ())]
-        while frontier:
-            nxt: List[Tuple[NodeId, Occurrence]] = []
-            for node, occ in frontier:
-                if node == self.target:
-                    yield occ
-                for i, s in enumerate(g.successors(node), start=1):
-                    if s in co:
-                        nxt.append((s, occ + (i,)))
-            frontier = nxt
+        """Finite iff no cycle node that the start reaches co-reaches the
+        target."""
+        return not any(
+            self.target in self.carrier.reachable(n)
+            for n in cycle_nodes(self.carrier, self.start)
+        )
 
     def count_below(self, strict_len_bound: int) -> int:
-        """|{w in the set : |w| < bound}| by dynamic programming (no
-        enumeration, so safe for exponentially many occurrences)."""
-        if strict_len_bound <= 0:
-            return 0
-        counts: Dict[NodeId, int] = {self.start: 1}
-        total = 1 if self.start == self.target else 0
-        for _ in range(1, strict_len_bound):
-            nxt: Dict[NodeId, int] = {}
-            for node, c in counts.items():
-                for s in self.carrier.successors(node):
-                    nxt[s] = nxt.get(s, 0) + c
-            counts = nxt
-            total += counts.get(self.target, 0)
-        return total
+        """|{w in the set : |w| < bound}| (see `count_paths`)."""
+        return count_paths(self.carrier, self.start, strict_len_bound, self.target)
 
 
 def enumerate_occurrences(
@@ -491,14 +459,8 @@ def enumerate_occurrences(
         raise ValueError("need a count or a length bound")
     if count is not None and count <= 0:
         return []
-    out: List[Occurrence] = []
-    for w in rs.iter_occurrences():
-        if maxlen is not None and len(w) > maxlen:
-            break
-        out.append(w)
-        if count is not None and len(out) >= count:
-            break
-    return out
+    occs = occurrences_to(rs.carrier, rs.start, rs.target, maxlen)
+    return list(islice(occs, count))
 
 
 # ---------------------------------------------------------------------------
@@ -628,27 +590,9 @@ def develop_rational(
 
     for m in sorted(targets, key=node_key):
         rule = targets[m]
-        bind = {x: g.walk(m, v) for x, v in var_positions(rule).items()}
-        rhs = rule.rhs
+        image = _import_rhs(rule, g, m, labels, succs, lambda: fresh("g#"), m)
         if rule.is_collapsing():
-            redirect[m] = bind[rhs.render_name(rhs.point)]
-            continue
-        imported: Dict[NodeId, NodeId] = {}
-        live = sorted(rhs.graph.reachable(rhs.point), key=node_key)
-        for n in live:
-            if n == rhs.point:
-                imported[n] = m
-            elif rhs.graph.is_empty_node(n):
-                imported[n] = bind[rhs.render_name(n)]
-            else:
-                imported[n] = fresh("g#")
-        for n in live:
-            lbl = rhs.graph.labels.get(n)
-            if lbl is not None:
-                labels[imported[n]] = lbl
-                succs[imported[n]] = tuple(
-                    imported[s] for s in rhs.graph.succs[n]
-                )
+            redirect[m] = image
 
     resolved: Dict[NodeId, NodeId] = {}
     fresh_holes: List[NodeId] = []
@@ -717,8 +661,7 @@ def threshold_length(rule: RewriteRule, depth: int) -> int:
     """
     vpos = var_positions(rule)
     if rule.is_collapsing():
-        y = rule.rhs.render_name(rule.rhs.point)
-        return (depth + 1) * (len(vpos[y]) + 1) + 1
+        return (depth + 1) * (len(vpos[rule.collapse_variable()]) + 1) + 1
     used = set(rule.rhs.variables())
     maxv = max((len(vpos[x]) for x in used), default=1)
     return max(depth * (maxv + 1), 1)
@@ -804,16 +747,18 @@ def infinite_parallel_reduce(
 
     if occurrences is not None:
         occs = [tuple(w) for w in occurrences]
-        for j, w in enumerate(occs):
+        seen = set()
+        for w in occs:
             if not rs.contains(w):
                 raise ValueError(f"{occ_format(w)} is not in the redex set")
             for i in range(len(w)):
                 p = w[:i]
-                if rs.contains(p) and p not in occs[:j]:
+                if p not in seen and rs.contains(p):
                     raise ValueError(
                         "enumeration is not prefix-respecting: "
                         f"{occ_format(p)} missing before {occ_format(w)}"
                     )
+            seen.add(w)
         # Trust only the depth whose required members are all present.
         eff_depth = depth
         while eff_depth > 0:

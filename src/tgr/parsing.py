@@ -333,40 +333,24 @@ def parse_workspace(text: str) -> Workspace:
 # Serialization (the same shape the parser reads)
 
 
-def format_graph(rt: RationalTerm, name: str = "G") -> str:
+def format_graph(rt: RationalTerm, name: Optional[str] = "G") -> str:
+    """The graph as a workspace declaration `graph name { ... }`, one
+    statement per line; with name=None, the one-line form used in traces:
+    {n1: f(n2); n2: ; root n1;}."""
     g = rt.graph
-    lines = [f"graph {name} {{"]
+    stmts = []
     for n in g.nodes:
         lbl = g.labels.get(n)
         if lbl is None:
-            lines.append(f"  {n}: ;")
-        elif g.succs[n]:
-            lines.append(f"  {n}: {lbl}({', '.join(g.succs[n])});")
+            stmts.append(f"{n}: ;")
         else:
-            lines.append(f"  {n}: {lbl}();")
-    lines.append(f"  root {rt.point};")
+            stmts.append(f"{n}: {lbl}({', '.join(g.succs[n])});")
+    stmts.append(f"root {rt.point};")
     if rt.bottoms:
-        lines.append(f"  bottom {', '.join(sorted(rt.bottoms))};")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def format_graph_inline(rt: RationalTerm) -> str:
-    """One-line rendering used in traces: {n1: f(n2); n2: ; root n1}."""
-    g = rt.graph
-    parts = []
-    for n in g.nodes:
-        lbl = g.labels.get(n)
-        if lbl is None:
-            parts.append(f"{n}: ;")
-        elif g.succs[n]:
-            parts.append(f"{n}: {lbl}({', '.join(g.succs[n])});")
-        else:
-            parts.append(f"{n}: {lbl}();")
-    parts.append(f"root {rt.point};")
-    if rt.bottoms:
-        parts.append(f"bottom {', '.join(sorted(rt.bottoms))};")
-    return "{" + " ".join(parts) + "}"
+        stmts.append(f"bottom {', '.join(sorted(rt.bottoms))};")
+    if name is None:
+        return "{" + " ".join(stmts) + "}"
+    return "\n".join([f"graph {name} {{"] + [f"  {st}" for st in stmts] + ["}"])
 
 
 def graph_to_json(rt: RationalTerm) -> Dict[str, object]:

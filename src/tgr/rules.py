@@ -23,7 +23,7 @@ guarantees that distinct redexes in one graph never interfere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .graphs import (
     GraphMorphism,
@@ -32,6 +32,7 @@ from .graphs import (
     TermGraph,
     check_morphism,
     check_wellformed,
+    cycle_nodes,
     graph_of_terms,
     is_tree,
     node_key,
@@ -199,20 +200,6 @@ def _nonvar_positions(t: FiniteTerm) -> List[Occurrence]:
     )
 
 
-def check_self_overlap(rule: RewriteRule) -> List[Occurrence]:
-    """Positions at which the left-hand side overlaps a renamed copy of
-    itself; empty means the rule is non-self-overlapping.  The root position
-    is not an overlap (a rule trivially unifies with itself there)."""
-    out = []
-    fresh = _primed(rule.lhs)
-    for w in _nonvar_positions(rule.lhs):
-        if not w:
-            continue
-        if unify(subterm(rule.lhs, w), fresh) is not None:
-            out.append(w)
-    return out
-
-
 def orthogonality_conflicts(trs: TRS) -> List[str]:
     """Human-readable reasons the system fails to be orthogonal."""
     conflicts = []
@@ -234,41 +221,18 @@ def orthogonality_conflicts(trs: TRS) -> List[str]:
     return conflicts
 
 
-def check_orthogonal(trs: TRS) -> None:
-    """Raise ValueError with all conflicts unless the system is orthogonal."""
-    conflicts = orthogonality_conflicts(trs)
-    if conflicts:
-        raise ValueError("system is not orthogonal: " + "; ".join(conflicts))
-
-
 def is_infinite_copying(rule: RewriteRule) -> bool:
     """Does the right-hand side place a variable under a cycle?
 
     Such a rule duplicates a subterm infinitely often in one step; the
     parallel-reduction machinery refuses them (the graph engine does not).
     """
-    g, point = rule.rhs.graph, rule.rhs.point
-    live = g.reachable(point)
-    on_cycle = set()
-    for n in live:
-        todo = list(g.successors(n))
-        seen = set()
-        while todo:
-            m = todo.pop()
-            if m == n:
-                on_cycle.add(n)
-                break
-            if m in seen:
-                continue
-            seen.add(m)
-            todo.extend(g.successors(m))
-    for n in on_cycle:
-        if any(
-            g.is_empty_node(m) and m not in rule.rhs.bottoms
-            for m in g.reachable(n)
-        ):
-            return True
-    return False
+    g = rule.rhs.graph
+    return any(
+        g.is_empty_node(m) and m not in rule.rhs.bottoms
+        for n in cycle_nodes(g, rule.rhs.point)
+        for m in g.reachable(n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +254,8 @@ class EvaluationRule:
     R: TermGraph
     r: Dict[NodeId, NodeId]
 
-    def r_morphism(self) -> GraphMorphism:
-        return GraphMorphism(self.K, self.R, dict(self.r))
-
     def is_collapsing(self) -> bool:
         return self.R.is_empty_node(self.r[self.root])
-
-    def variables(self) -> List[NodeId]:
-        return [n for n in self.L.varnodes()]
 
 
 @dataclass(frozen=True)
@@ -399,10 +357,6 @@ def unravel_rule(er: EvaluationRule, sig: Signature) -> RewriteRule:
     rule = RewriteRule(er.name, lhs, rhs)
     check_rule(rule, sig)
     return rule
-
-
-def unravel_trs(tgrs: TGRS) -> TRS:
-    return TRS(tgrs.sig, tuple(unravel_rule(er, tgrs.sig) for er in tgrs.rules))
 
 
 def graph_trs(trs: TRS) -> TGRS:

@@ -18,12 +18,10 @@ view used by the definitions above is available through `occurrences` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 Occurrence = Tuple[int, ...]
-
-LAMBDA: Occurrence = ()
 
 
 # ---------------------------------------------------------------------------
@@ -33,10 +31,6 @@ LAMBDA: Occurrence = ()
 def occ_leq(u: Occurrence, w: Occurrence) -> bool:
     """Prefix order on occurrences: u <= w iff u is a prefix of w."""
     return len(u) <= len(w) and w[: len(u)] == u
-
-
-def occ_lt(u: Occurrence, w: Occurrence) -> bool:
-    return len(u) < len(w) and w[: len(u)] == u
 
 
 def occ_disjoint(u: Occurrence, w: Occurrence) -> bool:
@@ -50,20 +44,6 @@ def occ_format(w: Occurrence) -> str:
     if all(i <= 9 for i in w):
         return "".join(str(i) for i in w)
     return ".".join(str(i) for i in w)
-
-
-def occ_parse(text: str) -> Occurrence:
-    text = text.strip()
-    if text in ("", "λ", "lambda", "e"):
-        return ()
-    if "." in text:
-        parts = text.split(".")
-    else:
-        parts = list(text)
-    occ = tuple(int(p) for p in parts)
-    if any(i <= 0 for i in occ):
-        raise ValueError(f"occurrence indices must be positive: {text!r}")
-    return occ
 
 
 def occ_sort_key(w: Occurrence) -> Tuple[int, Occurrence]:
@@ -80,6 +60,10 @@ class Signature:
     """A finite map from operator names to arities."""
 
     arities: Tuple[Tuple[str, int], ...]
+    _index: Dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", dict(self.arities))
 
     @staticmethod
     def of(mapping: Mapping[str, int] | Iterable[Tuple[str, int]]) -> "Signature":
@@ -94,19 +78,15 @@ class Signature:
         return Signature(tuple(sorted(seen.items())))
 
     def as_dict(self) -> Dict[str, int]:
-        return dict(self.arities)
+        return dict(self._index)
 
     def is_operator(self, name: str) -> bool:
-        return any(n == name for n, _ in self.arities)
+        return name in self._index
 
     def arity(self, name: str) -> int:
-        for n, a in self.arities:
-            if n == name:
-                return a
-        raise KeyError(f"{name} is not a declared operator")
-
-    def merged(self, other: "Signature") -> "Signature":
-        return Signature.of(list(self.arities) + list(other.arities))
+        if name not in self._index:
+            raise KeyError(f"{name} is not a declared operator")
+        return self._index[name]
 
 
 # ---------------------------------------------------------------------------
@@ -156,26 +136,6 @@ def var(name: str) -> FiniteTerm:
 
 def op(symbol: str, children: Iterable[FiniteTerm] = ()) -> FiniteTerm:
     return FiniteTerm(symbol, tuple(children), False)
-
-
-def term_depth(t: FiniteTerm) -> int:
-    """Length of the longest defined occurrence (-1 for bottom)."""
-    if t.is_bottom:
-        return -1
-    if not t.children:
-        return 0
-    best = 0
-    for c in t.children:
-        d = term_depth(c)
-        if d >= 0:
-            best = max(best, d + 1)
-    return best
-
-
-def term_size(t: FiniteTerm) -> int:
-    if t.is_bottom:
-        return 0
-    return 1 + sum(term_size(c) for c in t.children)
 
 
 def vars_of(t: FiniteTerm) -> List[str]:

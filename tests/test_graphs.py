@@ -1,6 +1,7 @@
 """Term graphs, rational terms, bisimulation, and the graph/term bridges."""
 
 import random
+from itertools import product, takewhile
 
 import pytest
 
@@ -9,6 +10,8 @@ from tgr.graphs import (
     TermGraph,
     bisim_equal,
     check_wellformed,
+    count_paths,
+    cycle_nodes,
     find_tree_morphisms,
     graph_of_terms,
     induced_substitution,
@@ -16,12 +19,13 @@ from tgr.graphs import (
     minimize,
     morphism_errors,
     node_key,
-    paths_to,
+    occurrences_to,
     rational_approx_leq,
     rational_of_term,
     truncated_equal,
     unravel,
 )
+from tgr.harness import gen_case
 from tgr.terms import BOTTOM, Signature, format_term, parse_term, truncate
 
 SIG = Signature.of({"a": 0, "b": 0, "f": 1, "g": 1, "p": 2})
@@ -102,9 +106,76 @@ def test_paths_to_length_lex():
     g = g_of(
         ["r", "m"], {"r": "p", "m": "f"}, {"r": ("m", "r"), "m": ("r",)}
     )
-    got = paths_to(g, "r", "r", 3)
+    got = list(occurrences_to(g, "r", "r", 3))
     assert got == [(), (2,), (1, 1), (2, 2), (1, 1, 2), (2, 1, 1), (2, 2, 2)]
     assert got == sorted(got, key=lambda w: (len(w), w))
+
+
+# Brute-force references for the path kernels, on the random hosts of the
+# property suite (up to 8 nodes, arity up to 2, cycles and holes included).
+
+KERNEL_SEEDS = range(300)
+MAXLEN = 7  # one less than the largest host, so finite sets are listed whole
+
+
+def all_paths(g, src, maxlen):
+    """Every path from src of length <= maxlen, length-lex, by trying all
+    index sequences and keeping those that `walk` can follow."""
+    arity = max((len(s) for s in g.succs.values()), default=0)
+    return [
+        w
+        for k in range(maxlen + 1)
+        for w in product(range(1, arity + 1), repeat=k)
+        if g.walk(src, w) is not None
+    ]
+
+
+def returns_home(g, n):
+    """Does some path of length 1..|nodes| lead from n back to n?"""
+    return any(g.walk(n, w) == n for w in all_paths(g, n, len(g.nodes))[1:])
+
+
+def kernel_hosts():
+    for seed in KERNEL_SEEDS:
+        yield gen_case(random.Random(seed)).host
+
+
+def test_occurrences_to_against_brute_force():
+    for host in kernel_hosts():
+        g, src = host.graph, host.point
+        paths = all_paths(g, src, MAXLEN)
+        cyclic = [n for n in g.reachable(src) if returns_home(g, n)]
+        for dst in g.nodes:
+            want = [w for w in paths if g.walk(src, w) == dst]
+            assert list(occurrences_to(g, src, dst, MAXLEN)) == want
+            unbounded = occurrences_to(g, src, dst)
+            if any(dst in g.reachable(c) for c in cyclic):
+                got = list(takewhile(lambda w: len(w) <= MAXLEN, unbounded))
+            else:  # finite: no member repeats a node, so all are listed
+                got = list(unbounded)
+            assert got == want
+
+
+def test_cycle_nodes_against_closed_paths():
+    for host in kernel_hosts():
+        g = host.graph
+        home = {n for n in g.nodes if returns_home(g, n)}
+        for start in g.nodes:
+            assert cycle_nodes(g, start) == home & g.reachable(start)
+
+
+def test_count_paths_against_enumeration():
+    for host in kernel_hosts():
+        g, src = host.graph, host.point
+        paths = all_paths(g, src, MAXLEN)
+        for bound in range(MAXLEN + 2):
+            assert count_paths(g, src, bound) == sum(
+                1 for w in paths if len(w) < bound
+            )
+            for dst in g.nodes:
+                assert count_paths(g, src, bound, dst) == len(
+                    list(occurrences_to(g, src, dst, bound - 1))
+                )
 
 
 # ---------------------------------------------------------------------------

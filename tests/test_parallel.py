@@ -1,8 +1,12 @@
 """Term-level reduction: single steps, developments, and the oracle."""
 
+import random
+
 import pytest
 
+from tgr.dpo import find_matches, induced_parallel_redex
 from tgr.graphs import RationalTerm, TermGraph, rational_of_term, truncated_equal
+from tgr.harness import gen_case
 from tgr.parallel import (
     ConvergenceError,
     OracleError,
@@ -229,7 +233,7 @@ def test_redex_set_membership_on_a_loop():
     assert rs.contains((1, 1, 1))
     assert not rs.contains((2,))
     assert not rs.is_finite()
-    assert not rs.is_empty()
+    assert enumerate_occurrences(rs, maxlen=0) == [()]
 
 
 def test_redex_set_finite_and_empty():
@@ -238,10 +242,11 @@ def test_redex_set_finite_and_empty():
         {"n1": ("n2",), "n2": ("n3",)},
     )
     rs = RationalRedexSet(chain, "n1", "n2", R_F)
-    assert rs.is_finite() and not rs.is_empty()
+    assert rs.is_finite()
     assert enumerate_occurrences(rs, maxlen=10) == [(1,)]
     garbage = RationalRedexSet(chain, "n3", "n2", R_F)
-    assert garbage.is_empty() and garbage.is_finite()
+    assert garbage.is_finite()
+    assert enumerate_occurrences(garbage, maxlen=10) == []
 
 
 def test_redex_set_requires_a_match():
@@ -266,6 +271,34 @@ def test_count_below_handles_exponential_sharing():
     g = TermGraph.of(nodes, labels, succs)
     rs = RationalRedexSet(g, "d0", "d9", rule("Ra", "a", "b"))
     assert rs.count_below(10) == 2 ** 9
+
+
+def test_redex_sets_against_brute_force():
+    """Membership, counts and finiteness of every induced redex set of the
+    suite's random hosts, against a list of every path from the start."""
+    for seed in range(300):
+        case = gen_case(random.Random(seed))
+        host = case.host
+        n = len(host.graph.nodes)
+        for m in find_matches(host.graph, case.tgrs()):
+            rs = induced_parallel_redex(host, m, case.sig)
+            g = rs.carrier
+            members, level = [], [()]
+            for _ in range(max(2 * n, 6)):  # every path, level by level
+                members += [w for w in level if rs.contains(w)]
+                level = [
+                    w + (i,)
+                    for w in level
+                    for i in range(1, len(g.successors(g.walk(rs.start, w))) + 1)
+                ]
+            short = [w for w in members if len(w) <= 5]
+            assert enumerate_occurrences(rs, maxlen=5) == short
+            assert enumerate_occurrences(rs, count=3) == members[:3]
+            for bound in range(7):
+                assert rs.count_below(bound) == sum(1 for w in short if len(w) < bound)
+            # an infinite set has a member of length in [n, 2n), a finite one
+            # none of length n or more (it would repeat a node)
+            assert rs.is_finite() == all(len(w) < n for w in members)
 
 
 def test_enumerate_occurrences_needs_a_bound():

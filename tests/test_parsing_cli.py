@@ -9,7 +9,6 @@ from tgr.graphs import RationalTerm, bisim_equal
 from tgr.parsing import (
     ParseError,
     format_graph,
-    format_graph_inline,
     graph_to_json,
     parse_workspace,
 )
@@ -121,8 +120,10 @@ def test_format_graph_roundtrip(ws):
 
 
 def test_format_graph_inline(ws):
-    line = format_graph_inline(ws.graph("Loop"))
+    line = format_graph(ws.graph("Loop"), name=None)
     assert line == "{n: f(n); root n;}"
+    line = format_graph(ws.graph("WithHole"), name=None)
+    assert line == "{h: ; m: f(h); root m; bottom h;}"
 
 
 def test_graph_to_json(ws):
@@ -319,3 +320,33 @@ def test_cli_error_exits(ws_file, tmp_path, capsys):
     code, _, err = run(capsys, "derive", ws_file, "--graph", "Loop",
                        "--rule", "Rcdr", "--at", "n")
     assert code == 2 and "match" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["unravel", "--graph", "Loop", "--depth", "-1"],
+        ["rewrite", "--graph", "Loop", "--steps", "-1"],
+        ["redex-set", "--graph", "Loop", "--rule", "Rf", "--at", "n",
+         "--count", "-3"],
+        ["redex-set", "--graph", "Loop", "--rule", "Rf", "--at", "n",
+         "--maxlen", "-2"],
+        ["oracle", "--graph", "Loop", "--rule", "Rf", "--at", "n",
+         "--budget", "-5"],
+    ],
+)
+def test_cli_rejects_negative_bounds(ws_file, capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv[:1] + [ws_file] + argv[1:])
+    assert e.value.code == 2
+    assert "must not be negative" in capsys.readouterr().err
+
+
+def test_cli_too_deep_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "loop.tgr"
+    path.write_text("sig I/1\ngraph Loop { n: I(n); root n; }\nrule RI: I(x) -> x\n")
+    code, out, err = run(capsys, "verify-soundness", str(path),
+                         "--graph", "Loop", "--depth", "300")
+    assert code == 2
+    assert err.startswith("error:") and "lower --depth" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err

@@ -8,9 +8,7 @@ from tgr.rules import (
     EvaluationRule,
     RewriteRule,
     check_evaluation_rule,
-    check_orthogonal,
     check_rule,
-    check_self_overlap,
     graph_of_rule,
     graph_trs,
     is_infinite_copying,
@@ -120,20 +118,20 @@ def test_unify_clash():
 
 
 def test_self_overlap():
-    assert check_self_overlap(rule("r", "f(f(x))", "a")) == [(1,)]
-    assert check_self_overlap(R_F) == []
+    assert orthogonality_conflicts(TRS(SIG, (rule("r", "f(f(x))", "a"),))) == [
+        "rules r and r overlap at position (1,) of r's left-hand side"
+    ]
+    assert orthogonality_conflicts(TRS(SIG, (R_F,))) == []
 
 
 def test_orthogonal_standard_system():
-    check_orthogonal(TRS(SIG, (R_F, R_CDR, R_I)))
+    assert orthogonality_conflicts(TRS(SIG, (R_F, R_CDR, R_I))) == []
 
 
 def test_overlapping_pair_detected():
     clash = TRS(SIG, (R_F, rule("Rff", "f(f(x))", "a")))
     conflicts = orthogonality_conflicts(clash)
-    assert conflicts
-    with pytest.raises(ValueError):
-        check_orthogonal(clash)
+    assert "rules Rf and Rff overlap at the root of Rf's left-hand side" in conflicts
 
 
 def test_nonlinear_rule_not_orthogonal():
