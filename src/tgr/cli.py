@@ -19,7 +19,7 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from .dot import export_dot
-from .dpo import Match, derive_rational, find_matches
+from .dpo import Match, Stepper, derive_rational, find_matches
 from .graphs import (
     RationalTerm,
     check_wellformed,
@@ -186,14 +186,10 @@ def _cmd_matches(args) -> int:
 def _cmd_rewrite(args) -> int:
     ws = _load(args.file)
     current = ws.graph(args.graph)
-    tgrs = ws.tgrs()
     lines: List[str] = []
     steps = []
-    for _ in range(args.steps):
-        ms = find_matches(current.graph, tgrs)
-        if not ms:
-            break
-        drv, after = derive_rational(current, ms[0])
+    run = Stepper(current, ws.tgrs(), args.steps)
+    for drv, after in run:
         lines.append(
             f"STEP {drv.rule.name} at {drv.match.root_image} : "
             f"{format_graph(current, name=None)} => "
@@ -210,7 +206,7 @@ def _cmd_rewrite(args) -> int:
             }
         )
         current = after
-    nf = not find_matches(current.graph, tgrs)
+    nf = run.normal_form
     lines.append(f"result: {format_graph(current, name=None)}")
     lines.append(f"unravel: {format_term(current.unravel(args.depth))}")
     lines.append(f"normal form: {'yes' if nf else 'no'}")

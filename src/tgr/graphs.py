@@ -21,6 +21,7 @@ empty nodes matched by rendered name unless a correspondence is supplied).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -31,6 +32,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -51,6 +53,11 @@ def node_key(n: NodeId) -> Tuple[int, str]:
     return (len(n), n)
 
 
+def node_position(nodes: Sequence[NodeId], n: NodeId) -> int:
+    """Where n is, or would be inserted, in a node_key-sorted sequence."""
+    return bisect_left(nodes, node_key(n), key=node_key)
+
+
 # ---------------------------------------------------------------------------
 # Term graphs
 
@@ -59,8 +66,9 @@ def node_key(n: NodeId) -> Tuple[int, str]:
 class TermGraph:
     """Nodes with partial label/successor structure (see module docstring).
 
-    The dict fields are never mutated after construction; every operation
-    returns a new graph.
+    `nodes` is sorted by node_key without repeats (`of` establishes it, and
+    code building a graph directly must keep it).  The dict fields are never
+    mutated after construction; every operation returns a new graph.
     """
 
     nodes: Tuple[NodeId, ...]
@@ -91,6 +99,11 @@ class TermGraph:
                 if s not in nodeset:
                     raise ValueError(f"dangling successor {s} at node {n}")
         return TermGraph(node_t, labels_d, succs_d)
+
+    def has_node(self, n: NodeId) -> bool:
+        """Membership by bisection in the sorted node tuple: O(log n), no set."""
+        i = node_position(self.nodes, n)
+        return i < len(self.nodes) and self.nodes[i] == n
 
     def is_labelled(self, n: NodeId) -> bool:
         return n in self.labels
@@ -249,6 +262,16 @@ def count_paths(
     return total
 
 
+def predecessors(g: TermGraph) -> Dict[NodeId, Set[NodeId]]:
+    """Each node's predecessors (nodes with an edge to it); nodes without
+    any are absent."""
+    preds: Dict[NodeId, Set[NodeId]] = {}
+    for n, ss in g.succs.items():
+        for s in ss:
+            preds.setdefault(s, set()).add(n)
+    return preds
+
+
 def cycle_nodes(g: TermGraph, start: NodeId) -> FrozenSet[NodeId]:
     """The nodes reachable from start that lie on a cycle: those reachable
     from one of their own successors."""
@@ -272,14 +295,25 @@ class GraphMorphism:
     mapping: Dict[NodeId, NodeId]
 
 
-def morphism_errors(f: GraphMorphism) -> List[str]:
+def morphism_errors(
+    f: GraphMorphism, among: Optional[Iterable[NodeId]] = None
+) -> List[str]:
+    """The morphism conditions violated at the source nodes `among` (all
+    source nodes by default).  The full check builds the target's node set
+    once; a partial one looks images up by bisection, so its cost does not
+    grow with the target."""
+    if among is None:
+        among = f.src.nodes
+        is_node = set(f.dst.nodes).__contains__
+    else:
+        is_node = f.dst.has_node
     errs = []
-    for n in f.src.nodes:
+    for n in among:
         if n not in f.mapping:
             errs.append(f"node {n} unmapped")
             continue
         m = f.mapping[n]
-        if m not in set(f.dst.nodes):
+        if not is_node(m):
             errs.append(f"image {m} of {n} not a node")
             continue
         lbl = f.src.labels.get(n)
@@ -292,8 +326,10 @@ def morphism_errors(f: GraphMorphism) -> List[str]:
     return errs
 
 
-def check_morphism(f: GraphMorphism) -> None:
-    errs = morphism_errors(f)
+def check_morphism(
+    f: GraphMorphism, among: Optional[Iterable[NodeId]] = None
+) -> None:
+    errs = morphism_errors(f, among)
     if errs:
         raise ValueError("not a graph morphism: " + "; ".join(errs))
 
@@ -315,6 +351,28 @@ def is_tree(g: TermGraph, root: NodeId) -> bool:
     return True
 
 
+def tree_match(
+    L: TermGraph, root: NodeId, H: TermGraph, root_image: NodeId
+) -> Optional[Dict[NodeId, NodeId]]:
+    """The node map of the morphism from the tree L into H that sends root
+    to root_image, or None if there is none.  L must be a tree at root (see
+    `find_tree_morphisms`); one walk over L decides it."""
+    mapping: Dict[NodeId, NodeId] = {root: root_image}
+    todo = [root]
+    while todo:
+        n = todo.pop()
+        lbl = L.labels.get(n)
+        if lbl is None:
+            continue
+        m = mapping[n]
+        if H.labels.get(m) != lbl:
+            return None
+        for child, img in zip(L.succs[n], H.succs[m]):
+            mapping[child] = img
+            todo.append(child)
+    return mapping
+
+
 def find_tree_morphisms(
     L: TermGraph,
     root: NodeId,
@@ -328,27 +386,11 @@ def find_tree_morphisms(
     """
     if not is_tree(L, root):
         raise ValueError("find_tree_morphisms requires a tree with the given root")
-    candidates = (
-        [root_image] if root_image is not None else sorted(H.nodes, key=node_key)
-    )
+    candidates = [root_image] if root_image is not None else H.nodes
     out: List[GraphMorphism] = []
     for cand in candidates:
-        mapping: Dict[NodeId, NodeId] = {root: cand}
-        ok = True
-        todo = [root]
-        while todo and ok:
-            n = todo.pop()
-            lbl = L.labels.get(n)
-            if lbl is None:
-                continue
-            m = mapping[n]
-            if H.labels.get(m) != lbl:
-                ok = False
-                break
-            for child, img in zip(L.succs[n], H.succs[m]):
-                mapping[child] = img
-                todo.append(child)
-        if ok:
+        mapping = tree_match(L, root, H, cand)
+        if mapping is not None:
             out.append(GraphMorphism(L, H, mapping))
     return out
 
@@ -433,14 +475,14 @@ class RationalTerm:
     var_names: Tuple[Tuple[NodeId, str], ...] = ()
 
     def __post_init__(self):
-        nodeset = set(self.graph.nodes)
-        if self.point not in nodeset:
+        g = self.graph
+        if not g.has_node(self.point):
             raise ValueError(f"point {self.point} not a node")
         for n in self.bottoms:
-            if n not in nodeset or self.graph.is_labelled(n):
+            if not g.has_node(n) or g.is_labelled(n):
                 raise ValueError(f"bottom tag on non-empty node {n}")
         for n, _ in self.var_names:
-            if n not in nodeset or self.graph.is_labelled(n):
+            if not g.has_node(n) or g.is_labelled(n):
                 raise ValueError(f"variable renaming on non-empty node {n}")
 
     def renaming(self) -> Dict[NodeId, str]:

@@ -29,6 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .dpo import (
     Match,
+    Stepper,
     derive_rational,
     find_matches,
     induced_parallel_redex,
@@ -326,15 +327,9 @@ def rewrite_sequence(
     """Derive with the first match (rule name, then node order) until no rule
     matches or the step budget runs out.  Returns (result, steps, reached_nf).
     """
-    current = host
-    steps = []
-    for _ in range(max_steps):
-        ms = find_matches(current.graph, tgrs)
-        if not ms:
-            return current, steps, True
-        drv, current = derive_rational(current, ms[0])
-        steps.append(drv)
-    return current, steps, not find_matches(current.graph, tgrs)
+    run = Stepper(host, tgrs, max_steps)
+    steps = [drv for drv, _ in run]
+    return run.current, steps, run.normal_form
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Double-pushout steps on small hosts, worked out by hand."""
 
+import random
+
 import pytest
 
 from tgr.dpo import (
@@ -12,10 +14,19 @@ from tgr.dpo import (
     pushout_complement,
     track_substitution,
 )
-from tgr.graphs import RationalTerm, TermGraph, unravel
+from tgr.graphs import (
+    GraphMorphism,
+    RationalTerm,
+    TermGraph,
+    check_morphism,
+    node_key,
+    unravel,
+)
+from tgr.harness import gen_case, rewrite_sequence
 from tgr.parallel import enumerate_occurrences
 from tgr.rules import (
     TGRS,
+    TRS,
     EvaluationRule,
     RewriteRule,
     graph_of_rule,
@@ -273,3 +284,240 @@ def test_induced_parallel_redex_finite_host():
     rs = induced_parallel_redex(rt, m, SIG)
     assert rs.is_finite()
     assert enumerate_occurrences(rs, maxlen=8) == [(1,)]
+
+
+# ---------------------------------------------------------------------------
+# Local steps against the whole-graph reference
+
+
+def ref_pushout(rule, D, d):
+    """The pushout over every node of D and R: one union-find over all of
+    them, classes named as in `pushout` (least D id, else fresh h#k)."""
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for n in rule.K.nodes:
+        a, b = find(("r", rule.r[n])), find(("d", d.mapping[n]))
+        if a != b:
+            parent[a] = b
+    classes = {}
+    for side, graph in (("d", D), ("r", rule.R)):
+        for n in graph.nodes:
+            classes.setdefault(find((side, n)), []).append((side, n))
+    names, fresh = {}, 0
+    ordered = sorted(
+        classes.items(),
+        key=lambda kv: min((side != "d", node_key(n)) for side, n in kv[1]),
+    )
+    for key, members in ordered:
+        d_ids = [n for side, n in members if side == "d"]
+        if d_ids:
+            names[key] = min(d_ids, key=node_key)
+        else:
+            while f"h#{fresh}" in D.nodes:
+                fresh += 1
+            names[key] = f"h#{fresh}"
+            fresh += 1
+
+    def node_of(side, n):
+        return names[find((side, n))]
+
+    labels, succs = {}, {}
+    for side, graph in (("d", D), ("r", rule.R)):
+        for n, lbl in graph.labels.items():
+            labels[node_of(side, n)] = lbl
+            succs[node_of(side, n)] = tuple(node_of(side, s) for s in graph.succs[n])
+    H = TermGraph.of(names.values(), labels, succs)
+    h = {n: node_of("r", n) for n in rule.R.nodes}
+    return H, h, {n: node_of("d", n) for n in D.nodes}
+
+
+def ref_rewrite(host, tgrs, max_steps):
+    """`rewrite_sequence` from scratch: a full `find_matches` before every
+    step, the whole-graph pushout, and the substitution read off all nodes."""
+    rt, steps = host, []
+    for _ in range(max_steps):
+        ms = find_matches(rt.graph, tgrs)
+        if not ms:
+            return rt, steps, True
+        m, G = ms[0], rt.graph
+        hub = m.root_image
+        D = TermGraph.of(
+            G.nodes,
+            {n: l for n, l in G.labels.items() if n != hub},
+            {n: s for n, s in G.succs.items() if n != hub},
+        )
+        d = GraphMorphism(m.rule.K, D, dict(m.g.mapping))
+        H, h, track = ref_pushout(m.rule, D, d)
+        sources = {}
+        for n in G.nodes:
+            if G.is_empty_node(n) and n not in rt.bottoms:
+                sources.setdefault(track[n], []).append(n)
+        renaming = rt.renaming()
+        holes, names = [], []
+        for n in H.nodes:
+            if H.is_empty_node(n):
+                if n in sources:
+                    (src,) = sources[n]
+                    names.append((n, renaming.get(src, src)))
+                else:
+                    holes.append(n)
+        rt = RationalTerm(H, track[rt.point], frozenset(holes), tuple(names))
+        steps.append((m.rule.name, hub, H, h, track))
+    return rt, steps, not find_matches(rt.graph, tgrs)
+
+
+def assert_same_run(host, tgrs, max_steps):
+    got, drvs, nf = rewrite_sequence(host, tgrs, max_steps)
+    want, ref_steps, ref_nf = ref_rewrite(host, tgrs, max_steps)
+    assert [(drv.rule.name, drv.match.root_image) for drv in drvs] == [
+        (name, at) for name, at, _, _, _ in ref_steps
+    ]
+    for drv, (_, _, H, h, track) in zip(drvs, ref_steps):
+        assert drv.track == track
+        assert drv.h.mapping == h
+        assert (drv.H.nodes, drv.H.labels, drv.H.succs) == (
+            H.nodes, H.labels, H.succs,
+        )
+        for f in (drv.match.g, drv.h, drv.b):
+            check_morphism(f)  # the full check the step itself skips
+    assert nf == ref_nf
+    assert (got.graph.nodes, got.graph.labels, got.graph.succs) == (
+        want.graph.nodes, want.graph.labels, want.graph.succs,
+    )
+    assert (got.point, got.bottoms, got.var_names) == (
+        want.point, want.bottoms, want.var_names,
+    )
+    return drvs
+
+
+RING_SIG = Signature.of(
+    {"a": 0, "f": 1, "g": 1, "I": 1, "d": 1, "p": 2, "cdr": 1, "cons": 2}
+)
+RING_TGRS = graph_trs(
+    TRS(
+        RING_SIG,
+        tuple(
+            RewriteRule.of(name, parse_term(RING_SIG, lhs), parse_term(RING_SIG, rhs))
+            for name, lhs, rhs in (
+                ("Rf", "f(x)", "g(x)"),
+                ("RI", "I(x)", "x"),
+                ("Rd", "d(x)", "p(x, x)"),
+                ("Rcdr", "cdr(cons(x, y))", "y"),
+            )
+        ),
+    )
+)
+# cdr-I-cons only becomes a cdr redex once the I below it collapses, which a
+# match index must notice at the cdr although the cdr itself did not change.
+RING_TOKENS = [["f"], ["g"], ["I"], ["d"], ["p"], ["cdr", "cons"], ["cdr", "I", "cons"]]
+
+
+def ring_host(rng, family, n):
+    """An n-node ring, lasso or DAG over the symbols of RING_TGRS: a body
+    of n-2 nodes, a constant and a variable; p and cons add chords (forward
+    only in a DAG, and in a lasso's tail)."""
+    labels = []
+    while len(labels) < n - 2:
+        labels.extend(rng.choice(RING_TOKENS))
+    body = [f"v{i}" for i in range(n - 2)]
+    labels = labels[: len(body)]
+    start = len(body) // 2 if family == "lasso" else 0
+    leaves = ["c", "x"]
+
+    def nxt(i):
+        if i + 1 < len(body):
+            return body[i + 1]
+        return "c" if family == "dag" else body[start]
+
+    def chord(i):
+        if family == "ring":
+            return rng.choice(body + leaves)
+        low = start if family == "lasso" and i >= start else i + 1
+        return rng.choice(body[low:] + leaves)
+
+    spec = {}
+    for i, (node, lbl) in enumerate(zip(body, labels)):
+        arity = RING_SIG.arity(lbl)
+        succ = [nxt(i)] + [chord(i) for _ in range(arity - 1)]
+        rng.shuffle(succ)
+        spec[node] = (lbl, tuple(succ))
+    spec["c"] = ("a", ())
+    graph = TermGraph.of(
+        body + leaves,
+        {n: lbl for n, (lbl, _) in spec.items()},
+        {n: ss for n, (_, ss) in spec.items()},
+    )
+    return RationalTerm(graph, body[0])
+
+
+@pytest.mark.parametrize("chunk", range(3))
+def test_local_steps_match_the_reference_on_generated_cases(chunk):
+    for seed in range(100 * chunk, 100 * chunk + 100):
+        case = gen_case(random.Random(seed))
+        assert_same_run(case.host, case.tgrs(), 20)
+
+
+def test_local_steps_match_the_reference_on_rings_lassos_and_dags():
+    rng = random.Random("local-steps")
+    collapses = 0
+    for family in ("ring", "lasso", "dag"):
+        for n in (50, 80, 130, 200):
+            drvs = assert_same_run(ring_host(rng, family, n), RING_TGRS, n)
+            collapses += sum(drv.rule.name in ("RI", "Rcdr") for drv in drvs)
+    assert collapses > 100  # merges and redirected edges were exercised
+
+
+# ---------------------------------------------------------------------------
+# Scale: every step local, so thousands of nodes rewrite to normal form
+
+
+SCALE_PATTERN = ["g", "f", "I", "d", "cdr", "cons", "g", "cdr", "I", "cons", "I", "f"]
+SCALE_NF = {"f": "g", "d": "p", "g": "g"}  # I, cdr and cons leave the path
+
+
+def scale_host(family, n):
+    """A ring or lasso of n-1 body nodes plus a constant: SCALE_PATTERN
+    repeated, padded with g; a lasso's cycle is the second half."""
+    m = n - 1
+    labels = (SCALE_PATTERN * (m // len(SCALE_PATTERN)))[:m]
+    labels += ["g"] * (m - len(labels))
+    body = [f"v{i}" for i in range(m)]
+    start = len(body) // 2 if family == "lasso" else 0
+    nxt = body[1:] + [body[start]]
+    succs = {
+        v: ("c", w) if lbl == "cons" else (w, w) if lbl == "p" else (w,)
+        for v, lbl, w in zip(body, labels, nxt)
+    }
+    graph = TermGraph.of(body + ["c"], {**dict(zip(body, labels)), "c": "a"}, succs)
+    return RationalTerm(graph, body[0]), labels, start
+
+
+@pytest.mark.parametrize("family", ["ring", "lasso"])
+def test_rewrite_sequence_to_normal_form_on_2000_nodes(family):
+    host, labels, start = scale_host(family, 2000)
+    result, steps, nf = rewrite_sequence(host, RING_TGRS, max_steps=2001)
+    assert nf
+    assert len(steps) == sum(lbl in ("f", "I", "d", "cdr") for lbl in labels)
+
+    # walk first successors from the point until a node repeats
+    g, path, seen = result.graph, [], {}
+    node = result.point
+    while node not in seen:
+        seen[node] = len(path)
+        path.append(node)
+        assert g.labels[node] in ("g", "p")
+        if g.labels[node] == "p":
+            assert g.succs[node][0] == g.succs[node][1]
+        node = g.succs[node][0]
+    tail, cycle = path[: seen[node]], path[seen[node]:]
+
+    def survivors(part):
+        return [SCALE_NF[lbl] for lbl in part if lbl in SCALE_NF]
+
+    assert [g.labels[v] for v in tail] == survivors(labels[:start])
+    assert [g.labels[v] for v in cycle] == survivors(labels[start:])
