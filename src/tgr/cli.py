@@ -74,7 +74,7 @@ def _emit(args, payload: Dict[str, object], lines: List[str]) -> None:
 
 def _find_match(ws: Workspace, host: RationalTerm, rule_name: str, at: str) -> Match:
     er = ws.tgrs().rule(rule_name)
-    if at not in set(host.graph.nodes):
+    if not host.graph.has_node(at):
         raise KeyError(f"no node named {at}")
     morphs = find_tree_morphisms(er.L, er.root, host.graph, root_image=at)
     if not morphs:

@@ -16,7 +16,7 @@ Two extras ride along on rational terms:
   rebuilding node ids.
 
 Equality of rational terms is bisimulation (pointed, label-respecting, with
-empty nodes matched by rendered name unless a correspondence is supplied).
+empty nodes matched by rendered name).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import (
     Dict,
     FrozenSet,
+    Hashable,
     Iterable,
     Iterator,
     List,
@@ -400,29 +401,24 @@ def find_tree_morphisms(
 
 
 def _refine(
-    blocks: List[FrozenSet[NodeId]],
-    succ: Mapping[NodeId, Tuple[NodeId, ...]],
-) -> List[FrozenSet[NodeId]]:
-    """Moore-style refinement of an initial partition by successor blocks."""
+    cls: Dict[NodeId, Hashable], succ: Mapping[NodeId, Tuple[NodeId, ...]]
+) -> Dict[NodeId, int]:
+    """Moore refinement of an initial class map by successor classes.
+
+    Each round keys every node by its class and its successors' classes, so
+    classes only split; it stops when a round adds no class.  The result
+    numbers the classes and keeps the order of `cls`.
+    """
+    count = len(set(cls.values()))
     while True:
-        index: Dict[NodeId, int] = {}
-        for i, b in enumerate(blocks):
-            for n in b:
-                index[n] = i
-        new: List[FrozenSet[NodeId]] = []
-        changed = False
-        for b in blocks:
-            groups: Dict[Tuple[int, ...], List[NodeId]] = {}
-            for n in sorted(b, key=node_key):
-                sig_vec = tuple(index[s] for s in succ.get(n, ()))
-                groups.setdefault(sig_vec, []).append(n)
-            if len(groups) > 1:
-                changed = True
-            for key in sorted(groups):
-                new.append(frozenset(groups[key]))
-        blocks = new
-        if not changed:
-            return blocks
+        ids: Dict[Hashable, int] = {}
+        cls = {
+            n: ids.setdefault((c, tuple(cls[s] for s in succ.get(n, ()))), len(ids))
+            for n, c in cls.items()
+        }
+        if len(ids) == count:
+            return cls
+        count = len(ids)
 
 
 def minimize(g: TermGraph) -> Tuple[TermGraph, Dict[NodeId, NodeId]]:
@@ -433,24 +429,11 @@ def minimize(g: TermGraph) -> Tuple[TermGraph, Dict[NodeId, NodeId]]:
     node-to-representative map; representatives are the node_key-least class
     members, so the result is deterministic.
     """
-    blocks: List[FrozenSet[NodeId]] = []
-    by_label: Dict[str, List[NodeId]] = {}
-    for n in g.nodes:
-        lbl = g.labels.get(n)
-        if lbl is None:
-            blocks.append(frozenset([n]))
-        else:
-            by_label.setdefault(lbl, []).append(n)
-    for lbl in sorted(by_label):
-        blocks.append(frozenset(by_label[lbl]))
-    blocks = _refine(blocks, g.succs)
-    rep: Dict[NodeId, NodeId] = {}
-    for b in blocks:
-        r = min(b, key=node_key)
-        for n in b:
-            rep[n] = r
+    cls = _refine({n: g.labels.get(n, (n,)) for n in g.nodes}, g.succs)
+    first: Dict[int, NodeId] = {}
+    rep = {n: first.setdefault(c, n) for n, c in cls.items()}
     out = TermGraph.of(
-        sorted(set(rep.values()), key=node_key),
+        first.values(),
         {rep[n]: l for n, l in g.labels.items()},
         {rep[n]: tuple(rep[s] for s in ss) for n, ss in g.succs.items()},
     )
@@ -557,63 +540,84 @@ def rational_of_term(t: FiniteTerm, prefix: str = "t") -> RationalTerm:
     )
 
 
-def _initial_bisim_blocks(
-    a: RationalTerm, b: RationalTerm, correspondence: Optional[Mapping[str, str]]
-) -> Tuple[TermGraph, NodeId, NodeId, List[FrozenSet[NodeId]]]:
-    """Disjoint union of the two carriers plus initial comparison blocks."""
-    nodes = [f"a:{n}" for n in a.graph.nodes] + [f"b:{n}" for n in b.graph.nodes]
-    labels = {f"a:{n}": l for n, l in a.graph.labels.items()}
-    labels.update({f"b:{n}": l for n, l in b.graph.labels.items()})
-    succs = {
-        f"a:{n}": tuple(f"a:{s}" for s in ss) for n, ss in a.graph.succs.items()
-    }
-    succs.update(
-        {f"b:{n}": tuple(f"b:{s}" for s in ss) for n, ss in b.graph.succs.items()}
-    )
-    union = TermGraph.of(nodes, labels, succs)
-
-    blocks: List[FrozenSet[NodeId]] = []
-    by_label: Dict[str, List[NodeId]] = {}
-    for n, l in labels.items():
-        by_label.setdefault(l, []).append(n)
-    for lbl in sorted(by_label):
-        blocks.append(frozenset(by_label[lbl]))
-
-    holes: List[NodeId] = []
-    by_name: Dict[str, List[NodeId]] = {}
-    for side, rt in (("a", a), ("b", b)):
-        ren = rt.renaming()
-        for n in rt.graph.varnodes():
-            key = f"{side}:{n}"
-            if n in rt.bottoms:
-                holes.append(key)
-                continue
-            name = ren.get(n, n)
-            if side == "a" and correspondence is not None:
-                name = correspondence.get(name, name)
-            by_name.setdefault(name, []).append(key)
-    if holes:
-        blocks.append(frozenset(holes))
-    for name in sorted(by_name):
-        blocks.append(frozenset(by_name[name]))
-    return union, f"a:{a.point}", f"b:{b.point}", blocks
-
-
-def bisim_equal(
+def _agree(
     a: RationalTerm,
     b: RationalTerm,
-    correspondence: Optional[Mapping[str, str]] = None,
+    depth: Optional[int] = None,
+    below: bool = False,
 ) -> bool:
+    """Do the unravelings of a and b agree on all occurrences (of length <
+    depth, if given)?  With `below`, agreement is a <= b in the
+    approximation order.
+
+    One breadth-first walk over the node pairs that one occurrence reaches
+    from the two points.  Holes match holes, empty nodes match on rendered
+    name, labelled nodes on label and arity, and their successor pairs make
+    the next level; with `below`, a hole of a matches anything and is not
+    descended.  A mismatch is a difference at that occurrence.
+
+    No pair is expanded twice.  In the equality modes each checked pair is
+    united in a union-find over (side, node) keys, and a pair already in one
+    class is skipped (Hopcroft & Karp 1971; Bonchi & Pous 2013), so at most
+    |a| + |b| pairs are expanded.  That is sound because agreement to a
+    given depth is an equivalence and breadth-first order takes every pair
+    at distance d before any at d + 1: by induction on j, a pair united at
+    distance d agrees to depth min(j, depth - d), since its successor pairs
+    lie in classes of pairs at distance <= d + 1.  The order is not
+    symmetric (x <= y >= z does not give x <= z), so with `below` a pair is
+    skipped only if it was seen before, at no larger distance.
+    """
+    ga, gb = a.graph, b.graph
+    ren_a, ren_b = a.renaming(), b.renaming()
+    parent: Dict[Tuple[int, NodeId], Tuple[int, NodeId]] = {}
+    seen: Set[Tuple[NodeId, NodeId]] = set()
+
+    def find(k: Tuple[int, NodeId]) -> Tuple[int, NodeId]:
+        while k in parent:  # path halving: roots have no entry
+            p = parent[k]
+            parent[k] = parent.get(p, p)
+            k = parent[k]
+        return k
+
+    level, d = [(a.point, b.point)], 0
+    while level and (depth is None or d < depth):
+        nxt: List[Tuple[NodeId, NodeId]] = []
+        for x, y in level:
+            if below:
+                if x in a.bottoms or (x, y) in seen:
+                    continue
+                seen.add((x, y))
+            else:
+                rx, ry = find((0, x)), find((1, y))
+                if rx == ry:
+                    continue
+                parent[rx] = ry
+            hole = x in a.bottoms
+            if hole != (y in b.bottoms):
+                return False
+            if hole:
+                continue
+            lx, ly = ga.labels.get(x), gb.labels.get(y)
+            if lx is None or ly is None:
+                if lx != ly or ren_a.get(x, x) != ren_b.get(y, y):
+                    return False
+                continue
+            sx, sy = ga.succs[x], gb.succs[y]
+            if lx != ly or len(sx) != len(sy):
+                return False
+            nxt.extend(zip(sx, sy))
+        level = nxt
+        d += 1
+    return True
+
+
+def bisim_equal(a: RationalTerm, b: RationalTerm) -> bool:
     """Pointed bisimulation equality of two rational terms.
 
     Labelled nodes must match labels and successor classes; holes match holes;
-    variables match when their rendered names agree (after applying the
-    optional a-side-to-b-side correspondence).
+    variables match when their rendered names agree.
     """
-    union, pa, pb, blocks = _initial_bisim_blocks(a, b, correspondence)
-    blocks = _refine(blocks, union.succs)
-    index = {n: i for i, blk in enumerate(blocks) for n in blk}
-    return index[pa] == index[pb]
+    return _agree(a, b)
 
 
 def rational_approx_leq(a: RationalTerm, b: RationalTerm) -> bool:
@@ -622,29 +626,7 @@ def rational_approx_leq(a: RationalTerm, b: RationalTerm) -> bool:
     Coinductive simulation: hole positions of a are below anything; defined
     positions must agree exactly.
     """
-    ren_a, ren_b = a.renaming(), b.renaming()
-    assumed = set()
-
-    def sim(na: NodeId, nb: NodeId) -> bool:
-        if na in a.bottoms:
-            return True
-        if (na, nb) in assumed:
-            return True
-        assumed.add((na, nb))
-        la = a.graph.labels.get(na)
-        if la is None:
-            return (
-                b.graph.is_empty_node(nb)
-                and nb not in b.bottoms
-                and ren_a.get(na, na) == ren_b.get(nb, nb)
-            )
-        if b.graph.labels.get(nb) != la:
-            return False
-        return all(
-            sim(sa, sb) for sa, sb in zip(a.graph.succs[na], b.graph.succs[nb])
-        )
-
-    return sim(a.point, b.point)
+    return _agree(a, b, below=True)
 
 
 def truncated_equal(a: RationalTerm, b: RationalTerm, depth: int) -> bool:
@@ -653,37 +635,7 @@ def truncated_equal(a: RationalTerm, b: RationalTerm, depth: int) -> bool:
     Equivalent to a.unravel(depth) == b.unravel(depth) but polynomial in the
     graph sizes rather than in the (possibly exponential) tree size.
     """
-    ren_a, ren_b = a.renaming(), b.renaming()
-    memo: Dict[Tuple[NodeId, NodeId, int], bool] = {}
-
-    def eq(na: NodeId, nb: NodeId, d: int) -> bool:
-        if d <= 0:
-            return True
-        key = (na, nb, d)
-        if key in memo:
-            return memo[key]
-        bot_a, bot_b = na in a.bottoms, nb in b.bottoms
-        if bot_a or bot_b:
-            ans = bot_a and bot_b
-        else:
-            la, lb = a.graph.labels.get(na), b.graph.labels.get(nb)
-            if la is None or lb is None:
-                ans = (
-                    la is None
-                    and lb is None
-                    and ren_a.get(na, na) == ren_b.get(nb, nb)
-                )
-            elif la != lb:
-                ans = False
-            else:
-                ans = all(
-                    eq(sa, sb, d - 1)
-                    for sa, sb in zip(a.graph.succs[na], b.graph.succs[nb])
-                )
-        memo[key] = ans
-        return ans
-
-    return eq(a.point, b.point, depth)
+    return _agree(a, b, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -730,16 +682,9 @@ def graph_of_terms(
     union_graph = TermGraph.of(nodes, labels, succs)
     quotient, rep = minimize(union_graph)
 
-    final: Dict[NodeId, NodeId] = {}
-    counter = 0
-    for n in quotient.nodes:
-        if quotient.is_labelled(n):
-            final[n] = f"c{counter}"
-            counter += 1
-        elif n.startswith("v:"):
-            final[n] = n[2:]
-        else:
-            final[n] = n
+    final = {n: n[2:] if n.startswith("v:") else n for n in quotient.nodes}
+    labelled = [n for n in quotient.nodes if quotient.is_labelled(n)]
+    final.update((n, f"c{i}") for i, n in enumerate(labelled))
     out = TermGraph.of(
         [final[n] for n in quotient.nodes],
         {final[n]: l for n, l in quotient.labels.items()},

@@ -796,7 +796,7 @@ class SuiteReport:
 def _drop_node(host: RationalTerm, n: NodeId) -> Optional[RationalTerm]:
     """Remove a node, emptying any node that referenced it (shrinking only:
     the result is a valid but semantically different workspace)."""
-    if n == host.point or n not in set(host.graph.nodes):
+    if n == host.point or not host.graph.has_node(n):
         return None
     g = host.graph
     labels = {}

@@ -285,7 +285,7 @@ class _Parser:
             if gname not in graphs:
                 raise ParseError(f"rule {name} uses unknown graph {gname}", gline)
             base = graphs[gname]
-            if node not in set(base.graph.nodes):
+            if not base.graph.has_node(node):
                 raise ParseError(f"graph {gname} has no node {node}", gline)
             rhs: object = RationalTerm(base.graph, node, base.bottoms, base.var_names)
         else:

@@ -1,6 +1,7 @@
 """Term graphs, rational terms, bisimulation, and the graph/term bridges."""
 
 import random
+from dataclasses import replace
 from itertools import product, takewhile
 
 import pytest
@@ -275,6 +276,274 @@ def test_minimize_keeps_empty_nodes_apart():
     g = g_of(["n", "x", "y"], {"n": "p"}, {"n": ("x", "y")})
     q, _ = minimize(g)
     assert len(q.nodes) == 3
+
+
+# Differential test of the pair walk (`bisim_equal`, `rational_approx_leq`,
+# `truncated_equal`) and the class-map refinement (`minimize`) against the
+# Moore refinement over a disjoint union and the recursive closures they
+# replaced, kept here as references.
+
+
+def ref_refine(blocks, succ):
+    while True:
+        index = {n: i for i, b in enumerate(blocks) for n in b}
+        new, changed = [], False
+        for b in blocks:
+            groups = {}
+            for n in sorted(b, key=node_key):
+                key = tuple(index[s] for s in succ.get(n, ()))
+                groups.setdefault(key, []).append(n)
+            changed |= len(groups) > 1
+            new.extend(frozenset(groups[k]) for k in sorted(groups))
+        blocks = new
+        if not changed:
+            return blocks
+
+
+def ref_minimize(g):
+    blocks, by_label = [], {}
+    for n in g.nodes:
+        if n in g.labels:
+            by_label.setdefault(g.labels[n], []).append(n)
+        else:
+            blocks.append(frozenset([n]))
+    blocks += [frozenset(by_label[lbl]) for lbl in sorted(by_label)]
+    rep = {}
+    for b in ref_refine(blocks, g.succs):
+        for n in b:
+            rep[n] = min(b, key=node_key)
+    out = TermGraph.of(
+        set(rep.values()),
+        {rep[n]: l for n, l in g.labels.items()},
+        {rep[n]: tuple(rep[s] for s in ss) for n, ss in g.succs.items()},
+    )
+    return out, rep
+
+
+def ref_bisim(a, b):
+    """The old Moore refinement over the disjoint union of the carriers, as
+    a function of the two points (one refinement for all of them)."""
+    labels, succs, holes, by_name = {}, {}, [], {}
+    for side, rt in (("a", a), ("b", b)):
+        ren = rt.renaming()
+        for n in rt.graph.nodes:
+            key = f"{side}:{n}"
+            if n in rt.graph.labels:
+                labels[key] = rt.graph.labels[n]
+                succs[key] = tuple(f"{side}:{s}" for s in rt.graph.succs[n])
+            elif n in rt.bottoms:
+                holes.append(key)
+            else:
+                by_name.setdefault(ren.get(n, n), []).append(key)
+    by_label = {}
+    for n, lbl in labels.items():
+        by_label.setdefault(lbl, []).append(n)
+    blocks = [frozenset(by_label[lbl]) for lbl in sorted(by_label)]
+    blocks += [frozenset(holes)] if holes else []
+    blocks += [frozenset(by_name[name]) for name in sorted(by_name)]
+    index = {n: i for i, blk in enumerate(ref_refine(blocks, succs)) for n in blk}
+    return lambda p, q: index[f"a:{p}"] == index[f"b:{q}"]
+
+
+def ref_approx_leq(a, b):
+    ren_a, ren_b, assumed = a.renaming(), b.renaming(), set()
+
+    def sim(na, nb):
+        if na in a.bottoms or (na, nb) in assumed:
+            return True
+        assumed.add((na, nb))
+        la = a.graph.labels.get(na)
+        if la is None:
+            return (
+                b.graph.is_empty_node(nb)
+                and nb not in b.bottoms
+                and ren_a.get(na, na) == ren_b.get(nb, nb)
+            )
+        return b.graph.labels.get(nb) == la and all(
+            sim(sa, sb) for sa, sb in zip(a.graph.succs[na], b.graph.succs[nb])
+        )
+
+    return sim(a.point, b.point)
+
+
+def ref_truncated_equal(a, b):
+    """The old memoised closure, as a function of the depth (one memo for
+    all depths)."""
+    ren_a, ren_b, memo = a.renaming(), b.renaming(), {}
+
+    def eq(na, nb, d):
+        if d <= 0:
+            return True
+        if (na, nb, d) not in memo:
+            bot_a, bot_b = na in a.bottoms, nb in b.bottoms
+            la, lb = a.graph.labels.get(na), b.graph.labels.get(nb)
+            if bot_a or bot_b:
+                ans = bot_a and bot_b
+            elif la is None or lb is None:
+                ans = la == lb and ren_a.get(na, na) == ren_b.get(nb, nb)
+            else:
+                ans = la == lb and all(
+                    eq(sa, sb, d - 1)
+                    for sa, sb in zip(a.graph.succs[na], b.graph.succs[nb])
+                )
+            memo[na, nb, d] = ans
+        return memo[na, nb, d]
+
+    return lambda depth: eq(a.point, b.point, depth)
+
+
+def decorated(g, bottoms=frozenset()):
+    """Variants of a carrier: as given, with the non-hole empty nodes renamed
+    onto the names x and y (so distinct nodes render alike), and with every
+    empty node a hole."""
+    empty = [n for n in g.nodes if n not in g.labels]
+    free = [n for n in empty if n not in bottoms]
+    if not empty:
+        return [(bottoms, ())]
+    names = tuple((n, "xy"[i % 2]) for i, n in enumerate(free))
+    return [(bottoms, ()), (bottoms, names), (frozenset(empty), ())]
+
+
+def ring(n, pattern="f", prefix="r"):
+    ids = [f"{prefix}{i}" for i in range(n)]
+    return g_of(
+        ids,
+        {m: pattern[i % len(pattern)] for i, m in enumerate(ids)},
+        {m: (ids[(i + 1) % n],) for i, m in enumerate(ids)},
+    )
+
+
+def lasso(tail, loop, last="f"):
+    """A chain of `tail` f-nodes into a ring of `loop` nodes whose last node
+    is labelled `last`."""
+    ids = [f"s{i}" for i in range(tail + loop)]
+    labels = {m: "f" for m in ids}
+    labels[ids[-1]] = last
+    succs = {m: (ids[i + 1],) for i, m in enumerate(ids[:-1])}
+    succs[ids[-1]] = (ids[tail],)
+    return g_of(ids, labels, succs)
+
+
+def chain(n, end=None):
+    """n f-nodes ending in an a-node, or in an empty node if end is None."""
+    ids = [f"c{i}" for i in range(n + 1)]
+    labels = {m: "f" for m in ids[:-1]}
+    if end is not None:
+        labels[ids[-1]] = end
+    return g_of(ids, labels, {m: (ids[i + 1],) for i, m in enumerate(ids[:-1])})
+
+
+def binary_ring(n, k):
+    """p-nodes on a ring whose second edge jumps k ahead."""
+    ids = [f"b{i}" for i in range(n)]
+    return g_of(
+        ids,
+        {m: "p" for m in ids},
+        {m: (ids[(i + 1) % n], ids[(i + k) % n]) for i, m in enumerate(ids)},
+    )
+
+
+def shape_carriers():
+    yield ring(1)
+    for n in (2, 3, 4, 5, 6):  # equal, coprime and non-minimal lengths
+        yield ring(n)
+        yield ring(n, "fg")
+        yield ring(n, "ffg")
+        yield binary_ring(n, 2)
+    for tail, loop in ((0, 3), (1, 2), (2, 3), (3, 1), (1, 4)):
+        yield lasso(tail, loop)
+        yield lasso(tail, loop, "g")
+    for n in (0, 1, 3, 4):
+        yield chain(n)
+        yield chain(n, "a")
+
+
+def differential_groups():
+    """(a, b, point pairs), up to swapping a and b: each gen_case host with
+    its decorations on either side, at every two of its nodes; and every
+    two shape carriers with their decorations, at their first two nodes."""
+    for host in kernel_hosts():
+        g = host.graph
+        variants = [RationalTerm(g, g.nodes[0], *d) for d in decorated(g, host.bottoms)]
+        for i, a in enumerate(variants):
+            for j, b in enumerate(variants[i:]):
+                pairs = list(product(g.nodes, repeat=2))
+                yield a, b, pairs if j else [(p, q) for p, q in pairs if p <= q]
+    shapes = list(shape_carriers())
+    for i, ga in enumerate(shapes):
+        for gb in shapes[i:]:
+            for da, db in product(decorated(ga), decorated(gb)):
+                a, b = RationalTerm(ga, ga.nodes[0], *da), RationalTerm(gb, gb.nodes[0], *db)
+                yield a, b, list(product(ga.nodes[:2], gb.nodes[:2]))
+
+
+def test_pair_walk_matches_the_references():
+    for a, b, pairs in differential_groups():
+        same = ref_bisim(a, b)
+        for p, q in pairs:
+            x, y = replace(a, point=p), replace(b, point=q)
+            assert bisim_equal(x, y) == bisim_equal(y, x) == same(p, q)
+            assert rational_approx_leq(x, y) == ref_approx_leq(x, y)
+            assert rational_approx_leq(y, x) == ref_approx_leq(y, x)
+            ref_eq = ref_truncated_equal(x, y)
+            for depth in range(2 * max(len(a.graph.nodes), len(b.graph.nodes)) + 1):
+                assert truncated_equal(x, y, depth) == ref_eq(depth)
+
+
+def test_class_map_minimize_matches_the_reference():
+    carriers = [host.graph for host in kernel_hosts()] + list(shape_carriers())
+    for g in carriers:
+        q, rep = minimize(g)
+        ref_q, ref_rep = ref_minimize(g)
+        assert rep == ref_rep
+        assert (q.nodes, q.labels, q.succs) == (ref_q.nodes, ref_q.labels, ref_q.succs)
+
+
+def test_labels_of_different_arity_never_agree():
+    # the old closures zipped successors, so f(x) and f(x, y) agreed on them
+    one = RationalTerm(g_of(["n", "x"], {"n": "f"}, {"n": ("x",)}), "n")
+    two = RationalTerm(g_of(["n", "x", "y"], {"n": "f"}, {"n": ("x", "y")}), "n")
+    assert not bisim_equal(one, two)
+    assert not rational_approx_leq(one, two)
+    for d in range(4):
+        assert truncated_equal(one, two, d) == (one.unravel(d) == two.unravel(d))
+
+
+# Verdicts on 3,000-node carriers, read off their shape: the walk must not
+# recurse, and equality must not cost time quadratic in the carrier.
+
+BIG = 3000
+
+
+def big_cases():
+    """(a, b, bisimilar, first depth at which they differ or None)."""
+    loop = RationalTerm(ring(1, prefix="l"), "l0")
+    yield RationalTerm(ring(BIG), "r0"), loop, True, None
+    yield RationalTerm(ring(BIG), "r0"), RationalTerm(ring(BIG // 2, prefix="q"), "q0"), True, None
+    yield RationalTerm(ring(BIG, "f" * (BIG - 1) + "g"), "r0"), loop, False, BIG
+    yield RationalTerm(lasso(BIG // 2, BIG // 2), "s0"), loop, True, None
+    yield RationalTerm(lasso(BIG // 2, BIG // 2, "g"), "s0"), loop, False, BIG
+    yield RationalTerm(chain(BIG - 1, "a"), "c0"), RationalTerm(chain(BIG - 1), "c0"), False, BIG
+    yield RationalTerm(chain(BIG - 1, "a"), "c0"), RationalTerm(chain(BIG - 1, "a"), "c0"), True, None
+
+
+def test_comparisons_on_3000_node_carriers():
+    for a, b, same, differ_at in big_cases():
+        assert bisim_equal(a, b) == same
+        assert rational_approx_leq(a, b) == same
+        assert rational_approx_leq(b, a) == same
+        assert truncated_equal(a, b, 2 * BIG) == same
+        if differ_at is not None:
+            assert truncated_equal(a, b, differ_at - 1)
+            assert not truncated_equal(a, b, differ_at)
+    coprime = RationalTerm(ring(BIG), "r0"), RationalTerm(ring(BIG - 1, prefix="q"), "q0")
+    assert bisim_equal(*coprime) and truncated_equal(*coprime, 2 * BIG)
+    hole_end = RationalTerm(chain(BIG - 1), "c0", frozenset({f"c{BIG - 1}"}))
+    full = RationalTerm(chain(BIG - 1, "a"), "c0")
+    assert rational_approx_leq(hole_end, full)
+    assert not rational_approx_leq(full, hole_end)
+    assert truncated_equal(hole_end, full, BIG - 1)
+    assert not truncated_equal(hole_end, full, BIG)
 
 
 # ---------------------------------------------------------------------------

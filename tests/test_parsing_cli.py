@@ -342,11 +342,29 @@ def test_cli_rejects_negative_bounds(ws_file, capsys, argv):
     assert "must not be negative" in capsys.readouterr().err
 
 
-def test_cli_too_deep_is_bad_input(tmp_path, capsys):
+LOOP_I = "sig I/1\ngraph Loop { n: I(n); root n; }\nrule RI: I(x) -> x\n"
+
+
+def test_cli_deep_check_on_a_loop_succeeds(tmp_path, capsys):
+    # the oracle's chain reaches ~500 nodes deep, past the interpreter's
+    # recursion limit; the default budget would reach ~1000 at 3x the time
     path = tmp_path / "loop.tgr"
-    path.write_text("sig I/1\ngraph Loop { n: I(n); root n; }\nrule RI: I(x) -> x\n")
+    path.write_text(LOOP_I)
+    code, out, err = run(capsys, "verify-soundness", str(path), "--graph",
+                         "Loop", "--depth", "3000", "--budget", "1024")
+    assert code == 0 and err == ""
+    assert out.startswith("ok: RI at n, depth 3000")
+
+
+def test_cli_recursion_error_is_bad_input(tmp_path, capsys, monkeypatch):
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "verify_soundness", too_deep)
+    path = tmp_path / "loop.tgr"
+    path.write_text(LOOP_I)
     code, out, err = run(capsys, "verify-soundness", str(path),
-                         "--graph", "Loop", "--depth", "300")
-    assert code == 2
+                         "--graph", "Loop", "--rule", "RI", "--at", "n")
+    assert code == 2 and out == ""
     assert err.startswith("error:") and "lower --depth" in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
