@@ -311,6 +311,7 @@ def _cmd_oracle(args) -> int:
         f"occurrences kept: {len(report.occurrences)} "
         f"(threshold length {report.threshold}, "
         f"effective depth {report.effective_depth})",
+        f"doublings: {report.doublings}",
     ]
     for s in report.samples:
         lines.append(
@@ -339,6 +340,7 @@ def _cmd_oracle(args) -> int:
             "threshold": report.threshold,
             "depth": report.depth,
             "effective_depth": report.effective_depth,
+            "doublings": report.doublings,
             "samples": [
                 {
                     "index": s.index,

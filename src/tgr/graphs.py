@@ -188,22 +188,36 @@ def unravel(
     named by node id (through var_names if given); bottom-tagged nodes become
     the undefined term.  The result is a tree, so this is only meant for
     modest depths — deeper comparisons should use `truncated_equal`.
-    """
-    budget = [max_size]
 
-    def go(m: NodeId, d: int) -> FiniteTerm:
+    Nodes are counted against `max_size` in preorder; an explicit stack
+    holds the nodes to expand and, below each operator's children, the
+    operator to build once they are done, so deep terms need no recursion.
+    """
+    budget = max_size
+    done: List[FiniteTerm] = []  # finished subterms, left to right
+    # (False, node, depth) expands a node; (True, label, arity) builds an op
+    todo: List[Tuple[bool, str, int]] = [(False, n, depth)]
+    while todo:
+        build, m, d = todo.pop()
+        if build:
+            kids = done[len(done) - d:]
+            del done[len(done) - d:]
+            done.append(op(m, kids))
+            continue
         if d <= 0 or m in bottoms:
-            return BOTTOM
-        budget[0] -= 1
-        if budget[0] < 0:
+            done.append(BOTTOM)
+            continue
+        budget -= 1
+        if budget < 0:
             raise ValueError("unraveling exceeds size budget; lower the depth")
         lbl = g.labels.get(m)
         if lbl is None:
-            name = var_names.get(m, m) if var_names else m
-            return var(name)
-        return op(lbl, [go(s, d - 1) for s in g.succs[m]])
-
-    return go(n, depth)
+            done.append(var(var_names.get(m, m) if var_names else m))
+            continue
+        ss = g.succs[m]
+        todo.append((True, lbl, len(ss)))
+        todo.extend((False, s, d - 1) for s in reversed(ss))
+    return done[0]
 
 
 def occurrences_to(

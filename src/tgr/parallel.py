@@ -35,7 +35,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .graphs import (
     NodeId,
@@ -188,8 +197,31 @@ def _fresh_namer(used: set) -> "callable":
     return fresh
 
 
+class _RhsPlan(NamedTuple):
+    """What importing a rule's right-hand side needs of the rule alone."""
+
+    var_positions: Tuple[Tuple[str, Occurrence], ...]
+    point: NodeId
+    # the live right-hand side in node order: node, label (None for a
+    # variable), successors, rendered name
+    live: Tuple[Tuple[NodeId, Optional[str], Tuple[NodeId, ...], str], ...]
+
+
+def _rhs_plan(rule: RewriteRule) -> _RhsPlan:
+    rhs = rule.rhs
+    ren = rhs.renaming()
+    return _RhsPlan(
+        tuple(var_positions(rule).items()),
+        rhs.point,
+        tuple(
+            (n, rhs.graph.labels.get(n), rhs.graph.successors(n), ren.get(n, n))
+            for n in sorted(rhs.graph.reachable(rhs.point), key=node_key)
+        ),
+    )
+
+
 def _import_rhs(
-    rule: RewriteRule,
+    plan: _RhsPlan,
     g: TermGraph,
     at: NodeId,
     labels: Dict[NodeId, str],
@@ -197,30 +229,28 @@ def _import_rhs(
     new_id: Callable[[], NodeId],
     point_id: Optional[NodeId] = None,
 ) -> NodeId:
-    """Copy the live right-hand side of a rule matched at `at` into the given
-    label and successor maps; returns the image of its point.
+    """Copy the live right-hand side of a rule (planned by `_rhs_plan`)
+    matched at `at` into the given label and successor maps; returns the
+    image of its point.
 
     Pattern variables are bound by walking g from `at`.  Labelled nodes get
     `new_id()` in node order, except that the point takes `point_id` when
     given.  A collapsing rule copies nothing and returns its variable's image.
     """
-    bind = {x: g.walk(at, v) for x, v in var_positions(rule).items()}
-    rhs = rule.rhs
-    live = sorted(rhs.graph.reachable(rhs.point), key=node_key)
+    bind = {x: g.walk(at, v) for x, v in plan.var_positions}
     imported: Dict[NodeId, NodeId] = {}
-    for n in live:
-        if rhs.graph.is_empty_node(n):
-            imported[n] = bind[rhs.render_name(n)]
-        elif n == rhs.point and point_id is not None:
+    for n, lbl, _, name in plan.live:
+        if lbl is None:
+            imported[n] = bind[name]
+        elif n == plan.point and point_id is not None:
             imported[n] = point_id
         else:
             imported[n] = new_id()
-    for n in live:
-        lbl = rhs.graph.labels.get(n)
+    for n, lbl, ss, _ in plan.live:
         if lbl is not None:
             labels[imported[n]] = lbl
-            succs[imported[n]] = tuple(imported[s] for s in rhs.graph.succs[n])
-    return imported[rhs.point]
+            succs[imported[n]] = tuple(imported[s] for s in ss)
+    return imported[plan.point]
 
 
 def reduce(rt: RationalTerm, redex: Redex) -> RationalTerm:
@@ -250,7 +280,9 @@ def reduce(rt: RationalTerm, redex: Redex) -> RationalTerm:
     fresh = _fresh_namer(used)
     labels = dict(g.labels)
     succs = dict(g.succs)
-    point = _import_rhs(rule, g, hub, labels, succs, lambda: fresh("r#"))
+    point = _import_rhs(
+        _rhs_plan(rule), g, hub, labels, succs, lambda: fresh("r#")
+    )
 
     # Copy the spine bottom-up, rerouting one child per level.
     for depth in range(len(redex.occ) - 1, -1, -1):
@@ -467,75 +499,103 @@ def enumerate_occurrences(
 # Chain approximants, exactly
 
 
+class _PrefixTrie:
+    """The prefix tree of an occurrence list, grown one occurrence at a time.
+
+    States are integers numbered in insertion order, state 0 being the empty
+    occurrence, so the trie of the first i occurrences is exactly the states
+    below `size[i]`: one trie serves every prefix of the list, and extending
+    the list extends it.  `end[j]` is the state of occurrence j.
+    """
+
+    def __init__(self, occs: Sequence[Occurrence] = ()) -> None:
+        self.child: List[Dict[int, int]] = [{}]
+        self.size = [1]
+        self.end: List[int] = []
+        self.extend(occs)
+
+    def extend(self, occs: Sequence[Occurrence]) -> None:
+        child = self.child
+        for w in occs:
+            st = 0
+            for k in w:
+                nxt = child[st].get(k)
+                if nxt is None:
+                    nxt = child[st][k] = len(child)
+                    child.append({})
+                st = nxt
+            self.end.append(st)
+            self.size.append(len(child))
+
+
 def _cut_graph(
-    rs: RationalRedexSet, kept: Sequence[Occurrence]
+    rs: RationalRedexSet, trie: _PrefixTrie, i: int
 ) -> Tuple[RationalTerm, List[NodeId]]:
-    """The approximant that keeps the given members and cuts the rest.
+    """The approximant that keeps the first i occurrences of the trie's list
+    and cuts the rest.
 
     The term agrees with the full unraveling except that every set member
-    *not* in `kept` is replaced by a hole.  `kept` must be downward closed in
-    the set under the prefix order (prefix-respecting enumerations guarantee
-    this), which also guarantees no cut ever lands strictly inside a kept
-    redex's pattern.
+    *not* kept is replaced by a hole.  The kept occurrences must be downward
+    closed in the set under the prefix order (prefix-respecting enumerations
+    guarantee this), which also guarantees no cut ever lands strictly inside
+    a kept redex's pattern.
 
-    Nodes are (carrier node, trie state) pairs, the trie being the prefix
-    tree of `kept`; since a trie state *is* a path, the kept redex nodes are
-    unshared and in bijection with `kept`.  Everything stays finite and
-    exact — no depth truncation is involved.  Returns the term and the kept
+    Nodes are (carrier node m, trie state k) pairs named `m@k`, and `m@*`
+    past the trie.  Since a trie state *is* a path, the kept redex nodes are
+    unshared and in bijection with the kept occurrences: a trie state that
+    walks to the target is a member and, unless nothing is kept (the root is
+    in every trie), a prefix of a kept one, so it is kept itself.
+    Everything stays finite and exact — no depth truncation is involved —
+    and the cost is linear in the result.  Returns the term and the kept
     redex nodes in enumeration order.
     """
     g = rs.carrier
     ren = dict(rs.var_names)
-    elements = set(kept)
-    prefixes = {w[:i] for w in kept for i in range(len(w) + 1)}
-    prefixes.add(())
-
-    def node_id(m: NodeId, st: Optional[Occurrence]) -> NodeId:
-        if st is None:
-            return f"{m}@*"
-        return f"{m}@" + ("e" if not st else "-".join(map(str, st)))
+    child, limit = trie.child, trie.size[i]
+    no_kids: Dict[int, int] = {}
 
     nodes: List[NodeId] = []
     labels: Dict[NodeId, str] = {}
     succs: Dict[NodeId, Tuple[NodeId, ...]] = {}
     bottoms: List[NodeId] = []
     names: List[Tuple[NodeId, str]] = []
+    past: Dict[NodeId, NodeId] = {}  # carrier node -> its node past the trie
 
-    todo: List[Tuple[NodeId, Optional[Occurrence]]] = [(rs.start, ())]
-    seen = {(rs.start, ())}
-    while todo:
-        m, st = todo.pop()
-        nid = node_id(m, st)
+    point = f"{rs.start}@0"
+    todo: List[Tuple[NodeId, int, NodeId]] = [(rs.start, 0, point)]
+    while todo:  # each trie state is pushed once, by its parent
+        m, st, nid = todo.pop()
         nodes.append(nid)
-        if m == rs.target and not (st is not None and st in elements):
-            bottoms.append(nid)  # a member beyond the kept prefix: cut
-            continue
-        if m in rs.bottoms:
-            bottoms.append(nid)
+        if (m == rs.target and (st < 0 or i == 0)) or m in rs.bottoms:
+            bottoms.append(nid)  # a hole, or a member not kept: cut
             continue
         lbl = g.labels.get(m)
         if lbl is None:
             names.append((nid, ren.get(m, m)))  # variable keeps its name
             continue
+        kids = child[st] if st >= 0 else no_kids
         ss = []
         for k, s in enumerate(g.succs[m], start=1):
-            child_st: Optional[Occurrence] = None
-            if st is not None and st + (k,) in prefixes:
-                child_st = st + (k,)
-            ss.append(node_id(s, child_st))
-            if (s, child_st) not in seen:
-                seen.add((s, child_st))
-                todo.append((s, child_st))
+            c = kids.get(k, limit)
+            if c < limit:
+                cid = f"{s}@{c}"
+                todo.append((s, c, cid))
+            else:
+                cid = past.get(s)
+                if cid is None:
+                    cid = past[s] = f"{s}@*"
+                    todo.append((s, -1, cid))
+            ss.append(cid)
         labels[nid] = lbl
         succs[nid] = tuple(ss)
 
     term = RationalTerm(
         TermGraph.of(nodes, labels, succs),
-        node_id(rs.start, ()),
+        point,
         frozenset(bottoms),
         tuple(sorted(names, key=lambda kv: node_key(kv[0]))),
     )
-    redex_nodes = [node_id(rs.target, w) for w in kept]
+    redex_nodes = [f"{rs.target}@{st}" for st in trie.end[:i]]
     return term, redex_nodes
 
 
@@ -547,7 +607,7 @@ def chain_term(rs: RationalRedexSet, i: int, depth: int) -> FiniteTerm:
     least upper bound is the full unraveling.
     """
     kept = enumerate_occurrences(rs, count=i)
-    cut, _ = _cut_graph(rs, kept)
+    cut, _ = _cut_graph(rs, _PrefixTrie(kept), len(kept))
     return cut.unravel(depth)
 
 
@@ -573,14 +633,18 @@ def develop_rational(
     sit strictly inside another's pattern (that would be an overlap).
     """
     g = rt.graph
-    targets: Dict[NodeId, RewriteRule] = {}
+    targets: Dict[NodeId, Tuple[RewriteRule, _RhsPlan]] = {}
+    plans: Dict[int, _RhsPlan] = {}  # per rule object, for this call only
     for m, rule in components:
         if m in targets:
             raise ValueError(f"duplicate development target {m}")
-        _refuse_infinite_copying(rule)
+        plan = plans.get(id(rule))
+        if plan is None:
+            _refuse_infinite_copying(rule)
+            plan = plans[id(rule)] = _rhs_plan(rule)
         if not rule_matches_at(g, m, rule, rt.bottoms):
             raise ValueError(f"rule {rule.name} does not match at node {m}")
-        targets[m] = rule
+        targets[m] = rule, plan
 
     used = set(g.nodes)
     fresh = _fresh_namer(used)
@@ -589,8 +653,8 @@ def develop_rational(
     redirect: Dict[NodeId, NodeId] = {}
 
     for m in sorted(targets, key=node_key):
-        rule = targets[m]
-        image = _import_rhs(rule, g, m, labels, succs, lambda: fresh("g#"), m)
+        rule, plan = targets[m]
+        image = _import_rhs(plan, g, m, labels, succs, lambda: fresh("g#"), m)
         if rule.is_collapsing():
             redirect[m] = image
 
@@ -710,6 +774,54 @@ def _sample_indices(n: int, small: int) -> List[int]:
     return sorted(set(x for x in out if 0 <= x <= n))
 
 
+def _deepest(depth: int, holds: Callable[[int], bool]) -> int:
+    """The largest d <= depth with holds(d), or 0 if no d >= 1 has it.
+
+    `holds` must be downward closed (true at every d >= 1 below one where it
+    is true), so bisection finds what a scan down from `depth` would.
+    """
+    if depth <= 0 or holds(depth):
+        return depth
+    lo, hi = 0, depth  # holds(hi) is false; lo is 0 or holds(lo) is true
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _prefix_respecting_trie(
+    rs: RationalRedexSet, occs: Sequence[Occurrence]
+) -> _PrefixTrie:
+    """The trie of a caller-supplied enumeration, which must list members
+    of the set only, each after every member that is a proper prefix of it.
+
+    One walk per occurrence, in the carrier and in the trie of the
+    occurrences before it, finds every member prefix and whether it was
+    listed.
+    """
+    g = rs.carrier
+    trie = _PrefixTrie()
+    listed = set()  # trie states of the occurrences checked so far
+    for w in occs:
+        if not rs.contains(w):
+            raise ValueError(f"{occ_format(w)} is not in the redex set")
+        at, st = rs.start, 0
+        for i, k in enumerate(w):
+            if at == rs.target and st not in listed:
+                raise ValueError(
+                    "enumeration is not prefix-respecting: "
+                    f"{occ_format(w[:i])} missing before {occ_format(w)}"
+                )
+            at = g.succs[at][k - 1]
+            st = trie.child[st].get(k, -1) if st >= 0 else -1
+        trie.extend([w])
+        listed.add(trie.end[-1])
+    return trie
+
+
 def infinite_parallel_reduce(
     rs: RationalRedexSet,
     depth: int = 16,
@@ -747,38 +859,24 @@ def infinite_parallel_reduce(
 
     if occurrences is not None:
         occs = [tuple(w) for w in occurrences]
-        seen = set()
-        for w in occs:
-            if not rs.contains(w):
-                raise ValueError(f"{occ_format(w)} is not in the redex set")
-            for i in range(len(w)):
-                p = w[:i]
-                if p not in seen and rs.contains(p):
-                    raise ValueError(
-                        "enumeration is not prefix-respecting: "
-                        f"{occ_format(p)} missing before {occ_format(w)}"
-                    )
-            seen.add(w)
+        trie = _prefix_respecting_trie(rs, occs)
+
+        def complete_to(d: int) -> bool:
+            bound = threshold_length(rs.rule, d)
+            return sum(1 for w in occs if len(w) < bound) == rs.count_below(bound)
+
         # Trust only the depth whose required members are all present.
-        eff_depth = depth
-        while eff_depth > 0:
-            bound = threshold_length(rs.rule, eff_depth)
-            have = sum(1 for w in occs if len(w) < bound)
-            if have == rs.count_below(bound):
-                break
-            eff_depth -= 1
+        eff_depth = _deepest(depth, complete_to)
         allow_doubling = False
     else:
-        eff_depth = depth
-        needed = rs.count_below(threshold)
-        if needed > budget:
-            d = depth
-            while d > 0 and rs.count_below(threshold_length(rs.rule, d)) > budget:
-                d -= 1
-            eff_depth = d
-            needed = rs.count_below(threshold_length(rs.rule, eff_depth))
-        n = max(needed, min_occurrences or 0)
+
+        def needed(d: int) -> int:
+            return rs.count_below(threshold_length(rs.rule, d))
+
+        eff_depth = _deepest(depth, lambda d: needed(d) <= budget)
+        n = max(needed(eff_depth), min_occurrences or 0)
         occs = enumerate_occurrences(rs, count=n)
+        trie = _PrefixTrie(occs)
         allow_doubling = True
 
     carrier_term = RationalTerm(rs.carrier, rs.start, rs.bottoms, rs.var_names)
@@ -795,7 +893,7 @@ def infinite_parallel_reduce(
         samples: List[ChainSample] = []
         monotone_ok = True
         for i in indices:
-            cut, redex_nodes = _cut_graph(rs, occs[:i])
+            cut, redex_nodes = _cut_graph(rs, trie, i)
             developed, _ = develop_rational(
                 cut, [(nid, rs.rule) for nid in redex_nodes]
             )
@@ -840,4 +938,5 @@ def infinite_parallel_reduce(
             raise ConvergenceError(
                 "redex set exhausted but the developments still disagree"
             )
+        trie.extend(more[len(occs):])
         occs = more

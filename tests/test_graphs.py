@@ -27,7 +27,15 @@ from tgr.graphs import (
     unravel,
 )
 from tgr.harness import gen_case
-from tgr.terms import BOTTOM, Signature, format_term, parse_term, truncate
+from tgr.terms import (
+    BOTTOM,
+    Signature,
+    format_term,
+    op,
+    parse_term,
+    truncate,
+    var,
+)
 
 SIG = Signature.of({"a": 0, "b": 0, "f": 1, "g": 1, "p": 2})
 
@@ -548,6 +556,61 @@ def test_comparisons_on_3000_node_carriers():
 
 # ---------------------------------------------------------------------------
 # The approximation order on rational terms
+
+
+def ref_unravel(g, n, depth, bottoms=frozenset(), var_names=None, max_size=500_000):
+    """The recursive `unravel` that the explicit stack replaced."""
+    budget = [max_size]
+
+    def go(m, d):
+        if d <= 0 or m in bottoms:
+            return BOTTOM
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise ValueError("unraveling exceeds size budget; lower the depth")
+        lbl = g.labels.get(m)
+        if lbl is None:
+            return var(var_names.get(m, m) if var_names else m)
+        return op(lbl, [go(s, d - 1) for s in g.succs[m]])
+
+    return go(n, depth)
+
+
+def counted(term):
+    """The nodes of a term that `max_size` counts: all but the holes."""
+    return 0 if term.is_bottom else 1 + sum(counted(c) for c in term.children)
+
+
+def test_unravel_matches_the_recursive_reference():
+    for host in kernel_hosts():
+        g = host.graph
+        for bottoms, names in decorated(g, host.bottoms):
+            ren = dict(names)
+            for n in g.nodes:
+                for depth in range(6):
+                    want = ref_unravel(g, n, depth, bottoms, ren)
+                    assert unravel(g, n, depth, bottoms, ren) == want
+            size = counted(want)  # the last node at depth 5
+            for max_size in (max(size - 1, 0), size):
+                outcomes = []
+                for fn in (ref_unravel, unravel):
+                    try:
+                        outcomes.append(fn(g, n, 5, bottoms, ren, max_size))
+                    except ValueError as e:
+                        outcomes.append(str(e))
+                assert outcomes[0] == outcomes[1]
+                assert isinstance(outcomes[0], str) == (max_size < size)
+
+
+def test_unravel_a_5000_node_ring_to_depth_5000():
+    g = ring(5000)
+    term = unravel(g, "r0", 5000)
+    for _ in range(5000):
+        assert term.symbol == "f" and len(term.children) == 1
+        term = term.children[0]
+    assert term is BOTTOM
+    with pytest.raises(ValueError, match="size budget"):
+        unravel(g, "r0", 5000, max_size=4999)
 
 
 def test_rational_approx_holes_below_everything():

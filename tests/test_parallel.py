@@ -4,8 +4,15 @@ import random
 
 import pytest
 
+from tgr import parallel
 from tgr.dpo import find_matches, induced_parallel_redex
-from tgr.graphs import RationalTerm, TermGraph, rational_of_term, truncated_equal
+from tgr.graphs import (
+    RationalTerm,
+    TermGraph,
+    node_key,
+    rational_of_term,
+    truncated_equal,
+)
 from tgr.harness import gen_case
 from tgr.parallel import (
     ConvergenceError,
@@ -13,6 +20,10 @@ from tgr.parallel import (
     RationalRedexSet,
     Redex,
     UnsupportedRuleError,
+    _cut_graph,
+    _deepest,
+    _prefix_respecting_trie,
+    _PrefixTrie,
     chain_term,
     complete_development,
     develop_rational,
@@ -27,8 +38,8 @@ from tgr.parallel import (
     threshold_length,
     var_positions,
 )
-from tgr.rules import TRS, RewriteRule
-from tgr.terms import BOTTOM, Signature, parse_term
+from tgr.rules import TRS, RewriteRule, is_infinite_copying
+from tgr.terms import BOTTOM, Signature, occ_format, parse_term
 
 SIG = Signature.of(
     {"a": 0, "b": 0, "f": 1, "g": 1, "I": 1, "cdr": 1, "cons": 2, "p": 2}
@@ -447,3 +458,201 @@ def test_oracle_refuses_infinite_copying():
 def test_error_hierarchy():
     assert issubclass(UnsupportedRuleError, OracleError)
     assert issubclass(ConvergenceError, OracleError)
+
+
+# ---------------------------------------------------------------------------
+# The integer trie against the string trie it replaced
+
+
+def ref_cut_graph(rs, kept):
+    """The old `_cut_graph`: a trie of prefix tuples, rebuilt per call, with
+    nodes named by their whole occurrence."""
+    g = rs.carrier
+    ren = dict(rs.var_names)
+    elements = set(kept)
+    prefixes = {w[:i] for w in kept for i in range(len(w) + 1)}
+    prefixes.add(())
+
+    def node_id(m, st):
+        if st is None:
+            return f"{m}@*"
+        return f"{m}@" + ("e" if not st else "-".join(map(str, st)))
+
+    nodes, labels, succs, bottoms, names = [], {}, {}, [], []
+    todo = [(rs.start, ())]
+    seen = {(rs.start, ())}
+    while todo:
+        m, st = todo.pop()
+        nid = node_id(m, st)
+        nodes.append(nid)
+        if m == rs.target and not (st is not None and st in elements):
+            bottoms.append(nid)
+            continue
+        if m in rs.bottoms:
+            bottoms.append(nid)
+            continue
+        lbl = g.labels.get(m)
+        if lbl is None:
+            names.append((nid, ren.get(m, m)))
+            continue
+        ss = []
+        for k, s in enumerate(g.succs[m], start=1):
+            child_st = None
+            if st is not None and st + (k,) in prefixes:
+                child_st = st + (k,)
+            ss.append(node_id(s, child_st))
+            if (s, child_st) not in seen:
+                seen.add((s, child_st))
+                todo.append((s, child_st))
+        labels[nid] = lbl
+        succs[nid] = tuple(ss)
+    term = RationalTerm(
+        TermGraph.of(nodes, labels, succs),
+        node_id(rs.start, ()),
+        frozenset(bottoms),
+        tuple(sorted(names, key=lambda kv: node_key(kv[0]))),
+    )
+    return term, [node_id(rs.target, w) for w in kept]
+
+
+def ref_prefix_check(rs, occs):
+    """The old prefix-respecting check: every prefix of every occurrence."""
+    seen = set()
+    for w in occs:
+        if not rs.contains(w):
+            raise ValueError(f"{occ_format(w)} is not in the redex set")
+        for i in range(len(w)):
+            p = w[:i]
+            if p not in seen and rs.contains(p):
+                raise ValueError(
+                    "enumeration is not prefix-respecting: "
+                    f"{occ_format(p)} missing before {occ_format(w)}"
+                )
+        seen.add(w)
+
+
+def ref_scan(depth, holds):
+    """The old effective-depth search: one step down at a time."""
+    d = depth
+    while d > 0 and not holds(d):
+        d -= 1
+    return d
+
+
+def shared_ring(n, label, rule):
+    """An n-node ring whose second node carries `label` and whose third is a
+    binary node with both edges on the fourth, so paths double every lap."""
+    ids = [f"n{i}" for i in range(n)]
+    labels = {m: "g" for m in ids}
+    succs = {m: (ids[(i + 1) % n],) for i, m in enumerate(ids)}
+    labels[ids[1]] = label
+    labels[ids[2]] = "p"
+    succs[ids[2]] = (ids[3 % n], ids[3 % n])
+    return RationalRedexSet(TermGraph.of(ids, labels, succs), ids[0], ids[1], rule)
+
+
+def generated_sets(seeds=range(300)):
+    """Every oracle-ready induced redex set of the suite's random hosts."""
+    for seed in seeds:
+        case = gen_case(random.Random(seed))
+        for m in find_matches(case.host.graph, case.tgrs()):
+            rs = induced_parallel_redex(case.host, m, case.sig)
+            if not is_infinite_copying(rs.rule):
+                yield rs
+
+
+def oracle_cases():
+    """(redex set, depth, budget): the generated sets, and shared 4- and
+    5-node rings whose depth-32 requirement exceeds the budget."""
+    for rs in generated_sets():
+        yield rs, 6, 64
+    yield shared_ring(4, "f", R_F), 32, 2048
+    yield shared_ring(5, "I", R_I), 32, 2048
+
+
+def test_cut_graphs_match_the_string_trie(monkeypatch):
+    """The oracle's report, every sampled approximant and its development
+    agree with those of the oracle running on the old string-trie
+    construction, and every kept occurrence walks to its redex node."""
+
+    def old_cut(rs, trie, i):
+        return ref_cut_graph(rs, enumerate_occurrences(rs, count=i))
+
+    for rs, depth, budget in oracle_cases():
+        report = infinite_parallel_reduce(rs, depth, budget=budget)
+        with monkeypatch.context() as mp:
+            mp.setattr(parallel, "_cut_graph", old_cut)
+            old = infinite_parallel_reduce(rs, depth, budget=budget)
+        assert report.effective_depth == old.effective_depth
+        assert report.effective_depth == ref_scan(
+            depth,
+            lambda d: rs.count_below(threshold_length(rs.rule, d)) <= budget,
+        )
+        assert report.occurrences == old.occurrences
+        assert [s.index for s in report.samples] == [s.index for s in old.samples]
+        assert report.doublings == old.doublings
+        assert report.limit == old.limit
+        assert (report.limit == report.symbolic_limit) == (
+            old.limit == old.symbolic_limit
+        )
+
+        occs = report.occurrences
+        trie = _PrefixTrie(occs)
+        for new, ref in zip(report.samples, old.samples):
+            assert new.approximant == ref.approximant
+            assert new.developed == ref.developed
+            cut, nodes = _cut_graph(rs, trie, new.index)
+            assert len(set(nodes)) == len(nodes) == new.index
+            for w, nid in zip(occs, nodes):
+                assert cut.graph.walk(cut.point, w) == nid
+
+
+def test_prefix_check_matches_the_quadratic_one():
+    """Caller-supplied enumerations: reordered, with a member dropped, with
+    a repeat and with a non-member, accepted or refused with the same
+    message as the check on every prefix."""
+    for rs, _, _ in oracle_cases():
+        occs = enumerate_occurrences(rs, count=24)
+        lists = [
+            occs,
+            sorted(occs, key=lambda w: (len(w), tuple(-i for i in w))),
+            occs[::-1],
+            occs + occs[-1:],
+            occs + [(9,)],
+        ]
+        lists += [occs[:j] + occs[j + 1:] for j in range(min(len(occs), 6))]
+        for lst in lists:
+            want = got = None
+            try:
+                ref_prefix_check(rs, lst)
+            except ValueError as e:
+                want = str(e)
+            try:
+                _prefix_respecting_trie(rs, lst)
+            except ValueError as e:
+                got = str(e)
+            assert got == want
+
+
+def test_bisection_agrees_with_the_linear_scan():
+    """`_deepest` finds the depth the one-step scan finds, for the budget
+    cap and for the completeness of a supplied enumeration."""
+    sets = [RationalRedexSet(I_LOOP.graph, "n", "n", R_I)]
+    sets += generated_sets(range(100))
+    budgets = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2048]
+    for rs in sets:
+        counts = [rs.count_below(threshold_length(rs.rule, d)) for d in range(65)]
+        for depth in range(65):
+            for budget in budgets:
+                holds = lambda d: counts[d] <= budget
+                assert _deepest(depth, holds) == ref_scan(depth, holds)
+        for c in (0, 1, 2, 5, 17):
+            occs = enumerate_occurrences(rs, count=c)
+            for depth in range(0, 65, 3):
+
+                def complete(d):
+                    bound = threshold_length(rs.rule, d)
+                    have = sum(1 for w in occs if len(w) < bound)
+                    return have == counts[d]
+
+                assert _deepest(depth, complete) == ref_scan(depth, complete)

@@ -1,9 +1,14 @@
 """The workspace format and the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tgr
 from tgr import cli
 from tgr.graphs import RationalTerm, bisim_equal
 from tgr.parsing import (
@@ -255,6 +260,10 @@ def test_cli_oracle(ws_file, capsys):
     assert code == 0
     assert doc["monotone"] is True and doc["agrees"] is True
     assert doc["symbolic"] == "g(g(g(g(_|_))))"
+    assert doc["doublings"] == 0
+    code, out, _ = run(capsys, "oracle", ws_file, "--graph", "Loop",
+                       "--rule", "Rf", "--at", "n", "--depth", "4")
+    assert code == 0 and out.splitlines()[1] == "doublings: 0"
 
 
 def test_cli_verify_soundness(ws_file, capsys):
@@ -346,14 +355,28 @@ LOOP_I = "sig I/1\ngraph Loop { n: I(n); root n; }\nrule RI: I(x) -> x\n"
 
 
 def test_cli_deep_check_on_a_loop_succeeds(tmp_path, capsys):
-    # the oracle's chain reaches ~500 nodes deep, past the interpreter's
-    # recursion limit; the default budget would reach ~1000 at 3x the time
+    # with the default budget the oracle's chain reaches ~1000 nodes deep,
+    # past the interpreter's recursion limit
     path = tmp_path / "loop.tgr"
     path.write_text(LOOP_I)
     code, out, err = run(capsys, "verify-soundness", str(path), "--graph",
-                         "Loop", "--depth", "3000", "--budget", "1024")
+                         "Loop", "--depth", "3000")
     assert code == 0 and err == ""
     assert out.startswith("ok: RI at n, depth 3000")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(tgr.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "tgr", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: tgr")
 
 
 def test_cli_recursion_error_is_bad_input(tmp_path, capsys, monkeypatch):
