@@ -4,8 +4,8 @@ One workspace file in, one analysis out.  Exit codes are uniform across
 subcommands: 0 means the command ran and every checked property held, 1
 means a verification failed (a chain was not monotone, routes disagreed, a
 diamond did not close, ...), 2 means the input was unusable (parse error,
-unknown name, rule does not match, unsupported rule, a negative count or
-bound, a depth too large for the interpreter's recursion limit).
+unreadable file, unknown name, rule does not match, unsupported rule, a
+negative count or bound).
 
 Every subcommand accepts `--json` to emit a machine-readable mirror of its
 text output on stdout.
@@ -207,8 +207,9 @@ def _cmd_rewrite(args) -> int:
         )
         current = after
     nf = run.normal_form
+    unraveled = format_term(current.unravel(args.depth))
     lines.append(f"result: {format_graph(current, name=None)}")
-    lines.append(f"unravel: {format_term(current.unravel(args.depth))}")
+    lines.append(f"unravel: {unraveled}")
     lines.append(f"normal form: {'yes' if nf else 'no'}")
     _emit(
         args,
@@ -216,7 +217,7 @@ def _cmd_rewrite(args) -> int:
             "graph": args.graph,
             "steps": steps,
             "result": graph_to_json(current),
-            "unravel": format_term(current.unravel(args.depth)),
+            "unravel": unraveled,
             "normal_form": nf,
         },
         lines,
@@ -239,7 +240,8 @@ def _cmd_derive(args) -> int:
         f"result:    {format_graph(after, name=None)}",
     ]
     lines.extend(_track_lines(drv.track))
-    lines.append(f"unravel: {format_term(after.unravel(args.depth))}")
+    unraveled = format_term(after.unravel(args.depth))
+    lines.append(f"unravel: {unraveled}")
     _emit(
         args,
         {
@@ -249,7 +251,7 @@ def _cmd_derive(args) -> int:
             "interface": graph_to_json(interface),
             "result": graph_to_json(after),
             "track": dict(drv.track),
-            "unravel": format_term(after.unravel(args.depth)),
+            "unravel": unraveled,
         },
         lines,
     )
@@ -260,9 +262,8 @@ def _redex_set(ws: Workspace, args) -> RationalRedexSet:
     host = ws.graph(args.graph)
     rule = ws.trs.rule(args.rule)
     start = args.start or host.point
-    node_set = set(host.graph.nodes)
     for node in (start, args.at):
-        if node not in node_set:
+        if not host.graph.has_node(node):
             raise KeyError(f"no node named {node}")
     return RationalRedexSet(
         host.graph, start, args.at, rule, host.bottoms, host.var_names
@@ -307,23 +308,21 @@ def _cmd_oracle(args) -> int:
     report = infinite_parallel_reduce(
         rs, depth=args.depth, budget=args.budget
     )
+    eff = report.effective_depth
+    developed = [format_term(s.developed.unravel(eff)) for s in report.samples]
+    limit = format_term(report.limit.unravel(eff))
+    symbolic = format_term(report.symbolic_limit.unravel(args.depth))
     lines = [
         f"occurrences kept: {len(report.occurrences)} "
         f"(threshold length {report.threshold}, "
-        f"effective depth {report.effective_depth})",
+        f"effective depth {eff})",
         f"doublings: {report.doublings}",
     ]
-    for s in report.samples:
-        lines.append(
-            f"d_{s.index} = "
-            f"{format_term(s.developed.unravel(report.effective_depth))}"
-        )
-    lines.append(
-        f"limit    = {format_term(report.limit.unravel(report.effective_depth))}"
+    lines.extend(
+        f"d_{s.index} = {d}" for s, d in zip(report.samples, developed)
     )
-    lines.append(
-        f"symbolic = {format_term(report.symbolic_limit.unravel(args.depth))}"
-    )
+    lines.append(f"limit    = {limit}")
+    lines.append(f"symbolic = {symbolic}")
     lines.append(
         f"chain is monotone: {'yes' if report.monotone_ok else 'NO'}"
     )
@@ -342,16 +341,11 @@ def _cmd_oracle(args) -> int:
             "effective_depth": report.effective_depth,
             "doublings": report.doublings,
             "samples": [
-                {
-                    "index": s.index,
-                    "developed": format_term(
-                        s.developed.unravel(report.effective_depth)
-                    ),
-                }
-                for s in report.samples
+                {"index": s.index, "developed": d}
+                for s, d in zip(report.samples, developed)
             ],
-            "limit": format_term(report.limit.unravel(report.effective_depth)),
-            "symbolic": format_term(report.symbolic_limit.unravel(args.depth)),
+            "limit": limit,
+            "symbolic": symbolic,
             "monotone": report.monotone_ok,
             "agrees": report.limit_agrees,
         },

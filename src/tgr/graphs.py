@@ -43,6 +43,8 @@ from .terms import (
     Occurrence,
     Signature,
     op,
+    rebuild,
+    subterms,
     var,
 )
 
@@ -532,23 +534,22 @@ def rational_of_term(t: FiniteTerm, prefix: str = "t") -> RationalTerm:
     succs: Dict[NodeId, Tuple[NodeId, ...]] = {}
     nodes: List[NodeId] = []
     bottoms: List[NodeId] = []
-
-    def go(s: FiniteTerm, at: Occurrence) -> NodeId:
-        if s.is_var:
-            name = s.symbol or ""
-            if name not in nodes:
-                nodes.append(name)
-            return name
-        nid = prefix + "".join(f".{i}" for i in at) if at else prefix
+    root = t.symbol if t.is_var else prefix
+    # the ids of the subterms the walk is still to reach, last one next: the
+    # id at occurrence w.i extends the id at w by ".i"
+    ids = [root]
+    for _, s in subterms(t):
+        nid = ids.pop()
         nodes.append(nid)
         if s.is_bottom:
             bottoms.append(nid)
-            return nid
-        labels[nid] = s.symbol  # type: ignore[assignment]
-        succs[nid] = tuple(go(c, at + (i,)) for i, c in enumerate(s.children, 1))
-        return nid
-
-    root = go(t, ())
+        elif not s.is_var:
+            labels[nid] = s.symbol  # type: ignore[assignment]
+            succs[nid] = tuple(
+                c.symbol if c.is_var else f"{nid}.{i}"
+                for i, c in enumerate(s.children, 1)
+            )
+            ids.extend(reversed(succs[nid]))
     return RationalTerm(
         TermGraph.of(nodes, labels, succs), root, frozenset(bottoms)
     )
@@ -729,12 +730,11 @@ def apply_subst_rational(
     t: FiniteTerm, sigma: Mapping[str, RationalTerm], depth: int
 ) -> FiniteTerm:
     """tσ truncated at depth, for σ binding variables to rational terms."""
-    if t.is_bottom or depth <= 0:
-        return BOTTOM
-    if t.is_var:
-        bound = sigma.get(t.symbol)  # type: ignore[arg-type]
-        return bound.unravel(depth) if bound is not None else t
-    return op(
-        t.symbol,
-        [apply_subst_rational(c, sigma, depth - 1) for c in t.children],
-    )
+
+    def leaf(s: FiniteTerm, d: int) -> Optional[FiniteTerm]:
+        if s.is_bottom or d >= depth:
+            return BOTTOM
+        bound = sigma.get(s.symbol) if s.is_var else None  # type: ignore[arg-type]
+        return bound.unravel(depth - d) if bound is not None else None
+
+    return rebuild(t, leaf)

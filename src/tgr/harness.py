@@ -75,6 +75,7 @@ from .terms import (
     occ_format,
     occ_sort_key,
     op,
+    subterms,
     var,
 )
 
@@ -416,11 +417,7 @@ def gen_rules(rng: random.Random, sig: Signature, max_rules: int = 3) -> TRS:
             break
         name = f"R{len(rules) + 1}"
         lhs = _gen_lhs(rng, sig)
-        lhs_vars = [
-            s.symbol
-            for s in _walk_subterms(lhs)
-            if s.is_var
-        ]
+        lhs_vars = [s.symbol for _, s in subterms(lhs) if s.is_var]
         if lhs_vars and rng.random() < 0.15:
             rhs: FiniteTerm = var(rng.choice(lhs_vars))
         else:
@@ -443,12 +440,6 @@ def gen_rules(rng: random.Random, sig: Signature, max_rules: int = 3) -> TRS:
             RewriteRule.of("R1", op(name, [var("x")] * k), var("x"))
         ]
     return TRS(sig, tuple(rules))
-
-
-def _walk_subterms(t: FiniteTerm):
-    yield t
-    for c in t.children:
-        yield from _walk_subterms(c)
 
 
 def gen_graph(

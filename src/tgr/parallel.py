@@ -58,15 +58,7 @@ from .graphs import (
     truncated_equal,
 )
 from .rules import RewriteRule, TRS, is_infinite_copying
-from .terms import (
-    FiniteTerm,
-    Occurrence,
-    occ_format,
-    occ_leq,
-    occ_sort_key,
-    occurrences,
-    subterm,
-)
+from .terms import Occurrence, occ_format, occ_leq, occ_sort_key, subterms
 
 
 class OracleError(Exception):
@@ -113,12 +105,7 @@ class Redex:
 
 def var_positions(rule: RewriteRule) -> Dict[str, Occurrence]:
     """Position of each variable in the (linear) left-hand side."""
-    out: Dict[str, Occurrence] = {}
-    for w in occurrences(rule.lhs):
-        s = subterm(rule.lhs, w)
-        if s.is_var:
-            out[s.symbol] = w  # type: ignore[index]
-    return out
+    return {s.symbol: w for w, s in subterms(rule.lhs) if s.is_var}
 
 
 def rule_matches_at(
@@ -132,15 +119,16 @@ def rule_matches_at(
     Pattern variables match anything, including holes and empty nodes; every
     operator position of the pattern must find the same label.
     """
-
-    def walk(pat: FiniteTerm, at: NodeId) -> bool:
+    for w, pat in subterms(rule.lhs):
         if pat.is_var:
-            return True
-        if at in bottoms or g.labels.get(at) != pat.symbol:
+            continue
+        # every operator above w has matched (preorder), so the path to w
+        # exists, unless it runs past a node with fewer successors than the
+        # pattern has children there: then there is nothing to check
+        m = g.walk(n, w)
+        if m is not None and (m in bottoms or g.labels.get(m) != pat.symbol):
             return False
-        return all(walk(c, s) for c, s in zip(pat.children, g.succs[at]))
-
-    return walk(rule.lhs, n)
+    return True
 
 
 def matching_nodes(
@@ -599,18 +587,6 @@ def _cut_graph(
     return term, redex_nodes
 
 
-def chain_term(rs: RationalRedexSet, i: int, depth: int) -> FiniteTerm:
-    """The i-th chain approximant, rendered to the given depth.
-
-    Keeps the first i members of the length-lex enumeration and cuts the
-    rest; `chain_term(rs, i, d)` for increasing i is an ascending chain whose
-    least upper bound is the full unraveling.
-    """
-    kept = enumerate_occurrences(rs, count=i)
-    cut, _ = _cut_graph(rs, _PrefixTrie(kept), len(kept))
-    return cut.unravel(depth)
-
-
 # ---------------------------------------------------------------------------
 # Simultaneous development of node-induced redex sets
 
@@ -763,9 +739,13 @@ class OracleReport:
         raise KeyError(f"index {i} was not sampled")
 
 
-def _sample_indices(n: int, small: int) -> List[int]:
-    out = list(range(0, min(n, small) + 1))
-    i = max(small, 1) * 2
+# The oracle inspects every chain index up to this one, then doubles.
+EVERY_APPROXIMANT_UP_TO = 16
+
+
+def _sample_indices(n: int) -> List[int]:
+    out = list(range(0, min(n, EVERY_APPROXIMANT_UP_TO) + 1))
+    i = 2 * EVERY_APPROXIMANT_UP_TO
     while i < n:
         out.append(i)
         i *= 2
@@ -825,9 +805,7 @@ def _prefix_respecting_trie(
 def infinite_parallel_reduce(
     rs: RationalRedexSet,
     depth: int = 16,
-    min_occurrences: Optional[int] = None,
     budget: int = 2048,
-    approximants_up_to: int = 16,
     occurrences: Optional[Sequence[Occurrence]] = None,
     sample_at: Optional[Sequence[int]] = None,
 ) -> OracleReport:
@@ -838,8 +816,7 @@ def infinite_parallel_reduce(
     number of members needed so the limit is exact on positions shorter than
     `depth` comes from `threshold_length`; when that many members would
     exceed `budget`, the largest depth whose requirement fits is used instead
-    and reported as `effective_depth`.  `min_occurrences` raises the member
-    count, never lowers it.
+    and reported as `effective_depth`.
 
     `occurrences` overrides the enumeration with a caller-supplied one, which
     must be prefix-respecting (every member of the set that is a proper
@@ -852,7 +829,8 @@ def infinite_parallel_reduce(
 
     `sample_at` restricts which chain indices are inspected (0 and the final
     index are always included); by default every index up to
-    `approximants_up_to` is inspected and then geometrically many more.
+    `EVERY_APPROXIMANT_UP_TO` is inspected and then geometrically many
+    more.
     """
     _refuse_infinite_copying(rs.rule)
     threshold = threshold_length(rs.rule, depth)
@@ -874,8 +852,7 @@ def infinite_parallel_reduce(
             return rs.count_below(threshold_length(rs.rule, d))
 
         eff_depth = _deepest(depth, lambda d: needed(d) <= budget)
-        n = max(needed(eff_depth), min_occurrences or 0)
-        occs = enumerate_occurrences(rs, count=n)
+        occs = enumerate_occurrences(rs, count=needed(eff_depth))
         trie = _PrefixTrie(occs)
         allow_doubling = True
 
@@ -889,7 +866,7 @@ def infinite_parallel_reduce(
                 {min(max(i, 0), len(occs)) for i in sample_at} | {0, len(occs)}
             )
         else:
-            indices = _sample_indices(len(occs), approximants_up_to)
+            indices = _sample_indices(len(occs))
         samples: List[ChainSample] = []
         monotone_ok = True
         for i in indices:

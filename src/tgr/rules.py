@@ -41,14 +41,13 @@ from .graphs import (
 )
 from .terms import (
     FiniteTerm,
-    Occurrence,
     Signature,
     Substitution,
     is_linear,
     is_total,
     occ_sort_key,
-    occurrences,
-    subterm,
+    rebuild,
+    subterms,
     var,
     vars_of,
 )
@@ -104,8 +103,7 @@ def check_rule(rule: RewriteRule, sig: Signature) -> None:
         raise ValueError(f"rule {rule.name}: left-hand side must be total")
     if not is_linear(lhs):
         raise ValueError(f"rule {rule.name}: left-hand side must be linear")
-    for w in occurrences(lhs):
-        s = subterm(lhs, w)
+    for _, s in subterms(lhs):
         if not s.is_op:
             continue
         if not sig.is_operator(s.symbol):
@@ -146,10 +144,14 @@ def _resolve(t: FiniteTerm, subst: Substitution) -> FiniteTerm:
 
 
 def _occurs(name: str, t: FiniteTerm, subst: Substitution) -> bool:
-    t = _resolve(t, subst)
-    if t.is_var:
-        return t.symbol == name
-    return any(_occurs(name, c, subst) for c in t.children)
+    todo = [t]  # bound variables stand for their bindings
+    while todo:
+        for _, s in subterms(todo.pop()):
+            if s.is_var and s.symbol in subst:
+                todo.append(subst[s.symbol])  # type: ignore[index]
+            elif s.is_var and s.symbol == name:
+                return True
+    return False
 
 
 def unify(
@@ -186,33 +188,32 @@ def unify(
 
 def _primed(t: FiniteTerm) -> FiniteTerm:
     """Rename every variable apart (x becomes x')."""
-    if t.is_var:
-        return var(t.symbol + "'")  # type: ignore[operator]
-    if t.is_bottom:
-        return t
-    return FiniteTerm(t.symbol, tuple(_primed(c) for c in t.children))
-
-
-def _nonvar_positions(t: FiniteTerm) -> List[Occurrence]:
-    return sorted(
-        (w for w, _ in occurrences(t).items() if not subterm(t, w).is_var),
-        key=occ_sort_key,
-    )
+    return rebuild(t, lambda s, _: var(f"{s.symbol}'") if s.is_var else None)
 
 
 def orthogonality_conflicts(trs: TRS) -> List[str]:
     """Human-readable reasons the system fails to be orthogonal."""
-    conflicts = []
-    for r in trs.rules:
-        if not is_linear(r.lhs):
-            conflicts.append(f"rule {r.name} is not left-linear")
-    for r1 in trs.rules:
-        for r2 in trs.rules:
-            fresh = _primed(r2.lhs)
-            for w in _nonvar_positions(r1.lhs):
+    conflicts = [
+        f"rule {r.name} is not left-linear"
+        for r in trs.rules
+        if not is_linear(r.lhs)
+    ]
+    # each left-hand side renamed apart, and its operator positions in
+    # length-lex order with the subterms there
+    fresh_lhs = [_primed(r.lhs) for r in trs.rules]
+    inner = [
+        sorted(
+            ((w, s) for w, s in subterms(r.lhs) if s.is_op),
+            key=lambda ws: occ_sort_key(ws[0]),
+        )
+        for r in trs.rules
+    ]
+    for r1, positions in zip(trs.rules, inner):
+        for r2, fresh in zip(trs.rules, fresh_lhs):
+            for w, s in positions:
                 if r1.name == r2.name and not w:
                     continue
-                if unify(subterm(r1.lhs, w), fresh) is not None:
+                if unify(s, fresh) is not None:
                     at = "the root" if not w else f"position {w}"
                     conflicts.append(
                         f"rules {r1.name} and {r2.name} overlap at {at} of "

@@ -1,25 +1,38 @@
-"""Possibly-partial first-order terms and the approximation order.
+"""Finite, possibly partial first-order terms, their occurrences, and term
+literals.
 
 Terms are finite, possibly partial: a term is a prefix-closed, arity-bounded
 assignment of symbols to occurrences (sequences of positive child indices).
 A position where the assignment is undefined below a defined operator is a
-hole, written ``_|_`` and called bottom.  Bottom is also a term of its own
-(the everywhere-undefined one); it is the least element of the approximation
-order, under which s <= t iff t agrees with s wherever s is defined.
+hole, written ``_|_`` and called bottom.  Bottom is also a term of its own,
+the everywhere-undefined one.
 
 Variables are leaves.  Whether an identifier is an operator or a variable is
 decided by the signature: declared names are operators with a fixed arity,
 undeclared names are variables.
 
-The in-memory representation is a small immutable tree; the occurrence-map
-view used by the definitions above is available through `occurrences` /
-`from_occurrences`.
+The in-memory representation is a small immutable tree.  `subterms` is the
+one walk over it: a preorder stream of (occurrence, subterm) pairs, kept on
+an explicit stack.  Whatever reads a term reads that stream, `rebuild` builds
+one term from another, and the printer and the parser keep explicit stacks
+of their own, so no term is too deep to handle.  The approximation order and
+the limits of ascending chains live on rational terms:
+`graphs.rational_approx_leq` and the oracle in `parallel`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 Occurrence = Tuple[int, ...]
 
@@ -31,11 +44,6 @@ Occurrence = Tuple[int, ...]
 def occ_leq(u: Occurrence, w: Occurrence) -> bool:
     """Prefix order on occurrences: u <= w iff u is a prefix of w."""
     return len(u) <= len(w) and w[: len(u)] == u
-
-
-def occ_disjoint(u: Occurrence, w: Occurrence) -> bool:
-    """Neither occurrence is a prefix of the other."""
-    return not occ_leq(u, w) and not occ_leq(w, u)
 
 
 def occ_format(w: Occurrence) -> str:
@@ -93,13 +101,17 @@ class Signature:
 # Terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteTerm:
     """Immutable term node.
 
     symbol is None for bottom, a variable name when is_var, otherwise an
     operator name with exactly arity-many children (bottom children are the
     holes of a partial term).
+
+    Equality is structural: the preorder streams of (symbol, is_var, arity)
+    of two terms determine their trees, so comparing the streams node by
+    node decides it without recursion.  Terms are unhashable.
     """
 
     symbol: Optional[str]
@@ -120,6 +132,18 @@ class FiniteTerm:
     def is_op(self) -> bool:
         return self.symbol is not None and not self.is_var
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FiniteTerm):
+            return NotImplemented
+        return self is other or all(
+            a.symbol == b.symbol
+            and a.is_var == b.is_var
+            and len(a.children) == len(b.children)
+            for (_, a), (_, b) in zip(subterms(self), subterms(other))
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
     def __str__(self) -> str:
         return format_term(self)
 
@@ -138,86 +162,43 @@ def op(symbol: str, children: Iterable[FiniteTerm] = ()) -> FiniteTerm:
     return FiniteTerm(symbol, tuple(children), False)
 
 
+def subterms(t: FiniteTerm) -> Iterator[Tuple[Occurrence, FiniteTerm]]:
+    """Every occurrence of t with the subterm there, holes included, in
+    preorder: a node before its children, children left to right.
+
+    This is the one walk over finite terms.  It keeps an explicit stack, so
+    a term of any depth is walked without recursion.  Each occurrence is a
+    fresh tuple, so a walk costs the total length of the occurrences: linear
+    in the size of a shallow term, quadratic in the depth of a chain.
+    """
+    todo: List[Tuple[Occurrence, FiniteTerm]] = [((), t)]
+    while todo:
+        at, s = todo.pop()
+        yield at, s
+        i = len(s.children)
+        for c in reversed(s.children):  # the first child is popped first
+            todo.append((at + (i,), c))
+            i -= 1
+
+
 def vars_of(t: FiniteTerm) -> List[str]:
     """Variable names in left-to-right order of first occurrence."""
-    out: List[str] = []
-
-    def walk(s: FiniteTerm) -> None:
-        if s.is_var:
-            if s.symbol not in out:
-                out.append(s.symbol)  # type: ignore[arg-type]
-        else:
-            for c in s.children:
-                walk(c)
-
-    walk(t)
-    return out
+    return list(dict.fromkeys(s.symbol for _, s in subterms(t) if s.is_var))
 
 
 def is_linear(t: FiniteTerm) -> bool:
-    seen = set()
-
-    def walk(s: FiniteTerm) -> bool:
-        if s.is_var:
-            if s.symbol in seen:
-                return False
-            seen.add(s.symbol)
-            return True
-        return all(walk(c) for c in s.children)
-
-    return walk(t)
+    names = [s.symbol for _, s in subterms(t) if s.is_var]
+    return len(names) == len(set(names))
 
 
 def is_total(t: FiniteTerm) -> bool:
     """No holes anywhere (bottom itself is not total)."""
-    if t.is_bottom:
-        return False
-    return all(is_total(c) for c in t.children)
+    return not any(s.is_bottom for _, s in subterms(t))
 
 
 def occurrences(t: FiniteTerm) -> Dict[Occurrence, str]:
     """The occurrence-map view: defined positions and their symbols."""
-    out: Dict[Occurrence, str] = {}
-
-    def walk(s: FiniteTerm, at: Occurrence) -> None:
-        if s.is_bottom:
-            return
-        out[at] = s.symbol  # type: ignore[assignment]
-        for i, c in enumerate(s.children, start=1):
-            walk(c, at + (i,))
-
-    walk(t, ())
-    return out
-
-
-def from_occurrences(sig: Signature, mapping: Mapping[Occurrence, str]) -> FiniteTerm:
-    """Build a term from an occurrence map, validating the term conditions."""
-    if not mapping:
-        return BOTTOM
-    for w, sym in mapping.items():
-        if w:
-            parent = w[:-1]
-            if parent not in mapping:
-                raise ValueError(f"domain not prefix-closed at {occ_format(w)}")
-            psym = mapping[parent]
-            if not sig.is_operator(psym):
-                raise ValueError(
-                    f"non-operator {psym} has a successor at {occ_format(w)}"
-                )
-            if w[-1] > sig.arity(psym):
-                raise ValueError(
-                    f"child index {w[-1]} exceeds arity of {psym} at {occ_format(w)}"
-                )
-
-    def build(at: Occurrence) -> FiniteTerm:
-        sym = mapping.get(at)
-        if sym is None:
-            return BOTTOM
-        if sig.is_operator(sym):
-            return op(sym, [build(at + (i,)) for i in range(1, sig.arity(sym) + 1)])
-        return var(sym)
-
-    return build(())
+    return {at: s.symbol for at, s in subterms(t) if not s.is_bottom}
 
 
 def subterm(t: FiniteTerm, w: Occurrence) -> FiniteTerm:
@@ -229,127 +210,35 @@ def subterm(t: FiniteTerm, w: Occurrence) -> FiniteTerm:
     return t
 
 
-def replace(t: FiniteTerm, w: Occurrence, s: FiniteTerm) -> FiniteTerm:
-    """t[w <- s].
+def rebuild(
+    t: FiniteTerm, leaf: Callable[[FiniteTerm, int], Optional[FiniteTerm]]
+) -> FiniteTerm:
+    """t with some subterms replaced, built without recursion.
 
-    When t/w is bottom the replacement is the identity (there is nothing at w
-    to replace); in particular terms never grow at undefined positions.
+    `leaf(s, d)` sees each subterm s at depth d, parents first.  A term it
+    returns takes the place of s, and nothing below s is visited; None keeps
+    s, rebuilding an operator from its children's results.
     """
-    if subterm(t, w).is_bottom:
-        return t
-    return _graft(t, w, s)
-
-
-def _graft(t: FiniteTerm, w: Occurrence, s: FiniteTerm) -> FiniteTerm:
-    # Internal: writes s at w unconditionally (caller ensures w is sensible).
-    if not w:
-        return s
-    i = w[0]
-    kids = list(t.children)
-    kids[i - 1] = _graft(kids[i - 1], w[1:], s)
-    return FiniteTerm(t.symbol, tuple(kids), t.is_var)
-
-
-def approx_leq(s: FiniteTerm, t: FiniteTerm) -> bool:
-    """s <= t in the approximation order: t extends s on s's domain."""
-    if s.is_bottom:
-        return True
-    if s.is_var:
-        return t.is_var and t.symbol == s.symbol
-    if not t.is_op or t.symbol != s.symbol or len(t.children) != len(s.children):
-        return False
-    return all(approx_leq(a, b) for a, b in zip(s.children, t.children))
-
-
-def term_glb(s: FiniteTerm, t: FiniteTerm) -> FiniteTerm:
-    """Greatest lower bound: the pointwise intersection of the two maps."""
-    if s.is_bottom or t.is_bottom or s.symbol != t.symbol or s.is_var != t.is_var:
-        return BOTTOM
-    if s.is_var:
-        return s
-    if len(s.children) != len(t.children):
-        return BOTTOM
-    return FiniteTerm(
-        s.symbol,
-        tuple(term_glb(a, b) for a, b in zip(s.children, t.children)),
-        False,
-    )
-
-
-def _lub2(s: FiniteTerm, t: FiniteTerm) -> FiniteTerm:
-    if s.is_bottom:
-        return t
-    if t.is_bottom:
-        return s
-    if s.is_var or t.is_var:
-        if s == t:
-            return s
-        raise ValueError(f"terms are inconsistent at a variable: {s} vs {t}")
-    if s.symbol != t.symbol or len(s.children) != len(t.children):
-        raise ValueError(f"terms are inconsistent: {s.symbol} vs {t.symbol}")
-    return op(s.symbol, [_lub2(a, b) for a, b in zip(s.children, t.children)])
-
-
-def chain_lub(chain: Iterable[FiniteTerm]) -> FiniteTerm:
-    """Least upper bound of an ascending chain of terms.
-
-    Raises ValueError if the input is not actually a chain.
-    """
-    terms = list(chain)
-    if not terms:
-        return BOTTOM
-    for a, b in zip(terms, terms[1:]):
-        if not approx_leq(a, b):
-            raise ValueError(f"not an ascending chain: {a} !<= {b}")
-    out = terms[0]
-    for t in terms[1:]:
-        out = _lub2(out, t)
-    return out
+    done: List[FiniteTerm] = []  # finished subterms, left to right
+    # (s, d, False) visits s at depth d; (s, d, True) builds it once its
+    # children are done
+    todo: List[Tuple[FiniteTerm, int, bool]] = [(t, 0, False)]
+    while todo:
+        s, d, build = todo.pop()
+        if build:
+            k = len(done) - len(s.children)
+            done[k:] = [FiniteTerm(s.symbol, tuple(done[k:]))]
+            continue
+        new = leaf(s, d)
+        if new is not None or not s.children:
+            done.append(s if new is None else new)
+            continue
+        todo.append((s, d, True))
+        todo.extend((c, d + 1, False) for c in reversed(s.children))
+    return done[0]
 
 
 Substitution = Dict[str, FiniteTerm]
-
-
-def apply_subst(t: FiniteTerm, sigma: Mapping[str, FiniteTerm]) -> FiniteTerm:
-    """Homomorphic extension of sigma; bottom maps to bottom."""
-    if t.is_bottom:
-        return BOTTOM
-    if t.is_var:
-        return sigma.get(t.symbol, t)  # type: ignore[arg-type]
-    return op(t.symbol, [apply_subst(c, sigma) for c in t.children])
-
-
-def truncate(t: FiniteTerm, depth: int) -> FiniteTerm:
-    """Restrict t to occurrences of length < depth; truncate(t, 0) is bottom."""
-    if depth <= 0 or t.is_bottom:
-        return BOTTOM
-    if t.is_var or not t.children:
-        return t
-    return op(t.symbol, [truncate(c, depth - 1) for c in t.children])
-
-
-def match_linear(pattern: FiniteTerm, t: FiniteTerm) -> Optional[Substitution]:
-    """Match a linear, total pattern against t.
-
-    Returns the realizing substitution or None.  Whatever t holds below a
-    pattern variable is taken verbatim — including bottom, so partial terms
-    match as long as the pattern's operator skeleton is present.
-    """
-    if not is_linear(pattern):
-        raise ValueError("match_linear requires a linear pattern")
-    if not is_total(pattern):
-        raise ValueError("match_linear requires a total pattern")
-    sigma: Substitution = {}
-
-    def walk(p: FiniteTerm, s: FiniteTerm) -> bool:
-        if p.is_var:
-            sigma[p.symbol] = s  # type: ignore[index]
-            return True
-        if not s.is_op or s.symbol != p.symbol:
-            return False
-        return all(walk(pc, sc) for pc, sc in zip(p.children, s.children))
-
-    return sigma if walk(pattern, t) else None
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +246,23 @@ def match_linear(pattern: FiniteTerm, t: FiniteTerm) -> Optional[Substitution]:
 
 
 def format_term(t: FiniteTerm) -> str:
-    if t.is_bottom:
-        return "_|_"
-    if t.is_var or not t.children:
-        return t.symbol  # type: ignore[return-value]
-    return f"{t.symbol}({', '.join(format_term(c) for c in t.children)})"
+    out: List[str] = []
+    # an explicit stack of the subterms still to print and the text between
+    # them, so terms of any depth print
+    todo: List[FiniteTerm | str] = [t]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, str):
+            out.append(s)
+        elif s.children:
+            out.append(f"{s.symbol}(")
+            todo.append(")")
+            for c in reversed(s.children[1:]):
+                todo += (c, ", ")
+            todo.append(s.children[0])
+        else:
+            out.append("_|_" if s.is_bottom else s.symbol)  # type: ignore[arg-type]
+    return "".join(out)
 
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
@@ -415,21 +316,7 @@ def parse_term(sig: Signature, text: str) -> FiniteTerm:
         pos += 1
         return tok
 
-    def parse() -> FiniteTerm:
-        tok = take()
-        if tok == "_|_":
-            return BOTTOM
-        if tok in "(),":
-            raise ValueError(f"unexpected {tok!r} in term literal {text!r}")
-        args: List[FiniteTerm] = []
-        if peek() == "(":
-            take("(")
-            if peek() != ")":
-                args.append(parse())
-                while peek() == ",":
-                    take(",")
-                    args.append(parse())
-            take(")")
+    def apply(tok: str, args: List[FiniteTerm]) -> FiniteTerm:
         if sig.is_operator(tok):
             if len(args) != sig.arity(tok):
                 raise ValueError(
@@ -441,7 +328,35 @@ def parse_term(sig: Signature, text: str) -> FiniteTerm:
             raise ValueError(f"undeclared operator {tok!r} applied to arguments")
         return var(tok)
 
-    result = parse()
+    # An explicit stack of the applications whose arguments are being read
+    # replaces recursion, so literals of any depth parse.
+    open_apps: List[Tuple[str, List[FiniteTerm]]] = []
+    while True:
+        tok = take()
+        if tok == "_|_":
+            done = BOTTOM
+        elif tok in "(),":
+            raise ValueError(f"unexpected {tok!r} in term literal {text!r}")
+        elif peek() == "(":
+            take("(")
+            if peek() != ")":
+                open_apps.append((tok, []))
+                continue
+            take(")")
+            done = apply(tok, [])
+        else:
+            done = apply(tok, [])
+        while open_apps:  # done is an argument: close what it completes
+            name, args = open_apps[-1]
+            args.append(done)
+            if peek() == ",":
+                take(",")
+                break
+            take(")")
+            open_apps.pop()
+            done = apply(name, args)
+        if not open_apps:
+            break
     if pos != len(tokens):
         raise ValueError(f"trailing tokens after term in {text!r}")
-    return result
+    return done

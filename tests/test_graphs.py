@@ -33,9 +33,9 @@ from tgr.terms import (
     format_term,
     op,
     parse_term,
-    truncate,
     var,
 )
+from tests.test_terms import approx_leq, truncate
 
 SIG = Signature.of({"a": 0, "b": 0, "f": 1, "g": 1, "p": 2})
 
@@ -629,8 +629,6 @@ def test_rational_approx_reflexive_on_random():
 
 
 def test_rational_approx_implies_truncation_order():
-    from tgr.terms import approx_leq
-
     rng = random.Random(47)
     for _ in range(150):
         x, y = random_graph(rng, 4), random_graph(rng, 4)

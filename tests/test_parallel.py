@@ -10,6 +10,7 @@ from tgr.graphs import (
     RationalTerm,
     TermGraph,
     node_key,
+    rational_approx_leq,
     rational_of_term,
     truncated_equal,
 )
@@ -24,7 +25,6 @@ from tgr.parallel import (
     _deepest,
     _prefix_respecting_trie,
     _PrefixTrie,
-    chain_term,
     complete_development,
     develop_rational,
     enumerate_occurrences,
@@ -322,9 +322,13 @@ def test_enumerate_occurrences_needs_a_bound():
 
 def test_chain_terms_ascend_to_the_unraveling():
     rs = RationalRedexSet(F_LOOP.graph, "n", "n", R_F)
-    assert chain_term(rs, 0, 8) == BOTTOM
-    assert chain_term(rs, 2, 8) == t("f(f(_|_))")
-    assert chain_term(rs, 3, 2) == F_LOOP.unravel(2)
+    trie = _PrefixTrie(enumerate_occurrences(rs, count=3))
+    cuts = [_cut_graph(rs, trie, i)[0] for i in range(4)]
+    assert cuts[0].unravel(8) == BOTTOM
+    assert cuts[2].unravel(8) == t("f(f(_|_))")
+    assert cuts[3].unravel(2) == F_LOOP.unravel(2)
+    assert all(rational_approx_leq(a, b) for a, b in zip(cuts, cuts[1:]))
+    assert all(rational_approx_leq(c, F_LOOP) for c in cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +426,11 @@ def test_oracle_budget_lowers_effective_depth():
 
 
 def test_oracle_min_occurrences():
+    # more members than the depth needs may be supplied, and all are kept
     rs = RationalRedexSet(F_LOOP.graph, "n", "n", R_F)
-    report = infinite_parallel_reduce(rs, depth=2, min_occurrences=40)
-    assert len(report.occurrences) == 40
+    occs = enumerate_occurrences(rs, count=40)
+    report = infinite_parallel_reduce(rs, depth=2, occurrences=occs)
+    assert len(report.occurrences) == 40 and report.effective_depth == 2
 
 
 def test_oracle_supplied_enumeration():

@@ -365,6 +365,17 @@ def test_cli_deep_check_on_a_loop_succeeds(tmp_path, capsys):
     assert out.startswith("ok: RI at n, depth 3000")
 
 
+def test_cli_unravels_a_loop_3000_deep(tmp_path, capsys):
+    path = tmp_path / "loop.tgr"
+    path.write_text("sig f/1\ngraph Loop { n: f(n); root n; }\n")
+    term = "f(" * 3000 + "_|_" + ")" * 3000
+    argv = ["unravel", str(path), "--graph", "Loop", "--depth", "3000"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, term + "\n", "")
+    code, payload = run_json(capsys, *argv)
+    assert code == 0 and payload["term"] == term
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(tgr.__file__).resolve().parents[1])
     env = dict(os.environ)

@@ -1,30 +1,34 @@
-"""Finite partial terms: the approximation order, positions, and matching."""
+"""Finite partial terms: the walk, positions, literals, matching, and the
+approximation order that the rational one is checked against."""
 
 import random
+import re
 
 import pytest
 
+from tgr.graphs import (
+    RationalTerm,
+    TermGraph,
+    apply_subst_rational,
+    rational_of_term,
+)
+from tgr.parallel import rule_matches_at, var_positions
+from tgr.rules import RewriteRule, check_rule
 from tgr.terms import (
     BOTTOM,
     Signature,
-    apply_subst,
-    approx_leq,
-    chain_lub,
     format_term,
-    from_occurrences,
     is_linear,
-    match_linear,
-    occ_disjoint,
+    is_total,
     occ_format,
     occ_leq,
     occurrences,
     op,
     parse_term,
-    replace,
+    rebuild,
     subterm,
-    term_glb,
-    truncate,
     var,
+    vars_of,
 )
 
 SIG = Signature.of({"a": 0, "b": 0, "f": 1, "g": 1, "p": 2})
@@ -46,6 +50,188 @@ def random_term(rng, depth=4):
 
 
 # ---------------------------------------------------------------------------
+# The approximation order on finite terms, by its definition.  `tgr` decides
+# it on rational terms (`rational_approx_leq`); these are the references.
+
+
+def approx_leq(s, u):
+    """s <= u in the approximation order: u extends s on s's domain."""
+    if s.is_bottom:
+        return True
+    if s.is_var:
+        return u.is_var and u.symbol == s.symbol
+    if not u.is_op or u.symbol != s.symbol or len(u.children) != len(s.children):
+        return False
+    return all(approx_leq(a, b) for a, b in zip(s.children, u.children))
+
+
+def truncate(s, depth):
+    """Restrict s to occurrences of length < depth; truncate(s, 0) is bottom."""
+    if depth <= 0 or s.is_bottom:
+        return BOTTOM
+    if s.is_var or not s.children:
+        return s
+    return op(s.symbol, [truncate(c, depth - 1) for c in s.children])
+
+
+# ---------------------------------------------------------------------------
+# The recursive walkers the one walk replaced, kept as references
+
+
+def ref_eq(s, u):
+    return (
+        s.symbol == u.symbol
+        and s.is_var == u.is_var
+        and len(s.children) == len(u.children)
+        and all(ref_eq(a, b) for a, b in zip(s.children, u.children))
+    )
+
+
+def ref_occurrences(s, at=()):
+    if s.is_bottom:
+        return {}
+    out = {at: s.symbol}
+    for i, c in enumerate(s.children, start=1):
+        out.update(ref_occurrences(c, at + (i,)))
+    return out
+
+
+def ref_var_names(s):
+    """Variable names in preorder, repeats included."""
+    if s.is_var:
+        return [s.symbol]
+    return [x for c in s.children for x in ref_var_names(c)]
+
+
+def ref_is_total(s):
+    return not s.is_bottom and all(ref_is_total(c) for c in s.children)
+
+
+def ref_var_positions(s, at=()):
+    if s.is_var:
+        return {s.symbol: at}
+    out = {}
+    for i, c in enumerate(s.children, start=1):
+        out.update(ref_var_positions(c, at + (i,)))
+    return out
+
+
+def ref_format(s):
+    if s.is_bottom:
+        return "_|_"
+    if s.is_var or not s.children:
+        return s.symbol
+    return f"{s.symbol}({', '.join(ref_format(c) for c in s.children)})"
+
+
+def ref_rational_of_term(s, prefix="t"):
+    labels, succs, nodes, bottoms = {}, {}, [], []
+
+    def go(u, at):
+        if u.is_var:
+            if u.symbol not in nodes:
+                nodes.append(u.symbol)
+            return u.symbol
+        nid = prefix + "".join(f".{i}" for i in at) if at else prefix
+        nodes.append(nid)
+        if u.is_bottom:
+            bottoms.append(nid)
+            return nid
+        labels[nid] = u.symbol
+        succs[nid] = tuple(go(c, at + (i,)) for i, c in enumerate(u.children, 1))
+        return nid
+
+    root = go(s, ())
+    return RationalTerm(TermGraph.of(nodes, labels, succs), root, frozenset(bottoms))
+
+
+def ref_apply_subst_rational(s, sigma, depth):
+    if s.is_bottom or depth <= 0:
+        return BOTTOM
+    if s.is_var:
+        bound = sigma.get(s.symbol)
+        return bound.unravel(depth) if bound is not None else s
+    return op(
+        s.symbol, [ref_apply_subst_rational(c, sigma, depth - 1) for c in s.children]
+    )
+
+
+F_LOOP = RationalTerm(TermGraph.of(["n"], {"n": "f"}, {"n": ("n",)}), "n")
+
+
+def test_walk_matches_the_recursive_references():
+    sigma = {"x": F_LOOP, "y": rational_of_term(t("p(a, _|_)"))}
+    for seed in range(1000):
+        rng = random.Random(seed)
+        s, u = random_term(rng), random_term(rng, 2)
+        names = ref_var_names(s)
+        assert occurrences(s) == ref_occurrences(s)
+        assert list(occurrences(s)) == list(ref_occurrences(s))
+        assert vars_of(s) == list(dict.fromkeys(names))
+        assert is_linear(s) == (len(names) == len(set(names)))
+        assert is_total(s) == ref_is_total(s)
+        rule = RewriteRule("R", s, F_LOOP)
+        assert list(var_positions(rule).items()) == list(
+            ref_var_positions(s).items()
+        )
+        text = format_term(s)
+        assert text == ref_format(s)
+        copy = parse_term(SIG, text)
+        assert ref_eq(copy, s) and copy == s
+        assert (s == u) == ref_eq(s, u) and (s != u) == (not ref_eq(s, u))
+        if s.children:  # same symbols in preorder, one child fewer
+            short = op(s.symbol, s.children[:-1])
+            assert s != short and short != s
+        for d in range(6):
+            cut = truncate(s, d)
+            assert (cut == s) == ref_eq(cut, s)
+            assert ref_eq(
+                apply_subst_rational(s, sigma, d),
+                ref_apply_subst_rational(s, sigma, d),
+            )
+        got, want = rational_of_term(s, "q"), ref_rational_of_term(s, "q")
+        assert got.graph == want.graph
+        assert (got.point, got.bottoms) == (want.point, want.bottoms)
+
+
+def _chain(depth, bottom, wrap):
+    s = bottom
+    for _ in range(depth):
+        s = wrap(s)
+    return s
+
+
+def test_terms_5000_deep_need_no_recursion():
+    n = 5000
+    deep = _chain(n, t("a"), lambda s: op("f", [s]))
+    text = "f(" * n + "a" + ")" * n
+    assert format_term(deep) == text
+    assert parse_term(SIG, text) == deep
+    assert not (parse_term(SIG, "f(" * n + "b" + ")" * n) == deep)
+    assert _chain(n, t("a"), lambda s: op("g", [s])) != deep
+    occs = occurrences(deep)
+    assert len(occs) == n + 1 and occs[(1,) * n] == "a"
+    rt = rational_of_term(deep)
+    assert len(rt.graph.nodes) == n + 1
+    assert format_term(rt.unravel(n + 1)) == text
+    right = "p(_|_, " * n + "x" + ")" * n
+    assert format_term(parse_term(SIG, right)) == right
+
+
+def test_terms_are_unhashable():
+    with pytest.raises(TypeError):
+        hash(t("f(a)"))
+
+
+def test_rebuild_replaces_and_keeps():
+    s = t("p(f(x), g(_|_))")
+    assert rebuild(s, lambda u, d: None) == s
+    primed = rebuild(s, lambda u, d: var("y") if u.is_var else None)
+    assert primed == t("p(f(y), g(_|_))")
+    assert rebuild(s, lambda u, d: BOTTOM if d >= 2 else None) == truncate(s, 2)
+
+
+# ---------------------------------------------------------------------------
 # Occurrences
 
 
@@ -54,15 +240,6 @@ def test_occ_prefix_order():
     assert occ_leq((1,), (1, 2))
     assert not occ_leq((2,), (1, 2))
     assert not occ_leq((1, 2), (1,))
-
-
-def test_occ_disjoint_trichotomy():
-    rng = random.Random(7)
-    for _ in range(200):
-        u = tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 4)))
-        w = tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 4)))
-        related = occ_leq(u, w) or occ_leq(w, u)
-        assert occ_disjoint(u, w) == (not related)
 
 
 def test_occ_format_parse_roundtrip():
@@ -80,6 +257,21 @@ def test_parse_format_roundtrip():
         assert format_term(t(text)) == text
 
 
+def test_parse_errors():
+    for text, message in [
+        ("", "unexpected end"),
+        ("f(a", "unexpected end"),
+        ("f(a b)", "expected ')'"),
+        ("p(a,)", "unexpected ')'"),
+        ("f(a, b)", "arity 1, applied to 2"),
+        ("x(a)", "undeclared operator"),
+        ("f(a) b", "trailing tokens"),
+        ("f(a) $", "unexpected character"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            t(text)
+
+
 def test_constants_parse_with_or_without_parens():
     assert t("a") == t("a()")
     assert t("f(a)") == t("f(a())")
@@ -94,14 +286,12 @@ def test_occurrences_roundtrip():
     rng = random.Random(3)
     for _ in range(100):
         s = random_term(rng)
-        assert from_occurrences(SIG, occurrences(s)) == s
-
-
-def test_from_occurrences_rejects_non_prefix_closed():
-    with pytest.raises(ValueError):
-        from_occurrences(SIG, {(): "f", (1, 1): "a"})
-    with pytest.raises(ValueError):
-        from_occurrences(SIG, {(): "f", (2,): "a"})
+        occs = occurrences(s)
+        for w, sym in occs.items():
+            assert subterm(s, w).symbol == sym
+            assert not w or w[:-1] in occs  # prefix-closed
+        for w in occs:
+            assert subterm(s, w + (3,)) is BOTTOM
 
 
 def test_subterm_outside_domain_is_bottom():
@@ -109,29 +299,6 @@ def test_subterm_outside_domain_is_bottom():
     assert subterm(s, (1, 1)) is BOTTOM
     assert subterm(s, (2,)) is BOTTOM
     assert subterm(t("_|_"), (1,)) is BOTTOM
-
-
-def test_replace_at_undefined_position_is_identity():
-    s = t("f(_|_)")
-    assert replace(s, (1, 1), t("a")) == s
-    assert replace(t("_|_"), (1,), t("a")) is BOTTOM
-
-
-def test_replace_subterm_roundtrip():
-    rng = random.Random(11)
-    for _ in range(200):
-        s = random_term(rng)
-        spots = list(occurrences(s))
-        if not spots:
-            continue
-        w = rng.choice(spots)
-        r = random_term(rng, 2)
-        out = replace(s, w, r)
-        assert subterm(out, w) == r
-        # everything disjoint from w is untouched
-        for u, sym in occurrences(s).items():
-            if occ_disjoint(u, w):
-                assert subterm(out, u) == subterm(s, u)
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +330,6 @@ def test_transitivity_via_truncation_chain():
             assert approx_leq(truncate(s, d), s)
 
 
-def test_glb_is_a_lower_bound_and_greatest():
-    rng = random.Random(37)
-    for _ in range(300):
-        s, u = random_term(rng, 3), random_term(rng, 3)
-        g = term_glb(s, u)
-        assert approx_leq(g, s) and approx_leq(g, u)
-        w = term_glb(truncate(s, 2), g)  # some other lower bound of s, u
-        assert approx_leq(w, g)
-
-
 def test_truncate_laws():
     rng = random.Random(41)
     for _ in range(100):
@@ -189,52 +346,48 @@ def test_truncate_keeps_strictly_shorter_occurrences():
     assert truncate(s, 3) == s
 
 
-def test_chain_lub():
-    s = t("p(f(a), g(b))")
-    chain = [truncate(s, d) for d in range(5)]
-    assert chain_lub(chain) == s
-    assert chain_lub([]) is BOTTOM
-
-
-def test_chain_lub_rejects_non_chains():
-    with pytest.raises(ValueError):
-        chain_lub([t("a"), t("b")])
-
-
 # ---------------------------------------------------------------------------
-# Substitution and matching
+# Substitution and matching: substitution is applied on rational terms, and a
+# left-hand side is matched against a graph with `rule_matches_at`
 
 
 def test_apply_subst():
     s = t("p(x, f(y))")
-    out = apply_subst(s, {"x": t("a"), "y": t("g(b)")})
-    assert out == t("p(a, f(g(b)))")
-    assert apply_subst(BOTTOM, {"x": t("a")}) is BOTTOM
+    sigma = {"x": rational_of_term(t("a")), "y": rational_of_term(t("g(b)"))}
+    assert apply_subst_rational(s, sigma, 8) == t("p(a, f(g(b)))")
+    assert apply_subst_rational(BOTTOM, sigma, 8) is BOTTOM
+    assert apply_subst_rational(s, {"x": F_LOOP}, 3) == t("p(f(f(_|_)), f(y))")
+
+
+def _matches(pattern, text):
+    host = rational_of_term(t(text))
+    lhs = RewriteRule.of("R", t(pattern), t("a"))
+    return rule_matches_at(host.graph, host.point, lhs, host.bottoms)
 
 
 def test_match_linear_captures_verbatim():
-    pat = t("p(x, y)")
-    sigma = match_linear(pat, t("p(f(_|_), b)"))
-    assert sigma == {"x": t("f(_|_)"), "y": t("b")}
-    assert apply_subst(pat, sigma) == t("p(f(_|_), b)")
+    # a pattern variable matches whatever lies below it
+    assert _matches("p(x, y)", "p(f(_|_), b)")
+    assert _matches("p(f(x), y)", "p(f(p(a, b)), g(a))")
 
 
 def test_match_linear_bottom_binds():
-    sigma = match_linear(t("f(x)"), t("f(_|_)"))
-    assert sigma is not None and sigma["x"] is BOTTOM
+    assert _matches("f(x)", "f(_|_)")
 
 
 def test_match_linear_requires_skeleton():
-    assert match_linear(t("f(x)"), t("g(a)")) is None
-    assert match_linear(t("f(x)"), t("_|_")) is None
+    assert not _matches("f(x)", "g(a)")
+    assert not _matches("f(x)", "_|_")
+    assert not _matches("p(f(x), y)", "p(_|_, a)")
 
 
 def test_match_linear_rejects_nonlinear_pattern():
     assert not is_linear(t("p(x, x)"))
-    with pytest.raises(ValueError):
-        match_linear(t("p(x, x)"), t("p(a, a)"))
+    with pytest.raises(ValueError, match="linear"):
+        check_rule(RewriteRule.of("R", t("p(x, x)"), t("a")), SIG)
 
 
 def test_match_linear_rejects_partial_pattern():
-    with pytest.raises(ValueError):
-        match_linear(t("f(_|_)"), t("f(a)"))
+    with pytest.raises(ValueError, match="total"):
+        check_rule(RewriteRule.of("R", t("f(_|_)"), t("a")), SIG)
+
