@@ -19,23 +19,15 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from .dot import export_dot
-from .dpo import Match, Stepper, derive_rational, find_matches
-from .graphs import (
-    RationalTerm,
-    check_wellformed,
-    cycle_nodes,
-    find_tree_morphisms,
-    node_key,
-)
+from .dpo import Match, Stepper, derive_rational, find_matches, match_at
+from .graphs import RationalTerm, cycle_nodes, node_key
 from .harness import (
     check_cofinality_step,
     check_weak_normal_form_preservation,
     run_property_suite,
     verify_soundness,
-    verify_soundness_all,
 )
 from .parallel import (
-    ConvergenceError,
     OracleError,
     RationalRedexSet,
     UnsupportedRuleError,
@@ -43,7 +35,6 @@ from .parallel import (
     infinite_parallel_reduce,
 )
 from .parsing import (
-    ParseError,
     Workspace,
     format_graph,
     graph_to_json,
@@ -76,10 +67,10 @@ def _find_match(ws: Workspace, host: RationalTerm, rule_name: str, at: str) -> M
     er = ws.tgrs().rule(rule_name)
     if not host.graph.has_node(at):
         raise KeyError(f"no node named {at}")
-    morphs = find_tree_morphisms(er.L, er.root, host.graph, root_image=at)
-    if not morphs:
+    match = match_at(er, host.graph, at)
+    if match is None:
         raise ValueError(f"{rule_name} does not match at {at}")
-    return Match(er, morphs[0])
+    return match
 
 
 def _track_lines(track: Dict[str, str]) -> List[str]:
@@ -110,7 +101,6 @@ def _cmd_check(args) -> int:
     graphs = []
     for name in sorted(ws.graphs):
         rt = ws.graphs[name]
-        check_wellformed(rt.graph, ws.sig)
         lines.append(
             f"graph {name}: {len(rt.graph.nodes)} nodes, "
             f"root {rt.point}, wellformed"
@@ -360,14 +350,13 @@ def _cmd_verify_soundness(args) -> int:
     if (args.rule is None) != (args.at is None):
         raise ValueError("--rule and --at must be given together")
     if args.rule is not None:
-        match = _find_match(ws, host, args.rule, args.at)
-        reports = [
-            verify_soundness(ws.sig, host, match, args.depth, args.budget)
-        ]
+        matches = [_find_match(ws, host, args.rule, args.at)]
     else:
-        reports = verify_soundness_all(
-            ws.sig, host, ws.tgrs(), args.depth, args.budget
-        )
+        matches = find_matches(host.graph, ws.tgrs())
+    reports = [
+        verify_soundness(ws.sig, host, m, args.depth, args.budget)
+        for m in matches
+    ]
     lines = [r.summary() for r in reports] or ["no matches to verify"]
     ok = all(r.ok for r in reports)
     _emit(
@@ -611,19 +600,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except UnsupportedRuleError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ConvergenceError, OracleError) as e:
-        print(f"verification failed: {e}", file=sys.stderr)
-        return 1
-    except (KeyError, ValueError) as e:
+    # ParseError is a ValueError; UnsupportedRuleError (bad input, exit 2)
+    # subclasses OracleError, so it is caught first
+    except (KeyError, ValueError, UnsupportedRuleError) as e:
         message = e.args[0] if e.args else e
         print(f"error: {message}", file=sys.stderr)
         return 2
+    except OracleError as e:
+        print(f"verification failed: {e}", file=sys.stderr)
+        return 1
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

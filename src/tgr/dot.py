@@ -62,10 +62,8 @@ def _morphism_lines(
     return lines
 
 
-def export_dot(
-    obj: Union[TermGraph, RationalTerm, DirectDerivation], name: str = "G"
-) -> str:
-    """Render a graph, a pointed term, or a whole rewrite step as DOT.
+def export_dot(obj: Union[RationalTerm, DirectDerivation], name: str = "G") -> str:
+    """Render a pointed term or a whole rewrite step as DOT.
 
     A rewrite step becomes six clusters (the rule span on top, the host,
     context, and result below) with the span and occurrence morphisms drawn
@@ -73,12 +71,7 @@ def export_dot(
     """
     if isinstance(obj, DirectDerivation):
         return _derivation_dot(obj, name)
-    if isinstance(obj, RationalTerm):
-        body = _node_lines(
-            obj.graph, "", obj.bottoms, obj.point, obj.renaming()
-        )
-    else:
-        body = _node_lines(obj, "")
+    body = _node_lines(obj.graph, "", obj.bottoms, obj.point, obj.renaming())
     return "\n".join(
         [f"digraph {name} {{", "  rankdir=TB;"] + body + ["}"]
     )

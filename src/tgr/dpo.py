@@ -39,7 +39,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
     Union,
@@ -85,20 +84,21 @@ class Match:
         return f"{self.rule.name} at {self.root_image}"
 
 
-def find_matches(
-    G: TermGraph, rules: Union[EvaluationRule, TGRS, Sequence[EvaluationRule]]
-) -> List[Match]:
-    """All matches of the given rule(s) in G.
+def match_at(rule: EvaluationRule, G: TermGraph, v: NodeId) -> Optional[Match]:
+    """The match of the rule whose root image is v, if there is one."""
+    mapping = tree_match(rule.L, rule.root, G, v)
+    if mapping is None:
+        return None
+    return Match(rule, GraphMorphism(rule.L, G, mapping))
+
+
+def find_matches(G: TermGraph, rules: Union[EvaluationRule, TGRS]) -> List[Match]:
+    """All matches in G of one rule or of every rule of a system.
 
     Sorted by rule name, then by root image; a tree left-hand side has at
     most one match per root image, so this order is total.
     """
-    if isinstance(rules, EvaluationRule):
-        rule_list: Sequence[EvaluationRule] = [rules]
-    elif isinstance(rules, TGRS):
-        rule_list = rules.rules
-    else:
-        rule_list = rules
+    rule_list = rules.rules if isinstance(rules, TGRS) else [rules]
     out = []
     for rule in sorted(rule_list, key=lambda r: r.name):
         for f in find_tree_morphisms(rule.L, rule.root, G):
@@ -158,7 +158,7 @@ def pushout(
     rule: EvaluationRule,
     D: TermGraph,
     d: GraphMorphism,
-    preds: Optional[Mapping[NodeId, Iterable[NodeId]]] = None,
+    preds: Mapping[NodeId, Iterable[NodeId]],
 ) -> Tuple[TermGraph, GraphMorphism, GraphMorphism]:
     """Glue R and D along K; returns (H, h : R -> H, b : D -> H).
 
@@ -170,7 +170,7 @@ def pushout(
     and R.  Every other D node is a class of its own: it keeps its id and its
     content, except that an edge into a region node merged away is redirected
     to the node's class.  `preds` (each node's predecessors in D, or a
-    superset such as G's) finds those edges; without it D is scanned.
+    superset such as G's) finds those edges.
     """
     uf = _UnionFind()
     for n in rule.K.nodes:
@@ -231,13 +231,10 @@ def pushout(
         if content is not None:
             labels[nid], succs[nid] = content
 
-    if gone:
-        if preds is None:
-            preds = predecessors(D)
-        for x in gone:
-            for p in preds.get(x, ()):
-                if p in succs:
-                    succs[p] = tuple(gone.get(s, s) for s in succs[p])
+    for x in gone:
+        for p in preds.get(x, ()):
+            if p in succs:
+                succs[p] = tuple(gone.get(s, s) for s in succs[p])
     nodes = D.nodes
     if gone or fresh_ids:
         node_list = list(nodes)
@@ -460,9 +457,7 @@ class Stepper:
             if first is None:
                 return
             rule, v = first
-            G = self.current.graph
-            mapping = tree_match(rule.L, rule.root, G, v)
-            match = Match(rule, GraphMorphism(rule.L, G, mapping))
+            match = match_at(rule, self.current.graph, v)
             drv, self.current = derive_rational(self.current, match, self._preds)
             self._update(drv)
             yield drv, self.current

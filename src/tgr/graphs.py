@@ -149,8 +149,8 @@ class TermGraph:
         )
 
 
-def check_wellformed(g: TermGraph, sig: Optional[Signature] = None) -> None:
-    """Raise ValueError on any structural defect."""
+def check_wellformed(g: TermGraph, sig: Signature) -> None:
+    """Raise ValueError on any structural defect or arity mismatch."""
     nodeset = set(g.nodes)
     if len(g.nodes) != len(nodeset):
         raise ValueError("duplicate node ids")
@@ -163,14 +163,13 @@ def check_wellformed(g: TermGraph, sig: Optional[Signature] = None) -> None:
     for n, l in g.labels.items():
         if n not in nodeset:
             raise ValueError(f"labelled node {n} not in node set")
-        if sig is not None:
-            if not sig.is_operator(l):
-                raise ValueError(f"unknown operator {l} at node {n}")
-            if len(g.succs[n]) != sig.arity(l):
-                raise ValueError(
-                    f"node {n}: {l} has arity {sig.arity(l)}, "
-                    f"got {len(g.succs[n])} successors"
-                )
+        if not sig.is_operator(l):
+            raise ValueError(f"unknown operator {l} at node {n}")
+        if len(g.succs[n]) != sig.arity(l):
+            raise ValueError(
+                f"node {n}: {l} has arity {sig.arity(l)}, "
+                f"got {len(g.succs[n])} successors"
+            )
         for s in g.succs[n]:
             if s not in nodeset:
                 raise ValueError(f"dangling successor {s} at node {n}")
@@ -382,7 +381,7 @@ def tree_match(
         if lbl is None:
             continue
         m = mapping[n]
-        if H.labels.get(m) != lbl:
+        if H.labels.get(m) != lbl or len(H.succs[m]) != len(L.succs[n]):
             return None
         for child, img in zip(L.succs[n], H.succs[m]):
             mapping[child] = img
@@ -391,21 +390,17 @@ def tree_match(
 
 
 def find_tree_morphisms(
-    L: TermGraph,
-    root: NodeId,
-    H: TermGraph,
-    root_image: Optional[NodeId] = None,
+    L: TermGraph, root: NodeId, H: TermGraph
 ) -> List[GraphMorphism]:
     """All morphisms from a tree L into H, in ascending root-image order.
 
     The image of the root determines the whole morphism, so candidates are
-    tried by walking the tree once per root image.
+    tried by walking the tree once per node of H (`tree_match`).
     """
     if not is_tree(L, root):
         raise ValueError("find_tree_morphisms requires a tree with the given root")
-    candidates = [root_image] if root_image is not None else H.nodes
     out: List[GraphMorphism] = []
-    for cand in candidates:
+    for cand in H.nodes:
         mapping = tree_match(L, root, H, cand)
         if mapping is not None:
             out.append(GraphMorphism(L, H, mapping))
@@ -486,9 +481,6 @@ class RationalTerm:
 
     def renaming(self) -> Dict[NodeId, str]:
         return dict(self.var_names)
-
-    def render_name(self, n: NodeId) -> str:
-        return self.renaming().get(n, n)
 
     def unravel(self, depth: int) -> FiniteTerm:
         return unravel(
@@ -712,18 +704,13 @@ def graph_of_terms(
     return out, points, class_maps
 
 
-def induced_substitution(
-    f: GraphMorphism, bottoms: FrozenSet[NodeId] = frozenset()
-) -> Dict[str, RationalTerm]:
+def induced_substitution(f: GraphMorphism) -> Dict[str, RationalTerm]:
     """The substitution a morphism induces on its source's variables.
 
     Maps each empty source node (as a variable name) to the rational term the
     target presents at its image.
     """
-    out: Dict[str, RationalTerm] = {}
-    for n in f.src.varnodes():
-        out[n] = RationalTerm(f.dst, f.mapping[n], bottoms)
-    return out
+    return {n: RationalTerm(f.dst, f.mapping[n]) for n in f.src.varnodes()}
 
 
 def apply_subst_rational(

@@ -33,6 +33,7 @@ from .dpo import (
     derive_rational,
     find_matches,
     induced_parallel_redex,
+    match_at,
 )
 from .graphs import (
     GraphMorphism,
@@ -41,9 +42,9 @@ from .graphs import (
     TermGraph,
     apply_subst_rational,
     count_paths,
-    find_tree_morphisms,
     induced_substitution,
     occurrences_to,
+    tree_match,
     truncated_equal,
 )
 from .parallel import (
@@ -152,20 +153,6 @@ def verify_soundness(
     )
 
 
-def verify_soundness_all(
-    sig: Signature,
-    host: RationalTerm,
-    tgrs: TGRS,
-    depth: int = 16,
-    budget: int = 2048,
-    sample_at: Optional[Sequence[int]] = None,
-) -> List[SoundnessReport]:
-    return [
-        verify_soundness(sig, host, m, depth, budget, sample_at)
-        for m in find_matches(host.graph, tgrs)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Normal form preservation
 
@@ -263,15 +250,13 @@ def check_cofinality_step(
         rule_name, root = pending[0]
         rest = pending[1:]
         rule = rules_by_name[rule_name]
-        morphs = find_tree_morphisms(
-            rule.L, rule.root, current.graph, root_image=root
-        )
-        if not morphs:
+        match = match_at(rule, current.graph, root)
+        if match is None:
             failures.append(
                 f"match of {rule_name} did not survive at {root}"
             )
             return CofinalityReport(False, stages, None, None, None, failures)
-        drv, current = derive_rational(current, Match(rule, morphs[0]))
+        drv, current = derive_rational(current, match)
         stages.append(drv.describe())
         tracked = []
         seen = set()
@@ -407,10 +392,11 @@ def _gen_lhs(rng: random.Random, sig: Signature) -> FiniteTerm:
     return op(name, args)
 
 
-def gen_rules(rng: random.Random, sig: Signature, max_rules: int = 3) -> TRS:
-    """Generate-and-filter: candidates enter only if the system with them is
-    still orthogonal, so the result is orthogonal by construction."""
-    want = rng.randint(1, max_rules)
+def gen_rules(rng: random.Random, sig: Signature) -> TRS:
+    """One to three rules, by generate-and-filter: candidates enter only if
+    the system with them is still orthogonal, so the result is orthogonal by
+    construction."""
+    want = rng.randint(1, 3)
     rules: List[RewriteRule] = []
     for attempt in range(30):
         if len(rules) >= want:
@@ -566,7 +552,7 @@ def _prop_development_order(
         )
     except OracleError as e:
         return f"development failed: {e}"
-    if outer.result.trimmed() != inner.result.trimmed():
+    if outer.result != inner.result:
         return "development results differ between orders"
     keys_outer = sorted(r.key for r in outer.extras[0])
     keys_inner = sorted(r.key for r in inner.extras[0])
@@ -679,19 +665,17 @@ def _prop_morphism_subst(
     H = host.graph
     for er, tr in zip(case.tgrs().rules, case.trs.rules):
         for n in H.nodes:
-            morphs = find_tree_morphisms(er.L, er.root, H, root_image=n)
+            mapping = tree_match(er.L, er.root, H, n)
             term_side = rule_matches_at(H, n, tr, host.bottoms)
-            if bool(morphs) != term_side:
-                found = "a morphism" if morphs else "no morphism"
+            if (mapping is not None) != term_side:
+                found = "no morphism" if mapping is None else "a morphism"
                 match = "matches" if term_side else "does not match"
                 return (
                     f"{tr.name} at {n}: {found}, but the pattern {match}"
                 )
-            if not morphs:
+            if mapping is None:
                 continue
-            if len(morphs) > 1:
-                return f"{tr.name} at {n}: tree morphism not unique"
-            f = morphs[0]
+            f = GraphMorphism(er.L, H, mapping)
             substituted, _ = _substituted_graph(er.L, f, host)
             for m in er.L.nodes:
                 if not er.L.is_labelled(m):
@@ -843,13 +827,12 @@ def run_property_suite(
     budget: int = 512,
     properties: Optional[Sequence[str]] = None,
     max_nodes: int = 8,
-    max_failures: int = 3,
 ) -> SuiteReport:
     """Run the seeded property suite; deterministic for a given seed.
 
     Each property sees `cases` independently generated workspaces.  Failures
     are shrunk greedily and reported with the shrunken workspace inline; a
-    property stops after `max_failures` failures.
+    property stops after three failures.
     """
     names = list(properties) if properties else list(PROPERTIES)
     outcomes = []
@@ -881,7 +864,7 @@ def run_property_suite(
 
             small = shrink_case(case, still_fails)
             failures.append(f"case {i}: {message} | {small.describe()}")
-            if len(failures) >= max_failures:
+            if len(failures) >= 3:
                 break
         outcomes.append(
             PropertyOutcome(name, ran, failures, time.monotonic() - started)

@@ -117,16 +117,20 @@ def rule_matches_at(
     """Does the left-hand side match the term the graph presents at n?
 
     Pattern variables match anything, including holes and empty nodes; every
-    operator position of the pattern must find the same label.
+    operator position of the pattern must find the same label and as many
+    successors as the pattern has children.
     """
     for w, pat in subterms(rule.lhs):
         if pat.is_var:
             continue
-        # every operator above w has matched (preorder), so the path to w
-        # exists, unless it runs past a node with fewer successors than the
-        # pattern has children there: then there is nothing to check
+        # every operator above w has matched (preorder), label and successor
+        # count alike, so the path to w exists
         m = g.walk(n, w)
-        if m is not None and (m in bottoms or g.labels.get(m) != pat.symbol):
+        if (
+            m in bottoms
+            or g.labels.get(m) != pat.symbol
+            or len(g.succs[m]) != len(pat.children)
+        ):
             return False
     return True
 
@@ -394,10 +398,7 @@ def complete_development(
 
 
 def join_parallel(
-    rt: RationalTerm,
-    left: Sequence[Redex],
-    right: Sequence[Redex],
-    order: str = "outermost",
+    rt: RationalTerm, left: Sequence[Redex], right: Sequence[Redex]
 ) -> "ParallelJoin":
     """The strong-confluence diamond for two finite redex sets.
 
@@ -405,11 +406,11 @@ def join_parallel(
     residuals, and reports both corners; for an orthogonal system the two
     final terms are equal.
     """
-    dl = complete_development(rt, left, order, extras=[right])
-    dr = complete_development(rt, right, order, extras=[left])
-    join_l = complete_development(dl.result, dl.extras[0], order)
-    join_r = complete_development(dr.result, dr.extras[0], order)
-    ok = join_l.result.trimmed() == join_r.result.trimmed()
+    dl = complete_development(rt, left, extras=[right])
+    dr = complete_development(rt, right, extras=[left])
+    join_l = complete_development(dl.result, dl.extras[0])
+    join_r = complete_development(dr.result, dr.extras[0])
+    ok = join_l.result == join_r.result
     return ParallelJoin(dl.result, dr.result, join_l.result, join_r.result, ok)
 
 

@@ -77,7 +77,7 @@ class RewriteRule:
         """The variable a collapsing rule rewrites to, else None."""
         if not self.is_collapsing():
             return None
-        return self.rhs.render_name(self.rhs.point)
+        return self.rhs.renaming().get(self.rhs.point, self.rhs.point)
 
 
 @dataclass(frozen=True)
@@ -254,9 +254,6 @@ class EvaluationRule:
     K: TermGraph
     R: TermGraph
     r: Dict[NodeId, NodeId]
-
-    def is_collapsing(self) -> bool:
-        return self.R.is_empty_node(self.r[self.root])
 
 
 @dataclass(frozen=True)

@@ -196,20 +196,6 @@ def is_total(t: FiniteTerm) -> bool:
     return not any(s.is_bottom for _, s in subterms(t))
 
 
-def occurrences(t: FiniteTerm) -> Dict[Occurrence, str]:
-    """The occurrence-map view: defined positions and their symbols."""
-    return {at: s.symbol for at, s in subterms(t) if not s.is_bottom}
-
-
-def subterm(t: FiniteTerm, w: Occurrence) -> FiniteTerm:
-    """t/w; bottom when w is outside the domain of t."""
-    for i in w:
-        if t.is_bottom or t.is_var or i > len(t.children):
-            return BOTTOM
-        t = t.children[i - 1]
-    return t
-
-
 def rebuild(
     t: FiniteTerm, leaf: Callable[[FiniteTerm, int], Optional[FiniteTerm]]
 ) -> FiniteTerm:

@@ -20,6 +20,7 @@ from tgr.graphs import (
     TermGraph,
     check_morphism,
     node_key,
+    predecessors,
     unravel,
 )
 from tgr.harness import gen_case, rewrite_sequence
@@ -137,7 +138,7 @@ def test_pushout_square_commutes_and_covers():
     host = graph(["r", "c"], {"r": "f", "c": "a"}, {"r": ("c",)})
     m = the_match(R_F, host, "r")
     D, d = pushout_complement(m)
-    H, h, b = pushout(R_F, D, d)
+    H, h, b = pushout(R_F, D, d, predecessors(host))
     for n in R_F.K.nodes:
         assert h.mapping[R_F.r[n]] == b.mapping[d.mapping[n]]
     assert set(h.mapping.values()) | set(b.mapping.values()) == set(H.nodes)
@@ -181,7 +182,7 @@ def test_pushout_conflicting_content_rejected():
     m = the_match(er, host, "r")
     D, d = pushout_complement(m)
     with pytest.raises(ValueError, match="conflicting"):
-        pushout(er, D, d)
+        pushout(er, D, d, predecessors(host))
 
 
 # ---------------------------------------------------------------------------

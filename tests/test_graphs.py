@@ -7,6 +7,7 @@ from itertools import product, takewhile
 import pytest
 
 from tgr.graphs import (
+    GraphMorphism,
     RationalTerm,
     TermGraph,
     bisim_equal,
@@ -23,6 +24,7 @@ from tgr.graphs import (
     occurrences_to,
     rational_approx_leq,
     rational_of_term,
+    tree_match,
     truncated_equal,
     unravel,
 )
@@ -83,6 +85,49 @@ def test_wellformed_rejects_arity_mismatch():
 def test_wellformed_rejects_dangling_successor():
     with pytest.raises(ValueError):
         TermGraph.of(["n"], {"n": "f"}, {"n": ("ghost",)})
+
+
+_V = TermGraph.of(["n", "v"], {"n": "f"}, {"n": ("v",)})  # f(v)
+
+
+def raw(nodes, labels, succs):
+    """check_wellformed on a TermGraph built without `of`'s checks."""
+    return lambda: check_wellformed(TermGraph(nodes, labels, succs), SIG)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TermGraph.of(["n"], {"m": "a"}, {}),
+         "labelled node m not in node set"),
+        (lambda: TermGraph.of(["n"], {}, {"n": ()}),
+         "successors on unlabelled node n"),
+        (raw(("n", "n"), {}, {}), "duplicate node ids"),
+        (raw(("",), {}, {}), "bad node id ''"),
+        (raw(("n",), {"n": "a"}, {}),
+         "label/successor domains differ at ['n']"),
+        (raw(("n",), {"m": "a"}, {"m": ()}),
+         "labelled node m not in node set"),
+        (raw(("n",), {"n": "f"}, {"n": ("m",)}),
+         "dangling successor m at node n"),
+        (lambda: RationalTerm(_V, "x"), "point x not a node"),
+        (lambda: RationalTerm(_V, "n", frozenset(["n"])),
+         "bottom tag on non-empty node n"),
+        (lambda: RationalTerm(_V, "n", var_names=(("n", "y"),)),
+         "variable renaming on non-empty node n"),
+        (lambda: find_tree_morphisms(F_LOOP.graph, "m", _V),
+         "find_tree_morphisms requires a tree with the given root"),
+    ],
+    ids=[
+        "of-label-outside", "of-succs-unlabelled", "duplicate-ids", "bad-id",
+        "domains", "label-outside", "dangling", "point", "bottom", "renaming",
+        "non-tree",
+    ],
+)
+def test_graph_errors(build, message):
+    with pytest.raises(ValueError) as e:
+        build()
+    assert str(e.value) == message
 
 
 def test_node_key_orders_by_length_then_lexicographically():
@@ -205,8 +250,8 @@ def test_tree_morphisms_unique_per_root_image():
     )
     morphs = find_tree_morphisms(L.graph, "l", H)
     assert [m.mapping["l"] for m in morphs] == ["h1", "h2"]
-    only = find_tree_morphisms(L.graph, "l", H, root_image="h2")
-    assert len(only) == 1 and only[0].mapping["x"] == "h3"
+    assert tree_match(L.graph, "l", H, "h2") == {"l": "h2", "x": "h3"}
+    assert tree_match(L.graph, "l", H, "h3") is None
     for m in morphs:
         assert morphism_errors(m) == []
 
@@ -698,6 +743,6 @@ def test_graph_of_terms_class_maps_commute():
 def test_induced_substitution_reads_target():
     L = rational_of_term(t("f(x)"), prefix="l")
     H = g_of(["h", "ha"], {"h": "f", "ha": "a"}, {"h": ("ha",)})
-    f = find_tree_morphisms(L.graph, "l", H, root_image="h")[0]
+    f = GraphMorphism(L.graph, H, tree_match(L.graph, "l", H, "h"))
     sigma = induced_substitution(f)
     assert sigma["x"].unravel(4) == t("a")

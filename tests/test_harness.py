@@ -24,7 +24,6 @@ from tgr.harness import (
     run_property_suite,
     shrink_case,
     verify_soundness,
-    verify_soundness_all,
 )
 from tgr.parallel import RationalRedexSet, infinite_parallel_reduce, threshold_length
 from tgr.rules import TRS, RewriteRule, graph_trs, orthogonality_conflicts
@@ -65,7 +64,10 @@ def test_verify_soundness_on_the_loop():
 
 
 def test_verify_soundness_all_matches():
-    reports = verify_soundness_all(SIG, CY, TGRS1, depth=8)
+    reports = [
+        verify_soundness(SIG, CY, m, depth=8)
+        for m in find_matches(CY.graph, TGRS1)
+    ]
     assert len(reports) == 1  # only Rcdr matches
     assert all(r.ok for r in reports)
 

@@ -12,6 +12,7 @@ from tgr.graphs import (
     node_key,
     rational_approx_leq,
     rational_of_term,
+    tree_match,
     truncated_equal,
 )
 from tgr.harness import gen_case
@@ -38,7 +39,7 @@ from tgr.parallel import (
     threshold_length,
     var_positions,
 )
-from tgr.rules import TRS, RewriteRule, is_infinite_copying
+from tgr.rules import TRS, RewriteRule, graph_of_rule, is_infinite_copying
 from tgr.terms import BOTTOM, Signature, occ_format, parse_term
 
 SIG = Signature.of(
@@ -84,6 +85,30 @@ def test_var_positions():
 def test_rule_matches_through_cycles_but_not_holes():
     assert rule_matches_at(F_LOOP.graph, "n", R_F)
     assert not rule_matches_at(F_LOOP.graph, "n", R_F, bottoms=frozenset(["n"]))
+
+
+# p(x, a) against a p node at n; graphs built without a signature check
+R_PA = rule("Rpa", "p(x, a)", "x")
+
+
+@pytest.mark.parametrize(
+    "labels, succs, matches",
+    [
+        ({"n": "p", "m": "a"}, {"n": ("m", "m")}, True),
+        ({"n": "p", "m": "a"}, {"n": ("m",)}, False),  # one successor too few
+        ({"n": "p", "m": "a"}, {"n": ("m", "m", "m")}, False),  # one too many
+        ({"n": "p", "m": "a", "c": "a"}, {"n": ("m", "c"), "c": ("m",)}, False),
+    ],
+    ids=["same", "too-few", "too-many", "too-many-below"],
+)
+def test_matchers_compare_successor_counts(labels, succs, matches):
+    g = TermGraph.of(["n", "m", "c"], labels, succs)
+    assert rule_matches_at(g, "n", R_PA) is matches
+    er = graph_of_rule(R_PA, SIG)
+    mapping = tree_match(er.L, er.root, g, "n")
+    assert (mapping is not None) is matches
+    if matches:  # every node of L is mapped
+        assert set(mapping) == set(er.L.nodes)
 
 
 def test_find_redexes_finite():

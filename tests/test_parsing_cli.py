@@ -10,6 +10,7 @@ import pytest
 
 import tgr
 from tgr import cli
+from tgr.dot import export_dot
 from tgr.graphs import RationalTerm, bisim_equal
 from tgr.parsing import (
     ParseError,
@@ -169,6 +170,34 @@ def test_parse_error_cases():
     bad("sig f/1\nrule R: f(x) -> @Nope.n")  # unknown graph
     bad("sig f/1\ngraph G { n: f(n); root n; }\nrule R: f(x) -> @G.zz")
     bad("sig f/1\ngraph G { n: ? ; root n; }")  # bad token
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("sig f/1\ngraph G { n: f(n); root m; }",
+         "line 2: graph G mentions unknown node m"),
+        ("sig f/x", "line 1: expected an arity, found 'x'"),
+        ("sig f/1\ngraph G { n: f(n); ; root n; }",
+         "line 2: unexpected ';' in graph body"),
+        ("sig f/1\nrule R: -> f(x)", "line 2: expected a term, found '->'"),
+    ],
+    ids=["unknown-node", "arity", "graph-body", "term"],
+)
+def test_parse_error_messages(text, message):
+    assert str(bad(text)) == message
+
+
+def test_dot_draws_holes_and_the_point():
+    text = export_dot(parse_workspace(WORKSPACE).graph("WithHole"), "W")
+    assert text.splitlines() == [
+        "digraph W {",
+        "  rankdir=TB;",
+        '  "h" [label="h:⊥", shape=ellipse, style=filled, fillcolor=lightgray];',
+        '  "m" [label="m:f", shape=box, peripheries=2];',
+        '  "m" -> "h" [label="1"];',
+        "}",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -402,3 +431,59 @@ def test_cli_recursion_error_is_bad_input(tmp_path, capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "lower --depth" in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+COPYING = """\
+sig a/0 f/1 cons/2
+graph Host { n: f(m); m: a; root n; }
+graph Rep { r: cons(x, r); x: ; root r; }
+rule Rinf: f(x) -> @Rep.r
+"""
+
+
+def test_cli_oracle_refuses_an_infinitely_copying_rule(tmp_path, capsys):
+    path = tmp_path / "copy.tgr"
+    path.write_text(COPYING)
+    code, out, err = run(capsys, "oracle", str(path), "--graph", "Host",
+                         "--rule", "Rinf", "--at", "n")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: rule Rinf copies a variable infinitely often; "
+        "its developments are not finite\n"
+    )
+
+
+def test_cli_convergence_failure_exits_1(ws_file, capsys, monkeypatch):
+    def no_limit(*args, **kwargs):
+        raise tgr.ConvergenceError("the chain did not settle")
+
+    monkeypatch.setattr(cli, "infinite_parallel_reduce", no_limit)
+    code, out, err = run(capsys, "oracle", ws_file, "--graph", "Loop",
+                         "--rule", "Rf", "--at", "n")
+    assert (code, out) == (1, "")
+    assert err == "verification failed: the chain did not settle\n"
+
+
+@pytest.mark.parametrize(
+    "error, code, message",
+    [
+        (tgr.ParseError("bad token", 3), 2, "error: line 3: bad token"),
+        (tgr.UnsupportedRuleError("copies"), 2, "error: copies"),
+        (tgr.OracleError("refused"), 1, "verification failed: refused"),
+        (KeyError("no graph named G"), 2, "error: no graph named G"),
+        (ValueError("no match"), 2, "error: no match"),
+        (FileNotFoundError(2, "No such file", "w.tgr"), 2,
+         "error: [Errno 2] No such file: 'w.tgr'"),
+        (RecursionError(), 2,
+         "error: the input nests too deeply for this depth; lower --depth"),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else None,
+)
+def test_cli_exit_code_of_every_handler(
+    ws_file, capsys, monkeypatch, error, code, message
+):
+    def fail(path):
+        raise error
+
+    monkeypatch.setattr(cli, "_load", fail)
+    assert run(capsys, "check", ws_file) == (code, "", message + "\n")

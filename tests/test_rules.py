@@ -85,6 +85,7 @@ def test_collapsing_detection():
     assert R_CDR.is_collapsing() and R_I.is_collapsing()
     assert not R_F.is_collapsing()
     assert R_CDR.collapse_variable() == "y"
+    assert R_F.collapse_variable() is None
 
 
 def test_cyclic_rhs_rules_are_representable():

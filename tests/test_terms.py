@@ -22,11 +22,10 @@ from tgr.terms import (
     is_total,
     occ_format,
     occ_leq,
-    occurrences,
     op,
     parse_term,
     rebuild,
-    subterm,
+    subterms,
     var,
     vars_of,
 )
@@ -72,6 +71,24 @@ def truncate(s, depth):
     if s.is_var or not s.children:
         return s
     return op(s.symbol, [truncate(c, depth - 1) for c in s.children])
+
+
+# ---------------------------------------------------------------------------
+# The occurrence-map view of a term, read off the one walk
+
+
+def occurrences(s):
+    """Defined positions and their symbols."""
+    return {at: u.symbol for at, u in subterms(s) if not u.is_bottom}
+
+
+def subterm(s, w):
+    """s/w; bottom when w is outside the domain of s."""
+    for i in w:
+        if s.is_bottom or s.is_var or i > len(s.children):
+            return BOTTOM
+        s = s.children[i - 1]
+    return s
 
 
 # ---------------------------------------------------------------------------
