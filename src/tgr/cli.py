@@ -52,7 +52,14 @@ DEFAULT_DEPTH = 16
 
 def _load(path: str) -> Workspace:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_workspace(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:  # read() decodes the whole file at once
+            raise ValueError(
+                f"{path}: not UTF-8 text "
+                f"(byte 0x{e.object[e.start]:02x} at offset {e.start})"
+            ) from None
+    return parse_workspace(text)
 
 
 def _emit(args, payload: Dict[str, object], lines: List[str]) -> None:
@@ -580,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run the seeded property suite")
     _add_common(p, file=False, depth=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=50)
+    p.add_argument("--cases", type=natural, default=50)
     p.add_argument("--budget", type=natural, default=512)
     p.add_argument("--properties", help="comma-separated property names")
     p.set_defaults(fn=_cmd_suite)

@@ -414,22 +414,74 @@ def find_tree_morphisms(
 def _refine(
     cls: Dict[NodeId, Hashable], succ: Mapping[NodeId, Tuple[NodeId, ...]]
 ) -> Dict[NodeId, int]:
-    """Moore refinement of an initial class map by successor classes.
+    """The coarsest refinement of an initial class map stable under successors.
 
-    Each round keys every node by its class and its successors' classes, so
-    classes only split; it stops when a round adds no class.  The result
-    numbers the classes and keeps the order of `cls`.
+    Two nodes share a final class iff they share an initial class, have as
+    many successors, and at each position their successors share a final
+    class.  Hopcroft's splitter refinement, for partial transition functions
+    as in Valmari & Lehtinen (STACS 2008): the blocks start keyed by (class,
+    successor count), and a worklist holds splitter blocks.  For a splitter
+    and a position, the nodes whose successor there lies in the splitter are
+    marked (one inverse-successor index per position), and each touched
+    block moves its marked part to a new block, in time linear in the marks.
+    A split block already queued has both halves queued, any other only its
+    smaller half, so a node joins O(log n) splitters and the whole costs
+    O(m log n) for m edges.  Classes are numbered in order of first
+    appearance over `cls`, so the result does not depend on the split order.
     """
-    count = len(set(cls.values()))
-    while True:
-        ids: Dict[Hashable, int] = {}
-        cls = {
-            n: ids.setdefault((c, tuple(cls[s] for s in succ.get(n, ()))), len(ids))
-            for n, c in cls.items()
-        }
-        if len(ids) == count:
-            return cls
-        count = len(ids)
+    index = {n: i for i, n in enumerate(cls)}
+    keys: Dict[Hashable, int] = {}
+    blocks: List[Set[int]] = []
+    block_of: List[int] = []
+    for n, i in index.items():
+        b = keys.setdefault((cls[n], len(succ.get(n, ()))), len(keys))
+        if b == len(blocks):
+            blocks.append({i})
+        else:
+            blocks[b].add(i)
+        block_of.append(b)
+    if len(blocks) == len(index):  # all singletons: nothing can split
+        return dict(zip(cls, block_of))
+    inverse: List[Dict[int, List[int]]] = []
+    for n, i in index.items():
+        for pos, s in enumerate(succ.get(n, ())):
+            if pos == len(inverse):
+                inverse.append({})
+            inverse[pos].setdefault(index[s], []).append(i)
+    # Every block but a largest one starts queued.  A node has a successor
+    # at a position iff its block does, so stability under the whole node
+    # set holds from the start, and with it under the block left out.
+    sizes = list(map(len, blocks))
+    largest = sizes.index(max(sizes))
+    work = list(range(len(blocks)))
+    del work[largest]
+    queued = [True] * len(blocks)
+    queued[largest] = False
+    while work:
+        b = work.pop()
+        queued[b] = False
+        splitter = list(blocks[b])
+        for inv in inverse:
+            touched: Dict[int, List[int]] = {}
+            for s in splitter:
+                for p in inv.get(s, ()):
+                    touched.setdefault(block_of[p], []).append(p)
+            for t, marked in touched.items():
+                if len(marked) == len(blocks[t]):
+                    continue
+                new = len(blocks)
+                part = set(marked)
+                blocks[t] -= part
+                blocks.append(part)
+                for p in marked:
+                    block_of[p] = new
+                queued.append(False)
+                if not queued[t] and len(blocks[t]) < len(part):
+                    new = t
+                work.append(new)
+                queued[new] = True
+    ids: Dict[int, int] = {}
+    return {n: ids.setdefault(b, len(ids)) for n, b in zip(cls, block_of)}
 
 
 def minimize(g: TermGraph) -> Tuple[TermGraph, Dict[NodeId, NodeId]]:

@@ -1,11 +1,13 @@
 """Term graphs, rational terms, bisimulation, and the graph/term bridges."""
 
 import random
+import sys
 from dataclasses import replace
-from itertools import product, takewhile
+from itertools import permutations, product, takewhile
 
 import pytest
 
+from tgr import graphs
 from tgr.graphs import (
     GraphMorphism,
     RationalTerm,
@@ -332,9 +334,9 @@ def test_minimize_keeps_empty_nodes_apart():
 
 
 # Differential test of the pair walk (`bisim_equal`, `rational_approx_leq`,
-# `truncated_equal`) and the class-map refinement (`minimize`) against the
-# Moore refinement over a disjoint union and the recursive closures they
-# replaced, kept here as references.
+# `truncated_equal`) and the splitter refinement (`minimize`) against the
+# Moore refinement by rounds over a disjoint union and the recursive
+# closures they replaced, kept here as references.
 
 
 def ref_refine(blocks, succ):
@@ -477,10 +479,11 @@ def lasso(tail, loop, last="f"):
     return g_of(ids, labels, succs)
 
 
-def chain(n, end=None):
-    """n f-nodes ending in an a-node, or in an empty node if end is None."""
+def chain(n, end=None, pattern="f"):
+    """n nodes labelled by `pattern` (f-nodes by default) ending in an
+    `end`-node, or in an empty node if end is None."""
     ids = [f"c{i}" for i in range(n + 1)]
-    labels = {m: "f" for m in ids[:-1]}
+    labels = {m: pattern[i % len(pattern)] for i, m in enumerate(ids[:-1])}
     if end is not None:
         labels[ids[-1]] = end
     return g_of(ids, labels, {m: (ids[i + 1],) for i, m in enumerate(ids[:-1])})
@@ -494,6 +497,95 @@ def binary_ring(n, k):
         {m: "p" for m in ids},
         {m: (ids[(i + 1) % n], ids[(i + k) % n]) for i, m in enumerate(ids)},
     )
+
+
+def marker(n, at=-1):
+    """A word of n letters, all f but one g at index `at`: refinement by
+    rounds needs about n of them to tell its rotations apart."""
+    w = ["f"] * n
+    w[at] = "g"
+    return "".join(w)
+
+
+def two_arities(n):
+    """A ring of f-nodes where every third node also points to itself, so
+    one label is used at two arities."""
+    ids = [f"t{i}" for i in range(n)]
+    return g_of(
+        ids,
+        {m: "f" for m in ids},
+        {m: (ids[(i + 1) % n],) + ((m,) if i % 3 == 0 else ()) for i, m in enumerate(ids)},
+    )
+
+
+def ladder(n):
+    """p-nodes l_i = p(l_i+1, r_i+1) and r_i = p(l_i+1, l_i+1) over a-leaves:
+    binary nodes whose two successors are shared."""
+    ls, rs = [f"l{i}" for i in range(n + 1)], [f"m{i}" for i in range(n + 1)]
+    labels = {m: "p" for m in ls[:-1] + rs[:-1]}
+    labels.update({ls[-1]: "a", rs[-1]: "a"})
+    succs = {ls[i]: (ls[i + 1], rs[i + 1]) for i in range(n)}
+    succs.update({rs[i]: (ls[i + 1], ls[i + 1]) for i in range(n)})
+    return g_of(ls + rs, labels, succs)
+
+
+def with_empty_nodes(n, k):
+    """A ring of n p-nodes whose second successors cycle through k empty
+    nodes."""
+    ids, xs = [f"e{i}" for i in range(n)], [f"x{j}" for j in range(k)]
+    return g_of(
+        ids + xs,
+        {m: "p" for m in ids},
+        {m: (ids[(i + 1) % n], xs[i % k]) for i, m in enumerate(ids)},
+    )
+
+
+def marked_larger_half(f, g, e):
+    """f1 = f2 = f(a), f3 = f(f(...)), g1 = g(f1), g4 = g(g1) and
+    g2 = g3 = g(g(...)).  The leaf's block splits the f-block into the
+    marked {f1, f2} and the smaller {f3}, and only the marked, larger part
+    tells g1 from g2 and g3.  The prefixes f, g, e of the node ids set the
+    order in which the blocks first appear."""
+    labels = {f"{f}1": "f", f"{f}2": "f", f"{f}3": "f", f"{e}1": "a"}
+    labels.update((f"{g}{i}", "g") for i in range(1, 5))
+    succs = {f"{f}1": (f"{e}1",), f"{f}2": (f"{e}1",), f"{f}3": (f"{f}3",)}
+    succs.update({f"{g}1": (f"{f}1",), f"{g}2": (f"{g}2",), f"{g}3": (f"{g}2",)})
+    succs[f"{g}4"] = (f"{g}1",)
+    return g_of(sorted(labels), labels, succs)
+
+
+def split_carriers():
+    """Carriers on which the splitter refinement splits many times: marker
+    rings, lassos and chains up to 200 nodes, shared successors, one label
+    at two arities, and several empty nodes."""
+    for n in (7, 50, 120):
+        yield ring(n, marker(n))
+        yield ring(n, marker(n, 0))
+        yield ring(n, marker(n, n // 2))
+        yield chain(n, "a", marker(n))
+        yield chain(n, None, marker(n, 0))
+    yield ring(200, marker(200))
+    yield ring(200, marker(25))
+    for tail, loop in ((100, 100), (60, 40), (20, 100)):
+        yield lasso(tail, loop, "g")
+    yield lasso(1, 99)
+    for n in (6, 40):
+        yield binary_ring(n, 0)
+        yield binary_ring(n, 1)
+    yield binary_ring(40, 7)
+    yield ladder(30)
+    for n in (3, 9, 40):
+        yield two_arities(n)
+    yield g_of(
+        ["a0", "a1", "h", "k", "x"],
+        {"a0": "f", "a1": "f", "h": "p", "k": "p"},
+        {"a0": (), "a1": ("a0",), "h": ("a0", "a1"), "k": ("a1", "x")},
+    )
+    for n, k in ((6, 3), (12, 4), (30, 7)):
+        yield with_empty_nodes(n, k)
+    for prefixes in permutations("abc"):
+        yield marked_larger_half(*prefixes)
+    yield g_of(["x", "y", "z"], {}, {})
 
 
 def shape_carriers():
@@ -544,12 +636,91 @@ def test_pair_walk_matches_the_references():
 
 
 def test_class_map_minimize_matches_the_reference():
-    carriers = [host.graph for host in kernel_hosts()] + list(shape_carriers())
+    carriers = [host.graph for host in kernel_hosts()]
+    carriers += list(shape_carriers()) + list(split_carriers())
     for g in carriers:
         q, rep = minimize(g)
         ref_q, ref_rep = ref_minimize(g)
         assert rep == ref_rep
         assert (q.nodes, q.labels, q.succs) == (ref_q.nodes, ref_q.labels, ref_q.succs)
+
+
+def random_carrier(rng, max_nodes=14):
+    """Few labels, f at two arities, and some empty nodes, so that classes
+    merge and split."""
+    ids = [f"n{i}" for i in range(1, rng.randint(2, max_nodes) + 1)]
+    labels, succs = {}, {}
+    for n in ids:
+        if rng.random() < 0.85:
+            labels[n], k = rng.choice([("f", 1), ("f", 2), ("g", 1), ("a", 0)])
+            succs[n] = tuple(rng.choice(ids) for _ in range(k))
+    return g_of(ids, labels, succs)
+
+
+def test_minimize_classes_are_the_pointed_bisimulation_classes():
+    # the refinement against the independent pair walk behind ==
+    rng = random.Random(61)
+    for _ in range(150):
+        g = random_carrier(rng)
+        _, rep = minimize(g)
+        labelled = [n for n in g.nodes if g.is_labelled(n)]
+        for u, v in product(labelled, repeat=2):
+            assert (rep[u] == rep[v]) == (RationalTerm(g, u) == RationalTerm(g, v))
+
+
+def test_minimize_on_5000_node_marker_carriers():
+    # class counts known from the construction; refinement by rounds takes
+    # tens of seconds on each of these
+    n = 5000
+    for g, classes in (
+        (chain(n - 1, "a", marker(n - 1)), n),
+        (ring(n, marker(n)), n),
+        (ring(n, marker(n, 0)), n),
+        (ring(n, marker(100)), 100),
+        (lasso(n // 2, n // 2, "g"), n),
+    ):
+        q, rep = minimize(g)
+        assert len(q.nodes) == classes
+        assert len(set(rep.values())) == classes
+
+
+def refine_calls(g):
+    """Builtin calls made in `_refine`'s own frame while it refines g's
+    labels: a measure of its work that, unlike a timing, is the same on
+    every machine."""
+    code, calls = graphs._refine.__code__, 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "c_call" and frame.f_code is code:
+            calls += 1
+
+    cls = {n: g.labels.get(n, (n,)) for n in g.nodes}
+    sys.setprofile(count)
+    try:
+        graphs._refine(cls, g.succs)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        lambda n: ring(n, marker(n)),
+        lambda n: ring(n, marker(n, 0)),
+        lambda n: chain(n, "a", marker(n)),
+        lambda n: lasso(n // 2, n // 2, "g"),
+        lambda n: ladder(n // 2),
+    ],
+    ids=["ring", "ring-marker-first", "chain", "lasso", "ladder"],
+)
+def test_refinement_work_grows_near_linearly(family):
+    # O(m log n): doubling n at most a little more than doubles the work;
+    # queueing the larger half of a split is quadratic on these families
+    # and about quadruples it
+    small, large = refine_calls(family(1000)), refine_calls(family(2000))
+    assert large < 2.5 * small
 
 
 def test_labels_of_different_arity_never_agree():

@@ -371,11 +371,13 @@ def test_cli_error_exits(ws_file, tmp_path, capsys):
          "--maxlen", "-2"],
         ["oracle", "--graph", "Loop", "--rule", "Rf", "--at", "n",
          "--budget", "-5"],
+        ["suite", "--cases", "-1"],
     ],
 )
 def test_cli_rejects_negative_bounds(ws_file, capsys, argv):
+    file = [] if argv[0] == "suite" else [ws_file]  # the suite reads no workspace
     with pytest.raises(SystemExit) as e:
-        cli.main(argv[:1] + [ws_file] + argv[1:])
+        cli.main(argv[:1] + file + argv[1:])
     assert e.value.code == 2
     assert "must not be negative" in capsys.readouterr().err
 
@@ -487,3 +489,11 @@ def test_cli_exit_code_of_every_handler(
 
     monkeypatch.setattr(cli, "_load", fail)
     assert run(capsys, "check", ws_file) == (code, "", message + "\n")
+
+
+def test_cli_names_a_workspace_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.tgr"
+    path.write_bytes(("#" * 9999 + "\n# caf\u00e9\n").encode("latin-1"))
+    assert run(capsys, "check", str(path)) == (
+        2, "", f"error: {path}: not UTF-8 text (byte 0xe9 at offset 10005)\n"
+    )
