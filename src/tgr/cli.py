@@ -5,7 +5,8 @@ subcommands: 0 means the command ran and every checked property held, 1
 means a verification failed (a chain was not monotone, routes disagreed, a
 diamond did not close, ...), 2 means the input was unusable (parse error,
 unreadable file, unknown name, rule does not match, unsupported rule, a
-negative count or bound).
+negative count or bound) or the program failed: any other error prints one
+line, `error: internal: <type>: <message>`, and no traceback.
 
 Every subcommand accepts `--json` to emit a machine-readable mirror of its
 text output on stdout.
@@ -20,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .dot import export_dot
 from .dpo import Match, Stepper, derive_rational, find_matches, match_at
-from .graphs import RationalTerm, cycle_nodes, node_key
+from .graphs import RationalTerm, cycle_nodes, sorted_nodes
 from .harness import (
     check_cofinality_step,
     check_weak_normal_form_preservation,
@@ -82,7 +83,7 @@ def _find_match(ws: Workspace, host: RationalTerm, rule_name: str, at: str) -> M
 
 def _track_lines(track: Dict[str, str]) -> List[str]:
     out = ["  track:"]
-    for n in sorted(track, key=node_key):
+    for n in sorted_nodes(track):
         out.append(f"    {n} -> {track[n]}")
     return out
 
@@ -622,6 +623,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RecursionError:
         print(
             "error: the input nests too deeply for this depth; lower --depth",
+            file=sys.stderr,
+        )
+        return 2
+    except Exception as e:  # a fault of the program, not of the input
+        message = " ".join(str(e).split())
+        print(
+            f"error: internal: {type(e).__name__}"
+            + (f": {message}" if message else ""),
             file=sys.stderr,
         )
         return 2

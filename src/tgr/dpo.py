@@ -54,6 +54,7 @@ from .graphs import (
     node_key,
     node_position,
     predecessors,
+    sorted_nodes,
     tree_match,
 )
 from .parallel import RationalRedexSet
@@ -177,7 +178,7 @@ def pushout(
         uf.union(("r", rule.r[n]), ("d", d.mapping[n]))
 
     classes: Dict[Tuple[str, NodeId], List[Tuple[str, NodeId]]] = {}
-    for n in sorted(set(d.mapping.values()), key=node_key):
+    for n in sorted_nodes(set(d.mapping.values())):
         classes.setdefault(uf.find(("d", n)), []).append(("d", n))
     for n in rule.R.nodes:
         classes.setdefault(uf.find(("r", n)), []).append(("r", n))
@@ -319,7 +320,7 @@ def derive(
     D, d = pushout_complement(match)
     H, h, b = pushout(match.rule, D, d, preds)
     check_morphism(h, match.rule.R.nodes)
-    check_morphism(b, sorted(touched_nodes(d, b, preds), key=node_key))
+    check_morphism(b, sorted_nodes(touched_nodes(d, b, preds)))
     return DirectDerivation(match, D, d, H, h, b)
 
 

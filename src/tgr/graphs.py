@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import (
     Dict,
     FrozenSet,
@@ -56,6 +57,14 @@ def node_key(n: NodeId) -> Tuple[int, str]:
     return (len(n), n)
 
 
+def sorted_nodes(nodes: Iterable[NodeId]) -> List[NodeId]:
+    """Nodes without repeats in node_key order, by two stable C-level sorts:
+    lexicographic first, then by length."""
+    out = sorted(nodes)
+    out.sort(key=len)
+    return out
+
+
 def node_position(nodes: Sequence[NodeId], n: NodeId) -> int:
     """Where n is, or would be inserted, in a node_key-sorted sequence."""
     return bisect_left(nodes, node_key(n), key=node_key)
@@ -86,21 +95,23 @@ class TermGraph:
     ) -> "TermGraph":
         """Construct, normalizing constants (missing successor entries on
         labelled nodes become ()) and rejecting references to non-nodes.
-        Arity against a signature is `check_wellformed`'s business."""
-        node_t = tuple(sorted(set(nodes), key=node_key))
-        nodeset = set(node_t)
+        Arity against a signature is `check_wellformed`'s business.
+
+        The references are checked by set inclusion; only a failed check
+        walks the entries, to name the first offender."""
+        nodeset = set(nodes)
+        node_t = tuple(sorted_nodes(nodeset))
         labels_d = dict(labels)
-        succs_d = {n: tuple(s) for n, s in succs.items()}
-        for n in labels_d:
-            if n not in nodeset:
-                raise ValueError(f"labelled node {n} not in node set")
-            succs_d.setdefault(n, ())
-        for n, ss in succs_d.items():
-            if n not in labels_d:
-                raise ValueError(f"successors on unlabelled node {n}")
-            for s in ss:
-                if s not in nodeset:
-                    raise ValueError(f"dangling successor {s} at node {n}")
+        succs_d = dict(zip(succs, map(tuple, succs.values())))
+        if not (
+            labels_d.keys() <= nodeset
+            and succs_d.keys() <= labels_d.keys()
+            and nodeset.issuperset(chain.from_iterable(succs_d.values()))
+        ):
+            _raise_first_defect(nodeset, labels_d, succs_d)
+        if len(succs_d) < len(labels_d):  # some constant has no entry
+            for n in labels_d:
+                succs_d.setdefault(n, ())
         return TermGraph(node_t, labels_d, succs_d)
 
     def has_node(self, n: NodeId) -> bool:
@@ -147,6 +158,24 @@ class TermGraph:
             {n: l for n, l in self.labels.items() if n in keep},
             {n: s for n, s in self.succs.items() if n in keep},
         )
+
+
+def _raise_first_defect(
+    nodeset: Set[NodeId],
+    labels: Dict[NodeId, str],
+    succs: Dict[NodeId, Tuple[NodeId, ...]],
+) -> None:
+    """Name the first reference to a non-node in `TermGraph.of`'s order:
+    labels first, then each successor entry with its successors."""
+    for n in labels:
+        if n not in nodeset:
+            raise ValueError(f"labelled node {n} not in node set")
+    for n, ss in succs.items():
+        if n not in labels:
+            raise ValueError(f"successors on unlabelled node {n}")
+        for s in ss:
+            if s not in nodeset:
+                raise ValueError(f"dangling successor {s} at node {n}")
 
 
 def check_wellformed(g: TermGraph, sig: Signature) -> None:
@@ -543,7 +572,7 @@ class RationalTerm:
         """Rendered names of reachable, non-hole empty nodes."""
         names = []
         ren = self.renaming()
-        for n in sorted(self.graph.reachable(self.point), key=node_key):
+        for n in sorted_nodes(self.graph.reachable(self.point)):
             if self.graph.is_empty_node(n) and n not in self.bottoms:
                 names.append(ren.get(n, n))
         return names
@@ -722,7 +751,7 @@ def graph_of_terms(
         ren = rt.renaming()
         keep = rt.graph.reachable(rt.point)
         umap: Dict[NodeId, NodeId] = {}
-        for n in sorted(keep, key=node_key):
+        for n in sorted_nodes(keep):
             if rt.graph.is_empty_node(n) and n not in rt.bottoms:
                 uid = "v:" + ren.get(n, n)
             else:

@@ -55,6 +55,7 @@ from .graphs import (
     node_key,
     occurrences_to,
     rational_approx_leq,
+    sorted_nodes,
     truncated_equal,
 )
 from .rules import RewriteRule, TRS, is_infinite_copying
@@ -120,17 +121,11 @@ def rule_matches_at(
     operator position of the pattern must find the same label and as many
     successors as the pattern has children.
     """
-    for w, pat in subterms(rule.lhs):
-        if pat.is_var:
-            continue
+    for w, symbol, arity in rule.lhs_pattern:
         # every operator above w has matched (preorder), label and successor
         # count alike, so the path to w exists
         m = g.walk(n, w)
-        if (
-            m in bottoms
-            or g.labels.get(m) != pat.symbol
-            or len(g.succs[m]) != len(pat.children)
-        ):
+        if m in bottoms or g.labels.get(m) != symbol or len(g.succs[m]) != arity:
             return False
     return True
 
@@ -141,7 +136,7 @@ def matching_nodes(
     """Reachable nodes where the rule's left-hand side matches."""
     return [
         n
-        for n in sorted(rt.graph.reachable(rt.point), key=node_key)
+        for n in sorted_nodes(rt.graph.reachable(rt.point))
         if rule_matches_at(rt.graph, n, rule, rt.bottoms)
     ]
 
@@ -207,7 +202,7 @@ def _rhs_plan(rule: RewriteRule) -> _RhsPlan:
         rhs.point,
         tuple(
             (n, rhs.graph.labels.get(n), rhs.graph.successors(n), ren.get(n, n))
-            for n in sorted(rhs.graph.reachable(rhs.point), key=node_key)
+            for n in sorted_nodes(rhs.graph.reachable(rhs.point))
         ),
     )
 
@@ -501,20 +496,31 @@ class _PrefixTrie:
         self.child: List[Dict[int, int]] = [{}]
         self.size = [1]
         self.end: List[int] = []
+        self.prev: Occurrence = ()  # the last occurrence added
         self.extend(occs)
 
     def extend(self, occs: Sequence[Occurrence]) -> None:
-        child = self.child
+        """Add the occurrences in order.  One that extends the occurrence
+        before it (one C-level slice compare) walks on from that one's
+        state, and any other from the root; so where each member extends
+        the last (the one-node loop) each trie edge is walked once."""
+        child, end, prev = self.child, self.end, self.prev
         for w in occs:
-            st = 0
-            for k in w:
+            if w[:len(prev)] == prev:
+                st = end[-1] if end else 0
+                rest = w[len(prev):]
+            else:
+                st, rest = 0, w
+            for k in rest:
                 nxt = child[st].get(k)
                 if nxt is None:
                     nxt = child[st][k] = len(child)
                     child.append({})
                 st = nxt
-            self.end.append(st)
+            end.append(st)
             self.size.append(len(child))
+            prev = w
+        self.prev = prev
 
 
 def _cut_graph(
@@ -625,11 +631,13 @@ def develop_rational(
 
     used = set(g.nodes)
     fresh = _fresh_namer(used)
-    labels = {n: l for n, l in g.labels.items() if n not in targets}
-    succs = {n: s for n, s in g.succs.items() if n not in targets}
+    labels = dict(g.labels)
+    succs = dict(g.succs)
+    for m in targets:
+        del labels[m], succs[m]
     redirect: Dict[NodeId, NodeId] = {}
 
-    for m in sorted(targets, key=node_key):
+    for m in sorted_nodes(targets):
         rule, plan = targets[m]
         image = _import_rhs(plan, g, m, labels, succs, lambda: fresh("g#"), m)
         if rule.is_collapsing():
@@ -658,20 +666,17 @@ def develop_rational(
             resolved[p] = end
         return end
 
-    for m in sorted(redirect, key=node_key):
+    for m in sorted_nodes(redirect):
         resolve(m)
+    if redirect:  # edges into a redirected node go to where it resolved
+        used -= redirect.keys()
+        succs = {
+            n: tuple([resolved.get(s, s) for s in ss]) for n, ss in succs.items()
+        }
 
-    def final(n: NodeId) -> NodeId:
-        return resolved.get(n, n)
-
-    out = TermGraph.of(
-        [n for n in used if n not in redirect],
-        labels,
-        {n: tuple(final(s) for s in ss) for n, ss in succs.items()},
-    )
     developed = RationalTerm(
-        out,
-        final(rt.point),
+        TermGraph.of(used, labels, succs),
+        resolved.get(rt.point, rt.point),
         rt.bottoms | frozenset(fresh_holes),
         rt.var_names,
     )
@@ -875,7 +880,6 @@ def infinite_parallel_reduce(
             developed, _ = develop_rational(
                 cut, [(nid, rs.rule) for nid in redex_nodes]
             )
-            developed = developed.trimmed()
             if samples:
                 prev = samples[-1]
                 if not rational_approx_leq(prev.approximant, cut):

@@ -23,6 +23,7 @@ guarantees that distinct redexes in one graph never interfere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .graphs import (
@@ -41,6 +42,7 @@ from .graphs import (
 )
 from .terms import (
     FiniteTerm,
+    Occurrence,
     Signature,
     Substitution,
     is_linear,
@@ -69,6 +71,16 @@ class RewriteRule:
     def of(name: str, lhs: FiniteTerm, rhs: FiniteTerm) -> "RewriteRule":
         """Convenience constructor for a finite right-hand side."""
         return RewriteRule(name, lhs, rational_of_term(rhs, prefix=f"{name}.r"))
+
+    @cached_property
+    def lhs_pattern(self) -> Tuple[Tuple[Occurrence, str, int], ...]:
+        """The left-hand side's non-variable positions in preorder, as
+        (occurrence, symbol, arity); what matching checks, computed once."""
+        return tuple(
+            (w, s.symbol, len(s.children))
+            for w, s in subterms(self.lhs)
+            if not s.is_var
+        )
 
     def is_collapsing(self) -> bool:
         return self.rhs.graph.is_empty_node(self.rhs.point)

@@ -132,6 +132,85 @@ def test_graph_errors(build, message):
     assert str(e.value) == message
 
 
+def ref_termgraph_of(nodes, labels, succs):
+    """The former `TermGraph.of`: a `node_key` sort, then one loop over the
+    entries that checks every label and every edge."""
+    node_t = tuple(sorted(set(nodes), key=node_key))
+    nodeset = set(node_t)
+    labels_d = dict(labels)
+    succs_d = {n: tuple(s) for n, s in succs.items()}
+    for n in labels_d:
+        if n not in nodeset:
+            raise ValueError(f"labelled node {n} not in node set")
+        succs_d.setdefault(n, ())
+    for n, ss in succs_d.items():
+        if n not in labels_d:
+            raise ValueError(f"successors on unlabelled node {n}")
+        for s in ss:
+            if s not in nodeset:
+                raise ValueError(f"dangling successor {s} at node {n}")
+    return TermGraph(node_t, labels_d, succs_d)
+
+
+def random_of_input(rng):
+    """Arguments for `TermGraph.of`: 1-30 nodes with ids of mixed lengths
+    and shapes, repeats in the node list, constants with and without a
+    successor entry, and none, one or several defects (a labelled non-node,
+    successors on an unlabelled node, a dangling successor) placed anywhere
+    in the dicts' key order."""
+    shapes = ["n{}", "a{}", "g#{}", "s@{}", "m@{}", "{}", "b#{}"]
+    size, ids = rng.randint(1, 30), set()
+    while len(ids) < size:
+        ids.add(rng.choice(shapes).format(rng.choice(["", "*", rng.randint(0, 120)])))
+    ids = sorted(ids)
+    rng.shuffle(ids)
+    strangers = ["s@*", "n10", "zz", "g#7", "q"]
+    strangers = [x for x in strangers if x not in ids]
+    labelled = [n for n in ids if rng.random() < 0.7]
+    labels = [(n, rng.choice("afgp")) for n in labelled]
+    succs = [
+        (n, [rng.choice(ids) for _ in range(rng.randint(0, 3))])
+        for n in labelled
+        if rng.random() < 0.85
+    ]
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+        kind, x = rng.randrange(3), rng.choice(strangers)
+        unlabelled = [n for n in ids if n not in labelled] + strangers
+        if kind == 0:
+            labels.insert(rng.randint(0, len(labels)), (x, "a"))
+        elif kind == 1:
+            succs.insert(rng.randint(0, len(succs)), (rng.choice(unlabelled), []))
+        elif succs:
+            n, ss = rng.choice(succs)
+            ss.insert(rng.randint(0, len(ss)), x)
+    rng.shuffle(succs)
+    nodes = ids + rng.sample(ids, rng.randint(0, len(ids)))
+    return nodes, dict(labels), dict(succs)
+
+
+def outcome(build, *args):
+    """The graph's fields with the dicts' key order, or the error message."""
+    try:
+        g = build(*args)
+    except ValueError as e:
+        return str(e)
+    return g.nodes, list(g.labels.items()), list(g.succs.items())
+
+
+def test_termgraph_of_matches_the_reference():
+    """Same node tuple, same dicts in the same key order, or the same first
+    error, on well-formed and defective inputs alike."""
+    rng = random.Random(11)
+    errors = set()
+    for _ in range(3000):
+        args = random_of_input(rng)
+        want = outcome(ref_termgraph_of, *args)
+        assert outcome(TermGraph.of, *args) == want
+        if isinstance(want, str):
+            errors.add(want.split()[0])
+    assert errors == {"labelled", "successors", "dangling"}
+
+
 def test_node_key_orders_by_length_then_lexicographically():
     assert sorted(["n10", "n2", "x"], key=node_key) == ["x", "n2", "n10"]
 

@@ -638,6 +638,101 @@ def test_cut_graphs_match_the_string_trie(monkeypatch):
                 assert cut.graph.walk(cut.point, w) == nid
 
 
+def ref_trie(batches):
+    """`child`, `size` and `end` of a trie that walks every occurrence from
+    the root."""
+    child, size, end = [{}], [1], []
+    for batch in batches:
+        for w in batch:
+            st = 0
+            for k in w:
+                if k not in child[st]:
+                    child[st][k] = len(child)
+                    child.append({})
+                st = child[st][k]
+            end.append(st)
+            size.append(len(child))
+    return child, size, end
+
+
+def doubling_batches(occs):
+    """The list cut where the oracle's doublings would cut it: 1, 2, 4, ..."""
+    cuts = [0] + [c for c in (2**k for k in range(16)) if c < len(occs)]
+    return [occs[a:b] for a, b in zip(cuts, cuts[1:] + [len(occs)])]
+
+
+def test_incremental_trie_matches_the_root_walk():
+    """A trie that walks on from the previous occurrence's state equals one
+    that walks each occurrence from the root, when built in the batches the
+    doublings add: on the suite's sets, the one-node I loop to 3,000
+    members, a 5-node f ring (each member extends the last by 5 letters)
+    and a shared binary ring (neighbours differ in their last letters)."""
+    f_ring = RationalRedexSet(
+        TermGraph.of(
+            [f"n{i}" for i in range(5)],
+            {f"n{i}": "f" for i in range(5)},
+            {f"n{i}": (f"n{(i + 1) % 5}",) for i in range(5)},
+        ),
+        "n0",
+        "n0",
+        R_F,
+    )
+    lists = [enumerate_occurrences(rs, count=200) for rs, _, _ in oracle_cases()]
+    lists += [
+        enumerate_occurrences(RationalRedexSet(I_LOOP.graph, "n", "n", R_I), count=3000),
+        enumerate_occurrences(f_ring, count=400),
+        enumerate_occurrences(shared_ring(5, "f", R_F), count=2000),
+    ]
+    assert [len(w) for w in lists[-3]] == list(range(3000))
+    for occs in lists:
+        batches = doubling_batches(occs)
+        trie = _PrefixTrie(batches[0])
+        for batch in batches[1:]:
+            trie.extend(batch)
+        assert (trie.child, trie.size, trie.end) == ref_trie(batches)
+
+
+def test_the_chain_checks_catch_a_skipped_target(monkeypatch):
+    """Developments are no longer trimmed, and the checks still see every
+    target.  Each sample's development is bisimilar to its trimmed copy.
+    With `develop_rational` skipping the last target of each cut, the
+    oracle refuses wherever the skip changes the last development to the
+    effective depth (its answer would be wrong), and the monotonicity check
+    catches most of the rest; the others are rules that leave the skipped
+    target's term as it was (`f(x) -> f(f(x))` on an f loop)."""
+    develop = parallel.develop_rational
+    errors = []
+    for rs, depth, budget in oracle_cases():
+        report = infinite_parallel_reduce(rs, depth, budget=budget)
+        d = min(report.effective_depth, 10)
+        for s in report.samples:
+            trimmed = s.developed.trimmed()
+            assert s.developed == trimmed
+            assert s.developed.unravel(d) == trimmed.unravel(d)
+        if not report.occurrences:
+            continue
+
+        def skip_last(rt, components, carrier=rs.carrier):
+            if rt.graph is not carrier:  # a cut, not the symbolic limit
+                components = components[:-1]
+            return develop(rt, components)
+
+        trie = _PrefixTrie(report.occurrences)
+        cut, nodes = _cut_graph(rs, trie, len(report.occurrences))
+        skipped, _ = develop(cut, [(n, rs.rule) for n in nodes[:-1]])
+        wrong = not truncated_equal(skipped, report.limit, report.effective_depth)
+        with monkeypatch.context() as mp:
+            mp.setattr(parallel, "develop_rational", skip_last)
+            try:
+                infinite_parallel_reduce(rs, depth, budget=budget)
+            except OracleError as e:  # ConvergenceError included
+                errors.append(type(e))
+            else:
+                assert not wrong
+    assert len(errors) >= 100
+    assert set(errors) == {OracleError, ConvergenceError}
+
+
 def test_prefix_check_matches_the_quadratic_one():
     """Caller-supplied enumerations: reordered, with a member dropped, with
     a repeat and with a non-member, accepted or refused with the same

@@ -491,6 +491,36 @@ def test_cli_exit_code_of_every_handler(
     assert run(capsys, "check", ws_file) == (code, "", message + "\n")
 
 
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (TypeError("unsupported operand"),
+         "error: internal: TypeError: unsupported operand"),
+        (AssertionError(), "error: internal: AssertionError"),
+        (ZeroDivisionError("two\nlines"),
+         "error: internal: ZeroDivisionError: two lines"),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else None,
+)
+def test_cli_reports_an_internal_error_in_one_line(
+    ws_file, capsys, monkeypatch, error, message
+):
+    def fail(path):
+        raise error
+
+    monkeypatch.setattr(cli, "_load", fail)
+    assert run(capsys, "check", ws_file) == (2, "", message + "\n")
+
+
+def test_cli_lets_an_interrupt_through(ws_file, monkeypatch):
+    def fail(path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_load", fail)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["check", ws_file])
+
+
 def test_cli_names_a_workspace_that_is_not_utf8(tmp_path, capsys):
     path = tmp_path / "latin1.tgr"
     path.write_bytes(("#" * 9999 + "\n# caf\u00e9\n").encode("latin-1"))
