@@ -484,16 +484,21 @@ def enumerate_occurrences(
 
 
 class _PrefixTrie:
-    """The prefix tree of an occurrence list, grown one occurrence at a time.
+    """The prefix tree of a list of members of a redex set, grown one
+    occurrence at a time.
 
     States are integers numbered in insertion order, state 0 being the empty
     occurrence, so the trie of the first i occurrences is exactly the states
     below `size[i]`: one trie serves every prefix of the list, and extending
-    the list extends it.  `end[j]` is the state of occurrence j.
+    the list extends it.  A state is numbered after its parent.  `end[j]` is
+    the state of occurrence j, and `at[k]` the carrier node that the path of
+    state k walks to from the set's start, found when the state is made.
     """
 
-    def __init__(self, occs: Sequence[Occurrence] = ()) -> None:
+    def __init__(self, rs: RationalRedexSet, occs: Sequence[Occurrence] = ()) -> None:
+        self.succs = rs.carrier.succs
         self.child: List[Dict[int, int]] = [{}]
+        self.at: List[NodeId] = [rs.start]
         self.size = [1]
         self.end: List[int] = []
         self.prev: Occurrence = ()  # the last occurrence added
@@ -504,7 +509,9 @@ class _PrefixTrie:
         before it (one C-level slice compare) walks on from that one's
         state, and any other from the root; so where each member extends
         the last (the one-node loop) each trie edge is walked once."""
-        child, end, prev = self.child, self.end, self.prev
+        child, at, succs, end, prev = (
+            self.child, self.at, self.succs, self.end, self.prev
+        )
         for w in occs:
             if w[:len(prev)] == prev:
                 st = end[-1] if end else 0
@@ -516,6 +523,7 @@ class _PrefixTrie:
                 if nxt is None:
                     nxt = child[st][k] = len(child)
                     child.append({})
+                    at.append(succs[at[st]][k - 1])
                 st = nxt
             end.append(st)
             self.size.append(len(child))
@@ -535,63 +543,82 @@ def _cut_graph(
     guarantee this), which also guarantees no cut ever lands strictly inside
     a kept redex's pattern.
 
-    Nodes are (carrier node m, trie state k) pairs named `m@k`, and `m@*`
-    past the trie.  Since a trie state *is* a path, the kept redex nodes are
-    unshared and in bijection with the kept occurrences: a trie state that
-    walks to the target is a member and, unless nothing is kept (the root is
-    in every trie), a prefix of a kept one, so it is kept itself.
-    Everything stays finite and exact — no depth truncation is involved —
-    and the cost is linear in the result.  Returns the term and the kept
-    redex nodes in enumeration order.
+    Past the trie, each carrier node m has one node `m@*`, a hole where m is
+    the target.  The trie states below `size[i]` are visited children first
+    (a child is numbered after its parent).  A labelled state k at carrier
+    node m becomes node `m@k`, unless a state visited before it has the same
+    carrier node and the same successor nodes: then it shares that state's
+    node, so the finite part is maximally shared.  A state at a variable or
+    a hole is the past node of its carrier node, which has the same content.
+    Sharing changes no unraveling.  A trie state that walks to the target
+    is a member and, unless nothing is kept (the root is in every trie), a
+    prefix of a kept one, so it is kept itself: a redex node stands for
+    kept occurrences only, and the occurrences that reach it from the point
+    are exactly the kept ones whose states it shares.  Everything stays
+    finite and exact — no depth truncation is involved — and the cost is
+    linear in the trie.  Returns the term and the distinct redex nodes in
+    the order of their first kept occurrence.
     """
     g = rs.carrier
-    ren = dict(rs.var_names)
-    child, limit = trie.child, trie.size[i]
-    no_kids: Dict[int, int] = {}
+    child, at, limit = trie.child, trie.at, trie.size[i]
+    target = rs.target
+    past: Dict[NodeId, NodeId] = {}  # carrier node -> its node past the trie
+    ids: List[NodeId] = [""] * limit  # each trie state's node
+    shared: Dict[Tuple[NodeId, Tuple[NodeId, ...]], NodeId] = {}
+    for st in range(limit - 1, -1, -1):
+        m = at[st]
+        row = g.succs.get(m)  # None at variables and holes (never labelled)
+        if row is None or not i and m == target:
+            ids[st] = past.setdefault(m, f"{m}@*")
+            continue
+        kids = child[st]
+        ss = []
+        k = 0
+        for s in row:
+            k += 1
+            c = kids.get(k, limit)
+            ss.append(ids[c] if c < limit else past.setdefault(s, f"{s}@*"))
+        key = (m, tuple(ss))
+        nid = shared.get(key)
+        if nid is None:
+            nid = shared[key] = f"{m}@{st}"
+        ids[st] = nid
 
-    nodes: List[NodeId] = []
     labels: Dict[NodeId, str] = {}
     succs: Dict[NodeId, Tuple[NodeId, ...]] = {}
+    for (m, ss), nid in shared.items():
+        labels[nid] = g.labels[m]
+        succs[nid] = ss
     bottoms: List[NodeId] = []
     names: List[Tuple[NodeId, str]] = []
-    past: Dict[NodeId, NodeId] = {}  # carrier node -> its node past the trie
-
-    point = f"{rs.start}@0"
-    todo: List[Tuple[NodeId, int, NodeId]] = [(rs.start, 0, point)]
-    while todo:  # each trie state is pushed once, by its parent
-        m, st, nid = todo.pop()
-        nodes.append(nid)
-        if (m == rs.target and (st < 0 or i == 0)) or m in rs.bottoms:
-            bottoms.append(nid)  # a hole, or a member not kept: cut
-            continue
+    ren = dict(rs.var_names)
+    todo = list(past)  # past nodes are filled in here, each once
+    while todo:
+        m = todo.pop()
+        nid = past[m]
         lbl = g.labels.get(m)
-        if lbl is None:
+        if m == target or m in rs.bottoms:
+            bottoms.append(nid)  # a hole, or a member not kept: cut
+        elif lbl is None:
             names.append((nid, ren.get(m, m)))  # variable keeps its name
-            continue
-        kids = child[st] if st >= 0 else no_kids
-        ss = []
-        for k, s in enumerate(g.succs[m], start=1):
-            c = kids.get(k, limit)
-            if c < limit:
-                cid = f"{s}@{c}"
-                todo.append((s, c, cid))
-            else:
-                cid = past.get(s)
-                if cid is None:
-                    cid = past[s] = f"{s}@*"
-                    todo.append((s, -1, cid))
-            ss.append(cid)
-        labels[nid] = lbl
-        succs[nid] = tuple(ss)
+        else:
+            ss = []
+            for s in g.succs[m]:
+                sid = past.get(s)
+                if sid is None:
+                    sid = past[s] = f"{s}@*"
+                    todo.append(s)
+                ss.append(sid)
+            labels[nid] = lbl
+            succs[nid] = tuple(ss)
 
     term = RationalTerm(
-        TermGraph.of(nodes, labels, succs),
-        point,
+        TermGraph.of([*shared.values(), *past.values()], labels, succs),
+        ids[0],
         frozenset(bottoms),
         tuple(sorted(names, key=lambda kv: node_key(kv[0]))),
     )
-    redex_nodes = [f"{rs.target}@{st}" for st in trie.end[:i]]
-    return term, redex_nodes
+    return term, list(dict.fromkeys([ids[st] for st in trie.end[:i]]))
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +637,10 @@ def develop_rational(
     bound variable; chains of redirections resolve to their endpoint, and a
     redirection cycle (a term collapsing into itself forever) resolves to a
     fresh hole.
+
+    A target is a node, not an occurrence: a shared target develops every
+    one of its occurrences at once.  (`_cut_graph` shares a redex node only
+    among kept occurrences, so on a cut this develops exactly the kept set.)
 
     Returns the developed term and the resolution map for redirected nodes.
     Orthogonality matters: targets must be distinct nodes, and no target may
@@ -789,7 +820,7 @@ def _prefix_respecting_trie(
     listed.
     """
     g = rs.carrier
-    trie = _PrefixTrie()
+    trie = _PrefixTrie(rs)
     listed = set()  # trie states of the occurrences checked so far
     for w in occs:
         if not rs.contains(w):
@@ -859,7 +890,7 @@ def infinite_parallel_reduce(
 
         eff_depth = _deepest(depth, lambda d: needed(d) <= budget)
         occs = enumerate_occurrences(rs, count=needed(eff_depth))
-        trie = _PrefixTrie(occs)
+        trie = _PrefixTrie(rs, occs)
         allow_doubling = True
 
     carrier_term = RationalTerm(rs.carrier, rs.start, rs.bottoms, rs.var_names)

@@ -1,5 +1,6 @@
 """Term-level reduction: single steps, developments, and the oracle."""
 
+import functools
 import random
 
 import pytest
@@ -9,7 +10,9 @@ from tgr.dpo import find_matches, induced_parallel_redex
 from tgr.graphs import (
     RationalTerm,
     TermGraph,
+    minimize,
     node_key,
+    occurrences_to,
     rational_approx_leq,
     rational_of_term,
     tree_match,
@@ -347,7 +350,7 @@ def test_enumerate_occurrences_needs_a_bound():
 
 def test_chain_terms_ascend_to_the_unraveling():
     rs = RationalRedexSet(F_LOOP.graph, "n", "n", R_F)
-    trie = _PrefixTrie(enumerate_occurrences(rs, count=3))
+    trie = _PrefixTrie(rs, enumerate_occurrences(rs, count=3))
     cuts = [_cut_graph(rs, trie, i)[0] for i in range(4)]
     assert cuts[0].unravel(8) == BOTTOM
     assert cuts[2].unravel(8) == t("f(f(_|_))")
@@ -592,19 +595,28 @@ def generated_sets(seeds=range(300)):
                 yield rs
 
 
+@functools.cache
 def oracle_cases():
-    """(redex set, depth, budget): the generated sets, and shared 4- and
-    5-node rings whose depth-32 requirement exceeds the budget."""
-    for rs in generated_sets():
-        yield rs, 6, 64
-    yield shared_ring(4, "f", R_F), 32, 2048
-    yield shared_ring(5, "I", R_I), 32, 2048
+    """(redex set, depth, budget), built once: the generated sets with a
+    member the start reaches, the first one without (a chain of one empty
+    cut), and shared 4- and 5-node rings whose depth-32 requirement exceeds
+    the budget."""
+    sets = list(generated_sets())
+    empty = [rs for rs in sets if not enumerate_occurrences(rs, count=1)]
+    cases = [(empty[0], 6, 64)]
+    cases += [(rs, 6, 64) for rs in sets if enumerate_occurrences(rs, count=1)]
+    cases += [
+        (shared_ring(4, "f", R_F), 32, 2048),
+        (shared_ring(5, "I", R_I), 32, 2048),
+    ]
+    return tuple(cases)
 
 
 def test_cut_graphs_match_the_string_trie(monkeypatch):
     """The oracle's report, every sampled approximant and its development
     agree with those of the oracle running on the old string-trie
-    construction, and every kept occurrence walks to its redex node."""
+    construction, which shares nothing; the redex nodes are distinct, and
+    the occurrences that reach them are exactly the kept ones."""
 
     def old_cut(rs, trie, i):
         return ref_cut_graph(rs, enumerate_occurrences(rs, count=i))
@@ -628,31 +640,58 @@ def test_cut_graphs_match_the_string_trie(monkeypatch):
         )
 
         occs = report.occurrences
-        trie = _PrefixTrie(occs)
+        trie = _PrefixTrie(rs, occs)
         for new, ref in zip(report.samples, old.samples):
             assert new.approximant == ref.approximant
             assert new.developed == ref.developed
             cut, nodes = _cut_graph(rs, trie, new.index)
-            assert len(set(nodes)) == len(nodes) == new.index
-            for w, nid in zip(occs, nodes):
-                assert cut.graph.walk(cut.point, w) == nid
+            kept = occs[: new.index]
+            # distinct, and in the order of the kept occurrences that walk
+            # to them
+            assert nodes == list(
+                dict.fromkeys(cut.graph.walk(cut.point, w) for w in kept)
+            )
+            # the paths to them are the kept occurrences, each once; finite,
+            # since the trie part is acyclic and nothing past it points back
+            paths = [
+                w for n in nodes for w in occurrences_to(cut.graph, cut.point, n)
+            ]
+            assert sorted(paths) == sorted(kept)
 
 
-def ref_trie(batches):
-    """`child`, `size` and `end` of a trie that walks every occurrence from
-    the root."""
-    child, size, end = [{}], [1], []
+def test_cut_graphs_share_their_finite_part():
+    """At 2,047 members the cuts of the shared rings, whose unshared trees
+    have 7,167 and 9,214 nodes, are as small as `minimize` makes them; on
+    the one-node I loop, where nothing repeats, each trie state keeps its
+    own node."""
+    for rs in (shared_ring(4, "f", R_F), shared_ring(5, "I", R_I)):
+        trie = _PrefixTrie(rs, enumerate_occurrences(rs, count=2047))
+        cut, nodes = _cut_graph(rs, trie, 2047)
+        assert len(cut.graph.nodes) <= 64 and len(nodes) <= 11
+        assert len(cut.graph.nodes) == len(minimize(cut.graph)[0].nodes)
+    loop = RationalRedexSet(I_LOOP.graph, "n", "n", R_I)
+    trie = _PrefixTrie(loop, enumerate_occurrences(loop, count=2047))
+    cut, nodes = _cut_graph(loop, trie, 2047)
+    assert len(cut.graph.nodes) == 2048 and len(nodes) == 2047
+
+
+def ref_trie(rs, batches):
+    """`child`, `at`, `size` and `end` of a trie that walks every occurrence
+    from the root, in the trie and in the carrier."""
+    child, at, size, end = [{}], [rs.start], [1], []
     for batch in batches:
         for w in batch:
-            st = 0
+            st, m = 0, rs.start
             for k in w:
+                m = rs.carrier.succs[m][k - 1]
                 if k not in child[st]:
                     child[st][k] = len(child)
                     child.append({})
+                    at.append(m)
                 st = child[st][k]
             end.append(st)
             size.append(len(child))
-    return child, size, end
+    return child, at, size, end
 
 
 def doubling_batches(occs):
@@ -662,8 +701,9 @@ def doubling_batches(occs):
 
 
 def test_incremental_trie_matches_the_root_walk():
-    """A trie that walks on from the previous occurrence's state equals one
-    that walks each occurrence from the root, when built in the batches the
+    """A trie that walks on from the previous occurrence's state, and finds
+    each new state's carrier node from its parent's, equals one that walks
+    each occurrence from the root, when built in the batches the
     doublings add: on the suite's sets, the one-node I loop to 3,000
     members, a 5-node f ring (each member extends the last by 5 letters)
     and a shared binary ring (neighbours differ in their last letters)."""
@@ -677,19 +717,23 @@ def test_incremental_trie_matches_the_root_walk():
         "n0",
         R_F,
     )
-    lists = [enumerate_occurrences(rs, count=200) for rs, _, _ in oracle_cases()]
-    lists += [
-        enumerate_occurrences(RationalRedexSet(I_LOOP.graph, "n", "n", R_I), count=3000),
-        enumerate_occurrences(f_ring, count=400),
-        enumerate_occurrences(shared_ring(5, "f", R_F), count=2000),
+    sets = [rs for rs, _, _ in oracle_cases()]
+    counts = [200] * len(sets)
+    sets += [
+        RationalRedexSet(I_LOOP.graph, "n", "n", R_I),
+        f_ring,
+        shared_ring(5, "f", R_F),
     ]
+    counts += [3000, 400, 2000]
+    lists = [enumerate_occurrences(rs, count=c) for rs, c in zip(sets, counts)]
     assert [len(w) for w in lists[-3]] == list(range(3000))
-    for occs in lists:
+    for rs, occs in zip(sets, lists):
         batches = doubling_batches(occs)
-        trie = _PrefixTrie(batches[0])
+        trie = _PrefixTrie(rs, batches[0])
         for batch in batches[1:]:
             trie.extend(batch)
-        assert (trie.child, trie.size, trie.end) == ref_trie(batches)
+        got = (trie.child, trie.at, trie.size, trie.end)
+        assert got == ref_trie(rs, batches)
 
 
 def test_the_chain_checks_catch_a_skipped_target(monkeypatch):
@@ -717,7 +761,7 @@ def test_the_chain_checks_catch_a_skipped_target(monkeypatch):
                 components = components[:-1]
             return develop(rt, components)
 
-        trie = _PrefixTrie(report.occurrences)
+        trie = _PrefixTrie(rs, report.occurrences)
         cut, nodes = _cut_graph(rs, trie, len(report.occurrences))
         skipped, _ = develop(cut, [(n, rs.rule) for n in nodes[:-1]])
         wrong = not truncated_equal(skipped, report.limit, report.effective_depth)
