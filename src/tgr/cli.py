@@ -274,9 +274,10 @@ def _cmd_redex_set(args) -> int:
     count = args.count if args.count is not None else 20
     occs = enumerate_occurrences(rs, count=count, maxlen=args.maxlen)
     shown = [occ_format(w) for w in occs]
+    finite = rs.is_finite()
     lines = [
         f"redex set of {args.rule} at {args.at} (from {rs.start})",
-        f"finite: {'yes' if rs.is_finite() else 'no'}",
+        f"finite: {'yes' if finite else 'no'}",
     ]
     if args.maxlen is not None:
         lines.append(
@@ -292,7 +293,7 @@ def _cmd_redex_set(args) -> int:
             "rule": args.rule,
             "at": args.at,
             "from": rs.start,
-            "finite": rs.is_finite(),
+            "finite": finite,
             "occurrences": shown,
         },
         lines,
@@ -311,7 +312,7 @@ def _cmd_oracle(args) -> int:
     limit = format_term(report.limit.unravel(eff))
     symbolic = format_term(report.symbolic_limit.unravel(args.depth))
     lines = [
-        f"occurrences kept: {len(report.occurrences)} "
+        f"occurrences kept: {report.occurrences} "
         f"(threshold length {report.threshold}, "
         f"effective depth {eff})",
         f"doublings: {report.doublings}",
@@ -333,7 +334,7 @@ def _cmd_oracle(args) -> int:
         {
             "rule": args.rule,
             "at": args.at,
-            "occurrences": len(report.occurrences),
+            "occurrences": report.occurrences,
             "threshold": report.threshold,
             "depth": report.depth,
             "effective_depth": report.effective_depth,

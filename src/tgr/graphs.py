@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import (
     Dict,
     FrozenSet,
@@ -250,23 +250,17 @@ def unravel(
     return done[0]
 
 
-def occurrences_to(
+def _path_cells(
     g: TermGraph, src: NodeId, dst: NodeId, maxlen: Optional[int] = None
-) -> Iterator[Occurrence]:
-    """Occurrences of the paths src -> dst in length-lex order, none longer
-    than maxlen if given.
-
-    Breadth first with children in index order, which is already length-lex.
-    Each level keeps only nodes that can still reach dst (one reverse search
-    up front), so without maxlen the generator ends exactly when the set of
-    paths is finite; callers bound it otherwise.
-    """
+) -> Iterator[list]:
+    """The paths src -> dst in length-lex order (breadth first, children in
+    index order), none longer than maxlen if given, each as its last cell
+    `[node, parent cell, index, slot]`; `PrefixTrie` fills the slot.  Only
+    nodes that can still reach dst are kept, so without maxlen the walk
+    ends exactly when the set of paths is finite."""
     if maxlen is not None and maxlen < 0:
         return
-    preds: Dict[NodeId, List[NodeId]] = {}
-    for n in g.reachable(src):
-        for s in g.successors(n):
-            preds.setdefault(s, []).append(n)
+    preds = predecessors(g)
     co = {dst}
     todo = [dst]
     while todo:
@@ -274,19 +268,69 @@ def occurrences_to(
             if p not in co:
                 co.add(p)
                 todo.append(p)
-    frontier: List[Tuple[NodeId, Occurrence]] = [(src, ())] if src in co else []
+    frontier = [[src, None, 0, 0]] if src in co else []
+    length = 0
     while frontier:
-        for node, occ in frontier:
-            if node == dst:
-                yield occ
-        if maxlen is not None and len(frontier[0][1]) >= maxlen:
+        for cell in frontier:
+            if cell[0] == dst:
+                yield cell
+        if maxlen is not None and length >= maxlen:
             return
+        length += 1
         frontier = [
-            (s, occ + (i,))
-            for node, occ in frontier
-            for i, s in enumerate(g.successors(node), start=1)
+            [s, cell, i, None]
+            for cell in frontier
+            for i, s in enumerate(g.successors(cell[0]), start=1)
             if s in co
         ]
+
+
+def occurrences_to(
+    g: TermGraph, src: NodeId, dst: NodeId, maxlen: Optional[int] = None
+) -> Iterator[Occurrence]:
+    """Occurrences of the paths src -> dst in length-lex order, none longer
+    than maxlen if given: the walk `_path_cells`, read back as tuples."""
+    for cell in _path_cells(g, src, dst, maxlen):
+        occ = []
+        while cell[1] is not None:
+            occ.append(cell[2])
+            cell = cell[1]
+        yield tuple(reversed(occ))
+
+
+class PrefixTrie:
+    """The prefix tree of the first paths src -> dst in length-lex order,
+    grown by continuing one walk.  States are numbered in insertion order,
+    each after its parent, from 0 at the empty path, so the first i members
+    span exactly the states below `size[i]`.  `child[k]` maps a successor
+    index to a state, `end[j]` is member j's state, and `at[k]` the node
+    that state k's path walks to."""
+
+    def __init__(self, g: TermGraph, src: NodeId, dst: NodeId) -> None:
+        self.child: List[Dict[int, int]] = [{}]
+        self.at: List[NodeId] = [src]
+        self.size = [1]
+        self.end: List[int] = []
+        self._cells = _path_cells(g, src, dst)
+
+    def grow(self, count: int) -> None:
+        """Take members from the walk until the trie holds `count` (or all,
+        if fewer).  Each climbs its cells to the first with a state and
+        numbers the rest top-down, so each trie edge is made once."""
+        child, at, size, end = self.child, self.at, self.size, self.end
+        for cell in islice(self._cells, count - len(end)):
+            new = []
+            while cell[3] is None:
+                new.append(cell)
+                cell = cell[1]
+            st = cell[3]
+            for cell in reversed(new):
+                cell[3] = child[st][cell[2]] = len(child)
+                st = cell[3]
+                child.append({})
+                at.append(cell[0])
+            end.append(st)
+            size.append(len(child))
 
 
 def count_paths(

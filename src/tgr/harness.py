@@ -149,7 +149,7 @@ def verify_soundness(
         report.limit,
         symbolic_ok,
         chain_ok,
-        len(report.occurrences),
+        report.occurrences,
     )
 
 
@@ -494,7 +494,7 @@ def _prop_enumerations(
     try:
         rep1 = infinite_parallel_reduce(rs, depth, budget=budget)
         alt = sorted(
-            rep1.occurrences,
+            enumerate_occurrences(rs, count=rep1.occurrences),
             key=lambda w: (len(w), tuple(-i for i in w)),
         )
         rep2 = infinite_parallel_reduce(rs, depth, occurrences=alt)

@@ -48,6 +48,7 @@ from typing import (
 
 from .graphs import (
     NodeId,
+    PrefixTrie,
     RationalTerm,
     TermGraph,
     count_paths,
@@ -483,59 +484,11 @@ def enumerate_occurrences(
 # Chain approximants, exactly
 
 
-class _PrefixTrie:
-    """The prefix tree of a list of members of a redex set, grown one
-    occurrence at a time.
-
-    States are integers numbered in insertion order, state 0 being the empty
-    occurrence, so the trie of the first i occurrences is exactly the states
-    below `size[i]`: one trie serves every prefix of the list, and extending
-    the list extends it.  A state is numbered after its parent.  `end[j]` is
-    the state of occurrence j, and `at[k]` the carrier node that the path of
-    state k walks to from the set's start, found when the state is made.
-    """
-
-    def __init__(self, rs: RationalRedexSet, occs: Sequence[Occurrence] = ()) -> None:
-        self.succs = rs.carrier.succs
-        self.child: List[Dict[int, int]] = [{}]
-        self.at: List[NodeId] = [rs.start]
-        self.size = [1]
-        self.end: List[int] = []
-        self.prev: Occurrence = ()  # the last occurrence added
-        self.extend(occs)
-
-    def extend(self, occs: Sequence[Occurrence]) -> None:
-        """Add the occurrences in order.  One that extends the occurrence
-        before it (one C-level slice compare) walks on from that one's
-        state, and any other from the root; so where each member extends
-        the last (the one-node loop) each trie edge is walked once."""
-        child, at, succs, end, prev = (
-            self.child, self.at, self.succs, self.end, self.prev
-        )
-        for w in occs:
-            if w[:len(prev)] == prev:
-                st = end[-1] if end else 0
-                rest = w[len(prev):]
-            else:
-                st, rest = 0, w
-            for k in rest:
-                nxt = child[st].get(k)
-                if nxt is None:
-                    nxt = child[st][k] = len(child)
-                    child.append({})
-                    at.append(succs[at[st]][k - 1])
-                st = nxt
-            end.append(st)
-            self.size.append(len(child))
-            prev = w
-        self.prev = prev
-
-
 def _cut_graph(
-    rs: RationalRedexSet, trie: _PrefixTrie, i: int
+    rs: RationalRedexSet, trie: PrefixTrie, i: int
 ) -> Tuple[RationalTerm, List[NodeId]]:
-    """The approximant that keeps the first i occurrences of the trie's list
-    and cuts the rest.
+    """The approximant that keeps the first i members of the trie and cuts
+    the rest.
 
     The term agrees with the full unraveling except that every set member
     *not* kept is replaced by a hole.  The kept occurrences must be downward
@@ -761,7 +714,7 @@ class OracleReport:
     depth: int
     effective_depth: int
     threshold: int
-    occurrences: List[Occurrence]
+    occurrences: int  # members kept in the last approximant
     samples: List[ChainSample]
     limit: RationalTerm  # development of the last approximant
     symbolic_limit: RationalTerm  # independently developed on the carrier
@@ -811,31 +764,35 @@ def _deepest(depth: int, holds: Callable[[int], bool]) -> int:
 
 def _prefix_respecting_trie(
     rs: RationalRedexSet, occs: Sequence[Occurrence]
-) -> _PrefixTrie:
+) -> PrefixTrie:
     """The trie of a caller-supplied enumeration, which must list members
     of the set only, each after every member that is a proper prefix of it.
 
-    One walk per occurrence, in the carrier and in the trie of the
-    occurrences before it, finds every member prefix and whether it was
-    listed.
+    One walk down the trie per occurrence, adding the states it lacks,
+    finds every member prefix and whether it was listed.
     """
-    g = rs.carrier
-    trie = _PrefixTrie(rs)
+    trie = PrefixTrie(rs.carrier, rs.start, rs.target)
+    child, at, succs = trie.child, trie.at, rs.carrier.succs
     listed = set()  # trie states of the occurrences checked so far
     for w in occs:
         if not rs.contains(w):
             raise ValueError(f"{occ_format(w)} is not in the redex set")
-        at, st = rs.start, 0
+        st = 0
         for i, k in enumerate(w):
-            if at == rs.target and st not in listed:
+            if at[st] == rs.target and st not in listed:
                 raise ValueError(
                     "enumeration is not prefix-respecting: "
                     f"{occ_format(w[:i])} missing before {occ_format(w)}"
                 )
-            at = g.succs[at][k - 1]
-            st = trie.child[st].get(k, -1) if st >= 0 else -1
-        trie.extend([w])
-        listed.add(trie.end[-1])
+            nxt = child[st].get(k)
+            if nxt is None:
+                nxt = child[st][k] = len(child)
+                child.append({})
+                at.append(succs[at[st]][k - 1])
+            st = nxt
+        trie.end.append(st)
+        trie.size.append(len(child))
+        listed.add(st)
     return trie
 
 
@@ -882,28 +839,27 @@ def infinite_parallel_reduce(
 
         # Trust only the depth whose required members are all present.
         eff_depth = _deepest(depth, complete_to)
-        allow_doubling = False
     else:
 
         def needed(d: int) -> int:
             return rs.count_below(threshold_length(rs.rule, d))
 
         eff_depth = _deepest(depth, lambda d: needed(d) <= budget)
-        occs = enumerate_occurrences(rs, count=needed(eff_depth))
-        trie = _PrefixTrie(rs, occs)
-        allow_doubling = True
+        trie = PrefixTrie(rs.carrier, rs.start, rs.target)
+        trie.grow(needed(eff_depth))
 
     carrier_term = RationalTerm(rs.carrier, rs.start, rs.bottoms, rs.var_names)
     symbolic, _ = develop_rational(carrier_term, [(rs.target, rs.rule)])
 
     doublings = 0
     while True:
+        kept = len(trie.end)
         if sample_at is not None:
             indices = sorted(
-                {min(max(i, 0), len(occs)) for i in sample_at} | {0, len(occs)}
+                {min(max(i, 0), kept) for i in sample_at} | {0, kept}
             )
         else:
-            indices = _sample_indices(len(occs))
+            indices = _sample_indices(kept)
         samples: List[ChainSample] = []
         monotone_ok = True
         for i in indices:
@@ -930,7 +886,7 @@ def infinite_parallel_reduce(
                 depth,
                 eff_depth,
                 threshold,
-                occs,
+                kept,
                 samples,
                 limit,
                 symbolic,
@@ -940,16 +896,14 @@ def infinite_parallel_reduce(
             )
         # The threshold says this cannot happen; before concluding a bug,
         # rule out an off-by-a-few by taking more of the enumeration.
-        if not allow_doubling or doublings >= 4:
+        if occurrences is not None or doublings >= 4:
             raise ConvergenceError(
                 f"chain limit disagrees with the symbolic limit at depth "
                 f"{eff_depth} after {doublings} extensions"
             )
         doublings += 1
-        more = enumerate_occurrences(rs, count=max(2 * len(occs), 8))
-        if len(more) == len(occs):  # the set was finite and fully developed
+        trie.grow(max(2 * kept, 8))
+        if len(trie.end) == kept:  # the set was finite and fully developed
             raise ConvergenceError(
                 "redex set exhausted but the developments still disagree"
             )
-        trie.extend(more[len(occs):])
-        occs = more

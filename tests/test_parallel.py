@@ -8,6 +8,7 @@ import pytest
 from tgr import parallel
 from tgr.dpo import find_matches, induced_parallel_redex
 from tgr.graphs import (
+    PrefixTrie,
     RationalTerm,
     TermGraph,
     minimize,
@@ -28,7 +29,6 @@ from tgr.parallel import (
     _cut_graph,
     _deepest,
     _prefix_respecting_trie,
-    _PrefixTrie,
     complete_development,
     develop_rational,
     enumerate_occurrences,
@@ -350,7 +350,7 @@ def test_enumerate_occurrences_needs_a_bound():
 
 def test_chain_terms_ascend_to_the_unraveling():
     rs = RationalRedexSet(F_LOOP.graph, "n", "n", R_F)
-    trie = _PrefixTrie(rs, enumerate_occurrences(rs, count=3))
+    trie = grown_trie(rs, 3)
     cuts = [_cut_graph(rs, trie, i)[0] for i in range(4)]
     assert cuts[0].unravel(8) == BOTTOM
     assert cuts[2].unravel(8) == t("f(f(_|_))")
@@ -441,7 +441,7 @@ def test_oracle_on_an_empty_set():
     )
     rs = RationalRedexSet(chain, "n1", "n2", R_F)
     report = infinite_parallel_reduce(rs, depth=4)
-    assert report.occurrences == []
+    assert report.occurrences == 0
     assert report.limit.unravel(4) == t("a")
 
 
@@ -449,7 +449,7 @@ def test_oracle_budget_lowers_effective_depth():
     rs = RationalRedexSet(F_LOOP.graph, "n", "n", R_F)
     report = infinite_parallel_reduce(rs, depth=16, budget=8)
     assert report.effective_depth == 4
-    assert len(report.occurrences) == 8
+    assert report.occurrences == 8
     assert truncated_equal(report.limit, G_LOOP, report.effective_depth)
 
 
@@ -458,7 +458,7 @@ def test_oracle_min_occurrences():
     rs = RationalRedexSet(F_LOOP.graph, "n", "n", R_F)
     occs = enumerate_occurrences(rs, count=40)
     report = infinite_parallel_reduce(rs, depth=2, occurrences=occs)
-    assert len(report.occurrences) == 40 and report.effective_depth == 2
+    assert report.occurrences == 40 and report.effective_depth == 2
 
 
 def test_oracle_supplied_enumeration():
@@ -474,7 +474,7 @@ def test_oracle_supplied_enumeration():
 def test_oracle_sample_selection():
     rs = RationalRedexSet(F_LOOP.graph, "n", "n", R_F)
     report = infinite_parallel_reduce(rs, depth=4, sample_at=[0, 2])
-    assert [s.index for s in report.samples] == [0, 2, len(report.occurrences)]
+    assert [s.index for s in report.samples] == [0, 2, report.occurrences]
     with pytest.raises(KeyError):
         report.sample(1)
 
@@ -639,8 +639,8 @@ def test_cut_graphs_match_the_string_trie(monkeypatch):
             old.limit == old.symbolic_limit
         )
 
-        occs = report.occurrences
-        trie = _PrefixTrie(rs, occs)
+        occs = enumerate_occurrences(rs, count=report.occurrences)
+        trie = grown_trie(rs, report.occurrences)
         for new, ref in zip(report.samples, old.samples):
             assert new.approximant == ref.approximant
             assert new.developed == ref.developed
@@ -665,13 +665,11 @@ def test_cut_graphs_share_their_finite_part():
     the one-node I loop, where nothing repeats, each trie state keeps its
     own node."""
     for rs in (shared_ring(4, "f", R_F), shared_ring(5, "I", R_I)):
-        trie = _PrefixTrie(rs, enumerate_occurrences(rs, count=2047))
-        cut, nodes = _cut_graph(rs, trie, 2047)
+        cut, nodes = _cut_graph(rs, grown_trie(rs, 2047), 2047)
         assert len(cut.graph.nodes) <= 64 and len(nodes) <= 11
         assert len(cut.graph.nodes) == len(minimize(cut.graph)[0].nodes)
     loop = RationalRedexSet(I_LOOP.graph, "n", "n", R_I)
-    trie = _PrefixTrie(loop, enumerate_occurrences(loop, count=2047))
-    cut, nodes = _cut_graph(loop, trie, 2047)
+    cut, nodes = _cut_graph(loop, grown_trie(loop, 2047), 2047)
     assert len(cut.graph.nodes) == 2048 and len(nodes) == 2047
 
 
@@ -694,6 +692,27 @@ def ref_trie(rs, batches):
     return child, at, size, end
 
 
+def grown_trie(rs, count):
+    """The oracle's trie of the set's first `count` members."""
+    trie = PrefixTrie(rs.carrier, rs.start, rs.target)
+    trie.grow(count)
+    return trie
+
+
+def trie_members(trie):
+    """The members of a trie, read back as occurrences through parent links
+    rebuilt from `child`."""
+    up = {c: (st, k) for st, kids in enumerate(trie.child) for k, c in kids.items()}
+    members = []
+    for st in trie.end:
+        w = []
+        while st:
+            st, k = up[st]
+            w.append(k)
+        members.append(tuple(reversed(w)))
+    return members
+
+
 def doubling_batches(occs):
     """The list cut where the oracle's doublings would cut it: 1, 2, 4, ..."""
     cuts = [0] + [c for c in (2**k for k in range(16)) if c < len(occs)]
@@ -701,12 +720,13 @@ def doubling_batches(occs):
 
 
 def test_incremental_trie_matches_the_root_walk():
-    """A trie that walks on from the previous occurrence's state, and finds
-    each new state's carrier node from its parent's, equals one that walks
-    each occurrence from the root, when built in the batches the
-    doublings add: on the suite's sets, the one-node I loop to 3,000
-    members, a 5-node f ring (each member extends the last by 5 letters)
-    and a shared binary ring (neighbours differ in their last letters)."""
+    """A trie grown from the breadth-first walk, which numbers each member's
+    new states top-down from the first prefix that has one, equals one that
+    walks each occurrence from the root, when grown in the batches the
+    doublings add, and its members read back are the enumeration: on the
+    suite's sets, the one-node I loop to 3,000 members, a 5-node f ring
+    (each member extends the last by 5 letters) and a shared binary ring
+    (neighbours differ in their last letters)."""
     f_ring = RationalRedexSet(
         TermGraph.of(
             [f"n{i}" for i in range(5)],
@@ -727,13 +747,17 @@ def test_incremental_trie_matches_the_root_walk():
     counts += [3000, 400, 2000]
     lists = [enumerate_occurrences(rs, count=c) for rs, c in zip(sets, counts)]
     assert [len(w) for w in lists[-3]] == list(range(3000))
-    for rs, occs in zip(sets, lists):
+    for rs, count, occs in zip(sets, counts, lists):
         batches = doubling_batches(occs)
-        trie = _PrefixTrie(rs, batches[0])
-        for batch in batches[1:]:
-            trie.extend(batch)
+        trie = PrefixTrie(rs.carrier, rs.start, rs.target)
+        grown = 0
+        for batch in batches:
+            grown += len(batch)
+            trie.grow(grown)
+        trie.grow(count)  # a finite set's walk has ended: nothing to add
         got = (trie.child, trie.at, trie.size, trie.end)
         assert got == ref_trie(rs, batches)
+        assert trie_members(trie) == occs
 
 
 def test_the_chain_checks_catch_a_skipped_target(monkeypatch):
@@ -761,8 +785,8 @@ def test_the_chain_checks_catch_a_skipped_target(monkeypatch):
                 components = components[:-1]
             return develop(rt, components)
 
-        trie = _PrefixTrie(rs, report.occurrences)
-        cut, nodes = _cut_graph(rs, trie, len(report.occurrences))
+        trie = grown_trie(rs, report.occurrences)
+        cut, nodes = _cut_graph(rs, trie, report.occurrences)
         skipped, _ = develop(cut, [(n, rs.rule) for n in nodes[:-1]])
         wrong = not truncated_equal(skipped, report.limit, report.effective_depth)
         with monkeypatch.context() as mp:
