@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .dot import export_dot
 from .dpo import Match, Stepper, derive_rational, find_matches, match_at
-from .graphs import RationalTerm, cycle_nodes, sorted_nodes
+from .graphs import RationalTerm, infinitely_reached, sorted_nodes
 from .harness import (
     check_cofinality_step,
     check_weak_normal_form_preservation,
@@ -89,7 +89,7 @@ def _track_lines(track: Dict[str, str]) -> List[str]:
 
 
 def _show_rhs(rhs: RationalTerm) -> str:
-    if cycle_nodes(rhs.graph, rhs.point):
+    if infinitely_reached(rhs.graph, rhs.point):
         return format_graph(rhs, name=None)
     return format_term(rhs.unravel(64))
 

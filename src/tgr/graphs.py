@@ -361,14 +361,26 @@ def predecessors(g: TermGraph) -> Dict[NodeId, Set[NodeId]]:
     return preds
 
 
-def cycle_nodes(g: TermGraph, start: NodeId) -> FrozenSet[NodeId]:
-    """The nodes reachable from start that lie on a cycle: those reachable
-    from one of their own successors."""
-    return frozenset(
-        n
-        for n in g.reachable(start)
-        if any(n in g.reachable(s) for s in g.successors(n))
-    )
+def infinitely_reached(g: TermGraph, start: NodeId) -> FrozenSet[NodeId]:
+    """The nodes on or below a cycle that start reaches: those infinitely
+    many paths from start reach.  One walk counts in-degrees over what start
+    reaches; Kahn's peel (CACM 1962) then strips those that drop to zero."""
+    indeg = {start: 0}
+    todo = [start]
+    while todo:
+        for s in g.successors(todo.pop()):
+            if s not in indeg:
+                todo.append(s)
+            indeg[s] = indeg.get(s, 0) + 1
+    todo = [n for n, d in indeg.items() if d == 0]
+    while todo:
+        n = todo.pop()
+        del indeg[n]
+        for s in g.successors(n):
+            indeg[s] -= 1
+            if not indeg[s]:
+                todo.append(s)
+    return frozenset(indeg)
 
 
 # ---------------------------------------------------------------------------
@@ -424,20 +436,15 @@ def check_morphism(
 
 
 def is_tree(g: TermGraph, root: NodeId) -> bool:
-    """Exactly one path from root to every node (and every node reached)."""
-    indeg: Dict[NodeId, int] = {n: 0 for n in g.nodes}
-    for n in g.labels:
-        for s in g.succs[n]:
-            indeg[s] += 1
-    if indeg[root] != 0:
-        return False
-    if any(indeg[n] > 1 for n in g.nodes):
-        return False
-    if g.reachable(root) != set(g.nodes):
-        return False
-    # in-degree <= 1 + reachability + finite rules out cycles except self-loops
-    # through root, which in-degree 0 already excludes.
-    return True
+    """Exactly one path from root to every node (and every node reached):
+    root has no predecessor, no node has two, and root reaches them all,
+    which rules out cycles."""
+    targets = list(chain.from_iterable(g.succs.values()))
+    return (
+        root not in targets
+        and len(set(targets)) == len(targets)
+        and g.reachable(root) == set(g.nodes)
+    )
 
 
 def tree_match(

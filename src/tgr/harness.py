@@ -615,7 +615,7 @@ def _prop_correspondence(
 
 def _substituted_graph(
     L: TermGraph, f: GraphMorphism, host: RationalTerm
-) -> Tuple[Dict[NodeId, RationalTerm], Dict[NodeId, NodeId]]:
+) -> Dict[NodeId, RationalTerm]:
     """Graph realization of a substitution: the labelled part of L with
     every variable node replaced by the morphism's target at its image.
     Unraveling the result *is* applying the induced substitution, computed
@@ -649,11 +649,9 @@ def _substituted_graph(
         for h in H.nodes
         if not H.is_labelled(h)
     )
-    terms = {
+    return {
         n: RationalTerm(glued, embed(n), bottoms, names) for n in L.nodes
     }
-    mapping = {n: embed(n) for n in L.nodes}
-    return terms, mapping
 
 
 def _prop_morphism_subst(
@@ -676,7 +674,7 @@ def _prop_morphism_subst(
             if mapping is None:
                 continue
             f = GraphMorphism(er.L, H, mapping)
-            substituted, _ = _substituted_graph(er.L, f, host)
+            substituted = _substituted_graph(er.L, f, host)
             for m in er.L.nodes:
                 if not er.L.is_labelled(m):
                     continue  # at a variable the square is definitional

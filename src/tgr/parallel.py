@@ -52,7 +52,7 @@ from .graphs import (
     RationalTerm,
     TermGraph,
     count_paths,
-    cycle_nodes,
+    infinitely_reached,
     node_key,
     occurrences_to,
     rational_approx_leq,
@@ -449,12 +449,8 @@ class RationalRedexSet:
         return self.carrier.walk(self.start, w) == self.target
 
     def is_finite(self) -> bool:
-        """Finite iff no cycle node that the start reaches co-reaches the
-        target."""
-        return not any(
-            self.target in self.carrier.reachable(n)
-            for n in cycle_nodes(self.carrier, self.start)
-        )
+        """Finite iff finitely many paths from the start reach the target."""
+        return self.target not in infinitely_reached(self.carrier, self.start)
 
     def count_below(self, strict_len_bound: int) -> int:
         """|{w in the set : |w| < bound}| (see `count_paths`)."""
@@ -878,7 +874,7 @@ def infinite_parallel_reduce(
             raise OracleError(
                 "approximating chain is not ascending; refusing the result"
             )
-        limit = samples[-1].developed if samples else carrier_term
+        limit = samples[-1].developed
         limit_agrees = truncated_equal(limit, symbolic, eff_depth)
         if limit_agrees:
             return OracleReport(

@@ -33,8 +33,8 @@ from .graphs import (
     TermGraph,
     check_morphism,
     check_wellformed,
-    cycle_nodes,
     graph_of_terms,
+    infinitely_reached,
     is_tree,
     node_key,
     rational_of_term,
@@ -243,8 +243,7 @@ def is_infinite_copying(rule: RewriteRule) -> bool:
     g = rule.rhs.graph
     return any(
         g.is_empty_node(m) and m not in rule.rhs.bottoms
-        for n in cycle_nodes(g, rule.rhs.point)
-        for m in g.reachable(n)
+        for m in infinitely_reached(g, rule.rhs.point)
     )
 
 

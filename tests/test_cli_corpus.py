@@ -80,6 +80,12 @@ _COPY = [
     ["verify-nf", "--graph", "Host"],
 ]
 
+_BESIDE = [
+    ["check"],
+    ["redex-set", "--graph", "Host", "--rule", "Rside", "--at", "m"],
+    ["verify-soundness", "--graph", "Host"],
+]
+
 
 def _with_file(cmd, path):
     return [cmd[0], path] + cmd[1:]
@@ -112,6 +118,9 @@ def argvs():
         ["dot", "work.tgr", "--graph", "Loop", "--rule", "Rf"],
         ["dot", "work.tgr", "--graph", "Loop", "--json"],
     ]
+    for argv in [_with_file(c, "beside.tgr") for c in _BESIDE]:
+        out.append(argv)
+        out.append(argv + ["--json"])
     return out
 
 

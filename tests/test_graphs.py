@@ -15,10 +15,10 @@ from tgr.graphs import (
     bisim_equal,
     check_wellformed,
     count_paths,
-    cycle_nodes,
     find_tree_morphisms,
     graph_of_terms,
     induced_substitution,
+    infinitely_reached,
     is_tree,
     minimize,
     morphism_errors,
@@ -291,12 +291,13 @@ def test_occurrences_to_against_brute_force():
             assert got == want
 
 
-def test_cycle_nodes_against_closed_paths():
+def test_infinitely_reached_against_closed_paths():
     for host in kernel_hosts():
         g = host.graph
         home = {n for n in g.nodes if returns_home(g, n)}
         for start in g.nodes:
-            assert cycle_nodes(g, start) == home & g.reachable(start)
+            below = {m for n in home & g.reachable(start) for m in g.reachable(n)}
+            assert infinitely_reached(g, start) == below
 
 
 def test_count_paths_against_enumeration():

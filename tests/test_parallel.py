@@ -288,6 +288,13 @@ def test_redex_set_finite_and_empty():
     assert enumerate_occurrences(garbage, maxlen=10) == []
 
 
+def test_is_finite_on_a_20000_node_ring():
+    ids = [f"n{i}" for i in range(20000)]
+    succs = {n: (m,) for n, m in zip(ids, ids[1:] + ids[:1])}
+    ring = TermGraph.of(ids, dict.fromkeys(ids, "f"), succs)
+    assert not RationalRedexSet(ring, "n0", "n12345", R_F).is_finite()
+
+
 def test_redex_set_requires_a_match():
     with pytest.raises(ValueError, match="does not match"):
         RationalRedexSet(F_LOOP.graph, "n", "n", R_I)

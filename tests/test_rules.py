@@ -97,6 +97,23 @@ def test_cyclic_rhs_rules_are_representable():
     assert is_infinite_copying(r)  # x sits on the cycle's fringe
 
 
+def test_infinite_copying_is_a_variable_below_a_cycle():
+    beside = TermGraph.of(
+        ["r", "x", "c"], {"r": "p", "c": "g"}, {"r": ("x", "c"), "c": ("c",)}
+    )
+    r = RewriteRule("Rside", t("f(x)"), RationalTerm(beside, "r"))
+    check_rule(r, SIG)
+    assert not is_infinite_copying(r)  # x sits beside the cycle
+    below = TermGraph.of(
+        ["r", "d", "e", "x"],
+        {"r": "cons", "d": "f", "e": "g"},
+        {"r": ("d", "r"), "d": ("e",), "e": ("x",)},
+    )
+    r = RewriteRule("Rdeep", t("f(x)"), RationalTerm(below, "r"))
+    check_rule(r, SIG)
+    assert is_infinite_copying(r)  # x hangs two nodes below the cycle
+
+
 def test_finite_rhs_never_infinite_copying():
     assert not any(is_infinite_copying(r) for r in (R_F, R_CDR, R_I))
 
