@@ -445,7 +445,7 @@ def _cmd_verify_cofinality(args) -> int:
 
 def _cmd_suite(args) -> int:
     props = None
-    if args.properties:
+    if args.properties is not None:
         props = [p for p in args.properties.split(",") if p]
     report = run_property_suite(
         seed=args.seed,

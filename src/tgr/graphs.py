@@ -216,38 +216,50 @@ def unravel(
 
     Occurrences of length < depth are kept.  Empty nodes become variables
     named by node id (through var_names if given); bottom-tagged nodes become
-    the undefined term.  The result is a tree, so this is only meant for
-    modest depths — deeper comparisons should use `truncated_equal`.
+    the undefined term.
 
-    Nodes are counted against `max_size` in preorder; an explicit stack
-    holds the nodes to expand and, below each operator's children, the
-    operator to build once they are done, so deep terms need no recursion.
+    The result shares its subterms: there is one `FiniteTerm` per node and
+    remaining depth, so the work and the memory are at most nodes x
+    (depth + 1) although the tree may be exponentially larger.  Terms are
+    immutable, so the sharing cannot be observed except through `is`.
+    `max_size` still bounds the tree: it raises ValueError exactly when the
+    tree has more than `max_size` nodes, holes not counted.
+
+    A forward pass collects the nodes at each distance k < depth from n,
+    holes left out; a backward pass builds distance k's terms from
+    distance k + 1's, so no recursion is needed.
     """
-    budget = max_size
-    done: List[FiniteTerm] = []  # finished subterms, left to right
-    # (False, node, depth) expands a node; (True, label, arity) builds an op
-    todo: List[Tuple[bool, str, int]] = [(False, n, depth)]
-    while todo:
-        build, m, d = todo.pop()
-        if build:
-            kids = done[len(done) - d:]
-            del done[len(done) - d:]
-            done.append(op(m, kids))
-            continue
-        if d <= 0 or m in bottoms:
-            done.append(BOTTOM)
-            continue
-        budget -= 1
-        if budget < 0:
-            raise ValueError("unraveling exceeds size budget; lower the depth")
-        lbl = g.labels.get(m)
-        if lbl is None:
-            done.append(var(var_names.get(m, m) if var_names else m))
-            continue
-        ss = g.succs[m]
-        todo.append((True, lbl, len(ss)))
-        todo.extend((False, s, d - 1) for s in reversed(ss))
-    return done[0]
+    if depth <= 0 or n in bottoms:
+        return BOTTOM
+    too_big = "unraveling exceeds size budget; lower the depth"
+    labels, succs = g.labels, g.succs
+    layers: List[Set[NodeId]] = []
+    layer = {n}
+    pairs = 0  # each (node, distance) pair stands for at least one tree node
+    while layer and len(layers) < depth:
+        pairs += len(layer)
+        if pairs > max_size:
+            raise ValueError(too_big)
+        layers.append(layer)
+        layer = {s for m in layer if m in labels for s in succs[m]} - bottoms
+    # term and tree size of every node at the distance below; a successor
+    # missing there is a hole (bottom-tagged, or at the depth bound)
+    below: Dict[NodeId, Tuple[FiniteTerm, int]] = {}
+    hole = (BOTTOM, 0)
+    for layer in reversed(layers):
+        here: Dict[NodeId, Tuple[FiniteTerm, int]] = {}
+        for m in layer:
+            lbl = labels.get(m)
+            if lbl is None:
+                here[m] = (var(var_names.get(m, m) if var_names else m), 1)
+                continue
+            kids = [below.get(s, hole) for s in succs[m]]
+            size = 1 + sum(k[1] for k in kids)
+            if size > max_size:
+                raise ValueError(too_big)
+            here[m] = (op(lbl, [k[0] for k in kids]), size)
+        below = here
+    return below[n][0]
 
 
 def _path_cells(

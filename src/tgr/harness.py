@@ -66,13 +66,14 @@ from .rules import (
     RewriteRule,
     check_rule,
     graph_trs,
-    orthogonality_conflicts,
+    overlaps,
     unravel_rule,
 )
 from .terms import (
     FiniteTerm,
     Signature,
     format_term,
+    is_linear,
     occ_format,
     occ_sort_key,
     op,
@@ -365,16 +366,31 @@ def gen_term(
     variables: Sequence[str],
     depth: int,
 ) -> FiniteTerm:
+    """A random term over `sig` and `variables`, its leaves at most `depth`
+    levels below the root.  Each node draws in preorder: `random()` for a
+    variable (when there are any), then one `choice`; at the last level only
+    variables and constants are drawn."""
     pairs = list(sig.as_dict().items())
     constants = [n for n, k in pairs if k == 0]
-    if depth <= 0:
-        if variables and rng.random() < 0.6:
-            return var(rng.choice(list(variables)))
-        return op(rng.choice(constants))
-    if variables and rng.random() < 0.25:
-        return var(rng.choice(list(variables)))
-    name, k = rng.choice(pairs)
-    return op(name, [gen_term(rng, sig, variables, depth - 1) for _ in range(k)])
+    names = list(variables)
+    done: List[FiniteTerm] = []  # finished subterms, left to right
+    # (d, None) draws a node with d levels left; (k, name) builds an
+    # operator from the last k finished subterms
+    todo: List[Tuple[int, Optional[str]]] = [(depth, None)]
+    while todo:
+        d, name = todo.pop()
+        if name is not None:
+            at = len(done) - d
+            done[at:] = [op(name, done[at:])]
+        elif names and rng.random() < (0.6 if d <= 0 else 0.25):
+            done.append(var(rng.choice(names)))
+        elif d <= 0:
+            done.append(op(rng.choice(constants)))
+        else:
+            name, k = rng.choice(pairs)
+            todo.append((k, name))
+            todo.extend([(d - 1, None)] * k)
+    return done[0]
 
 
 def _gen_lhs(rng: random.Random, sig: Signature) -> FiniteTerm:
@@ -392,10 +408,22 @@ def _gen_lhs(rng: random.Random, sig: Signature) -> FiniteTerm:
     return op(name, args)
 
 
+def _overlaps_any(lhs: FiniteTerm, accepted: Sequence[RewriteRule]) -> bool:
+    """Does `lhs` overlap itself below the root, or overlap an accepted
+    left-hand side in either direction?"""
+    pairs = [(lhs, lhs, True)]
+    for r in accepted:
+        pairs += [(lhs, r.lhs, False), (r.lhs, lhs, False)]
+    # the root occurrence is (), which is falsy: test for any position at all
+    return any(next(overlaps(*p), None) is not None for p in pairs)
+
+
 def gen_rules(rng: random.Random, sig: Signature) -> TRS:
-    """One to three rules, by generate-and-filter: candidates enter only if
-    the system with them is still orthogonal, so the result is orthogonal by
-    construction."""
+    """One to three rules, by generate-and-filter.  A candidate enters only
+    if its left-hand side is linear and overlaps neither itself nor an
+    accepted rule in either direction.  The accepted rules are orthogonal by
+    induction, so this is the whole-system check, and the result is
+    orthogonal by construction."""
     want = rng.randint(1, 3)
     rules: List[RewriteRule] = []
     for attempt in range(30):
@@ -408,13 +436,13 @@ def gen_rules(rng: random.Random, sig: Signature) -> TRS:
             rhs: FiniteTerm = var(rng.choice(lhs_vars))
         else:
             rhs = gen_term(rng, sig, lhs_vars, rng.randint(1, 2))
+        # every draw is made; the cheap test runs before any graph is built
+        if not is_linear(lhs) or _overlaps_any(lhs, rules):
+            continue
         candidate = RewriteRule.of(name, lhs, rhs)
         try:
             check_rule(candidate, sig)
         except ValueError:
-            continue
-        tentative = TRS(sig, tuple(rules + [candidate]))
-        if orthogonality_conflicts(tentative):
             continue
         rules.append(candidate)
     if not rules:
@@ -830,13 +858,20 @@ def run_property_suite(
 
     Each property sees `cases` independently generated workspaces.  Failures
     are shrunk greedily and reported with the shrunken workspace inline; a
-    property stops after three failures.
+    property stops after three failures.  `properties` None means all of
+    them; an empty selection, an unknown name or a name given twice raises
+    ValueError before anything runs.
     """
-    names = list(properties) if properties else list(PROPERTIES)
-    outcomes = []
-    for name in names:
+    names = list(PROPERTIES) if properties is None else list(properties)
+    if not names:
+        raise ValueError("no property selected")
+    for i, name in enumerate(names):
         if name not in PROPERTIES:
             raise ValueError(f"unknown property {name!r}")
+        if name in names[:i]:
+            raise ValueError(f"property {name!r} selected twice")
+    outcomes = []
+    for name in names:
         prop = PROPERTIES[name]
         failures: List[str] = []
         started = time.monotonic()

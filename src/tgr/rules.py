@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .graphs import (
     GraphMorphism,
@@ -203,6 +203,30 @@ def _primed(t: FiniteTerm) -> FiniteTerm:
     return rebuild(t, lambda s, _: var(f"{s.symbol}'") if s.is_var else None)
 
 
+def overlaps(l1: FiniteTerm, l2: FiniteTerm, same: bool) -> Iterator[Occurrence]:
+    """The operator positions of `l1` where `l2`, renamed apart, unifies
+    with the subterm there, in length-lex order; the root is skipped when
+    `same` (a left-hand side always overlaps itself there).
+
+    Unification needs equal symbols at the top, so a position whose symbol
+    differs from an operator-rooted `l2`'s is skipped without renaming.
+    """
+    head = None if l2.is_var else l2.symbol
+    candidates = sorted(
+        (
+            (w, s)
+            for w, s in subterms(l1)
+            if s.is_op and (head is None or s.symbol == head) and (w or not same)
+        ),
+        key=lambda ws: occ_sort_key(ws[0]),
+    )
+    if candidates:
+        fresh = _primed(l2)
+    for w, s in candidates:
+        if unify(s, fresh) is not None:
+            yield w
+
+
 def orthogonality_conflicts(trs: TRS) -> List[str]:
     """Human-readable reasons the system fails to be orthogonal."""
     conflicts = [
@@ -210,27 +234,14 @@ def orthogonality_conflicts(trs: TRS) -> List[str]:
         for r in trs.rules
         if not is_linear(r.lhs)
     ]
-    # each left-hand side renamed apart, and its operator positions in
-    # length-lex order with the subterms there
-    fresh_lhs = [_primed(r.lhs) for r in trs.rules]
-    inner = [
-        sorted(
-            ((w, s) for w, s in subterms(r.lhs) if s.is_op),
-            key=lambda ws: occ_sort_key(ws[0]),
-        )
-        for r in trs.rules
-    ]
-    for r1, positions in zip(trs.rules, inner):
-        for r2, fresh in zip(trs.rules, fresh_lhs):
-            for w, s in positions:
-                if r1.name == r2.name and not w:
-                    continue
-                if unify(s, fresh) is not None:
-                    at = "the root" if not w else f"position {w}"
-                    conflicts.append(
-                        f"rules {r1.name} and {r2.name} overlap at {at} of "
-                        f"{r1.name}'s left-hand side"
-                    )
+    for r1 in trs.rules:
+        for r2 in trs.rules:
+            for w in overlaps(r1.lhs, r2.lhs, r1.name == r2.name):
+                at = "the root" if not w else f"position {w}"
+                conflicts.append(
+                    f"rules {r1.name} and {r2.name} overlap at {at} of "
+                    f"{r1.name}'s left-hand side"
+                )
     return conflicts
 
 

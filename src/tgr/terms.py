@@ -11,13 +11,14 @@ Variables are leaves.  Whether an identifier is an operator or a variable is
 decided by the signature: declared names are operators with a fixed arity,
 undeclared names are variables.
 
-The in-memory representation is a small immutable tree.  `subterms` is the
-one walk over it: a preorder stream of (occurrence, subterm) pairs, kept on
-an explicit stack.  Whatever reads a term reads that stream, `rebuild` builds
-one term from another, and the printer and the parser keep explicit stacks
-of their own, so no term is too deep to handle.  The approximation order and
-the limits of ascending chains live on rational terms:
-`graphs.rational_approx_leq` and the oracle in `parallel`.
+The in-memory representation is a small immutable tree, whose subterms
+may be shared objects.  `subterms` is the one walk over it: a preorder
+stream of (occurrence, subterm) pairs, kept on an explicit stack.  Whatever
+reads a term reads that stream, `rebuild` builds one term from another, and
+`==`, the printer and the parser keep explicit stacks of their own, so no
+term is too deep to handle.  The approximation order and the limits of
+ascending chains live on rational terms: `graphs.rational_approx_leq` and
+the oracle in `parallel`.
 """
 
 from __future__ import annotations
@@ -109,9 +110,13 @@ class FiniteTerm:
     operator name with exactly arity-many children (bottom children are the
     holes of a partial term).
 
-    Equality is structural: the preorder streams of (symbol, is_var, arity)
-    of two terms determine their trees, so comparing the streams node by
-    node decides it without recursion.  Terms are unhashable.
+    Equality is structural, decided by a walk over pairs of subterms at the
+    same occurrence on an explicit stack: a pair agrees on symbol, is_var
+    and arity, and its children pair up left to right.  Terms may share
+    subterms (`graphs.unravel` builds them so), and since they are acyclic a
+    pair of identical objects, or of objects already compared, needs no
+    second look; the walk costs the distinct pairs, not the tree size.
+    Terms are unhashable.
     """
 
     symbol: Optional[str]
@@ -135,12 +140,21 @@ class FiniteTerm:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteTerm):
             return NotImplemented
-        return self is other or all(
-            a.symbol == b.symbol
-            and a.is_var == b.is_var
-            and len(a.children) == len(b.children)
-            for (_, a), (_, b) in zip(subterms(self), subterms(other))
-        )
+        seen = set()  # ids of the pairs compared; both terms keep them alive
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if (
+                a.symbol != b.symbol
+                or a.is_var != b.is_var
+                or len(a.children) != len(b.children)
+            ):
+                return False
+            todo.extend(zip(a.children, b.children))
+        return True
 
     __hash__ = None  # type: ignore[assignment]
 

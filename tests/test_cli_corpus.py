@@ -118,7 +118,10 @@ def argvs():
         ["dot", "work.tgr", "--graph", "Loop", "--rule", "Rf"],
         ["dot", "work.tgr", "--graph", "Loop", "--json"],
     ]
-    for argv in [_with_file(c, "beside.tgr") for c in _BESIDE]:
+    for argv in [_with_file(c, "beside.tgr") for c in _BESIDE] + [
+        ["suite", "--cases", "1", "--properties", "soundness,soundness"],
+        ["suite", "--cases", "1", "--properties", ","],
+    ]:
         out.append(argv)
         out.append(argv + ["--json"])
     return out

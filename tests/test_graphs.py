@@ -898,6 +898,34 @@ def test_unravel_matches_the_recursive_reference():
                 assert isinstance(outcomes[0], str) == (max_size < size)
 
 
+def distinct_objects(term):
+    seen, todo = {}, [term]
+    while todo:
+        s = todo.pop()
+        if id(s) not in seen:
+            seen[id(s)] = s
+            todo.extend(s.children)
+    return len(seen)
+
+
+def test_unravel_shares_one_subterm_per_node_and_depth():
+    # n = p(n, n): the unraveling to depth 18 is a tree of 2^18 - 1 operators
+    g = g_of(["n"], {"n": "p"}, {"n": ("n", "n")})
+    depth = 18
+    term = unravel(g, "n", depth)
+    assert distinct_objects(term) <= len(g.nodes) * (depth + 1)
+    assert term == ref_unravel(g, "n", depth)
+    size = 2**depth - 1
+    assert unravel(g, "n", depth, max_size=size) == term
+    with pytest.raises(ValueError, match="size budget"):
+        unravel(g, "n", depth, max_size=size - 1)
+    for host in kernel_hosts():
+        g = host.graph
+        for n in g.nodes:
+            term = unravel(g, n, 12, host.bottoms)
+            assert distinct_objects(term) <= len(g.nodes) * 13
+
+
 def test_unravel_a_5000_node_ring_to_depth_5000():
     g = ring(5000)
     term = unravel(g, "r0", 5000)

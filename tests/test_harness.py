@@ -14,6 +14,9 @@ import tgr.parallel
 from tgr.dpo import find_matches
 from tgr.graphs import RationalTerm, TermGraph
 from tgr.harness import (
+    PROPERTIES,
+    RandomCase,
+    _gen_lhs,
     check_cofinality_step,
     check_weak_normal_form_preservation,
     gen_case,
@@ -26,8 +29,14 @@ from tgr.harness import (
     verify_soundness,
 )
 from tgr.parallel import RationalRedexSet, infinite_parallel_reduce, threshold_length
-from tgr.rules import TRS, RewriteRule, graph_trs, orthogonality_conflicts
-from tgr.terms import Signature, parse_term
+from tgr.rules import (
+    TRS,
+    RewriteRule,
+    check_rule,
+    graph_trs,
+    orthogonality_conflicts,
+)
+from tgr.terms import Signature, op, parse_term, subterms, var
 
 SIG = Signature.of({"a": 0, "f": 1, "g": 1, "cdr": 1, "cons": 2})
 
@@ -146,6 +155,62 @@ def test_generated_rules_are_orthogonal():
         assert orthogonality_conflicts(trs) == []
 
 
+def ref_gen_term(rng, sig, variables, depth):
+    """The recursive generator the explicit stack replaced."""
+    pairs = list(sig.as_dict().items())
+    constants = [n for n, k in pairs if k == 0]
+    if depth <= 0:
+        if variables and rng.random() < 0.6:
+            return var(rng.choice(list(variables)))
+        return op(rng.choice(constants))
+    if variables and rng.random() < 0.25:
+        return var(rng.choice(list(variables)))
+    name, k = rng.choice(pairs)
+    return op(name, [ref_gen_term(rng, sig, variables, depth - 1) for _ in range(k)])
+
+
+def ref_gen_case(rng):
+    """`gen_case` with every candidate rule built, checked and filtered by
+    the whole-system `orthogonality_conflicts`, as before the pairwise test."""
+    sig = gen_signature(rng)
+    want = rng.randint(1, 3)
+    rules = []
+    for _ in range(30):
+        if len(rules) >= want:
+            break
+        lhs = _gen_lhs(rng, sig)
+        lhs_vars = [s.symbol for _, s in subterms(lhs) if s.is_var]
+        if lhs_vars and rng.random() < 0.15:
+            rhs = var(rng.choice(lhs_vars))
+        else:
+            rhs = ref_gen_term(rng, sig, lhs_vars, rng.randint(1, 2))
+        candidate = RewriteRule.of(f"R{len(rules) + 1}", lhs, rhs)
+        try:
+            check_rule(candidate, sig)
+        except ValueError:
+            continue
+        if orthogonality_conflicts(TRS(sig, tuple(rules + [candidate]))):
+            continue
+        rules.append(candidate)
+    if not rules:
+        name, k = next((n, k) for n, k in sig.as_dict().items() if k > 0)
+        rules = [RewriteRule.of("R1", op(name, [var("x")] * k), var("x"))]
+    return RandomCase(sig, TRS(sig, tuple(rules)), gen_graph(rng, sig))
+
+
+def test_gen_case_matches_the_whole_system_reference():
+    for k in range(128):  # the suite seeds of the bench window
+        for prop in PROPERTIES:
+            seed = f"{k}:{prop}:0"
+            got = gen_case(random.Random(seed))
+            want = ref_gen_case(random.Random(seed))
+            assert got.describe() == want.describe(), seed
+            assert got.sig == want.sig, seed
+            assert (got.host.graph, got.host.point, got.host.bottoms) == (
+                want.host.graph, want.host.point, want.host.bottoms
+            ), seed
+
+
 def test_generated_graphs_are_wellformed_and_pointed():
     from tgr.graphs import check_wellformed
 
@@ -193,6 +258,20 @@ def test_suite_runs_clean():
 def test_suite_rejects_unknown_property():
     with pytest.raises(ValueError, match="unknown property"):
         run_property_suite(cases=1, properties=["soundness", "zzz"])
+
+
+@pytest.mark.parametrize(
+    "selection, message",
+    [([], "no property selected"), (["soundness", "soundness"], "selected twice")],
+)
+def test_suite_rejects_empty_and_repeated_selections(selection, message):
+    with pytest.raises(ValueError, match=message):
+        run_property_suite(cases=1, properties=selection)
+
+
+def test_suite_without_a_selection_runs_every_property():
+    rep = run_property_suite(cases=0, properties=None)
+    assert [o.name for o in rep.outcomes] == list(PROPERTIES)
 
 
 # ---------------------------------------------------------------------------

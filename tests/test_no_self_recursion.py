@@ -1,17 +1,13 @@
 """No function in `src/tgr` calls itself, so no call stack grows with the
 data: a bare-name call inside a function of that name, or `self.<name>(...)`
-inside a method of that name, is self-recursion.  The one allowed entry
-recurses on an argument bounded by a constant."""
+inside a method of that name, is self-recursion.  None is allowed."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tgr"
 
-ALLOWED = {
-    # depth is the generator's own argument, at most 2 (rng.randint(1, 2))
-    ("harness.py", "gen_term"),
-}
+ALLOWED: set = set()
 
 
 def _calls_itself(fn: ast.FunctionDef, is_method: bool) -> bool:

@@ -1,5 +1,7 @@
 """Rewrite rules in both formats, orthogonality, and the translations."""
 
+import random
+
 import pytest
 
 from tgr.graphs import RationalTerm, TermGraph, bisim_equal, rational_of_term
@@ -13,10 +15,11 @@ from tgr.rules import (
     graph_trs,
     is_infinite_copying,
     orthogonality_conflicts,
+    overlaps,
     unify,
     unravel_rule,
 )
-from tgr.terms import Signature, parse_term, var
+from tgr.terms import Signature, occ_sort_key, op, parse_term, rebuild, subterms, var
 
 SIG = Signature.of(
     {"a": 0, "f": 1, "g": 1, "I": 1, "cdr": 1, "cons": 2, "p": 2}
@@ -155,6 +158,58 @@ def test_overlapping_pair_detected():
 def test_nonlinear_rule_not_orthogonal():
     bad = RewriteRule.of("nl", t("p(x, x)"), t("x"))
     assert orthogonality_conflicts(TRS(SIG, (bad,)))
+
+
+def ref_overlaps(l1, l2, same):
+    """Unify a renamed-apart l2 at every operator position of l1, no filter."""
+    fresh = rebuild(l2, lambda s, _: var(s.symbol + "'") if s.is_var else None)
+    ops = sorted((w for w, s in subterms(l1) if s.is_op), key=occ_sort_key)
+    return [
+        w
+        for w in ops
+        if not (same and not w)
+        and unify(dict(subterms(l1))[w], fresh) is not None
+    ]
+
+
+def random_lhs(rng, depth=3):
+    """A linear operator-rooted term over SIG, variables numbered apart."""
+    fresh = iter(f"v{i}" for i in range(100))
+    todo, done = [(depth, None)], []
+    while todo:
+        d, name = todo.pop()
+        if name is not None:
+            at = len(done) - d
+            done[at:] = [op(name, done[at:])]
+        elif d < depth and (d <= 0 or rng.random() < 0.35):
+            done.append(var(next(fresh)))
+        else:
+            name, k = rng.choice(sorted(SIG.as_dict().items()))
+            todo.append((k, name))
+            todo.extend([(d - 1, None)] * k)
+    return done[0]
+
+
+def test_overlaps_match_unification_at_every_position():
+    rng = random.Random(5)
+    found = 0
+    for _ in range(400):
+        l1, l2 = random_lhs(rng), random_lhs(rng)
+        for a, b in ((l1, l2), (l2, l1), (l1, l1)):
+            for same in (False, True):
+                got = list(overlaps(a, b, same))
+                assert got == ref_overlaps(a, b, same)
+                found += len(got)
+    assert found > 100
+
+
+def test_overlaps_below_the_root():
+    # the symbol test is against l2's root, not l1's
+    assert list(overlaps(t("cdr(cons(x, y))"), t("cons(u, v)"), False)) == [(1,)]
+    assert list(overlaps(t("p(f(x), g(y))"), t("g(a)"), False)) == [(2,)]
+    assert list(overlaps(t("f(f(x))"), t("f(f(y))"), True)) == [(1,)]
+    assert list(overlaps(t("f(f(x))"), t("f(f(y))"), False)) == [(), (1,)]
+    assert list(overlaps(t("f(x)"), t("g(y)"), False)) == []
 
 
 # ---------------------------------------------------------------------------

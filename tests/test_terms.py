@@ -249,6 +249,79 @@ def test_rebuild_replaces_and_keeps():
 
 
 # ---------------------------------------------------------------------------
+# Equality on shared terms
+
+
+LEAVES = [BOTTOM, var("x"), var("y"), op("a"), op("b")]
+
+
+def random_dag(rng, levels=8, width=3):
+    """A random term with shared subterms: each level's operators take their
+    children from a small pool built by the level below."""
+    pool = list(LEAVES)
+    for _ in range(levels):
+        layer = []
+        for _ in range(width):
+            sym, k = rng.choice([("f", 1), ("g", 1), ("p", 2), ("p", 2)])
+            layer.append(op(sym, [rng.choice(pool) for _ in range(k)]))
+        pool = layer + [rng.choice(pool)]
+    return rng.choice(pool)
+
+
+def replace_at(s, w, new):
+    """s with the subterm at w replaced, the rest still shared."""
+    spine = [s]
+    for i in w:
+        spine.append(spine[-1].children[i - 1])
+    for parent, i in zip(reversed(spine[:-1]), reversed(w)):
+        kids = list(parent.children)
+        kids[i - 1] = new
+        new = op(parent.symbol, kids)
+    return new
+
+
+def deepest_leaf(s):
+    w = []
+    while s.children:
+        i = max(range(len(s.children)), key=lambda j: s.children[j].children != ())
+        w.append(i + 1)
+        s = s.children[i]
+    return tuple(w), s
+
+
+def test_equality_agrees_with_the_printed_terms():
+    rng = random.Random(13)
+    pairs = 0
+    for _ in range(300):
+        s = random_dag(rng, rng.randint(1, 10))
+        u = random_dag(rng, rng.randint(1, 10))
+        copy = parse_term(SIG, format_term(s))  # the same tree, unshared
+        w, leaf = deepest_leaf(s)
+        other = next(x for x in LEAVES if format_term(x) != format_term(leaf))
+        near = replace_at(s, w, other)  # differs at one deep leaf only
+        for a, b in [(s, u), (s, copy), (copy, s), (s, s), (s, near), (near, copy)]:
+            same = format_term(a) == format_term(b)
+            assert (a == b) == same and (a != b) == (not same)
+            pairs += same
+        left, right = random_term(rng), random_term(rng)
+        assert (left == right) == (format_term(left) == format_term(right))
+    assert pairs > 600
+
+
+def test_equality_on_a_doubling_dag_costs_its_distinct_pairs():
+    n = 60  # 2^60 leaves as a tree, 61 objects as a DAG; never printed
+    s, u = t("a"), t("a")
+    for _ in range(n):
+        s, u = op("p", [s, s]), op("p", [u, u])
+    verdicts = [
+        s == u,
+        s == replace_at(u, (2,) * n, t("b")),
+        s == replace_at(u, (1,) * (n - 1) + (2,), t("b")),
+    ]
+    assert verdicts == [True, False, False]
+
+
+# ---------------------------------------------------------------------------
 # Occurrences
 
 
