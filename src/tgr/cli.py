@@ -187,7 +187,10 @@ def _cmd_rewrite(args) -> int:
     lines: List[str] = []
     steps = []
     run = Stepper(current, ws.tgrs(), args.steps)
-    for drv, after in run:
+    for step in run:
+        drv, after = derive_rational(
+            current, match_at(step.rule, current.graph, step.at)
+        )
         lines.append(
             f"STEP {drv.rule.name} at {drv.match.root_image} : "
             f"{format_graph(current, name=None)} => "

@@ -20,17 +20,18 @@ collapsing onto itself), and the track function records exactly that.
 unravelings before and after a step: each variable of H is either a tracked
 variable of G or undefined.
 
-A step is local: only the matched region and the edges into nodes it merges
-away are rebuilt, the rest of G is carried over by C-level dict and tuple
-copies.  `Stepper` rewrites to normal form with a match index that re-checks
-only what a step changed.
+Both pushouts edit an `EditableGraph` in place, touching only the matched
+region and the edges into nodes it merges away.  `derive` runs a step on
+copies of the host's dicts and wraps the diagram; `Stepper` runs the same
+step on the graph it owns, so a step costs O(|L| + |R| + touched nodes) at
+any host size.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import chain, filterfalse
 from typing import (
     Dict,
     FrozenSet,
@@ -38,6 +39,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Set,
     Tuple,
@@ -109,148 +111,188 @@ def find_matches(G: TermGraph, rules: Union[EvaluationRule, TGRS]) -> List[Match
 
 
 # ---------------------------------------------------------------------------
-# The two pushouts
+# The two pushouts, in place
 
 
-def pushout_complement(match: Match) -> Tuple[TermGraph, GraphMorphism]:
-    """The host minus the matched root's content, with the K-to-D morphism.
+class EditableGraph(NamedTuple):
+    """A term graph open to the pushouts' in-place edits.  It has the part
+    of `TermGraph`'s interface that `tree_match` and `check_morphism` read."""
 
-    D shares G's node tuple; its dicts are copies without the root image's
-    entry.  Raises ValueError if the match violates the identification
-    condition (another labelled node of L mapped onto the root's image), in
-    which case no pushout complement exists.
+    nodes: Set[NodeId]
+    labels: Dict[NodeId, str]
+    succs: Dict[NodeId, Tuple[NodeId, ...]]
+
+    def has_node(self, n: NodeId) -> bool:
+        return n in self.nodes
+
+
+def pushout_complement(
+    rule: EvaluationRule, mapping: Mapping[NodeId, NodeId], g: EditableGraph
+) -> Tuple[NodeId, ...]:
+    """Turn G into D in place: erase the content of the root's image under
+    the match `mapping` (L -> G).  Returns the erased successors.  D keeps
+    every node of G, and K -> D is the match's node map.
+
+    Raises ValueError, before any edit, if the match violates the
+    identification condition (another labelled node of L mapped onto the
+    root's image), in which case no pushout complement exists.
     """
-    rule, g = match.rule, match.g
-    hub = match.root_image
+    hub = mapping[rule.root]
     for n in rule.L.labels:
-        if n != rule.root and g.mapping[n] == hub:
+        if n != rule.root and mapping[n] == hub:
             raise ValueError(
                 f"match of {rule.name} at {hub} violates the identification "
                 f"condition: labelled node {n} shares the root's image"
             )
-    G = match.host
-    labels, succs = G.labels.copy(), G.succs.copy()
-    labels.pop(hub, None)
-    succs.pop(hub, None)
-    D = TermGraph(G.nodes, labels, succs)
-    d = GraphMorphism(rule.K, D, dict(g.mapping))
-    return D, d
+    g.labels.pop(hub, None)
+    return g.succs.pop(hub, ())
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: Dict[Tuple[str, NodeId], Tuple[str, NodeId]] = {}
+class Gluing(NamedTuple):
+    """What `pushout` changed to turn D into H."""
 
-    def find(self, x: Tuple[str, NodeId]) -> Tuple[str, NodeId]:
-        root = x
-        while self.parent.get(root, root) != root:
-            root = self.parent[root]
-        while self.parent.get(x, x) != x:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: Tuple[str, NodeId], b: Tuple[str, NodeId]) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+    gone: Dict[NodeId, NodeId]  # merged-away D node -> its class
+    fresh: List[NodeId]  # the ids of classes from R alone
+    h: Dict[NodeId, NodeId]  # R -> H
+    before: EditableGraph  # the touched nodes with their D content
 
 
 def pushout(
     rule: EvaluationRule,
-    D: TermGraph,
-    d: GraphMorphism,
+    dmap: Mapping[NodeId, NodeId],
+    g: EditableGraph,
     preds: Mapping[NodeId, Iterable[NodeId]],
-) -> Tuple[TermGraph, GraphMorphism, GraphMorphism]:
-    """Glue R and D along K; returns (H, h : R -> H, b : D -> H).
+) -> Gluing:
+    """Glue R into D along K in place: g holds D on entry and H on exit, and
+    `dmap` is d's node map.  b : D -> H is the identity except on `gone`.
 
     Node ids: a class containing D nodes keeps its least D id; classes from R
-    alone get fresh ids h#0, h#1, ... (skipping ids D already uses), assigned
-    in order of their least R member.
+    alone get fresh ids h#0, h#1, ... (skipping every id D has, merged-away
+    nodes included), assigned in order of their least R member.
 
     Only the matched region d(K) meets R, so the union-find runs over d(K)
-    and R.  Every other D node is a class of its own: it keeps its id and its
-    content, except that an edge into a region node merged away is redirected
-    to the node's class.  `preds` (each node's predecessors in D, or a
-    superset such as G's) finds those edges.
+    and R.  Every other D node keeps its content, except that an edge into
+    a region node merged away is redirected; `preds` (D's predecessor index,
+    or a superset) finds those edges.  The region and those predecessors
+    are the touched nodes.  A content conflict raises before any edit.  h is
+    checked on R's nodes and b at the touched nodes, against their saved D
+    content; elsewhere b is the identity on unchanged content.
     """
-    uf = _UnionFind()
+    parent: Dict[Tuple[str, NodeId], Tuple[str, NodeId]] = {}
+
+    def find(x: Tuple[str, NodeId]) -> Tuple[str, NodeId]:
+        while x in parent:  # a chain has at most |K| links: no compression
+            x = parent[x]
+        return x
+
     for n in rule.K.nodes:
-        uf.union(("r", rule.r[n]), ("d", d.mapping[n]))
+        a, b = find(("r", rule.r[n])), find(("d", dmap[n]))
+        if a != b:
+            parent[a] = b
 
+    # Members join in order (D region by node_key, then R's sorted nodes),
+    # so each class lists its least member first and the classes come in
+    # the order of their least members.
+    region = set(dmap.values())
     classes: Dict[Tuple[str, NodeId], List[Tuple[str, NodeId]]] = {}
-    for n in sorted_nodes(set(d.mapping.values())):
-        classes.setdefault(uf.find(("d", n)), []).append(("d", n))
+    for n in sorted(region, key=node_key):
+        classes.setdefault(find(("d", n)), []).append(("d", n))
     for n in rule.R.nodes:
-        classes.setdefault(uf.find(("r", n)), []).append(("r", n))
+        classes.setdefault(find(("r", n)), []).append(("r", n))
 
+    labels, succs = g.labels, g.succs
     fresh = 0
     fresh_ids: List[NodeId] = []
     names: Dict[Tuple[str, NodeId], NodeId] = {}
-    ordered = sorted(
-        classes.items(),
-        key=lambda kv: min(
-            (0 if side == "d" else 1, node_key(n)) for side, n in kv[1]
-        ),
-    )
-    for key, members in ordered:
+    gone: Dict[NodeId, NodeId] = {}
+    touched = set(region)
+    for key, members in classes.items():
         d_ids = [n for side, n in members if side == "d"]
         if d_ids:
-            names[key] = min(d_ids, key=node_key)
+            nid = d_ids[0]
+            for n in d_ids[1:]:
+                gone[n] = nid
+                touched.update(preds.get(n, ()))
         else:
-            while D.has_node(f"h#{fresh}"):
+            while g.has_node(f"h#{fresh}"):
                 fresh += 1
-            names[key] = f"h#{fresh}"
-            fresh_ids.append(names[key])
+            nid = f"h#{fresh}"
+            fresh_ids.append(nid)
             fresh += 1
+        names[key] = nid
 
     def node_of(side: str, n: NodeId) -> NodeId:
         # a D node outside the region is its own class, named by itself
-        return names.get(uf.find((side, n)), n)
+        return names.get(find((side, n)), n)
 
-    labels, succs = D.labels.copy(), D.succs.copy()
-    gone: Dict[NodeId, NodeId] = {}  # merged-away D node -> its class
-    for key, members in ordered:
+    before = EditableGraph(
+        touched,
+        {n: labels[n] for n in touched if n in labels},
+        {n: succs[n] for n in touched if n in succs},
+    )
+    content: Dict[NodeId, Tuple[str, Tuple[NodeId, ...]]] = {}
+    for key, members in classes.items():
         nid = names[key]
-        content: Optional[Tuple[str, Tuple[NodeId, ...]]] = None
         for side, n in members:
-            graph = D if side == "d" else rule.R
-            if side == "d":
-                labels.pop(n, None)
-                succs.pop(n, None)
-                if n != nid:
-                    gone[n] = nid
+            graph = before if side == "d" else rule.R
             lbl = graph.labels.get(n)
             if lbl is None:
                 continue
             ss = tuple(node_of(side, s) for s in graph.succs[n])
-            if content is not None and content != (lbl, ss):
+            old = content.setdefault(nid, (lbl, ss))
+            if old != (lbl, ss):
                 raise ValueError(
                     f"pushout is not a term graph: node {nid} receives "
-                    f"conflicting content {content[0]}{content[1]} vs {lbl}{ss}"
+                    f"conflicting content {old[0]}{old[1]} vs {lbl}{ss}"
                 )
-            content = (lbl, ss)
-        if content is not None:
-            labels[nid], succs[nid] = content
 
+    for n in region:
+        labels.pop(n, None)
+        succs.pop(n, None)
+    for nid, (lbl, ss) in content.items():
+        labels[nid], succs[nid] = lbl, ss
     for x in gone:
         for p in preds.get(x, ()):
             if p in succs:
                 succs[p] = tuple(gone.get(s, s) for s in succs[p])
-    nodes = D.nodes
-    if gone or fresh_ids:
-        node_list = list(nodes)
-        for x in gone:
-            del node_list[node_position(node_list, x)]
-        for x in fresh_ids:
-            node_list.insert(node_position(node_list, x), x)
-        nodes = tuple(node_list)
+    g.nodes.difference_update(gone)
+    g.nodes.update(fresh_ids)
 
-    H = TermGraph(nodes, labels, succs)
-    h = GraphMorphism(rule.R, H, {n: node_of("r", n) for n in rule.R.nodes})
-    track = dict(zip(D.nodes, D.nodes))
-    track.update(gone)
-    b = GraphMorphism(D, H, track)
-    return H, h, b
+    h = {n: node_of("r", n) for n in rule.R.nodes}
+    check_morphism(GraphMorphism(rule.R, g, h), rule.R.nodes)
+    reached = chain(touched, chain.from_iterable(before.succs.values()))
+    track = {n: gone.get(n, n) for n in reached}
+    check_morphism(GraphMorphism(before, g, track), touched)
+    return Gluing(gone, fresh_ids, h, before)
+
+
+def _step(
+    rule: EvaluationRule,
+    mapping: Mapping[NodeId, NodeId],
+    g: EditableGraph,
+    preds: Dict[NodeId, Set[NodeId]],
+) -> Tuple[Gluing, Set[NodeId]]:
+    """One rewrite step at the match `mapping` (L -> g), in place: check g,
+    run both pushouts, and bring `preds`, g's predecessor index, up to date.
+    Returns the gluing and the changed nodes (the touched nodes' classes
+    and R's images), the only H nodes whose content can differ from G's."""
+    check_morphism(GraphMorphism(rule.L, g, mapping), rule.L.nodes)
+    hub = mapping[rule.root]
+    for s in pushout_complement(rule, mapping, g):
+        preds[s].discard(hub)
+    gluing = pushout(rule, mapping, g, preds)
+    gone = gluing.gone
+    for p, ss in gluing.before.succs.items():
+        for s in ss:
+            preds[s].discard(p)
+    changed = {gone.get(n, n) for n in gluing.before.nodes}
+    changed.update(gluing.h.values())
+    for q in changed:
+        for s in g.succs.get(q, ()):
+            preds.setdefault(s, set()).add(q)
+    for x in gone:
+        preds.pop(x, None)
+    return gluing, changed
 
 
 # ---------------------------------------------------------------------------
@@ -285,43 +327,71 @@ class DirectDerivation:
         return self.match.describe()
 
 
-def touched_nodes(
-    d: GraphMorphism, b: GraphMorphism, preds: Mapping[NodeId, Iterable[NodeId]]
-) -> Set[NodeId]:
-    """The D nodes a step may change: the matched region d(K), plus every
-    predecessor (per `preds`) of a region node that b merges away."""
-    region = set(d.mapping.values())
-    out = set(region)
+def derive(match: Match) -> DirectDerivation:
+    """Perform one rewrite step at the given match, with its diagram: a
+    `Stepper` step, with its checks, on copies of the host's dicts.
+    `check_morphism` on the whole diagram stays available to callers that
+    want it."""
+    rule, G, hub = match.rule, match.host, match.root_image
+    g = EditableGraph(set(G.nodes), G.labels.copy(), G.succs.copy())
+    gluing, _ = _step(rule, match.g.mapping, g, predecessors(G))
+    labels, succs = G.labels.copy(), G.succs.copy()
+    labels.pop(hub, None)
+    succs.pop(hub, None)
+    D = TermGraph(G.nodes, labels, succs)
+    nodes = G.nodes
+    if gluing.gone or gluing.fresh:
+        node_list = list(nodes)
+        for x in gluing.gone:
+            del node_list[node_position(node_list, x)]
+        for x in gluing.fresh:
+            node_list.insert(node_position(node_list, x), x)
+        nodes = tuple(node_list)
+    H = TermGraph(nodes, g.labels, g.succs)
+    track = dict(zip(G.nodes, G.nodes))
+    track.update(gluing.gone)
+    d = GraphMorphism(rule.K, D, dict(match.g.mapping))
+    h = GraphMorphism(rule.R, H, gluing.h)
+    return DirectDerivation(match, D, d, H, h, GraphMorphism(D, H, track))
+
+
+def _retag(
+    rule: EvaluationRule,
+    mapping: Mapping[NodeId, NodeId],
+    d_labels: Mapping[NodeId, str],
+    track: Mapping[NodeId, NodeId],
+    h: Iterable[NodeId],
+    labels: Mapping[NodeId, str],
+    bottoms: Set[NodeId],
+    names: Dict[NodeId, str],
+) -> None:
+    """Update a term's holes and names in place after a step at `mapping`
+    (L -> G), given D's labels, b's node map, R's images and H's labels.
+    An empty H node that one live G variable tracks to is named after it,
+    one that none tracks to is a hole; only the match's and R's images can
+    change, so only those are read.  Two variables tracked together would
+    mean the step identified them, which no well-formed rule can do."""
+    hub, region = mapping[rule.root], set(mapping.values())
+    sources: Dict[NodeId, List[NodeId]] = {}
     for n in region:
-        if b.mapping[n] != n:
-            out.update(preds.get(n, ()))
-    return out
-
-
-def derive(
-    match: Match, preds: Optional[Mapping[NodeId, Iterable[NodeId]]] = None
-) -> DirectDerivation:
-    """Perform one rewrite step at the given match.
-
-    `preds` is the host's predecessor index (`graphs.predecessors`); a
-    caller that keeps one across steps passes it, otherwise it is built.
-
-    The morphism conditions are checked on g and h in full (they live on L
-    and R) and on b only at `touched_nodes`.  That is enough: at every other
-    D node b is the identity and the pushout copied the content unchanged,
-    and none of its successors was merged away, since every predecessor of a
-    merged-away node is touched.  So the conditions there reduce to the node
-    surviving, which only merged-away nodes do not.  `check_morphism` on the
-    whole diagram stays available to callers that want it.
-    """
-    if preds is None:
-        preds = predecessors(match.host)
-    check_morphism(match.g, match.rule.L.nodes)
-    D, d = pushout_complement(match)
-    H, h, b = pushout(match.rule, D, d, preds)
-    check_morphism(h, match.rule.R.nodes)
-    check_morphism(b, sorted_nodes(touched_nodes(d, b, preds)))
-    return DirectDerivation(match, D, d, H, h, b)
+        if n != hub and n not in d_labels and n not in bottoms:
+            sources.setdefault(track.get(n, n), []).append(n)
+    spot = {track.get(n, n) for n in region}
+    spot.update(h)
+    bottoms.difference_update(region)  # R's other images are fresh
+    for m in spot:
+        srcs = sources.get(m)
+        if m in labels:
+            continue
+        elif srcs is None:
+            bottoms.add(m)
+        elif len(srcs) > 1:
+            raise ValueError(
+                f"step {rule.name} at {hub} tracks variables {sorted(srcs)} "
+                f"to the same node {m}"
+            )
+        else:  # a stale name is never read: only live empty nodes' are
+            names[m] = names.get(srcs[0], srcs[0])
 
 
 def track_substitution(
@@ -332,61 +402,45 @@ def track_substitution(
     Keys are the empty nodes of H (as variable names).  An H variable that is
     the track image of a live G variable maps to that variable; every other H
     variable maps to the undefined term (it arose by emptying the root or
-    from a hole).  At most one G variable can track to a given H node; a
-    violation would mean the step identified two distinct variables, which no
-    well-formed rule can do, so it raises.
-
-    The empty nodes are filtered out of the node tuples at C level, so the
-    Python-level work is proportional to their number, not to the graph.
+    from a hole).  It is read off the holes and names that a step gives.
     """
-    G, H, track = drv.G, drv.H, drv.track
-    sources: Dict[NodeId, List[NodeId]] = {}
-    for n in filterfalse(G.labels.__contains__, G.nodes):
-        if n not in host_bottoms:
-            sources.setdefault(track[n], []).append(n)
-    out: Dict[str, FiniteTerm] = {}
-    for m in filterfalse(H.labels.__contains__, H.nodes):
-        srcs = sources.get(m, [])
-        if len(srcs) > 1:
-            raise ValueError(
-                f"step {drv.describe()} tracks variables {sorted(srcs)} "
-                f"to the same node {m}"
-            )
-        out[m] = var(srcs[0]) if srcs else BOTTOM
-    return out
+    bottoms, names = set(host_bottoms), {}
+    _retag(
+        drv.rule, drv.match.g.mapping, drv.D.labels, drv.track,
+        drv.h.mapping.values(), drv.H.labels, bottoms, names,
+    )
+    empties = filterfalse(drv.H.labels.__contains__, drv.H.nodes)
+    return {m: BOTTOM if m in bottoms else var(names.get(m, m)) for m in empties}
+
+
+def _rational(
+    H: TermGraph, point: NodeId, bottoms: Set[NodeId], names: Mapping[NodeId, str]
+) -> RationalTerm:
+    """H pointed at `point`, with those holes; each other empty node is
+    named by `names` (default: its id)."""
+    empties = filterfalse(H.labels.__contains__, H.nodes)
+    named = tuple((n, names.get(n, n)) for n in empties if n not in bottoms)
+    return RationalTerm(H, point, frozenset(bottoms), named)
 
 
 def derive_rational(
-    rt: RationalTerm,
-    match: Match,
-    preds: Optional[Mapping[NodeId, Iterable[NodeId]]] = None,
+    rt: RationalTerm, match: Match
 ) -> Tuple[DirectDerivation, RationalTerm]:
     """Rewrite a pointed host, propagating the point, holes, and names.
 
     The result's point is the track image of the old point; empty result
     nodes keep the rendered name of the variable tracked onto them and become
-    holes when no live variable arrives (per `track_substitution`).  `preds`
-    is passed on to `derive`.
+    holes when no live variable arrives (per `track_substitution`).
     """
     if match.host is not rt.graph and match.host != rt.graph:
         raise ValueError("match host differs from the term's carrier")
-    drv = derive(match, preds)
-    sigma = track_substitution(drv, rt.bottoms)
-    renaming = rt.renaming()
-    bottoms = []
-    names = []
-    for m, t in sigma.items():
-        if t.is_bottom:
-            bottoms.append(m)
-        else:
-            names.append((m, renaming.get(t.symbol, t.symbol)))
-    out = RationalTerm(
-        drv.H,
-        drv.track[rt.point],
-        frozenset(bottoms),
-        tuple(sorted(names, key=lambda kv: node_key(kv[0]))),
+    drv = derive(match)
+    bottoms, names = set(rt.bottoms), rt.renaming()
+    _retag(
+        drv.rule, drv.match.g.mapping, drv.D.labels, drv.track,
+        drv.h.mapping.values(), drv.H.labels, bottoms, names,
     )
-    return drv, out
+    return drv, _rational(drv.H, drv.track[rt.point], bottoms, names)
 
 
 # ---------------------------------------------------------------------------
@@ -404,38 +458,70 @@ def _lhs_depth(rule: EvaluationRule) -> int:
         depth += 1
 
 
-class Stepper:
-    """Derive with the first match (rule name, then node order) until no
-    rule matches or `max_steps` steps are done.  Iterating yields each step
-    as (derivation, result); afterwards `current` is the last result and
-    `normal_form` says whether any rule still matches.
+class Step(NamedTuple):
+    """One step of a `Stepper` run: the rule and its match's root image."""
 
-    Two indexes live here, not on the graphs, and follow each step:
-    the current host's predecessors, and for each rule the set of nodes it
-    matches at (with a heap for the least one).  A step changes content only
-    at the touched nodes (`touched_nodes`) and at fresh nodes, so a match can
-    appear or vanish only at those nodes and at their ancestors up to the
-    left-hand side's depth; those are the only ones re-checked.  The first
-    match is the one `find_matches(...)[0]` would return.
+    rule: EvaluationRule
+    at: NodeId
+
+
+class Stepper:
+    """Rewrite with the first match (rule name, then node order) until no
+    rule matches or `max_steps` steps are done.  Iterating yields each
+    `Step`; `current` is the term reached so far, and `normal_form` says
+    whether any rule still matches.
+
+    It runs `derive`'s step, holes and names included, on the one
+    `EditableGraph` it owns: a step costs O(|L| + |R| + touched nodes) and
+    builds no diagram, which `derive_rational` at `match_at(step.rule, ...,
+    step.at)` replays on request.  A step that raises leaves the stepper
+    spent: every later use raises.
+
+    It keeps each node's predecessors and, per rule, the nodes it matches
+    at (with a heap for the least).  A match can appear or vanish only at
+    the changed nodes and their ancestors up to the left-hand side's depth,
+    so only those are re-checked; the first match is `find_matches(...)[0]`.
     """
 
     def __init__(self, host: RationalTerm, tgrs: TGRS, max_steps: int):
-        self.current = host
+        G = host.graph
         self.max_steps = max_steps
+        self._current: Optional[RationalTerm] = host
+        self._spent = False
+        self._g = EditableGraph(set(G.nodes), G.labels.copy(), G.succs.copy())
+        self._preds = predecessors(G)
+        self._point = host.point
+        self._bottoms = set(host.bottoms)
+        self._names = host.renaming()
         self._rules = sorted(tgrs.rules, key=lambda r: r.name)
         self._depths = [_lhs_depth(r) for r in self._rules]
-        self._preds = predecessors(host.graph)
         self._matched: List[Set[NodeId]] = []
         self._heaps: List[List[Tuple[int, NodeId]]] = []  # node_keys
         for rule in self._rules:
             roots = [
                 f.mapping[rule.root]
-                for f in find_tree_morphisms(rule.L, rule.root, host.graph)
+                for f in find_tree_morphisms(rule.L, rule.root, G)
             ]
             self._matched.append(set(roots))
             self._heaps.append([node_key(v) for v in roots])  # sorted
 
+    def _check(self) -> None:
+        if self._spent:
+            raise RuntimeError("a step of this stepper raised; it is spent")
+
+    @property
+    def current(self) -> RationalTerm:
+        """The term reached so far, built once per step."""
+        self._check()
+        if self._current is None:
+            g = self._g
+            nodes = tuple(sorted_nodes(g.nodes))
+            H = TermGraph(nodes, g.labels.copy(), g.succs.copy())
+            self._current = _rational(H, self._point, self._bottoms, self._names)
+        return self._current
+
     def _first(self) -> Optional[Tuple[EvaluationRule, NodeId]]:
+        self._check()
         best = None
         for i, (heap, live) in enumerate(zip(self._heaps, self._matched)):
             while heap and heap[0][1] not in live:
@@ -452,32 +538,25 @@ class Stepper:
     def normal_form(self) -> bool:
         return self._first() is None
 
-    def __iter__(self) -> Iterator[Tuple[DirectDerivation, RationalTerm]]:
+    def __iter__(self) -> Iterator[Step]:
+        g, bottoms, names = self._g, self._bottoms, self._names
         for _ in range(self.max_steps):
             first = self._first()
             if first is None:
                 return
             rule, v = first
-            match = match_at(rule, self.current.graph, v)
-            drv, self.current = derive_rational(self.current, match, self._preds)
-            self._update(drv)
-            yield drv, self.current
+            self._current, self._spent = None, True
+            mapping = tree_match(rule.L, rule.root, g, v)
+            gluing, changed = _step(rule, mapping, g, self._preds)
+            gone, h, before = gluing.gone, gluing.h.values(), gluing.before
+            _retag(rule, mapping, before.labels, gone, h, g.labels, bottoms, names)
+            self._point = gone.get(self._point, self._point)
+            self._rematch(gone, changed)
+            self._spent = False
+            yield Step(rule, v)
 
-    def _update(self, drv: DirectDerivation) -> None:
-        G, H, track, preds = drv.G, drv.H, drv.track, self._preds
-        touched = touched_nodes(drv.d, drv.b, preds)
-        changed = {track[n] for n in touched}
-        changed.update(drv.h.mapping.values())
-        for p in touched:
-            for s in G.succs.get(p, ()):
-                preds[s].discard(p)
-        for q in changed:
-            for s in H.succs.get(q, ()):
-                preds.setdefault(s, set()).add(q)
-        gone = [n for n in touched if track[n] != n]
-        for x in gone:
-            preds.pop(x, None)
-
+    def _rematch(self, gone: Mapping[NodeId, NodeId], changed: Set[NodeId]) -> None:
+        g, preds = self._g, self._preds
         # levels[k]: the nodes k edges above a changed node, not seen before
         levels = [changed]
         seen = set(changed)
@@ -491,7 +570,7 @@ class Stepper:
             live.difference_update(gone)
             for level in levels[: depth + 1]:
                 for v in level:
-                    if tree_match(rule.L, rule.root, H, v) is None:
+                    if tree_match(rule.L, rule.root, g, v) is None:
                         live.discard(v)
                     elif v not in live:
                         live.add(v)

@@ -487,12 +487,15 @@ def find_tree_morphisms(
     """All morphisms from a tree L into H, in ascending root-image order.
 
     The image of the root determines the whole morphism, so candidates are
-    tried by walking the tree once per node of H (`tree_match`).
+    tried by walking the tree once per node of H (`tree_match`) that
+    carries the root's label, if it has one.
     """
     if not is_tree(L, root):
         raise ValueError("find_tree_morphisms requires a tree with the given root")
     out: List[GraphMorphism] = []
-    for cand in H.nodes:
+    lbl, labels = L.labels.get(root), H.labels
+    cands = H.nodes if lbl is None else [n for n in H.nodes if labels.get(n) == lbl]
+    for cand in cands:
         mapping = tree_match(L, root, H, cand)
         if mapping is not None:
             out.append(GraphMorphism(L, H, mapping))

@@ -312,10 +312,11 @@ def rewrite_sequence(
     host: RationalTerm, tgrs: TGRS, max_steps: int = 100
 ):
     """Derive with the first match (rule name, then node order) until no rule
-    matches or the step budget runs out.  Returns (result, steps, reached_nf).
+    matches or the step budget runs out.  Returns (result, steps, reached_nf),
+    where steps are the `dpo.Step` records (rule, root image) taken.
     """
     run = Stepper(host, tgrs, max_steps)
-    steps = [drv for drv, _ in run]
+    steps = list(run)
     return run.current, steps, run.normal_form
 
 

@@ -24,6 +24,7 @@ the oracle in `parallel`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import (
     Callable,
     Dict,
@@ -36,6 +37,7 @@ from typing import (
 )
 
 Occurrence = Tuple[int, ...]
+_REPR_PIECES = 200  # pieces of text (`_pieces`) a FiniteTerm's repr shows
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +164,13 @@ class FiniteTerm:
         return format_term(self)
 
     def __repr__(self) -> str:
-        return f"FiniteTerm({format_term(self)!r})"
+        # A shared term can be exponentially larger than its objects, so
+        # the rendering stops after a fixed number of pieces.
+        pieces = list(islice(_pieces(self), _REPR_PIECES + 1))
+        text = "".join(pieces[:_REPR_PIECES])
+        if len(pieces) > _REPR_PIECES:
+            text += "…"
+        return f"FiniteTerm({text!r})"
 
 
 BOTTOM = FiniteTerm(None)
@@ -245,24 +253,28 @@ Substitution = Dict[str, FiniteTerm]
 # Term literals
 
 
-def format_term(t: FiniteTerm) -> str:
-    out: List[str] = []
+def _pieces(t: FiniteTerm) -> Iterator[str]:
+    """The text of t in order: each symbol, with its opening parenthesis,
+    and each separator and closing parenthesis as a piece of its own."""
     # an explicit stack of the subterms still to print and the text between
     # them, so terms of any depth print
     todo: List[FiniteTerm | str] = [t]
     while todo:
         s = todo.pop()
         if isinstance(s, str):
-            out.append(s)
+            yield s
         elif s.children:
-            out.append(f"{s.symbol}(")
+            yield f"{s.symbol}("
             todo.append(")")
             for c in reversed(s.children[1:]):
                 todo += (c, ", ")
             todo.append(s.children[0])
         else:
-            out.append("_|_" if s.is_bottom else s.symbol)  # type: ignore[arg-type]
-    return "".join(out)
+            yield "_|_" if s.is_bottom else s.symbol  # type: ignore[misc]
+
+
+def format_term(t: FiniteTerm) -> str:
+    return "".join(_pieces(t))
 
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")

@@ -86,6 +86,13 @@ _BESIDE = [
     ["verify-soundness", "--graph", "Host"],
 ]
 
+# one f loop under f(f(x)) -> g(x): the match breaks the identification
+# condition, and both the stepper and a single derivation reject it
+_IDENT = [
+    ["rewrite", "--graph", "G"],
+    ["derive", "--graph", "G", "--rule", "R", "--at", "n"],
+]
+
 
 def _with_file(cmd, path):
     return [cmd[0], path] + cmd[1:]
@@ -121,7 +128,7 @@ def argvs():
     for argv in [_with_file(c, "beside.tgr") for c in _BESIDE] + [
         ["suite", "--cases", "1", "--properties", "soundness,soundness"],
         ["suite", "--cases", "1", "--properties", ","],
-    ]:
+    ] + [_with_file(c, "ident.tgr") for c in _IDENT]:
         out.append(argv)
         out.append(argv + ["--json"])
     return out

@@ -1,15 +1,21 @@
 """Double-pushout steps on small hosts, worked out by hand."""
 
 import random
+from collections import Counter
 
 import pytest
 
+import tgr.dpo
+import tgr.graphs
 from tgr.dpo import (
+    EditableGraph,
     Match,
+    Stepper,
     derive,
     derive_rational,
     find_matches,
     induced_parallel_redex,
+    match_at,
     pushout,
     pushout_complement,
     track_substitution,
@@ -100,21 +106,30 @@ def test_variables_may_match_labelled_nodes():
 # Pushout complement
 
 
+def editable(G):
+    return EditableGraph(set(G.nodes), dict(G.labels), dict(G.succs))
+
+
 def test_pushout_complement_erases_only_the_root_content():
     host = graph(["r", "c"], {"r": "f", "c": "a"}, {"r": ("c",)})
-    D, d = pushout_complement(the_match(R_F, host, "r"))
-    assert set(D.nodes) == {"r", "c"}
-    assert D.is_empty_node("r")
-    assert D.labels["c"] == "a"
-    assert d.mapping == {"l": "r", "x": "c"}
+    g = editable(host)
+    assert pushout_complement(R_F, {"l": "r", "x": "c"}, g) == ("c",)
+    assert g == ({"r", "c"}, {"c": "a"}, {"c": ()})
+    drv = derive(the_match(R_F, host, "r"))
+    assert drv.D.nodes == host.nodes
+    assert drv.D.is_empty_node("r")
+    assert drv.D.labels["c"] == "a"
+    assert drv.d.mapping == {"l": "r", "x": "c"}
 
 
 def test_pushout_complement_identification_condition():
     loop = graph(["n"], {"n": "f"}, {"n": ("n",)})
     r_ff = g_rule("Rff", "f(f(x))", "a")
     (m,) = find_matches(loop, r_ff)  # root and inner f both land on n
+    g = editable(loop)
     with pytest.raises(ValueError, match="identification"):
-        pushout_complement(m)
+        pushout_complement(r_ff, m.g.mapping, g)
+    assert g == editable(loop)  # raised before any edit
 
 
 def test_variable_on_root_image_is_fine():
@@ -126,8 +141,7 @@ def test_variable_on_root_image_is_fine():
     )
     m = the_match(R_CDR, host, "c")
     assert m.g.mapping["y"] == "c"
-    D, _ = pushout_complement(m)
-    assert D.is_empty_node("c")
+    assert derive(m).D.is_empty_node("c")
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +151,8 @@ def test_variable_on_root_image_is_fine():
 def test_pushout_square_commutes_and_covers():
     host = graph(["r", "c"], {"r": "f", "c": "a"}, {"r": ("c",)})
     m = the_match(R_F, host, "r")
-    D, d = pushout_complement(m)
-    H, h, b = pushout(R_F, D, d, predecessors(host))
+    drv = derive(m)
+    d, H, h, b = drv.d, drv.H, drv.h, drv.b
     for n in R_F.K.nodes:
         assert h.mapping[R_F.r[n]] == b.mapping[d.mapping[n]]
     assert set(h.mapping.values()) | set(b.mapping.values()) == set(H.nodes)
@@ -180,9 +194,14 @@ def test_pushout_conflicting_content_rejected():
         {"r": ("u", "w")},
     )
     m = the_match(er, host, "r")
-    D, d = pushout_complement(m)
+    g = editable(host)
+    pushout_complement(er, m.g.mapping, g)
+    D = editable(g)
     with pytest.raises(ValueError, match="conflicting"):
-        pushout(er, D, d, predecessors(host))
+        pushout(er, m.g.mapping, g, predecessors(host))
+    assert g == D  # raised before any edit
+    with pytest.raises(ValueError, match="conflicting"):
+        derive(m)
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +392,19 @@ def ref_rewrite(host, tgrs, max_steps):
 
 
 def assert_same_run(host, tgrs, max_steps):
-    got, drvs, nf = rewrite_sequence(host, tgrs, max_steps)
+    """The Stepper's run against `ref_rewrite`, step by step: each recorded
+    step replayed by `derive_rational` must give the reference's H, h and
+    track with a full morphism check, and the Stepper's final term must be
+    both the replay's and the reference's.  Returns it with the steps."""
+    got, steps, nf = rewrite_sequence(host, tgrs, max_steps)
     want, ref_steps, ref_nf = ref_rewrite(host, tgrs, max_steps)
-    assert [(drv.rule.name, drv.match.root_image) for drv in drvs] == [
+    assert [(step.rule.name, step.at) for step in steps] == [
         (name, at) for name, at, _, _, _ in ref_steps
     ]
-    for drv, (_, _, H, h, track) in zip(drvs, ref_steps):
+    replayed = host
+    for step, (_, _, H, h, track) in zip(steps, ref_steps):
+        m = match_at(step.rule, replayed.graph, step.at)
+        drv, replayed = derive_rational(replayed, m)
         assert drv.track == track
         assert drv.h.mapping == h
         assert (drv.H.nodes, drv.H.labels, drv.H.succs) == (
@@ -387,13 +413,14 @@ def assert_same_run(host, tgrs, max_steps):
         for f in (drv.match.g, drv.h, drv.b):
             check_morphism(f)  # the full check the step itself skips
     assert nf == ref_nf
-    assert (got.graph.nodes, got.graph.labels, got.graph.succs) == (
-        want.graph.nodes, want.graph.labels, want.graph.succs,
-    )
-    assert (got.point, got.bottoms, got.var_names) == (
-        want.point, want.bottoms, want.var_names,
-    )
-    return drvs
+    for other in (replayed, want):
+        assert (got.graph.nodes, got.graph.labels, got.graph.succs) == (
+            other.graph.nodes, other.graph.labels, other.graph.succs,
+        )
+        assert (got.point, got.bottoms, got.var_names) == (
+            other.point, other.bottoms, other.var_names,
+        )
+    return got, steps
 
 
 RING_SIG = Signature.of(
@@ -463,13 +490,84 @@ def test_local_steps_match_the_reference_on_generated_cases(chunk):
         assert_same_run(case.host, case.tgrs(), 20)
 
 
+def test_local_steps_match_the_reference_on_hand_built_rules():
+    # p(x, y) -> g(g(w)) with x and y glued into w: the two a's merge, and
+    # the fresh id must skip h#0, which the step merges away.
+    L = graph(["l", "x", "y"], {"l": "p"}, {"l": ("x", "y")})
+    R = graph(["v", "u", "w"], {"v": "g", "u": "g"}, {"v": ("u",), "u": ("w",)})
+    merge = EvaluationRule(
+        "Rm", L, "l", graph(L.nodes, {}, {}), R, {"l": "v", "x": "w", "y": "w"}
+    )
+    host = graph(
+        ["r", "m", "h#0"], {"r": "p", "m": "a", "h#0": "a"},
+        {"r": ("h#0", "m")},
+    )
+    got, _ = assert_same_run(RationalTerm(host, "r"), TGRS(SIG, (merge,)), 5)
+    assert got.graph.nodes == ("m", "r", "h#1")
+
+    # f(x) -> g(a) with x glued into the a: a hole gains content and must
+    # lose its hole tag; the named variable beside it keeps its name.
+    L = graph(["l", "x"], {"l": "f"}, {"l": ("x",)})
+    R = graph(["v", "u"], {"v": "g", "u": "a"}, {"v": ("u",)})
+    fill = EvaluationRule(
+        "Rh", L, "l", graph(L.nodes, {}, {}), R, {"l": "v", "x": "u"}
+    )
+    host = graph(
+        ["r", "z", "k", "y"], {"r": "p", "k": "f"},
+        {"r": ("k", "y"), "k": ("z",)},
+    )
+    rt = RationalTerm(host, "r", frozenset(["z"]), (("y", "acc"),))
+    got, _ = assert_same_run(rt, TGRS(SIG, (fill,)), 5)
+    assert got.bottoms == frozenset() and got.var_names == (("y", "acc"),)
+    assert got.unravel(3) == t("p(g(a), acc)")
+
+
+def test_stepper_and_derive_reject_the_same_identification():
+    loop = graph(["n"], {"n": "f"}, {"n": ("n",)})
+    r_ff = g_rule("Rff", "f(f(x))", "g(x)")
+    (m,) = find_matches(loop, r_ff)
+    with pytest.raises(ValueError, match="identification") as via_derive:
+        derive(m)
+    run = Stepper(RationalTerm(loop, "n"), TGRS(SIG, (r_ff,)), 5)
+    with pytest.raises(ValueError, match="identification") as via_stepper:
+        list(run)
+    assert str(via_stepper.value) == str(via_derive.value)
+    with pytest.raises(RuntimeError, match="spent"):
+        run.current
+    with pytest.raises(RuntimeError, match="spent"):
+        run.normal_form
+
+
+def test_b_is_checked_at_the_predecessors_of_merged_away_nodes(monkeypatch):
+    # the step merges yb into r, so q's edge is redirected: q is touched
+    host = graph(
+        ["r", "k", "xa", "yb", "q"],
+        {"r": "cdr", "k": "cons", "xa": "a", "yb": "b", "q": "f"},
+        {"r": ("k",), "k": ("xa", "yb"), "q": ("yb",)},
+    )
+    checked = []
+    real = tgr.dpo.check_morphism
+
+    def spy(f, among=None):
+        checked.append(set(among))
+        return real(f, among)
+
+    monkeypatch.setattr(tgr.dpo, "check_morphism", spy)
+    touched = {"r", "k", "xa", "yb", "q"}
+    assert derive(the_match(R_CDR, host, "r")).H.succs["q"] == ("r",)
+    assert touched in checked
+    checked.clear()
+    assert len(list(Stepper(RationalTerm(host, "q"), TGRS(SIG, (R_CDR,)), 5))) == 1
+    assert touched in checked
+
+
 def test_local_steps_match_the_reference_on_rings_lassos_and_dags():
     rng = random.Random("local-steps")
     collapses = 0
     for family in ("ring", "lasso", "dag"):
         for n in (50, 80, 130, 200):
-            drvs = assert_same_run(ring_host(rng, family, n), RING_TGRS, n)
-            collapses += sum(drv.rule.name in ("RI", "Rcdr") for drv in drvs)
+            _, steps = assert_same_run(ring_host(rng, family, n), RING_TGRS, n)
+            collapses += sum(step.rule.name in ("RI", "Rcdr") for step in steps)
     assert collapses > 100  # merges and redirected edges were exercised
 
 
@@ -522,3 +620,32 @@ def test_rewrite_sequence_to_normal_form_on_2000_nodes(family):
 
     assert [g.labels[v] for v in tail] == survivors(labels[:start])
     assert [g.labels[v] for v in cycle] == survivors(labels[start:])
+
+
+def test_a_step_is_local(monkeypatch):
+    # 400 steps on a 20,000-node ring build no graph, predecessor index or
+    # sorted node list; only reading `current` at the end does.
+    n = 20_000
+    ids = [f"v{i}" for i in range(n)]
+    succs = {v: (w,) for v, w in zip(ids, ids[1:] + ids[:1])}
+    ring = graph(ids, dict.fromkeys(ids, "f"), succs)
+    run = Stepper(RationalTerm(ring, "v0"), TGRS(SIG, (R_F,)), 400)
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    init = counted("TermGraph", TermGraph.__init__)
+    monkeypatch.setattr(TermGraph, "__init__", init)
+    for module in (tgr.graphs, tgr.dpo):
+        for name in ("predecessors", "sorted_nodes"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert len(list(run)) == 400
+    assert calls == Counter()
+    monkeypatch.undo()
+    labels = run.current.graph.labels
+    assert [labels[f"v{i}"] for i in (0, 399, 400)] == ["g", "g", "f"]
+    assert sum(lbl == "g" for lbl in labels.values()) == 400

@@ -342,6 +342,12 @@ def test_tree_morphisms_variables_map_anywhere():
     L = rational_of_term(t("f(x)"), prefix="l")
     morphs = find_tree_morphisms(L.graph, "l", F_LOOP.graph)
     assert len(morphs) == 1 and morphs[0].mapping["x"] == "m"
+    # an unlabelled root matches every node, labelled or empty
+    X = rational_of_term(t("x"), prefix="l")
+    H = g_of(["h1", "v"], {"h1": "f"}, {"h1": ("v",)})
+    morphs = find_tree_morphisms(X.graph, X.point, H)
+    assert [m.mapping[X.point] for m in morphs] == list(H.nodes)
+    assert len(morphs) == 2
 
 
 # ---------------------------------------------------------------------------

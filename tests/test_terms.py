@@ -321,6 +321,16 @@ def test_equality_on_a_doubling_dag_costs_its_distinct_pairs():
     assert verdicts == [True, False, False]
 
 
+def test_repr_of_a_doubling_dag_is_cut_off():
+    s = t("a")
+    for _ in range(60):  # 2^60 leaves as a tree
+        s = op("p", [s, s])
+    text = repr(s)
+    assert text.startswith("FiniteTerm('p(p(") and text.endswith("…')")
+    assert len(text) < 400
+    assert repr(t("p(x, _|_)")) == "FiniteTerm('p(x, _|_)')"
+
+
 # ---------------------------------------------------------------------------
 # Occurrences
 
