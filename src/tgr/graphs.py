@@ -21,9 +21,9 @@ empty nodes matched by rendered name).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import (
     Dict,
     FrozenSet,
@@ -264,12 +264,12 @@ def unravel(
 
 def _path_cells(
     g: TermGraph, src: NodeId, dst: NodeId, maxlen: Optional[int] = None
-) -> Iterator[list]:
+) -> Iterator[tuple]:
     """The paths src -> dst in length-lex order (breadth first, children in
     index order), none longer than maxlen if given, each as its last cell
-    `[node, parent cell, index, slot]`; `PrefixTrie` fills the slot.  Only
-    nodes that can still reach dst are kept, so without maxlen the walk
-    ends exactly when the set of paths is finite."""
+    `(node, parent cell, index)`.  Only nodes that can still reach dst are
+    kept, so without maxlen the walk ends exactly when the set of paths is
+    finite."""
     if maxlen is not None and maxlen < 0:
         return
     preds = predecessors(g)
@@ -280,7 +280,7 @@ def _path_cells(
             if p not in co:
                 co.add(p)
                 todo.append(p)
-    frontier = [[src, None, 0, 0]] if src in co else []
+    frontier = [(src, None, 0)] if src in co else []
     length = 0
     while frontier:
         for cell in frontier:
@@ -290,7 +290,7 @@ def _path_cells(
             return
         length += 1
         frontier = [
-            [s, cell, i, None]
+            (s, cell, i)
             for cell in frontier
             for i, s in enumerate(g.successors(cell[0]), start=1)
             if s in co
@@ -311,56 +311,93 @@ def occurrences_to(
 
 
 class PrefixTrie:
-    """The prefix tree of the first paths src -> dst in length-lex order,
-    grown by continuing one walk.  States are numbered in insertion order,
-    each after its parent, from 0 at the empty path, so the first i members
-    span exactly the states below `size[i]`.  `child[k]` maps a successor
-    index to a state, `end[j]` is member j's state, and `at[k]` the node
-    that state k's path walks to."""
+    """The prefix tree of a list of paths from src.  States are numbered in
+    insertion order, each after its parent, from 0 at the empty path, so
+    the first i paths span exactly the states below `size[i]`.  `child[k]`
+    maps a successor index to a state, `end[j]` is path j's state, and
+    `at[k]` the node that state k's path walks to."""
 
-    def __init__(self, g: TermGraph, src: NodeId, dst: NodeId) -> None:
+    def __init__(self, src: NodeId) -> None:
         self.child: List[Dict[int, int]] = [{}]
         self.at: List[NodeId] = [src]
         self.size = [1]
         self.end: List[int] = []
-        self._cells = _path_cells(g, src, dst)
 
-    def grow(self, count: int) -> None:
-        """Take members from the walk until the trie holds `count` (or all,
-        if fewer).  Each climbs its cells to the first with a state and
-        numbers the rest top-down, so each trie edge is made once."""
-        child, at, size, end = self.child, self.at, self.size, self.end
-        for cell in islice(self._cells, count - len(end)):
-            new = []
-            while cell[3] is None:
-                new.append(cell)
-                cell = cell[1]
-            st = cell[3]
-            for cell in reversed(new):
-                cell[3] = child[st][cell[2]] = len(child)
-                st = cell[3]
-                child.append({})
-                at.append(cell[0])
-            end.append(st)
-            size.append(len(child))
+
+class PathCounts:
+    """Path counts per length, into dst (into any node if dst is None), over
+    the nodes src reaches.  `rows[r]` maps each node with a path of length
+    exactly r to dst to the number of such paths, and `dist` each node to
+    the length of its shortest path, as far as the rows go.  Rows are added
+    on demand, one dynamic-programming step over the predecessors each: no
+    path is enumerated, so exponentially many cost nothing extra.  A row
+    without entries ends them all, and then finitely many paths exist.
+
+    The counts rank the paths from src in length-lex order (Ackerman &
+    Shallit, "Efficient enumeration of words in regular languages", TCS
+    2009): `count` gives how many are shorter than a bound, and `prefix`
+    the length and rank at which the first k of them end."""
+
+    def __init__(
+        self, g: TermGraph, src: NodeId, dst: Optional[NodeId] = None
+    ) -> None:
+        self.src = src
+        reach = g.reachable(src)
+        self._preds: Dict[NodeId, List[NodeId]] = {}
+        for m in reach:
+            for s in g.successors(m):  # one entry per edge
+                self._preds.setdefault(s, []).append(m)
+        first = dict.fromkeys(reach, 1) if dst is None else {dst: 1}
+        self.rows: List[Dict[NodeId, int]] = [first]
+        self.dist: Dict[NodeId, int] = dict.fromkeys(first, 0)
+        self._below = [0, first.get(src, 0)]  # paths from src shorter than r
+
+    def _extend(self) -> bool:
+        """Add one row; False, adding none, once the rows have ended."""
+        last = self.rows[-1]
+        if not last:
+            return False
+        row: Dict[NodeId, int] = {}
+        preds = self._preds
+        for s, c in last.items():
+            for p in preds.get(s, ()):
+                row[p] = row.get(p, 0) + c
+        r, dist = len(self.rows), self.dist
+        for m in row:
+            dist.setdefault(m, r)
+        self.rows.append(row)
+        self._below.append(self._below[-1] + row.get(self.src, 0))
+        return True
+
+    def count(self, bound: int) -> int:
+        """The number of paths from src of length < bound."""
+        while len(self.rows) < bound and self._extend():
+            pass
+        return self._below[max(min(bound, len(self.rows)), 0)]
+
+    def first(self, n: int) -> int:
+        """How many of the first n paths from src exist: n, or all if fewer."""
+        below = self._below
+        while below[-1] < n and self._extend():
+            pass
+        return min(n, below[-1])
+
+    def prefix(self, k: int) -> Tuple[int, int]:
+        """(r, j) such that the first k paths from src are all those shorter
+        than r and the first j of length r: fewer than all of length r,
+        unless r is past the last row."""
+        self.first(k)
+        below = self._below
+        r = bisect_right(below, k) - 1
+        return r, k - below[r]
 
 
 def count_paths(
     g: TermGraph, src: NodeId, bound: int, dst: Optional[NodeId] = None
 ) -> int:
     """Number of paths from src of length < bound (only those ending at dst,
-    if given), by dynamic programming over path counts per length: no
-    enumeration, so exponentially many paths cost nothing extra."""
-    counts: Dict[NodeId, int] = {src: 1}
-    total = 0
-    for _ in range(bound):
-        total += sum(counts.values()) if dst is None else counts.get(dst, 0)
-        nxt: Dict[NodeId, int] = {}
-        for node, c in counts.items():
-            for s in g.successors(node):
-                nxt[s] = nxt.get(s, 0) + c
-        counts = nxt
-    return total
+    if given), read off the per-length counts of `PathCounts`."""
+    return PathCounts(g, src, dst).count(bound)
 
 
 def predecessors(g: TermGraph) -> Dict[NodeId, Set[NodeId]]:

@@ -43,11 +43,13 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
 from .graphs import (
     NodeId,
+    PathCounts,
     PrefixTrie,
     RationalTerm,
     TermGraph,
@@ -480,11 +482,98 @@ def enumerate_occurrences(
 # Chain approximants, exactly
 
 
+class _Cuts:
+    """The nodes every cut of one oracle call shares, and where its kept
+    members come from: the path counts of the default enumeration, or the
+    trie of a caller-supplied one.
+
+    A node is hash-consed on its carrier node and successor nodes, so equal
+    keys mean equal unravelings, wherever in the chain they were built.
+    Past the kept prefixes each carrier node m has one node `m@*`: a hole
+    where m is the target or a hole, a variable under its name where m is
+    empty, and otherwise m's label over the past nodes of its successors.
+    """
+
+    def __init__(
+        self, rs: RationalRedexSet, trie: Optional[PrefixTrie] = None
+    ) -> None:
+        self.rs, self.trie = rs, trie
+        self.table = PathCounts(rs.carrier, rs.start, rs.target)
+        self.labels: Dict[NodeId, str] = {}
+        self.succs: Dict[NodeId, Tuple[NodeId, ...]] = {}
+        self.holes: Set[NodeId] = set()
+        self.names: Dict[NodeId, str] = {}
+        self.redexes: Set[NodeId] = set()  # kept nodes at the target
+        self._shared: Dict[Tuple[NodeId, Tuple[NodeId, ...]], NodeId] = {}
+        self._states: Dict[Tuple[NodeId, int, int], NodeId] = {}
+        g, ren = rs.carrier, dict(rs.var_names)
+        self.past = {m: f"{m}@*" for m in g.reachable(rs.start)}
+        for m, nid in self.past.items():
+            if m == rs.target or m in rs.bottoms:
+                self.holes.add(nid)  # a hole, or a member not kept: cut
+            elif m not in g.labels:
+                self.names[nid] = ren.get(m, m)  # a variable keeps its name
+            else:
+                self.labels[nid] = g.labels[m]
+                self.succs[nid] = tuple([self.past[s] for s in g.succs[m]])
+
+    def node(self, m: NodeId, ss: Tuple[NodeId, ...]) -> NodeId:
+        """The node at carrier node m over the successor nodes ss."""
+        nid = self._shared.get((m, ss))
+        if nid is None:
+            nid = self._shared[m, ss] = f"{m}@{len(self._shared)}"
+            self.labels[nid] = self.rs.carrier.labels[m]
+            self.succs[nid] = ss
+            if m == self.rs.target:
+                self.redexes.add(nid)
+        return nid
+
+    def state(self, m: NodeId, r: int, j: int) -> NodeId:
+        """The node of the state (m, r, j): the subterm at carrier node m
+        that keeps the set members below it shorter than r and the first j
+        of length r, and cuts the rest.  It does not depend on the cut, so
+        each state is built once per call, children first.  It is m's past
+        node when nothing is kept: j is 0 and m's shortest path to the
+        target is not shorter than r.
+
+        A successor s whose members of length r - 1 all come before the
+        j-th is left of the last kept member's path and keeps what is
+        shorter than r; one after it is right of that path and keeps what
+        is shorter than r - 1; the one holding it keeps the rest of the j.
+        """
+        memo, rows, dist = self._states, self.table.rows, self.table.dist
+        succs, past = self.rs.carrier.succs, self.past
+        new: Dict[tuple, list] = {}  # states to build, with their successors'
+        todo = [(m, r, j)]
+        while todo:
+            state = todo.pop()
+            if state in memo or state in new:
+                continue
+            here, bound, left = state
+            if not left and dist.get(here, bound) >= bound:
+                memo[state] = past[here]
+                continue
+            row, kids = rows[bound - 1], []
+            for s in succs[here]:
+                c = row.get(s, 0)
+                if left >= c > 0:  # all of its members of length r - 1
+                    kids.append((s, bound, 0))
+                else:
+                    kids.append((s, bound - 1, left if 0 < left < c else 0))
+                left -= c
+            new[state] = kids
+            todo += kids
+        # (r, j > 0) falls from every state to its successors' states
+        for state in sorted(new, key=lambda st: (st[1], st[2] > 0)):
+            ss = tuple([memo[kid] for kid in new[state]])
+            memo[state] = self.node(state[0], ss)
+        return memo[m, r, j]
+
+
 def _cut_graph(
-    rs: RationalRedexSet, trie: PrefixTrie, i: int
+    rs: RationalRedexSet, cuts: _Cuts, i: int
 ) -> Tuple[RationalTerm, List[NodeId]]:
-    """The approximant that keeps the first i members of the trie and cuts
-    the rest.
+    """The approximant that keeps the first i members and cuts the rest.
 
     The term agrees with the full unraveling except that every set member
     *not* kept is replaced by a hole.  The kept occurrences must be downward
@@ -492,82 +581,65 @@ def _cut_graph(
     guarantee this), which also guarantees no cut ever lands strictly inside
     a kept redex's pattern.
 
-    Past the trie, each carrier node m has one node `m@*`, a hole where m is
-    the target.  The trie states below `size[i]` are visited children first
-    (a child is numbered after its parent).  A labelled state k at carrier
-    node m becomes node `m@k`, unless a state visited before it has the same
-    carrier node and the same successor nodes: then it shares that state's
-    node, so the finite part is maximally shared.  A state at a variable or
-    a hole is the past node of its carrier node, which has the same content.
-    Sharing changes no unraveling.  A trie state that walks to the target
-    is a member and, unless nothing is kept (the root is in every trie), a
-    prefix of a kept one, so it is kept itself: a redex node stands for
-    kept occurrences only, and the occurrences that reach it from the point
-    are exactly the kept ones whose states it shares.  Everything stays
-    finite and exact — no depth truncation is involved — and the cost is
-    linear in the trie.  Returns the term and the distinct redex nodes in
-    the order of their first kept occurrence.
+    The positions on kept prefixes are walked as states, children first,
+    and each becomes the node `cuts.node` hash-conses, so the finite part is
+    maximally shared; a position below no kept member is its carrier node's
+    past node.  With a supplied enumeration the states are those of its
+    trie below `size[i]`; with the default one, the cut is the state of
+    `cuts.state` that keeps the first i members below the start.  A state
+    at the target is a kept member, so a redex node stands for kept
+    occurrences only, and the occurrences that reach it from the point are
+    exactly the kept ones.  Everything stays finite and exact — no depth
+    truncation is involved.  Returns the term and the distinct redex nodes
+    in the length-lex order of their first kept occurrence.
     """
-    g = rs.carrier
-    child, at, limit = trie.child, trie.at, trie.size[i]
-    target = rs.target
-    past: Dict[NodeId, NodeId] = {}  # carrier node -> its node past the trie
-    ids: List[NodeId] = [""] * limit  # each trie state's node
-    shared: Dict[Tuple[NodeId, Tuple[NodeId, ...]], NodeId] = {}
-    for st in range(limit - 1, -1, -1):
-        m = at[st]
-        row = g.succs.get(m)  # None at variables and holes (never labelled)
-        if row is None or not i and m == target:
-            ids[st] = past.setdefault(m, f"{m}@*")
-            continue
-        kids = child[st]
-        ss = []
-        k = 0
-        for s in row:
-            k += 1
-            c = kids.get(k, limit)
-            ss.append(ids[c] if c < limit else past.setdefault(s, f"{s}@*"))
-        key = (m, tuple(ss))
-        nid = shared.get(key)
-        if nid is None:
-            nid = shared[key] = f"{m}@{st}"
-        ids[st] = nid
-
-    labels: Dict[NodeId, str] = {}
-    succs: Dict[NodeId, Tuple[NodeId, ...]] = {}
-    for (m, ss), nid in shared.items():
-        labels[nid] = g.labels[m]
-        succs[nid] = ss
-    bottoms: List[NodeId] = []
-    names: List[Tuple[NodeId, str]] = []
-    ren = dict(rs.var_names)
-    todo = list(past)  # past nodes are filled in here, each once
-    while todo:
-        m = todo.pop()
-        nid = past[m]
-        lbl = g.labels.get(m)
-        if m == target or m in rs.bottoms:
-            bottoms.append(nid)  # a hole, or a member not kept: cut
-        elif lbl is None:
-            names.append((nid, ren.get(m, m)))  # variable keeps its name
-        else:
+    if not i:
+        point = cuts.past[rs.start]
+    elif cuts.trie is None:
+        point = cuts.state(rs.start, *cuts.table.prefix(i))
+    else:
+        g, node, past = rs.carrier, cuts.node, cuts.past
+        child, at, limit = cuts.trie.child, cuts.trie.at, cuts.trie.size[i]
+        ids: List[NodeId] = [""] * limit  # each trie state's node
+        for st in range(limit - 1, -1, -1):
+            kids = child[st]
             ss = []
-            for s in g.succs[m]:
-                sid = past.get(s)
-                if sid is None:
-                    sid = past[s] = f"{s}@*"
-                    todo.append(s)
-                ss.append(sid)
-            labels[nid] = lbl
-            succs[nid] = tuple(ss)
+            k = 0
+            for s in g.succs[at[st]]:
+                k += 1
+                c = kids.get(k, limit)
+                ss.append(ids[c] if c < limit else past[s])
+            ids[st] = node(at[st], tuple(ss))
+        point = ids[0]
 
+    # breadth first from the point, children in order: the first path to
+    # each node is its length-lex least, so redex nodes come out in the
+    # order of their first kept occurrence
+    labels, succs = cuts.labels, cuts.succs
+    lab: Dict[NodeId, str] = {}
+    suc: Dict[NodeId, Tuple[NodeId, ...]] = {}
+    order = [point]
+    seen = {point}
+    for n in order:
+        ss = succs.get(n)
+        if ss is not None:
+            lab[n], suc[n] = labels[n], ss
+            for s in ss:
+                if s not in seen:
+                    seen.add(s)
+                    order.append(s)
     term = RationalTerm(
-        TermGraph.of([*shared.values(), *past.values()], labels, succs),
-        ids[0],
-        frozenset(bottoms),
-        tuple(sorted(names, key=lambda kv: node_key(kv[0]))),
+        TermGraph.of(order, lab, suc),
+        point,
+        frozenset(cuts.holes & seen),
+        tuple(
+            sorted(
+                ((n, v) for n, v in cuts.names.items() if n in seen),
+                key=lambda kv: node_key(kv[0]),
+            )
+        ),
     )
-    return term, list(dict.fromkeys([ids[st] for st in trie.end[:i]]))
+    return term, [n for n in order if n in cuts.redexes]
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +839,7 @@ def _prefix_respecting_trie(
     One walk down the trie per occurrence, adding the states it lacks,
     finds every member prefix and whether it was listed.
     """
-    trie = PrefixTrie(rs.carrier, rs.start, rs.target)
+    trie = PrefixTrie(rs.start)
     child, at, succs = trie.child, trie.at, rs.carrier.succs
     listed = set()  # trie states of the occurrences checked so far
     for w in occs:
@@ -827,29 +899,32 @@ def infinite_parallel_reduce(
 
     if occurrences is not None:
         occs = [tuple(w) for w in occurrences]
-        trie = _prefix_respecting_trie(rs, occs)
+        cuts = _Cuts(rs, _prefix_respecting_trie(rs, occs))
+        table = cuts.table
 
         def complete_to(d: int) -> bool:
             bound = threshold_length(rs.rule, d)
-            return sum(1 for w in occs if len(w) < bound) == rs.count_below(bound)
+            return sum(1 for w in occs if len(w) < bound) == table.count(bound)
 
         # Trust only the depth whose required members are all present.
         eff_depth = _deepest(depth, complete_to)
+        kept = len(occs)
     else:
+        cuts = _Cuts(rs)
+        table = cuts.table
 
         def needed(d: int) -> int:
-            return rs.count_below(threshold_length(rs.rule, d))
+            return table.count(threshold_length(rs.rule, d))
 
         eff_depth = _deepest(depth, lambda d: needed(d) <= budget)
-        trie = PrefixTrie(rs.carrier, rs.start, rs.target)
-        trie.grow(needed(eff_depth))
+        # the budget caps the members even where not even depth 1 fits it
+        kept = min(needed(eff_depth), budget)
 
     carrier_term = RationalTerm(rs.carrier, rs.start, rs.bottoms, rs.var_names)
     symbolic, _ = develop_rational(carrier_term, [(rs.target, rs.rule)])
 
     doublings = 0
     while True:
-        kept = len(trie.end)
         if sample_at is not None:
             indices = sorted(
                 {min(max(i, 0), kept) for i in sample_at} | {0, kept}
@@ -859,7 +934,7 @@ def infinite_parallel_reduce(
         samples: List[ChainSample] = []
         monotone_ok = True
         for i in indices:
-            cut, redex_nodes = _cut_graph(rs, trie, i)
+            cut, redex_nodes = _cut_graph(rs, cuts, i)
             developed, _ = develop_rational(
                 cut, [(nid, rs.rule) for nid in redex_nodes]
             )
@@ -898,8 +973,9 @@ def infinite_parallel_reduce(
                 f"{eff_depth} after {doublings} extensions"
             )
         doublings += 1
-        trie.grow(max(2 * kept, 8))
-        if len(trie.end) == kept:  # the set was finite and fully developed
+        more = table.first(max(2 * kept, 8))
+        if more == kept:  # the set was finite and fully developed
             raise ConvergenceError(
                 "redex set exhausted but the developments still disagree"
             )
+        kept = more

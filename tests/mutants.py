@@ -1,0 +1,141 @@
+"""A catalogue of planted mutants, each of which the named tests must catch.
+
+    python3 tests/mutants.py            # every mutant
+    python3 tests/mutants.py NAME ...   # some of them
+
+Each entry names a file under `src/tgr`, an exact snippet of it, the text
+that replaces the snippet, and the tests that must fail once it is in place.
+For each mutant the runner copies `src` and `tests` to a temporary
+directory, applies the mutant there and runs the named tests with pytest in
+a subprocess.  It fails if a snippet no longer occurs exactly once in its
+file, so the catalogue cannot rot silently, or if a named test still
+passes, so no test can lose a mutant it caught.  The repository itself is
+never edited.  Standard library only, apart from the pytest it starts; not
+part of the tier-1 suite, since each mutant costs a pytest run.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import List, NamedTuple, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/tgr
+    before: str
+    after: str
+    catches: Tuple[str, ...]  # pytest ids, relative to the repository root
+    why: str
+
+
+CUTS = "tests/test_parallel.py::test_cut_graphs_match_the_string_trie"
+REFERENCE = "tests/test_parallel.py::test_cuts_match_the_reference"
+
+MUTANTS: List[Mutant] = [
+    Mutant(
+        "right-of-spine-bound",
+        "parallel.py",
+        "kids.append((s, bound - 1, left if 0 < left < c else 0))",
+        "kids.append((s, bound - 1 + (left <= 0 < state[2]), "
+        "left if 0 < left < c else 0))",
+        (CUTS,),
+        "right of the last kept member's path, members of remaining length "
+        "L - |u| are kept instead of those up to L - |u| - 1",
+    ),
+    Mutant(
+        "state-memo-by-node",
+        "parallel.py",
+        "self._states: Dict[Tuple[NodeId, int, int], NodeId] = {}",
+        'self._states = type("ByNode", (dict,), {'
+        '"__contains__": lambda d, k: dict.__contains__(d, k[0]), '
+        '"__getitem__": lambda d, k: dict.__getitem__(d, k[0]), '
+        '"__setitem__": lambda d, k, v: dict.__setitem__(d, k[0], v)})()',
+        (CUTS, REFERENCE),
+        "a cut state's node is memoised by its carrier node alone",
+    ),
+    Mutant(
+        "distance-prune-off-by-one",
+        "parallel.py",
+        "if not left and dist.get(here, bound) >= bound:",
+        "if not left and dist.get(here, bound) >= bound - 1:",
+        (CUTS, REFERENCE),
+        "a state is cut to its past node while it still keeps the members "
+        "one shorter than its bound",
+    ),
+    Mutant(
+        "unrank-without-offset",
+        "graphs.py",
+        "return r, k - below[r]",
+        "return r, k",
+        (
+            CUTS,
+            "tests/test_parallel.py::test_unranked_members_are_the_enumeration",
+        ),
+        "the rank within a length forgets the members of shorter lengths",
+    ),
+    Mutant(
+        "hash-cons-by-node",
+        "parallel.py",
+        "nid = self._shared.get((m, ss))",
+        "nid = self._shared.get((m, ss)) or next(\n"
+        "            (n for (k, _), n in self._shared.items() if k == m), None\n"
+        "        )",
+        (CUTS, REFERENCE),
+        "the hash-cons key ignores the successor nodes",
+    ),
+]
+
+
+def check(m: Mutant) -> str:
+    """Apply one mutant in a copy and run its tests: '' or what went wrong."""
+    with tempfile.TemporaryDirectory(prefix="tgr-mutant-") as tmp:
+        copy = Path(tmp)
+        shutil.copytree(ROOT / "src", copy / "src")
+        shutil.copytree(ROOT / "tests", copy / "tests")
+        path = copy / "src" / "tgr" / m.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(m.before) != 1:
+            return f"snippet occurs {text.count(m.before)} times in {m.file}"
+        path.write_text(text.replace(m.before, m.after), encoding="utf-8")
+        passed = []
+        for test in m.catches:
+            run = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x",
+                 "-p", "no:cacheprovider", test],
+                cwd=copy,
+                env={**os.environ, "PYTHONPATH": str(copy / "src")},
+                capture_output=True,
+                text=True,
+            )
+            if run.returncode == 0:
+                passed.append(test)
+            elif run.returncode != 1:  # not a test failure: a broken run
+                return f"{test} did not run:\n{run.stdout[-2000:]}"
+        return f"not caught by {', '.join(passed)}" if passed else ""
+
+
+def main(names: List[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}")
+        return 2
+    failed = 0
+    for m in chosen:
+        problem = check(m)
+        failed += bool(problem)
+        print(f"{'FAIL' if problem else 'ok  '} {m.name}: {problem or m.why}")
+    print(f"{len(chosen) - failed} of {len(chosen)} mutants caught")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -64,6 +64,8 @@ _LOOP = [
     ["redex-set", "--graph", "Loop", "--rule", "RI", "--at", "n",
      "--maxlen", "3"],
     ["oracle", "--graph", "Loop", "--rule", "RI", "--at", "n"],
+    # not even depth 1 fits: the budget still caps the members kept
+    ["oracle", "--graph", "Loop", "--rule", "RI", "--at", "n", "--budget", "0"],
     ["verify-soundness", "--graph", "Loop"],
     ["verify-nf", "--graph", "Loop"],
     ["verify-cofinality", "--graph", "Loop"],

@@ -8,7 +8,7 @@ import pytest
 from tgr import parallel
 from tgr.dpo import find_matches, induced_parallel_redex
 from tgr.graphs import (
-    PrefixTrie,
+    PathCounts,
     RationalTerm,
     TermGraph,
     minimize,
@@ -27,6 +27,7 @@ from tgr.parallel import (
     Redex,
     UnsupportedRuleError,
     _cut_graph,
+    _Cuts,
     _deepest,
     _prefix_respecting_trie,
     complete_development,
@@ -340,8 +341,10 @@ def test_redex_sets_against_brute_force():
             short = [w for w in members if len(w) <= 5]
             assert enumerate_occurrences(rs, maxlen=5) == short
             assert enumerate_occurrences(rs, count=3) == members[:3]
-            for bound in range(7):
-                assert rs.count_below(bound) == sum(1 for w in short if len(w) < bound)
+            table = PathCounts(g, rs.start, rs.target)  # one, read at any bound
+            for bound in (3, 0, 6, 1, 5, 2, 4):
+                want = sum(1 for w in short if len(w) < bound)
+                assert rs.count_below(bound) == table.count(bound) == want
             # an infinite set has a member of length in [n, 2n), a finite one
             # none of length n or more (it would repeat a node)
             assert rs.is_finite() == all(len(w) < n for w in members)
@@ -357,8 +360,8 @@ def test_enumerate_occurrences_needs_a_bound():
 
 def test_chain_terms_ascend_to_the_unraveling():
     rs = RationalRedexSet(F_LOOP.graph, "n", "n", R_F)
-    trie = grown_trie(rs, 3)
-    cuts = [_cut_graph(rs, trie, i)[0] for i in range(4)]
+    chain = _Cuts(rs)
+    cuts = [_cut_graph(rs, chain, i)[0] for i in range(4)]
     assert cuts[0].unravel(8) == BOTTOM
     assert cuts[2].unravel(8) == t("f(f(_|_))")
     assert cuts[3].unravel(2) == F_LOOP.unravel(2)
@@ -502,22 +505,28 @@ def test_error_hierarchy():
 
 
 # ---------------------------------------------------------------------------
-# The integer trie against the string trie it replaced
+# The shared cuts against the string trie they replaced
 
 
 def ref_cut_graph(rs, kept):
     """The old `_cut_graph`: a trie of prefix tuples, rebuilt per call, with
-    nodes named by their whole occurrence."""
+    one node per occurrence."""
     g = rs.carrier
     ren = dict(rs.var_names)
     elements = set(kept)
-    prefixes = {w[:i] for w in kept for i in range(len(w) + 1)}
-    prefixes.add(())
+    prefixes = {()}
+    for w in kept:  # the set stays prefix-closed: stop at a known prefix
+        for i in range(len(w), 0, -1):
+            if w[:i] in prefixes:
+                break
+            prefixes.add(w[:i])
+
+    numbers = {}  # a number per occurrence, so ids stay short
 
     def node_id(m, st):
         if st is None:
             return f"{m}@*"
-        return f"{m}@" + ("e" if not st else "-".join(map(str, st)))
+        return f"{m}@" + numbers.setdefault(st, str(len(numbers)))
 
     nodes, labels, succs, bottoms, names = [], {}, {}, [], []
     todo = [(rs.start, ())]
@@ -625,7 +634,7 @@ def test_cut_graphs_match_the_string_trie(monkeypatch):
     construction, which shares nothing; the redex nodes are distinct, and
     the occurrences that reach them are exactly the kept ones."""
 
-    def old_cut(rs, trie, i):
+    def old_cut(rs, cuts, i):
         return ref_cut_graph(rs, enumerate_occurrences(rs, count=i))
 
     for rs, depth, budget in oracle_cases():
@@ -647,11 +656,11 @@ def test_cut_graphs_match_the_string_trie(monkeypatch):
         )
 
         occs = enumerate_occurrences(rs, count=report.occurrences)
-        trie = grown_trie(rs, report.occurrences)
+        cuts = _Cuts(rs)
         for new, ref in zip(report.samples, old.samples):
             assert new.approximant == ref.approximant
             assert new.developed == ref.developed
-            cut, nodes = _cut_graph(rs, trie, new.index)
+            cut, nodes = _cut_graph(rs, cuts, new.index)
             kept = occs[: new.index]
             # distinct, and in the order of the kept occurrences that walk
             # to them
@@ -669,14 +678,14 @@ def test_cut_graphs_match_the_string_trie(monkeypatch):
 def test_cut_graphs_share_their_finite_part():
     """At 2,047 members the cuts of the shared rings, whose unshared trees
     have 7,167 and 9,214 nodes, are as small as `minimize` makes them; on
-    the one-node I loop, where nothing repeats, each trie state keeps its
-    own node."""
+    the one-node I loop, where nothing repeats, each kept position keeps
+    its own node."""
     for rs in (shared_ring(4, "f", R_F), shared_ring(5, "I", R_I)):
-        cut, nodes = _cut_graph(rs, grown_trie(rs, 2047), 2047)
+        cut, nodes = _cut_graph(rs, _Cuts(rs), 2047)
         assert len(cut.graph.nodes) <= 64 and len(nodes) <= 11
         assert len(cut.graph.nodes) == len(minimize(cut.graph)[0].nodes)
     loop = RationalRedexSet(I_LOOP.graph, "n", "n", R_I)
-    cut, nodes = _cut_graph(loop, grown_trie(loop, 2047), 2047)
+    cut, nodes = _cut_graph(loop, _Cuts(loop), 2047)
     assert len(cut.graph.nodes) == 2048 and len(nodes) == 2047
 
 
@@ -699,13 +708,6 @@ def ref_trie(rs, batches):
     return child, at, size, end
 
 
-def grown_trie(rs, count):
-    """The oracle's trie of the set's first `count` members."""
-    trie = PrefixTrie(rs.carrier, rs.start, rs.target)
-    trie.grow(count)
-    return trie
-
-
 def trie_members(trie):
     """The members of a trie, read back as occurrences through parent links
     rebuilt from `child`."""
@@ -720,19 +722,47 @@ def trie_members(trie):
     return members
 
 
-def doubling_batches(occs):
-    """The list cut where the oracle's doublings would cut it: 1, 2, 4, ..."""
-    cuts = [0] + [c for c in (2**k for k in range(16)) if c < len(occs)]
-    return [occs[a:b] for a, b in zip(cuts, cuts[1:] + [len(occs)])]
+def test_supplied_trie_matches_the_root_walk():
+    """The trie of a caller-supplied enumeration equals one that walks each
+    occurrence from the root, and its members read back are the list: on
+    the suite's sets in length-lex order and reordered (shorter members
+    still first), and on the one-node I loop to 300 members."""
+    sets = [(rs, 200) for rs, _, _ in oracle_cases()]
+    sets.append((RationalRedexSet(I_LOOP.graph, "n", "n", R_I), 300))
+    for rs, count in sets:
+        occs = enumerate_occurrences(rs, count=count)
+        for lst in (occs, sorted(occs, key=lambda w: (len(w), [-i for i in w]))):
+            trie = _prefix_respecting_trie(rs, lst)
+            got = (trie.child, trie.at, trie.size, trie.end)
+            assert got == ref_trie(rs, [lst])
+            assert trie_members(trie) == lst
 
 
-def test_incremental_trie_matches_the_root_walk():
-    """A trie grown from the breadth-first walk, which numbers each member's
-    new states top-down from the first prefix that has one, equals one that
-    walks each occurrence from the root, when grown in the batches the
-    doublings add, and its members read back are the enumeration: on the
-    suite's sets, the one-node I loop to 3,000 members, a 5-node f ring
-    (each member extends the last by 5 letters) and a shared binary ring
+def unrank(rs, table, j):
+    """Member j read off the counts: its length r and its rank q among the
+    members of that length come from the start's counts; then each step
+    takes the first successor whose count of the remaining length covers
+    q, less the counts of the successors before it."""
+    if table.first(j + 1) <= j:
+        return None
+    r, q = table.prefix(j)
+    m, w = table.src, []
+    for left in range(r - 1, -1, -1):
+        for k, s in enumerate(rs.carrier.succs[m], 1):
+            c = table.rows[left].get(s, 0)
+            if q < c:
+                break
+            q -= c
+        w.append(k)
+        m = s
+    return tuple(w)
+
+
+def test_unranked_members_are_the_enumeration():
+    """Member j unranked by the counts is member j of the breadth-first
+    enumeration, and there is none past the end of a finite set: on the
+    suite's sets, the one-node I loop to 300 members, a 5-node f ring (each
+    member extends the last by 5 letters) and a shared binary ring
     (neighbours differ in their last letters)."""
     f_ring = RationalRedexSet(
         TermGraph.of(
@@ -744,27 +774,87 @@ def test_incremental_trie_matches_the_root_walk():
         "n0",
         R_F,
     )
-    sets = [rs for rs, _, _ in oracle_cases()]
-    counts = [200] * len(sets)
+    sets = [(rs, 100) for rs, _, _ in oracle_cases()]
     sets += [
-        RationalRedexSet(I_LOOP.graph, "n", "n", R_I),
-        f_ring,
-        shared_ring(5, "f", R_F),
+        (RationalRedexSet(I_LOOP.graph, "n", "n", R_I), 300),
+        (f_ring, 100),
+        (shared_ring(5, "f", R_F), 2000),
     ]
-    counts += [3000, 400, 2000]
-    lists = [enumerate_occurrences(rs, count=c) for rs, c in zip(sets, counts)]
-    assert [len(w) for w in lists[-3]] == list(range(3000))
-    for rs, count, occs in zip(sets, counts, lists):
-        batches = doubling_batches(occs)
-        trie = PrefixTrie(rs.carrier, rs.start, rs.target)
-        grown = 0
-        for batch in batches:
-            grown += len(batch)
-            trie.grow(grown)
-        trie.grow(count)  # a finite set's walk has ended: nothing to add
-        got = (trie.child, trie.at, trie.size, trie.end)
-        assert got == ref_trie(rs, batches)
-        assert trie_members(trie) == occs
+    finite = 0
+    for rs, count in sets:
+        table = PathCounts(rs.carrier, rs.start, rs.target)
+        occs = enumerate_occurrences(rs, count=count)  # each count's prefix
+        assert [unrank(rs, table, j) for j in range(len(occs))] == occs
+        if len(occs) < count:  # a finite set, used up
+            assert unrank(rs, table, len(occs)) is None
+            assert table.first(count) == len(occs)
+            finite += 1
+    assert finite >= 10
+
+
+def test_cuts_match_the_reference():
+    """Cuts equal the string-trie reference at every sampled index: those
+    of supplied enumerations (trie states) on the suite's sets, listed
+    with shorter members first but otherwise reordered, with the same
+    redex nodes; and those of the default one (count-table states) on the
+    one-node I loop at 2,047 members, where each cut is one path.  The
+    oracle's own cuts are compared in the test above."""
+    for rs, _, _ in oracle_cases():
+        occs = enumerate_occurrences(rs, count=64)
+        reordered = sorted(occs, key=lambda w: (len(w), [-i for i in w]))
+        cuts = _Cuts(rs, _prefix_respecting_trie(rs, reordered))
+        for i in parallel._sample_indices(len(occs)):
+            cut, nodes = _cut_graph(rs, cuts, i)
+            assert cut == ref_cut_graph(rs, reordered[:i])[0]
+            # in the length-lex order of their first kept occurrence
+            kept = sorted(reordered[:i], key=lambda w: (len(w), w))
+            walks = [cut.graph.walk(cut.point, w) for w in kept]
+            assert nodes == list(dict.fromkeys(walks))
+    loop = RationalRedexSet(I_LOOP.graph, "n", "n", R_I)
+    occs = enumerate_occurrences(loop, count=2047)
+    cuts = _Cuts(loop)
+    for i in parallel._sample_indices(len(occs)):
+        cut, nodes = _cut_graph(loop, cuts, i)
+        assert cut == ref_cut_graph(loop, occs[:i])[0]
+        assert len(nodes) == i
+
+
+def test_the_default_chain_builds_no_trie(monkeypatch):
+    """On the shared 5-ring at depth 32 the oracle constructs no prefix
+    trie, and builds fewer position nodes (count-table states, one
+    `_Cuts.node` call each) than the trie of its members has states."""
+    rs = shared_ring(5, "I", R_I)
+    tries, built = [], []
+    node = _Cuts.node
+
+    def counted_node(self, m, ss):
+        built.append(m)
+        return node(self, m, ss)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(parallel, "PrefixTrie", lambda *a: tries.append(a))
+        mp.setattr(_Cuts, "node", counted_node)
+        report = infinite_parallel_reduce(rs, 32, budget=2048)
+    assert not tries
+    trie = _prefix_respecting_trie(
+        rs, enumerate_occurrences(rs, count=report.occurrences)
+    )
+    assert report.occurrences > 1000 and len(trie.child) > 5000
+    assert 0 < len(built) <= len(trie.child)
+
+
+def test_the_budget_is_a_hard_cap():
+    """When not even depth 1 fits, the oracle keeps no more members than
+    the budget allows, down to none."""
+    rs = RationalRedexSet(I_LOOP.graph, "n", "n", R_I)
+    assert threshold_length(R_I, 0) == 3
+    for budget, kept in ((0, 0), (1, 1), (2, 2), (3, 3)):
+        report = infinite_parallel_reduce(rs, depth=16, budget=budget)
+        assert (report.effective_depth, report.occurrences) == (0, kept)
+        assert report.limit_agrees and report.limit.unravel(4) == BOTTOM
+    ring = shared_ring(4, "f", R_F)
+    report = infinite_parallel_reduce(ring, depth=32, budget=5)
+    assert report.occurrences <= 5
 
 
 def test_the_chain_checks_catch_a_skipped_target(monkeypatch):
@@ -792,8 +882,7 @@ def test_the_chain_checks_catch_a_skipped_target(monkeypatch):
                 components = components[:-1]
             return develop(rt, components)
 
-        trie = grown_trie(rs, report.occurrences)
-        cut, nodes = _cut_graph(rs, trie, report.occurrences)
+        cut, nodes = _cut_graph(rs, _Cuts(rs), report.occurrences)
         skipped, _ = develop(cut, [(n, rs.rule) for n in nodes[:-1]])
         wrong = not truncated_equal(skipped, report.limit, report.effective_depth)
         with monkeypatch.context() as mp:
