@@ -135,7 +135,7 @@ class TermGraph:
         """Follow the path with the given occurrence, if it exists."""
         for i in occ:
             s = self.succs.get(n)
-            if s is None or i > len(s):
+            if s is None or not 0 < i <= len(s):
                 return None
             n = s[i - 1]
         return n
@@ -756,9 +756,12 @@ def _agree(
     distance d agrees to depth min(j, depth - d), since its successor pairs
     lie in classes of pairs at distance <= d + 1.  The order is not
     symmetric (x <= y >= z does not give x <= z), so with `below` a pair is
-    skipped only if it was seen before, at no larger distance.
+    skipped only if it was seen before, at no larger distance.  Views of one
+    graph with the same holes and names skip every pair (x, x): it holds in
+    all three modes.
     """
     ga, gb = a.graph, b.graph
+    same = ga is gb and a.bottoms == b.bottoms and a.var_names == b.var_names
     ren_a, ren_b = a.renaming(), b.renaming()
     parent: Dict[Tuple[int, NodeId], Tuple[int, NodeId]] = {}
     seen: Set[Tuple[NodeId, NodeId]] = set()
@@ -774,6 +777,8 @@ def _agree(
     while level and (depth is None or d < depth):
         nxt: List[Tuple[NodeId, NodeId]] = []
         for x, y in level:
+            if same and x == y:
+                continue
             if below:
                 if x in a.bottoms or (x, y) in seen:
                     continue

@@ -491,7 +491,7 @@ def gen_case(rng: random.Random, max_nodes: int = 8) -> RandomCase:
 # Properties
 
 
-PropertyFn = Callable[[RandomCase, random.Random, int, int], Optional[str]]
+PropertyFn = Callable[["RandomCase", random.Random, int, int], Optional[str]]
 
 
 def _prop_soundness(

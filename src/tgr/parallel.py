@@ -19,9 +19,9 @@ The pieces:
   node, membership decided by walking the carrier.  These are the redex sets
   a single graph-rewrite step stands for.
 - `infinite_parallel_reduce`: the oracle.  It develops an infinite redex set
-  as the limit of an ascending chain of finite approximants, each computed
-  exactly as a rational term (no depth truncation), and cross-checks the
-  chain limit against an independently built symbolic limit graph.
+  as the limit of an ascending chain of finite approximants, all exact views
+  of one hash-consed table developed at once, and cross-checks the chain
+  limit against an independently built symbolic limit graph.
 - `develop_rational`: simultaneous development of whole node-induced redex
   sets directly on the carrier (graft for ordinary rules, redirect for
   collapsing ones, with divergent redirect cycles becoming holes).
@@ -255,7 +255,7 @@ def reduce(rt: RationalTerm, redex: Redex) -> RationalTerm:
     spine = [rt.point]
     for i in redex.occ:
         succ = g.succs.get(spine[-1])
-        if succ is None or i > len(succ):
+        if succ is None or not 0 < i <= len(succ):
             raise ValueError(
                 f"{occ_format(redex.occ)} is not an occurrence of the term"
             )
@@ -488,10 +488,11 @@ class _Cuts:
     trie of a caller-supplied one.
 
     A node is hash-consed on its carrier node and successor nodes, so equal
-    keys mean equal unravelings, wherever in the chain they were built.
-    Past the kept prefixes each carrier node m has one node `m@*`: a hole
-    where m is the target or a hole, a variable under its name where m is
-    empty, and otherwise m's label over the past nodes of its successors.
+    keys mean equal unravelings, wherever in the chain they were built, and
+    no node changes once built.  Past the kept prefixes each carrier node m
+    has one node `m@*`: a hole where m is the target or a hole, a variable
+    under its name where m is empty, and otherwise m's label over the past
+    nodes of its successors.  `chain` caches what `_cut_graph` builds.
     """
 
     def __init__(
@@ -503,9 +504,11 @@ class _Cuts:
         self.succs: Dict[NodeId, Tuple[NodeId, ...]] = {}
         self.holes: Set[NodeId] = set()
         self.names: Dict[NodeId, str] = {}
-        self.redexes: Set[NodeId] = set()  # kept nodes at the target
+        self.redexes: List[NodeId] = []  # kept nodes at the target, in order
+        self.chain: Optional[Tuple[int, RationalTerm, RationalTerm, dict]] = None
         self._shared: Dict[Tuple[NodeId, Tuple[NodeId, ...]], NodeId] = {}
         self._states: Dict[Tuple[NodeId, int, int], NodeId] = {}
+        self._points: Dict[int, NodeId] = {}
         g, ren = rs.carrier, dict(rs.var_names)
         self.past = {m: f"{m}@*" for m in g.reachable(rs.start)}
         for m, nid in self.past.items():
@@ -525,7 +528,7 @@ class _Cuts:
             self.labels[nid] = self.rs.carrier.labels[m]
             self.succs[nid] = ss
             if m == self.rs.target:
-                self.redexes.add(nid)
+                self.redexes.append(nid)
         return nid
 
     def state(self, m: NodeId, r: int, j: int) -> NodeId:
@@ -569,77 +572,61 @@ class _Cuts:
             memo[state] = self.node(state[0], ss)
         return memo[m, r, j]
 
+    def point(self, i: int) -> NodeId:
+        """The node of the cut that keeps the first i members: the start's
+        past node for none, with the default enumeration the state that
+        keeps them below the start, and with a supplied one the states of
+        its trie below `size[i]`, built children first."""
+        if not i:
+            return self.past[self.rs.start]
+        if self.trie is None:
+            return self.state(self.rs.start, *self.table.prefix(i))
+        if i not in self._points:
+            succs, past = self.rs.carrier.succs, self.past
+            child, at, limit = self.trie.child, self.trie.at, self.trie.size[i]
+            ids: List[NodeId] = [""] * limit  # each trie state's node
+            for st in range(limit - 1, -1, -1):
+                kids, ss = child[st], []
+                for k, s in enumerate(succs[at[st]], 1):
+                    c = kids.get(k, limit)
+                    ss.append(ids[c] if c < limit else past[s])
+                ids[st] = self.node(at[st], tuple(ss))
+            self._points[i] = ids[0]
+        return self._points[i]
+
 
 def _cut_graph(
     rs: RationalRedexSet, cuts: _Cuts, i: int
-) -> Tuple[RationalTerm, List[NodeId]]:
-    """The approximant that keeps the first i members and cuts the rest.
+) -> Tuple[RationalTerm, RationalTerm]:
+    """The approximant that keeps the first i members, every member not
+    kept cut to a hole, and its complete development.  The kept members
+    must be downward closed under the prefix order (prefix-respecting
+    enumerations are), so no cut lands inside a kept redex's pattern.
 
-    The term agrees with the full unraveling except that every set member
-    *not* kept is replaced by a hole.  The kept occurrences must be downward
-    closed in the set under the prefix order (prefix-respecting enumerations
-    guarantee this), which also guarantees no cut ever lands strictly inside
-    a kept redex's pattern.
-
-    The positions on kept prefixes are walked as states, children first,
-    and each becomes the node `cuts.node` hash-conses, so the finite part is
-    maximally shared; a position below no kept member is its carrier node's
-    past node.  With a supplied enumeration the states are those of its
-    trie below `size[i]`; with the default one, the cut is the state of
-    `cuts.state` that keeps the first i members below the start.  A state
-    at the target is a kept member, so a redex node stands for kept
-    occurrences only, and the occurrences that reach it from the point are
-    exactly the kept ones.  Everything stays finite and exact — no depth
-    truncation is involved.  Returns the term and the distinct redex nodes
-    in the length-lex order of their first kept occurrence.
+    Both are exact views from `cuts.point(i)`: into the whole table as one
+    term, and into its development by one `develop_rational` call at every
+    redex node of the table, both rebuilt only once the table has grown
+    (the oracle builds a round's states first, so one pair serves it).  The
+    point reaches exactly the cut's nodes, the redex nodes among them are
+    its kept members, so the view unravels as the cut developed alone
+    would (Kennaway, Klop, Sleep & de Vries, TOPLAS 1994).
     """
-    if not i:
-        point = cuts.past[rs.start]
-    elif cuts.trie is None:
-        point = cuts.state(rs.start, *cuts.table.prefix(i))
-    else:
-        g, node, past = rs.carrier, cuts.node, cuts.past
-        child, at, limit = cuts.trie.child, cuts.trie.at, cuts.trie.size[i]
-        ids: List[NodeId] = [""] * limit  # each trie state's node
-        for st in range(limit - 1, -1, -1):
-            kids = child[st]
-            ss = []
-            k = 0
-            for s in g.succs[at[st]]:
-                k += 1
-                c = kids.get(k, limit)
-                ss.append(ids[c] if c < limit else past[s])
-            ids[st] = node(at[st], tuple(ss))
-        point = ids[0]
-
-    # breadth first from the point, children in order: the first path to
-    # each node is its length-lex least, so redex nodes come out in the
-    # order of their first kept occurrence
-    labels, succs = cuts.labels, cuts.succs
-    lab: Dict[NodeId, str] = {}
-    suc: Dict[NodeId, Tuple[NodeId, ...]] = {}
-    order = [point]
-    seen = {point}
-    for n in order:
-        ss = succs.get(n)
-        if ss is not None:
-            lab[n], suc[n] = labels[n], ss
-            for s in ss:
-                if s not in seen:
-                    seen.add(s)
-                    order.append(s)
-    term = RationalTerm(
-        TermGraph.of(order, lab, suc),
-        point,
-        frozenset(cuts.holes & seen),
-        tuple(
-            sorted(
-                ((n, v) for n, v in cuts.names.items() if n in seen),
-                key=lambda kv: node_key(kv[0]),
-            )
-        ),
+    point = cuts.point(i)
+    if cuts.chain is None or cuts.chain[0] != len(cuts.labels):
+        nodes = [*cuts.labels, *cuts.holes, *cuts.names]
+        graph = TermGraph.of(nodes, cuts.labels, cuts.succs)
+        names = tuple(sorted(cuts.names.items(), key=lambda kv: node_key(kv[0])))
+        table = RationalTerm(graph, cuts.past[rs.start], frozenset(cuts.holes), names)
+        developed, resolved = develop_rational(
+            table, [(n, rs.rule) for n in cuts.redexes]
+        )
+        cuts.chain = len(cuts.labels), table, developed, resolved
+    _, table, developed, resolved = cuts.chain
+    end = resolved.get(point, point)
+    return (
+        RationalTerm(table.graph, point, table.bottoms, table.var_names),
+        RationalTerm(developed.graph, end, developed.bottoms, developed.var_names),
     )
-    return term, [n for n in order if n in cuts.redexes]
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +647,8 @@ def develop_rational(
     fresh hole.
 
     A target is a node, not an occurrence: a shared target develops every
-    one of its occurrences at once.  (`_cut_graph` shares a redex node only
-    among kept occurrences, so on a cut this develops exactly the kept set.)
+    one of its occurrences at once.  (A redex node of `_Cuts` stands for
+    kept occurrences only, so on a cut this develops exactly the kept set.)
 
     Returns the developed term and the resolution map for redirected nodes.
     Orthogonality matters: targets must be distinct nodes, and no target may
@@ -837,27 +824,36 @@ def _prefix_respecting_trie(
     of the set only, each after every member that is a proper prefix of it.
 
     One walk down the trie per occurrence, adding the states it lacks,
-    finds every member prefix and whether it was listed.
+    finds every member prefix and whether it was listed, and whether the
+    occurrence is a member: each new state is checked against its parent's
+    successors, as `TermGraph.walk` checks a step.  A missing prefix is
+    reported only once the occurrence is known to be a member.
     """
     trie = PrefixTrie(rs.start)
-    child, at, succs = trie.child, trie.at, rs.carrier.succs
+    child, at, succs, target = trie.child, trie.at, rs.carrier.succs, rs.target
     listed = set()  # trie states of the occurrences checked so far
     for w in occs:
-        if not rs.contains(w):
-            raise ValueError(f"{occ_format(w)} is not in the redex set")
-        st = 0
+        st, missing = 0, None
         for i, k in enumerate(w):
-            if at[st] == rs.target and st not in listed:
-                raise ValueError(
-                    "enumeration is not prefix-respecting: "
-                    f"{occ_format(w[:i])} missing before {occ_format(w)}"
-                )
+            if missing is None and at[st] == target and st not in listed:
+                missing = w[:i]
             nxt = child[st].get(k)
             if nxt is None:
+                ss = succs.get(at[st])
+                if ss is None or not 0 < k <= len(ss):  # no such step
+                    st = None
+                    break
                 nxt = child[st][k] = len(child)
                 child.append({})
-                at.append(succs[at[st]][k - 1])
+                at.append(ss[k - 1])
             st = nxt
+        if st is None or at[st] != target:
+            raise ValueError(f"{occ_format(w)} is not in the redex set")
+        if missing is not None:
+            raise ValueError(
+                "enumeration is not prefix-respecting: "
+                f"{occ_format(missing)} missing before {occ_format(w)}"
+            )
         trie.end.append(st)
         trie.size.append(len(child))
         listed.add(st)
@@ -931,19 +927,16 @@ def infinite_parallel_reduce(
             )
         else:
             indices = _sample_indices(kept)
+        for i in indices:  # the round's states first: one table serves it
+            cuts.point(i)
         samples: List[ChainSample] = []
         monotone_ok = True
         for i in indices:
-            cut, redex_nodes = _cut_graph(rs, cuts, i)
-            developed, _ = develop_rational(
-                cut, [(nid, rs.rule) for nid in redex_nodes]
-            )
+            cut, developed = _cut_graph(rs, cuts, i)
             if samples:
                 prev = samples[-1]
-                if not rational_approx_leq(prev.approximant, cut):
-                    monotone_ok = False
-                if not rational_approx_leq(prev.developed, developed):
-                    monotone_ok = False
+                monotone_ok &= rational_approx_leq(prev.approximant, cut)
+                monotone_ok &= rational_approx_leq(prev.developed, developed)
             samples.append(ChainSample(i, cut, developed))
         if not monotone_ok:
             raise OracleError(

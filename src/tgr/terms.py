@@ -246,7 +246,7 @@ def rebuild(
     return done[0]
 
 
-Substitution = Dict[str, FiniteTerm]
+Substitution = Dict[str, "FiniteTerm"]
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,58 @@ MUTANTS: List[Mutant] = [
 ]
 
 
+ONE_TABLE = (CUTS, REFERENCE)
+MUTANTS += [
+    Mutant(
+        "developed-point-unresolved",
+        "parallel.py",
+        "end = resolved.get(point, point)",
+        "end = point",
+        ONE_TABLE,
+        "a sample's development is read at its point, not where a "
+        "collapsing redex there resolved to",
+    ),
+    Mutant(
+        "table-kept-across-a-doubling",
+        "parallel.py",
+        "if cuts.chain is None or cuts.chain[0] != len(cuts.labels):",
+        "if cuts.chain is None:",
+        ONE_TABLE,
+        "the table term and its development are not rebuilt once the "
+        "table has grown, as it does at a doubling",
+    ),
+    Mutant(
+        "holes-of-the-first-sample",
+        "parallel.py",
+        "frozenset(cuts.holes), names)",
+        "frozenset(cuts.holes & graph.reachable(cuts.past[rs.start])), names)",
+        (CUTS,),
+        "every view gets the holes the first sample (nothing kept) reaches, "
+        "not the table's",
+    ),
+    Mutant(
+        "reflexive-skip-ignores-holes",
+        "graphs.py",
+        "same = ga is gb and a.bottoms == b.bottoms and a.var_names == b.var_names",
+        "same = ga is gb and a.var_names == b.var_names",
+        (
+            "tests/test_graphs.py::"
+            "test_reflexive_pairs_are_skipped_only_between_like_views",
+        ),
+        "pairs (x, x) are skipped between views of one graph whose holes "
+        "differ",
+    ),
+    Mutant(
+        "trie-walk-without-end-check",
+        "parallel.py",
+        "if st is None or at[st] != target:",
+        "if st is None:",
+        ("tests/test_parallel.py::test_the_trie_walk_tests_membership",),
+        "a supplied occurrence that walks off the target is taken as a member",
+    ),
+]
+
+
 def check(m: Mutant) -> str:
     """Apply one mutant in a copy and run its tests: '' or what went wrong."""
     with tempfile.TemporaryDirectory(prefix="tgr-mutant-") as tmp:

@@ -167,8 +167,10 @@ def test_reduce_keeps_holes_and_variables():
 
 
 def test_reduce_rejects_bad_positions():
-    with pytest.raises(ValueError, match="not an occurrence"):
-        reduce(rat("f(a)"), rx((3,)))
+    for occ in ((3,), (0,), (-1,)):  # letters count from 1
+        with pytest.raises(ValueError, match="not an occurrence"):
+            reduce(rat("p(f(a), b)"), rx(occ))
+        assert F_LOOP.graph.walk("n", occ) is None
     with pytest.raises(ValueError, match="does not match"):
         reduce(rat("g(a)"), rx(()))
 
@@ -565,6 +567,28 @@ def ref_cut_graph(rs, kept):
     return term, [node_id(rs.target, w) for w in kept]
 
 
+def ref_route(rs, kept):
+    """The per-cut route the shared table replaced: the string-trie cut of
+    the kept members, and `develop_rational` on that cut alone."""
+    cut, nodes = ref_cut_graph(rs, kept)
+    developed, _ = develop_rational(cut, [(n, rs.rule) for n in nodes])
+    return cut, developed
+
+
+def kept_paths(cuts, cut):
+    """The paths from a view's point to the redex nodes it reaches, in
+    order: a walk that enters no past node, since none reaches one."""
+    past, redexes = set(cuts.past.values()), set(cuts.redexes)
+    out, todo = [], [((), cut.point)]
+    while todo:
+        w, n = todo.pop()
+        if n not in past:
+            if n in redexes:
+                out.append(w)
+            todo += [(w + (k,), s) for k, s in enumerate(cut.graph.succs[n], 1)]
+    return sorted(out)
+
+
 def ref_prefix_check(rs, occs):
     """The old prefix-respecting check: every prefix of every occurrence."""
     seen = set()
@@ -615,8 +639,8 @@ def generated_sets(seeds=range(300)):
 def oracle_cases():
     """(redex set, depth, budget), built once: the generated sets with a
     member the start reaches, the first one without (a chain of one empty
-    cut), and shared 4- and 5-node rings whose depth-32 requirement exceeds
-    the budget."""
+    cut), shared 4- and 5-node rings whose depth-32 requirement exceeds
+    the budget, the cdr/cons cycle and a hole below the target."""
     sets = list(generated_sets())
     empty = [rs for rs in sets if not enumerate_occurrences(rs, count=1)]
     cases = [(empty[0], 6, 64)]
@@ -624,69 +648,111 @@ def oracle_cases():
     cases += [
         (shared_ring(4, "f", R_F), 32, 2048),
         (shared_ring(5, "I", R_I), 32, 2048),
+        (CDR_CONS, 16, 2048),
+        (HOLE_BEHIND_TARGET, 6, 64),
     ]
     return tuple(cases)
 
 
+# cdr(cons(a, .)) on a cycle: a collapsing rule with a two-node pattern
+CDR_CONS = RationalRedexSet(
+    TermGraph.of(
+        ["c", "k", "u"], {"c": "cdr", "k": "cons", "u": "a"},
+        {"c": ("k",), "k": ("u", "c")},
+    ),
+    "c",
+    "c",
+    R_CDR,
+)
+# an f loop through p(., hole): the hole is met only below the target
+HOLE_BEHIND_TARGET = RationalRedexSet(
+    TermGraph.of(
+        ["n", "m", "h"], {"n": "f", "m": "p"}, {"n": ("m",), "m": ("n", "h")}
+    ),
+    "n",
+    "n",
+    R_F,
+    frozenset(["h"]),
+)
+
+
 def test_cut_graphs_match_the_string_trie(monkeypatch):
-    """The oracle's report, every sampled approximant and its development
-    agree with those of the oracle running on the old string-trie
-    construction, which shares nothing; the redex nodes are distinct, and
-    the occurrences that reach them are exactly the kept ones."""
+    """The oracle's report and every sampled approximant and development
+    equal those of the oracle running on the per-cut route it replaced
+    (`ref_route`): on the suite's sets, with `sample_at`, with supplied
+    enumerations, and through the doublings a crippled threshold forces.
+    The same views built one index at a time, the table growing between
+    calls, are equal too, and the paths from each point to the redex nodes
+    it reaches are exactly the kept members, each once."""
 
     def old_cut(rs, cuts, i):
-        return ref_cut_graph(rs, enumerate_occurrences(rs, count=i))
+        if cuts.trie is None:
+            return ref_route(rs, enumerate_occurrences(rs, count=i))
+        return ref_route(rs, trie_members(cuts.trie)[:i])
 
-    for rs, depth, budget in oracle_cases():
-        report = infinite_parallel_reduce(rs, depth, budget=budget)
+    def compare(rs, depth, budget, occurrences=None, sample_at=None):
+        args = dict(budget=budget, occurrences=occurrences, sample_at=sample_at)
+        report = infinite_parallel_reduce(rs, depth, **args)
         with monkeypatch.context() as mp:
             mp.setattr(parallel, "_cut_graph", old_cut)
-            old = infinite_parallel_reduce(rs, depth, budget=budget)
+            old = infinite_parallel_reduce(rs, depth, **args)
         assert report.effective_depth == old.effective_depth
-        assert report.effective_depth == ref_scan(
-            depth,
-            lambda d: rs.count_below(threshold_length(rs.rule, d)) <= budget,
-        )
         assert report.occurrences == old.occurrences
         assert [s.index for s in report.samples] == [s.index for s in old.samples]
         assert report.doublings == old.doublings
         assert report.limit == old.limit
-        assert (report.limit == report.symbolic_limit) == (
-            old.limit == old.symbolic_limit
-        )
-
-        occs = enumerate_occurrences(rs, count=report.occurrences)
-        cuts = _Cuts(rs)
+        assert report.limit_agrees == old.limit_agrees
+        if occurrences is None:
+            occurrences = enumerate_occurrences(rs, count=report.occurrences)
+            cuts = _Cuts(rs)
+        else:
+            cuts = _Cuts(rs, _prefix_respecting_trie(rs, occurrences))
         for new, ref in zip(report.samples, old.samples):
             assert new.approximant == ref.approximant
             assert new.developed == ref.developed
-            cut, nodes = _cut_graph(rs, cuts, new.index)
-            kept = occs[: new.index]
-            # distinct, and in the order of the kept occurrences that walk
-            # to them
-            assert nodes == list(
-                dict.fromkeys(cut.graph.walk(cut.point, w) for w in kept)
-            )
-            # the paths to them are the kept occurrences, each once; finite,
-            # since the trie part is acyclic and nothing past it points back
-            paths = [
-                w for n in nodes for w in occurrences_to(cut.graph, cut.point, n)
-            ]
-            assert sorted(paths) == sorted(kept)
+            cut, developed = _cut_graph(rs, cuts, new.index)
+            assert cut == new.approximant and developed == new.developed
+            assert kept_paths(cuts, cut) == sorted(occurrences[: new.index])
+        return report
+
+    for rs, depth, budget in oracle_cases():
+        report = compare(rs, depth, budget)
+        assert report.effective_depth == ref_scan(
+            depth,
+            lambda d: rs.count_below(threshold_length(rs.rule, d)) <= budget,
+        )
+    picked = oracle_cases()[-6:] + oracle_cases()[1:40:6]
+    for rs, depth, budget in picked:
+        compare(rs, depth, budget, sample_at=[3, 1, 40, 17])
+        occs = enumerate_occurrences(rs, count=48)
+        reordered = sorted(occs, key=lambda w: (len(w), [-i for i in w]))
+        compare(rs, min(depth, 4), budget, occurrences=reordered)
+    with monkeypatch.context() as mp:
+        mp.setattr(parallel, "threshold_length", lambda rule, depth: 1)
+        reports = [compare(rs, min(depth, 8), budget) for rs, depth, budget in picked]
+    assert sum(r.doublings > 0 for r in reports) >= 4
 
 
 def test_cut_graphs_share_their_finite_part():
     """At 2,047 members the cuts of the shared rings, whose unshared trees
-    have 7,167 and 9,214 nodes, are as small as `minimize` makes them; on
-    the one-node I loop, where nothing repeats, each kept position keeps
-    its own node."""
-    for rs in (shared_ring(4, "f", R_F), shared_ring(5, "I", R_I)):
-        cut, nodes = _cut_graph(rs, _Cuts(rs), 2047)
-        assert len(cut.graph.nodes) <= 64 and len(nodes) <= 11
-        assert len(cut.graph.nodes) == len(minimize(cut.graph)[0].nodes)
+    have 7,167 and 9,214 nodes, reach as few nodes as `minimize` leaves;
+    on the one-node I loop, where nothing repeats, each kept position keeps
+    its own node.  Each cut and its development equal the per-cut route's."""
     loop = RationalRedexSet(I_LOOP.graph, "n", "n", R_I)
-    cut, nodes = _cut_graph(loop, _Cuts(loop), 2047)
-    assert len(cut.graph.nodes) == 2048 and len(nodes) == 2047
+    for rs, most, redexes in (
+        (shared_ring(4, "f", R_F), 64, 11),
+        (shared_ring(5, "I", R_I), 64, 11),
+        (loop, 2048, 2047),
+    ):
+        cuts = _Cuts(rs)
+        cut, developed = _cut_graph(rs, cuts, 2047)
+        ref_cut, ref_developed = ref_route(rs, enumerate_occurrences(rs, count=2047))
+        assert cut == ref_cut and developed == ref_developed
+        reach = cut.trimmed().graph
+        assert len(reach.nodes) <= most
+        assert len(set(cuts.redexes).intersection(reach.nodes)) <= redexes
+        assert len(reach.nodes) == len(minimize(reach)[0].nodes)
+    assert (len(reach.nodes), len(cuts.redexes)) == (2048, 2047)
 
 
 def ref_trie(rs, batches):
@@ -793,30 +859,30 @@ def test_unranked_members_are_the_enumeration():
 
 
 def test_cuts_match_the_reference():
-    """Cuts equal the string-trie reference at every sampled index: those
-    of supplied enumerations (trie states) on the suite's sets, listed
-    with shorter members first but otherwise reordered, with the same
-    redex nodes; and those of the default one (count-table states) on the
+    """Cuts and their developments equal the per-cut route's at every
+    sampled index: those of supplied enumerations (trie states) on the
+    suite's sets, listed with shorter members first but otherwise
+    reordered; and those of the default one (count-table states) on the
     one-node I loop at 2,047 members, where each cut is one path.  The
-    oracle's own cuts are compared in the test above."""
+    paths to the redex nodes each cut reaches are its kept members.  The
+    oracle's own cuts are compared in the tests above."""
     for rs, _, _ in oracle_cases():
         occs = enumerate_occurrences(rs, count=64)
         reordered = sorted(occs, key=lambda w: (len(w), [-i for i in w]))
         cuts = _Cuts(rs, _prefix_respecting_trie(rs, reordered))
         for i in parallel._sample_indices(len(occs)):
-            cut, nodes = _cut_graph(rs, cuts, i)
-            assert cut == ref_cut_graph(rs, reordered[:i])[0]
-            # in the length-lex order of their first kept occurrence
-            kept = sorted(reordered[:i], key=lambda w: (len(w), w))
-            walks = [cut.graph.walk(cut.point, w) for w in kept]
-            assert nodes == list(dict.fromkeys(walks))
+            cut, developed = _cut_graph(rs, cuts, i)
+            ref_cut, ref_developed = ref_route(rs, reordered[:i])
+            assert cut == ref_cut and developed == ref_developed
+            assert kept_paths(cuts, cut) == sorted(reordered[:i])
     loop = RationalRedexSet(I_LOOP.graph, "n", "n", R_I)
     occs = enumerate_occurrences(loop, count=2047)
     cuts = _Cuts(loop)
     for i in parallel._sample_indices(len(occs)):
-        cut, nodes = _cut_graph(loop, cuts, i)
-        assert cut == ref_cut_graph(loop, occs[:i])[0]
-        assert len(nodes) == i
+        cut, developed = _cut_graph(loop, cuts, i)
+        ref_cut, ref_developed = ref_route(loop, occs[:i])
+        assert cut == ref_cut and developed == ref_developed
+        assert kept_paths(cuts, cut) == occs[:i]
 
 
 def test_the_default_chain_builds_no_trie(monkeypatch):
@@ -858,32 +924,42 @@ def test_the_budget_is_a_hard_cap():
 
 
 def test_the_chain_checks_catch_a_skipped_target(monkeypatch):
-    """Developments are no longer trimmed, and the checks still see every
-    target.  Each sample's development is bisimilar to its trimmed copy.
-    With `develop_rational` skipping the last target of each cut, the
-    oracle refuses wherever the skip changes the last development to the
-    effective depth (its answer would be wrong), and the monotonicity check
-    catches most of the rest; the others are rules that leave the skipped
-    target's term as it was (`f(x) -> f(f(x))` on an f loop)."""
+    """Developments are not trimmed, and the checks still see every target.
+    Each sample's development equals the per-cut route's and is bisimilar
+    to its trimmed copy.  With `develop_rational` skipping the last target
+    of the table (the newest redex node, which only the last cuts reach),
+    the oracle refuses wherever the skip changes the last development to
+    the effective depth (its answer would be wrong), and the monotonicity
+    check catches most of the rest; the others are rules that leave the
+    skipped target's term as it was (`f(x) -> f(f(x))` on an f loop)."""
     develop = parallel.develop_rational
     errors = []
     for rs, depth, budget in oracle_cases():
         report = infinite_parallel_reduce(rs, depth, budget=budget)
+        occs = enumerate_occurrences(rs, count=report.occurrences)
         d = min(report.effective_depth, 10)
         for s in report.samples:
             trimmed = s.developed.trimmed()
-            assert s.developed == trimmed
+            assert s.developed == trimmed == ref_route(rs, occs[: s.index])[1]
             assert s.developed.unravel(d) == trimmed.unravel(d)
         if not report.occurrences:
             continue
 
         def skip_last(rt, components, carrier=rs.carrier):
-            if rt.graph is not carrier:  # a cut, not the symbolic limit
+            if rt.graph is not carrier:  # the table, not the symbolic limit
                 components = components[:-1]
             return develop(rt, components)
 
-        cut, nodes = _cut_graph(rs, _Cuts(rs), report.occurrences)
-        skipped, _ = develop(cut, [(n, rs.rule) for n in nodes[:-1]])
+        cuts = _Cuts(rs)  # the table of the oracle's round, built alike
+        for s in report.samples:
+            cuts.point(s.index)
+        _cut_graph(rs, cuts, report.occurrences)
+        last = cuts.point(report.occurrences)
+        table = cuts.chain[1]
+        skipped, resolved = skip_last(table, [(n, rs.rule) for n in cuts.redexes])
+        skipped = RationalTerm(
+            skipped.graph, resolved.get(last, last), skipped.bottoms, skipped.var_names
+        )
         wrong = not truncated_equal(skipped, report.limit, report.effective_depth)
         with monkeypatch.context() as mp:
             mp.setattr(parallel, "develop_rational", skip_last)
@@ -922,6 +998,32 @@ def test_prefix_check_matches_the_quadratic_one():
             except ValueError as e:
                 got = str(e)
             assert got == want
+
+
+def test_the_trie_walk_tests_membership():
+    """Non-members, lists that are not prefix-respecting and lists that are
+    neither are refused by the trie walk alone, membership first, with the
+    message of the check on every prefix: steps past a leaf and past an
+    arity, and walks that end off the target."""
+    rs = HOLE_BEHIND_TARGET  # n: f(m), m: p(n, hole); members (1, 1)^k
+    missing = "enumeration is not prefix-respecting: {} missing before {}"
+    absent = "{} is not in the redex set"
+    cases = [
+        ([(), (1, 2, 1)], absent, [(1, 2, 1)]),  # past the hole, a leaf
+        ([(), (1, 1), (1, 3)], absent, [(1, 3)]),  # past p's arity
+        ([(), (0, 1)], absent, [(0, 1)]),  # letters count from 1
+        ([(), (1,)], absent, [(1,)]),  # ends at m
+        ([(), (1, 1, 1, 1)], missing, [(1, 1), (1, 1, 1, 1)]),
+        ([(1, 1)], missing, [(), (1, 1)]),
+        ([(), (1, 1, 1, 1, 1)], absent, [(1, 1, 1, 1, 1)]),  # both
+        ([(1, 1, 1, 3)], absent, [(1, 1, 1, 3)]),  # both, past an arity
+    ]
+    for lst, message, occs in cases:
+        want = message.format(*map(occ_format, occs))
+        for check in (_prefix_respecting_trie, ref_prefix_check):
+            with pytest.raises(ValueError) as refused:
+                check(rs, lst)
+            assert str(refused.value) == want
 
 
 def test_bisection_agrees_with_the_linear_scan():

@@ -1,11 +1,15 @@
 """Finite partial terms: the walk, positions, literals, matching, and the
 approximation order that the rational one is checked against."""
 
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
+import tgr
 from tgr.graphs import (
     RationalTerm,
     TermGraph,
@@ -491,3 +495,28 @@ def test_match_linear_rejects_partial_pattern():
     with pytest.raises(ValueError, match="total"):
         check_rule(RewriteRule.of("R", t("f(_|_)"), t("a")), SIG)
 
+
+
+def test_a_fresh_import_leaves_nothing_behind():
+    """Type aliases name the package's classes as strings, so `typing`'s
+    cache holds no class of an old import: re-importing `tgr` four times
+    keeps the count of gc-tracked objects flat."""
+    script = (
+        "import gc, importlib, sys\n"
+        "counts = []\n"
+        "for _ in range(5):\n"
+        "    for m in [m for m in sys.modules if m.split('.')[0] == 'tgr']:\n"
+        "        del sys.modules[m]\n"
+        "    importlib.import_module('tgr')\n"
+        "    gc.collect()\n"
+        "    counts.append(len(gc.get_objects()))\n"
+        "print(*counts)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tgr.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    counts = [int(c) for c in run.stdout.split()]
+    assert max(counts[1:]) - min(counts[1:]) <= 10, counts
