@@ -392,14 +392,6 @@ class PathCounts:
         return r, k - below[r]
 
 
-def count_paths(
-    g: TermGraph, src: NodeId, bound: int, dst: Optional[NodeId] = None
-) -> int:
-    """Number of paths from src of length < bound (only those ending at dst,
-    if given), read off the per-length counts of `PathCounts`."""
-    return PathCounts(g, src, dst).count(bound)
-
-
 def predecessors(g: TermGraph) -> Dict[NodeId, Set[NodeId]]:
     """Each node's predecessors (nodes with an edge to it); nodes without
     any are absent."""

@@ -53,7 +53,6 @@ from .graphs import (
     PrefixTrie,
     RationalTerm,
     TermGraph,
-    count_paths,
     infinitely_reached,
     node_key,
     occurrences_to,
@@ -455,8 +454,8 @@ class RationalRedexSet:
         return self.target not in infinitely_reached(self.carrier, self.start)
 
     def count_below(self, strict_len_bound: int) -> int:
-        """|{w in the set : |w| < bound}| (see `count_paths`)."""
-        return count_paths(self.carrier, self.start, strict_len_bound, self.target)
+        """|{w in the set : |w| < bound}|, read off a `PathCounts` table."""
+        return PathCounts(self.carrier, self.start, self.target).count(strict_len_bound)
 
 
 def enumerate_occurrences(

@@ -20,11 +20,18 @@ Rule sides are terms over the signature; identifiers not declared as
 operators are variables.  A graph-valued right-hand side points into a
 previously declared graph, whose empty nodes are its variables (matched to
 the left-hand side's variables by name).
+
+The text is split into tokens once, by `terms.tokenize`, the tokenizer of
+term literals, and each rule side is read from those tokens by
+`terms.read_term`, the reader behind `parse_term`; nothing is turned back
+into text.  So `_|_` is a token here too: a rule side holding it reads,
+and the rule check then refuses it as not total.  Every error is a
+`ParseError` naming the line of the token at fault (for a rule that fails
+its checks, the line of the rule).
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -37,44 +44,14 @@ from .rules import (
     check_trs,
     graph_trs,
 )
-from .terms import FiniteTerm, Signature, parse_term
-
-
-class ParseError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
-_TOKEN = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<arrow>->)
-  | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<num>[0-9]+)
-  | (?P<punct>[{}():;,/@.])
-    """,
-    re.VERBOSE,
+from .terms import (
+    ParseError,
+    Signature,
+    Token,
+    end_of_input,
+    read_term,
+    tokenize,
 )
-
-
-def _tokenize(text: str) -> List[Tuple[str, str, int]]:
-    out = []
-    line = 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line)
-        kind = m.lastgroup
-        value = m.group()
-        line += value.count("\n")
-        pos = m.end()
-        if kind in ("ws", "comment"):
-            continue
-        out.append((kind, value, line))
-    return out
 
 
 @dataclass
@@ -103,23 +80,18 @@ class Workspace:
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.toks = tokenize(text)
         self.i = 0
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Optional[Tuple[str, str, int]]:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def next(self) -> Tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            last = self.toks[-1][2] if self.toks else 1
-            raise ParseError("unexpected end of input", last)
+    def next(self) -> Token:
+        if self.i == len(self.toks):
+            raise end_of_input(self.toks)
         self.i += 1
-        return tok
+        return self.toks[self.i - 1]
 
-    def expect(self, value: str) -> Tuple[str, str, int]:
+    def expect(self, value: str) -> Token:
         tok = self.next()
         if tok[1] != value:
             raise ParseError(f"expected {value!r}, found {tok[1]!r}", tok[2])
@@ -132,17 +104,16 @@ class _Parser:
         return tok[1], tok[2]
 
     def at(self, value: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[1] == value
+        return self.i < len(self.toks) and self.toks[self.i][1] == value
 
     # -- declarations ------------------------------------------------------
 
     def parse(self) -> Workspace:
         arities: Dict[str, int] = {}
         graphs: Dict[str, RationalTerm] = {}
-        pending_rules: List[Tuple[str, FiniteTerm, object, int]] = []
+        pending_rules: List[Tuple[RewriteRule, int]] = []  # checked once sig is whole
 
-        while self.peek() is not None:
+        while self.i < len(self.toks):
             kind, value, line = self.next()
             if value == "sig":
                 self._parse_sig(arities)
@@ -159,19 +130,12 @@ class _Parser:
                 )
 
         sig = Signature.of(arities)
-        rules = []
-        for name, lhs, rhs, line in pending_rules:
-            rule = (
-                RewriteRule(name, lhs, rhs)
-                if isinstance(rhs, RationalTerm)
-                else RewriteRule.of(name, lhs, rhs)
-            )
+        for rule, line in pending_rules:
             try:
                 check_rule(rule, sig)
             except ValueError as e:
                 raise ParseError(str(e), line) from None
-            rules.append(rule)
-        trs = TRS(sig, tuple(rules))
+        trs = TRS(sig, tuple(rule for rule, _ in pending_rules))
         try:
             check_trs(trs)
         except ValueError as e:
@@ -179,35 +143,29 @@ class _Parser:
         return Workspace(sig, graphs, trs)
 
     def _parse_sig(self, arities: Dict[str, int]) -> None:
-        # sig f/1 g/1 a/0  — runs until the next token is no longer `name/num`
-        declared = False
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "id":
-                break
-            nxt = self.toks[self.i + 1] if self.i + 1 < len(self.toks) else None
-            if nxt is None or nxt[1] != "/":
-                break
+        # sig f/1 g/1 a/0  — runs while the next two tokens are `name /`
+        toks, start = self.toks, self.i
+        while (
+            self.i + 1 < len(toks)
+            and toks[self.i][0] == "id"
+            and toks[self.i + 1][1] == "/"
+        ):
             name, line = self.expect_id()
-            self.expect("/")
+            self.next()
             num = self.next()
             if num[0] != "num":
                 raise ParseError(f"expected an arity, found {num[1]!r}", num[2])
             if name in arities and arities[name] != int(num[1]):
                 raise ParseError(f"operator {name} redeclared with a different arity", line)
             arities[name] = int(num[1])
-            declared = True
-        if not declared:
-            tok = self.peek()
-            raise ParseError(
-                "sig needs at least one name/arity pair",
-                tok[2] if tok else 1,
-            )
+        if self.i == start:
+            line = toks[min(start, len(toks) - 1)][2]  # `sig` itself at the end
+            raise ParseError("sig needs at least one name/arity pair", line)
 
     def _parse_graph(self, sig: Signature) -> Tuple[str, RationalTerm]:
         name, header_line = self.expect_id()
         self.expect("{")
-        nodes: List[str] = []
+        nodes: Dict[str, None] = {}  # declared, in order
         labels: Dict[str, str] = {}
         succs: Dict[str, Tuple[str, ...]] = {}
         root: Optional[str] = None
@@ -221,19 +179,16 @@ class _Parser:
                 root, _ = self.expect_id()
                 self.expect(";")
             elif value == "bottom":
-                while True:
-                    b, _ = self.expect_id()
-                    bottoms.append(b)
-                    if self.at(","):
-                        self.next()
-                        continue
-                    break
+                bottoms.append(self.expect_id()[0])
+                while self.at(","):
+                    self.next()
+                    bottoms.append(self.expect_id()[0])
                 self.expect(";")
             elif kind == "id":
                 node = value
                 if node in nodes:
                     raise ParseError(f"node {node} declared twice", line)
-                nodes.append(node)
+                nodes[node] = None
                 self.expect(":")
                 if self.at(";"):  # empty node
                     self.next()
@@ -257,7 +212,7 @@ class _Parser:
 
         if root is None:
             raise ParseError(f"graph {name} has no root", header_line)
-        for n in set(b for b in bottoms) | {root}:
+        for n in {*bottoms, root}:
             if n not in nodes:
                 raise ParseError(f"graph {name} mentions unknown node {n}", header_line)
         for n in bottoms:
@@ -272,56 +227,25 @@ class _Parser:
 
     def _parse_rule(
         self, sig: Signature, graphs: Dict[str, RationalTerm]
-    ) -> Tuple[str, FiniteTerm, object, int]:
+    ) -> Tuple[RewriteRule, int]:
         name, line = self.expect_id()
         self.expect(":")
-        lhs = self._parse_term(sig)
+        lhs, self.i = read_term(sig, self.toks, self.i)
         self.expect("->")
-        if self.at("@"):
-            self.next()
-            gname, gline = self.expect_id()
-            self.expect(".")
-            node, _ = self.expect_id()
-            if gname not in graphs:
-                raise ParseError(f"rule {name} uses unknown graph {gname}", gline)
-            base = graphs[gname]
-            if not base.graph.has_node(node):
-                raise ParseError(f"graph {gname} has no node {node}", gline)
-            rhs: object = RationalTerm(base.graph, node, base.bottoms, base.var_names)
-        else:
-            rhs = self._parse_term(sig)
-        return name, lhs, rhs, line
-
-    def _parse_term(self, sig: Signature) -> FiniteTerm:
-        # Collect the token span of one term (an identifier, optionally a
-        # balanced argument list) and reuse the term parser.
-        start = self.i
-        tok = self.next()
-        if tok[0] != "id":
-            raise ParseError(f"expected a term, found {tok[1]!r}", tok[2])
-        if self.at("("):
-            depth = 0
-            while True:
-                t = self.next()
-                if t[1] == "(":
-                    depth += 1
-                elif t[1] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-        text = _render_tokens(self.toks[start : self.i])
-        try:
-            return parse_term(sig, text)
-        except ValueError as e:
-            raise ParseError(str(e), tok[2]) from None
-
-
-def _render_tokens(toks: List[Tuple[str, str, int]]) -> str:
-    out = []
-    for kind, value, _ in toks:
-        out.append(value)
-        out.append(" ")
-    return "".join(out)
+        if not self.at("@"):
+            rhs, self.i = read_term(sig, self.toks, self.i)
+            return RewriteRule.of(name, lhs, rhs), line
+        self.next()
+        gname, gline = self.expect_id()
+        self.expect(".")
+        node, _ = self.expect_id()
+        if gname not in graphs:
+            raise ParseError(f"rule {name} uses unknown graph {gname}", gline)
+        base = graphs[gname]
+        if not base.graph.has_node(node):
+            raise ParseError(f"graph {gname} has no node {node}", gline)
+        rhs_graph = RationalTerm(base.graph, node, base.bottoms, base.var_names)
+        return RewriteRule(name, lhs, rhs_graph), line
 
 
 def parse_workspace(text: str) -> Workspace:

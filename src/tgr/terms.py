@@ -15,14 +15,21 @@ The in-memory representation is a small immutable tree, whose subterms
 may be shared objects.  `subterms` is the one walk over it: a preorder
 stream of (occurrence, subterm) pairs, kept on an explicit stack.  Whatever
 reads a term reads that stream, `rebuild` builds one term from another, and
-`==`, the printer and the parser keep explicit stacks of their own, so no
+`==`, the printer and the reader keep explicit stacks of their own, so no
 term is too deep to handle.  The approximation order and the limits of
 ascending chains live on rational terms: `graphs.rational_approx_leq` and
 the oracle in `parallel`.
+
+Term literals and workspace files (`parsing`) are one text format with one
+tokenizer, `tokenize`, and one term reader, `read_term`, which reads a term
+from a token list and says where it ended; `parse_term` reads a literal
+that is one term and nothing else.  So a literal may hold `#` comments, as
+a workspace may.  Their errors are `ParseError`s with the line at fault.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import (
@@ -277,98 +284,134 @@ def format_term(t: FiniteTerm) -> str:
     return "".join(_pieces(t))
 
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
+class ParseError(ValueError):
+    """Text that is not a term literal or a workspace, and the line of the
+    first token (or character) at fault."""
+
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
 
 
-def _tokenize(text: str) -> List[str]:
-    tokens: List[str] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif text.startswith("_|_", i):
-            tokens.append("_|_")
-            i += 3
-        elif c in "(),":
-            tokens.append(c)
-            i += 1
-        elif c in _IDENT_START:
-            j = i
-            while j < len(text) and text[j] in _IDENT_CONT:
-                j += 1
-            tokens.append(text[i:j])
-            i = j
+Token = Tuple[str, str, int]  # (kind, text, line)
+
+# One group per kind of token; whitespace before a token is skipped, and
+# text is tokenized a line at a time, so no token spans a line.
+_TOKEN = re.compile(
+    r"""\s*(?:
+        ([{}():;,/@.])              # punctuation
+      | (_\|_)                      # bottom
+      | ([A-Za-z_][A-Za-z0-9_]*)    # identifier
+      | (->)                        # arrow
+      | ([0-9]+)                    # number
+      | (\#.*)                      # comment, to the end of the line
+      | (\S)                        # anything else is an error
+    )""",
+    re.VERBOSE,
+)
+
+
+def tokenize(text: str) -> List[Token]:
+    """The tokens of a term literal or a workspace, with their lines:
+    (kind, text, line), kind one of punct, bottom, id, arrow and num.
+    Whitespace and `#` comments are skipped."""
+    out: List[Token] = []
+    for line, chars in enumerate(text.split("\n"), 1):
+        for punct, bottom, ident, arrow, num, _, bad in _TOKEN.findall(chars):
+            if punct:
+                out.append(("punct", punct, line))
+            elif ident:
+                out.append(("id", ident, line))
+            elif bottom:
+                out.append(("bottom", bottom, line))
+            elif arrow:
+                out.append(("arrow", arrow, line))
+            elif num:
+                out.append(("num", num, line))
+            elif bad:
+                raise ParseError(f"unexpected character {bad!r}", line)
+    return out
+
+
+def end_of_input(tokens: List[Token]) -> ParseError:
+    """The error for tokens that end too early, at the last token's line."""
+    return ParseError("unexpected end of input", tokens[-1][2] if tokens else 1)
+
+
+def _apply(
+    sig: Signature, name: str, line: int, args: List[FiniteTerm]
+) -> FiniteTerm:
+    if not sig.is_operator(name):
+        if args:
+            raise ParseError(
+                f"undeclared operator {name!r} applied to arguments", line
+            )
+        return var(name)
+    if len(args) != sig.arity(name):
+        raise ParseError(
+            f"{name} has arity {sig.arity(name)}, applied to {len(args)} arguments",
+            line,
+        )
+    return op(name, args)
+
+
+def read_term(
+    sig: Signature, tokens: List[Token], pos: int
+) -> Tuple[FiniteTerm, int]:
+    """Read one term from `tokens[pos:]`: the term and the position after it.
+
+    A term is `_|_`, or an identifier with an optional parenthesised,
+    comma-separated argument list.  Identifiers not declared in the
+    signature are variables; declared ones must be applied to exactly
+    arity-many arguments (``a`` and ``a()`` are both accepted for
+    constants).  An explicit stack of the applications whose arguments are
+    being read replaces recursion, so terms of any depth read.
+    """
+    n = len(tokens)
+    open_apps: List[Tuple[str, int, List[FiniteTerm]]] = []  # name, line, args
+    while True:
+        if pos == n:
+            raise end_of_input(tokens)
+        kind, text, line = tokens[pos]
+        pos += 1
+        if kind == "bottom":
+            done = BOTTOM
+        elif kind != "id":
+            what = "unexpected" if open_apps else "expected a term, found"
+            raise ParseError(f"{what} {text!r}", line)
+        elif pos < n and tokens[pos][1] == "(":
+            pos += 1
+            if pos == n or tokens[pos][1] != ")":
+                open_apps.append((text, line, []))
+                continue
+            pos += 1
+            done = _apply(sig, text, line, [])
         else:
-            raise ValueError(f"unexpected character {c!r} in term literal")
-    return tokens
+            done = _apply(sig, text, line, [])
+        while open_apps:  # done is an argument: close what it completes
+            name, at, args = open_apps[-1]
+            args.append(done)
+            if pos == n:
+                raise end_of_input(tokens)
+            _, text, line = tokens[pos]
+            pos += 1
+            if text == ",":
+                break
+            if text != ")":
+                raise ParseError(f"expected ')', found {text!r}", line)
+            open_apps.pop()
+            done = _apply(sig, name, at, args)
+        if not open_apps:
+            return done, pos
 
 
 def parse_term(sig: Signature, text: str) -> FiniteTerm:
-    """Parse a term literal like ``f(x, _|_)``.
-
-    Identifiers not declared in the signature are variables; declared ones
-    must be applied to exactly arity-many arguments (``a`` and ``a()`` are
-    both accepted for constants).
-    """
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek() -> Optional[str]:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expect: Optional[str] = None) -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError(f"unexpected end of term literal {text!r}")
-        tok = tokens[pos]
-        if expect is not None and tok != expect:
-            raise ValueError(f"expected {expect!r}, found {tok!r} in {text!r}")
-        pos += 1
-        return tok
-
-    def apply(tok: str, args: List[FiniteTerm]) -> FiniteTerm:
-        if sig.is_operator(tok):
-            if len(args) != sig.arity(tok):
-                raise ValueError(
-                    f"{tok} has arity {sig.arity(tok)}, applied to {len(args)} "
-                    f"arguments in {text!r}"
-                )
-            return op(tok, args)
-        if args:
-            raise ValueError(f"undeclared operator {tok!r} applied to arguments")
-        return var(tok)
-
-    # An explicit stack of the applications whose arguments are being read
-    # replaces recursion, so literals of any depth parse.
-    open_apps: List[Tuple[str, List[FiniteTerm]]] = []
-    while True:
-        tok = take()
-        if tok == "_|_":
-            done = BOTTOM
-        elif tok in "(),":
-            raise ValueError(f"unexpected {tok!r} in term literal {text!r}")
-        elif peek() == "(":
-            take("(")
-            if peek() != ")":
-                open_apps.append((tok, []))
-                continue
-            take(")")
-            done = apply(tok, [])
-        else:
-            done = apply(tok, [])
-        while open_apps:  # done is an argument: close what it completes
-            name, args = open_apps[-1]
-            args.append(done)
-            if peek() == ",":
-                take(",")
-                break
-            take(")")
-            open_apps.pop()
-            done = apply(name, args)
-        if not open_apps:
-            break
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens after term in {text!r}")
-    return done
+    """Parse a term literal like ``f(x, _|_)``: `read_term` over the whole
+    text, which is tokenized as a workspace is, `#` comments included.
+    Raises ParseError."""
+    tokens = tokenize(text)
+    term, pos = read_term(sig, tokens, 0)
+    if pos < len(tokens):
+        _, text, line = tokens[pos]
+        raise ParseError(f"trailing tokens after the term: {text!r}", line)
+    return term

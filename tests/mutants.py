@@ -146,6 +146,60 @@ MUTANTS += [
 ]
 
 
+MESSAGES = "tests/test_parsing_cli.py::test_parse_error_messages"
+MUTANTS += [
+    Mutant(
+        "reader-skips-arity",
+        "terms.py",
+        "if len(args) != sig.arity(name):",
+        "if False:",
+        (
+            "tests/test_terms.py::test_parse_errors",
+            MESSAGES + "[rule-arity]",
+            MESSAGES + "[arity-at-the-operator]",
+        ),
+        "a declared operator reads with any number of arguments",
+    ),
+    Mutant(
+        "tokenizer-stops-counting-lines",
+        "terms.py",
+        'for line, chars in enumerate(text.split("\\n"), 1):',
+        "for line, chars in enumerate([text], 1):",
+        (
+            "tests/test_parsing_cli.py::test_parse_error_carries_line_numbers",
+            MESSAGES + "[undeclared-operator]",
+            MESSAGES + "[two-lines]",
+            "tests/test_terms.py::test_literals_are_tokenized_as_workspaces_are",
+        ),
+        "every token is on line 1: newlines in whitespace and after "
+        "comments are not counted",
+    ),
+    Mutant(
+        "duplicate-node-kept",
+        "parsing.py",
+        "if node in nodes:",
+        "if False:",
+        (
+            "tests/test_parsing_cli.py::test_parse_error_cases",
+            MESSAGES + "[duplicate-node]",
+        ),
+        "a node declared twice keeps its last declaration",
+    ),
+    Mutant(
+        "symbolic-leg-to-depth",
+        "harness.py",
+        "symbolic_ok = after == report.symbolic_limit",
+        "symbolic_ok = truncated_equal(after, report.symbolic_limit, depth)",
+        (
+            "tests/test_harness.py::"
+            "test_a_step_that_does_nothing_fails_below_the_depth",
+        ),
+        "the step's result is compared with the symbolic development only "
+        "to the chain leg's depth",
+    ),
+]
+
+
 def check(m: Mutant) -> str:
     """Apply one mutant in a copy and run its tests: '' or what went wrong."""
     with tempfile.TemporaryDirectory(prefix="tgr-mutant-") as tmp:

@@ -10,11 +10,11 @@ import pytest
 from tgr import graphs
 from tgr.graphs import (
     GraphMorphism,
+    PathCounts,
     RationalTerm,
     TermGraph,
     bisim_equal,
     check_wellformed,
-    count_paths,
     find_tree_morphisms,
     graph_of_terms,
     induced_substitution,
@@ -301,15 +301,17 @@ def test_infinitely_reached_against_closed_paths():
 
 
 def test_count_paths_against_enumeration():
+    # one table per source and target, read at every bound in turn
     for host in kernel_hosts():
         g, src = host.graph, host.point
         paths = all_paths(g, src, MAXLEN)
+        tables = {dst: PathCounts(g, src, dst) for dst in (None, *g.nodes)}
         for bound in range(MAXLEN + 2):
-            assert count_paths(g, src, bound) == sum(
+            assert tables[None].count(bound) == sum(
                 1 for w in paths if len(w) < bound
             )
             for dst in g.nodes:
-                assert count_paths(g, src, bound, dst) == len(
+                assert tables[dst].count(bound) == len(
                     list(occurrences_to(g, src, dst, bound - 1))
                 )
 

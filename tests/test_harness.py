@@ -310,6 +310,25 @@ def test_suite_catches_a_silently_wrong_step(monkeypatch):
     assert "disagrees" in messages or "FAIL" in messages
 
 
+def test_a_step_that_does_nothing_fails_below_the_depth(monkeypatch):
+    # f(x) -> g(x) at n25 of a 30-node f ring pointed at n0: the redex's
+    # shortest occurrence is 25 deep, past the chain leg's depth 16, so only
+    # the exact symbolic leg sees an engine that leaves the host unchanged.
+    ids = [f"n{i}" for i in range(30)]
+    succs = {a: (b,) for a, b in zip(ids, ids[1:] + ids[:1])}
+    ring = RationalTerm(TermGraph.of(ids, dict.fromkeys(ids, "f"), succs), "n0")
+    (m,) = [
+        m for m in find_matches(ring.graph, TGRS1.rule("Rf")) if m.root_image == "n25"
+    ]
+    assert verify_soundness(SIG, ring, m).ok
+    real = tgr.harness.derive_rational
+    monkeypatch.setattr(
+        tgr.harness, "derive_rational", lambda rt, match: (real(rt, match)[0], rt)
+    )
+    report = verify_soundness(SIG, ring, m)
+    assert report.chain_ok and not report.symbolic_ok and not report.ok
+
+
 def test_oracle_doubling_backstops_a_bad_threshold(monkeypatch):
     # cripple the occurrence-count bound: the oracle keeps too few members,
     # notices the chain limit disagreeing with the symbolic development, and

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,13 +12,16 @@ import pytest
 import tgr
 from tgr import cli
 from tgr.dot import export_dot
-from tgr.graphs import RationalTerm, bisim_equal
+from tgr.graphs import RationalTerm, TermGraph, bisim_equal
+from tgr.harness import gen_signature, gen_term
 from tgr.parsing import (
     ParseError,
     format_graph,
     graph_to_json,
     parse_workspace,
 )
+from tgr.rules import RewriteRule
+from tgr.terms import format_term, op, parse_term, var
 
 WORKSPACE = """\
 # a small workspace exercising every declaration form
@@ -181,11 +185,56 @@ def test_parse_error_cases():
         ("sig f/1\ngraph G { n: f(n); ; root n; }",
          "line 2: unexpected ';' in graph body"),
         ("sig f/1\nrule R: -> f(x)", "line 2: expected a term, found '->'"),
+        ("sig f/1\ngraph G { n: f(n);\n n: f(n); root n; }",
+         "line 3: node n declared twice"),
+        # errors inside rule terms name the line of the token at fault
+        ("sig f/1\nrule R: f(x, y) -> x",
+         "line 2: f has arity 1, applied to 2 arguments"),
+        ("sig f/1  # one\n# two\n\nrule R: f(x) -> g(x)",
+         "line 4: undeclared operator 'g' applied to arguments"),
+        ("sig f/1\nrule R: f(x) -> f(", "line 2: unexpected end of input"),
+        ("sig p/2\nrule R: p(x,\n  y z) -> x", "line 3: expected ')', found 'z'"),
+        ("sig p/2\nrule R:\n  p(x,\n    y, x) -> x",
+         "line 3: p has arity 2, applied to 3 arguments"),
+        ("sig f/1 a/0\nrule R: f(_|_) -> a",
+         "line 2: rule R: left-hand side must be total"),
+        ("sig f/1\nrule R: f(1) -> f(x)", "line 2: unexpected '1'"),
+        ("\n\nsig", "line 3: sig needs at least one name/arity pair"),
     ],
-    ids=["unknown-node", "arity", "graph-body", "term"],
+    ids=["unknown-node", "arity", "graph-body", "term", "duplicate-node",
+         "rule-arity", "undeclared-operator", "end-in-term", "two-lines",
+         "arity-at-the-operator", "bottom-in-rule", "number-in-term",
+         "empty-sig-at-the-end"],
 )
 def test_parse_error_messages(text, message):
-    assert str(bad(text)) == message
+    err = bad(text)
+    assert str(err) == message
+    assert message.startswith(f"line {err.line}: ")
+
+
+def test_terms_read_back_from_literals_and_workspace_rules():
+    # a term printed as a literal reads back as itself, alone and as the
+    # right-hand side of a workspace rule, read from the workspace's tokens
+    rng = random.Random(19)
+    for _ in range(300):
+        sig = gen_signature(rng)
+        t = gen_term(rng, sig, ["x", "y"], rng.randint(0, 5))
+        text = format_term(t)
+        assert parse_term(sig, text) == t
+        decls = " ".join(f"{name}/{k}" for name, k in sig.arities)
+        ws = parse_workspace(f"sig {decls} top/2\nrule R: top(x, y) ->\n {text}\n")
+        lhs = op("top", [var("x"), var("y")])
+        assert ws.trs.rules == (RewriteRule.of("R", lhs, t),)
+
+
+def test_a_20000_node_ring_parses():
+    # declared nodes are kept in a dict: a list made this quadratic
+    n = 20_000
+    body = "".join(f"  n{i}: f(n{(i + 1) % n});\n" for i in range(n))
+    ws = parse_workspace(f"sig f/1\ngraph Ring {{\n{body}  root n0;\n}}\n")
+    ring = ws.graph("Ring")
+    assert len(ring.graph.nodes) == n and ring.graph.successors("n19999") == ("n0",)
+    assert ring == RationalTerm(TermGraph.of(["n"], {"n": "f"}, {"n": ("n",)}), "n")
 
 
 def test_dot_draws_holes_and_the_point():

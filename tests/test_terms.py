@@ -376,6 +376,16 @@ def test_parse_errors():
             t(text)
 
 
+def test_literals_are_tokenized_as_workspaces_are():
+    # one tokenizer: `#` comments are skipped, and errors name their line
+    assert t("p(x, # the first argument\n  f(y))  # done") == t("p(x, f(y))")
+    with pytest.raises(tgr.ParseError) as e:
+        t("p(x,\n  y z)")
+    assert e.value.line == 2
+    assert str(e.value) == "line 2: expected ')', found 'z'"
+    assert tgr.ParseError is tgr.parsing.ParseError is tgr.terms.ParseError
+
+
 def test_constants_parse_with_or_without_parens():
     assert t("a") == t("a()")
     assert t("f(a)") == t("f(a())")
