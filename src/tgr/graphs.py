@@ -262,54 +262,6 @@ def unravel(
     return below[n][0]
 
 
-def _path_cells(
-    g: TermGraph, src: NodeId, dst: NodeId, maxlen: Optional[int] = None
-) -> Iterator[tuple]:
-    """The paths src -> dst in length-lex order (breadth first, children in
-    index order), none longer than maxlen if given, each as its last cell
-    `(node, parent cell, index)`.  Only nodes that can still reach dst are
-    kept, so without maxlen the walk ends exactly when the set of paths is
-    finite."""
-    if maxlen is not None and maxlen < 0:
-        return
-    preds = predecessors(g)
-    co = {dst}
-    todo = [dst]
-    while todo:
-        for p in preds.get(todo.pop(), ()):
-            if p not in co:
-                co.add(p)
-                todo.append(p)
-    frontier = [(src, None, 0)] if src in co else []
-    length = 0
-    while frontier:
-        for cell in frontier:
-            if cell[0] == dst:
-                yield cell
-        if maxlen is not None and length >= maxlen:
-            return
-        length += 1
-        frontier = [
-            (s, cell, i)
-            for cell in frontier
-            for i, s in enumerate(g.successors(cell[0]), start=1)
-            if s in co
-        ]
-
-
-def occurrences_to(
-    g: TermGraph, src: NodeId, dst: NodeId, maxlen: Optional[int] = None
-) -> Iterator[Occurrence]:
-    """Occurrences of the paths src -> dst in length-lex order, none longer
-    than maxlen if given: the walk `_path_cells`, read back as tuples."""
-    for cell in _path_cells(g, src, dst, maxlen):
-        occ = []
-        while cell[1] is not None:
-            occ.append(cell[2])
-            cell = cell[1]
-        yield tuple(reversed(occ))
-
-
 class PrefixTrie:
     """The prefix tree of a list of paths from src.  States are numbered in
     insertion order, each after its parent, from 0 at the empty path, so
@@ -325,32 +277,42 @@ class PrefixTrie:
 
 
 class PathCounts:
-    """Path counts per length, into dst (into any node if dst is None), over
-    the nodes src reaches.  `rows[r]` maps each node with a path of length
-    exactly r to dst to the number of such paths, and `dist` each node to
-    the length of its shortest path, as far as the rows go.  Rows are added
-    on demand, one dynamic-programming step over the predecessors each: no
-    path is enumerated, so exponentially many cost nothing extra.  A row
-    without entries ends them all, and then finitely many paths exist.
+    """Path counts per length, into any of the targets (into any node if
+    targets is None), over the nodes src reaches.  `rows[r]` maps each node
+    with a path of length exactly r to a target to the number of such
+    paths, and `dist` each node to the length of its shortest path to a
+    target: one backward breadth-first walk over the predecessors finds it,
+    and a node without any such path is absent.  Rows are added on demand,
+    one dynamic-programming step over the predecessors each: no path is
+    enumerated, so exponentially many cost nothing extra.  A row without
+    entries ends them all, and then finitely many paths exist.
 
     The counts rank the paths from src in length-lex order (Ackerman &
     Shallit, "Efficient enumeration of words in regular languages", TCS
-    2009): `count` gives how many are shorter than a bound, and `prefix`
-    the length and rank at which the first k of them end."""
+    2009): `count` gives how many are shorter than a bound, `prefix` the
+    length and rank at which the first k of them end, and `paths` lists
+    them."""
 
     def __init__(
-        self, g: TermGraph, src: NodeId, dst: Optional[NodeId] = None
+        self, g: TermGraph, src: NodeId, targets: Optional[Iterable[NodeId]] = None
     ) -> None:
-        self.src = src
+        self.src, self._succs = src, g.succs
         reach = g.reachable(src)
-        self._preds: Dict[NodeId, List[NodeId]] = {}
+        preds: Dict[NodeId, List[NodeId]] = {}
         for m in reach:
             for s in g.successors(m):  # one entry per edge
-                self._preds.setdefault(s, []).append(m)
-        first = dict.fromkeys(reach, 1) if dst is None else {dst: 1}
+                preds.setdefault(s, []).append(m)
+        self._preds = preds
+        first = dict.fromkeys(reach if targets is None else targets, 1)
         self.rows: List[Dict[NodeId, int]] = [first]
-        self.dist: Dict[NodeId, int] = dict.fromkeys(first, 0)
         self._below = [0, first.get(src, 0)]  # paths from src shorter than r
+        dist = self.dist = dict.fromkeys(first, 0)
+        order = list(first)
+        for s in order:  # breadth first, so each distance found is the least
+            for p in preds.get(s, ()):
+                if p not in dist:
+                    dist[p] = dist[s] + 1
+                    order.append(p)
 
     def _extend(self) -> bool:
         """Add one row; False, adding none, once the rows have ended."""
@@ -362,12 +324,36 @@ class PathCounts:
         for s, c in last.items():
             for p in preds.get(s, ()):
                 row[p] = row.get(p, 0) + c
-        r, dist = len(self.rows), self.dist
-        for m in row:
-            dist.setdefault(m, r)
         self.rows.append(row)
         self._below.append(self._below[-1] + row.get(self.src, 0))
         return True
+
+    def paths(self, maxlen: Optional[int] = None) -> Iterator[Occurrence]:
+        """The paths from src into the targets in length-lex order, none
+        longer than maxlen if given.  Breadth first, children in index
+        order, over cells `(node, parent cell, index)` that share prefixes;
+        a successor is entered only while its shortest path to a target
+        still fits, so without maxlen the walk ends exactly when the paths
+        are finite."""
+        dist, succs, ends = self.dist, self._succs, self.rows[0]
+        room = float("inf") if maxlen is None else maxlen
+        src = self.src
+        frontier = [(src, None, 0)] if src in dist and dist[src] <= room else []
+        while frontier:
+            for cell in frontier:
+                if cell[0] in ends:
+                    occ = []
+                    while cell[1] is not None:
+                        occ.append(cell[2])
+                        cell = cell[1]
+                    yield tuple(reversed(occ))
+            room -= 1
+            frontier = [
+                (s, cell, i)
+                for cell in frontier
+                for i, s in enumerate(succs.get(cell[0], ()), start=1)
+                if s in dist and dist[s] <= room
+            ]
 
     def count(self, bound: int) -> int:
         """The number of paths from src of length < bound."""

@@ -43,7 +43,6 @@ from .graphs import (
     TermGraph,
     apply_subst_rational,
     induced_substitution,
-    occurrences_to,
     tree_match,
     truncated_equal,
 )
@@ -190,7 +189,7 @@ def check_weak_normal_form_preservation(
     for rule in trs.rules:
         nodes = matching_nodes(host, rule)
         if nodes:
-            w = next(occurrences_to(host.graph, host.point, nodes[0]))
+            w = next(PathCounts(host.graph, host.point, [nodes[0]]).paths())
             term_witness = f"({occ_format(w)}, {rule.name})"
             break
     return NormalFormReport(

@@ -34,6 +34,7 @@ them up front.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import (
     Callable,
@@ -55,7 +56,6 @@ from .graphs import (
     TermGraph,
     infinitely_reached,
     node_key,
-    occurrences_to,
     rational_approx_leq,
     sorted_nodes,
     truncated_equal,
@@ -158,9 +158,10 @@ def find_redexes(
         rules = rules.rules
     out: List[Redex] = []
     for rule in rules:
-        for n in matching_nodes(rt, rule):
-            for w in occurrences_to(rt.graph, rt.point, n, maxlen):
-                out.append(Redex(w, rule))
+        nodes = matching_nodes(rt, rule)
+        if nodes:  # one table into all of the rule's matching nodes
+            table = PathCounts(rt.graph, rt.point, nodes)
+            out += [Redex(w, rule) for w in table.paths(maxlen)]
     out.sort(key=lambda r: (occ_sort_key(r.occ), r.rule.name))
     if max_count is not None:
         out = out[:max_count]
@@ -307,7 +308,8 @@ def _rhs_variable_occurrences(rule: RewriteRule, name: str) -> List[Occurrence]:
             break
     if target is None:
         return []
-    return list(occurrences_to(rhs.graph, rhs.point, target, len(rhs.graph.nodes)))
+    table = PathCounts(rhs.graph, rhs.point, [target])
+    return list(table.paths(len(rhs.graph.nodes)))
 
 
 def residuals(redex: Redex, contracted: Redex) -> List[Redex]:
@@ -453,9 +455,14 @@ class RationalRedexSet:
         """Finite iff finitely many paths from the start reach the target."""
         return self.target not in infinitely_reached(self.carrier, self.start)
 
+    @cached_property
+    def table(self) -> PathCounts:
+        """The path counts of the set, extended as its readers need."""
+        return PathCounts(self.carrier, self.start, [self.target])
+
     def count_below(self, strict_len_bound: int) -> int:
-        """|{w in the set : |w| < bound}|, read off a `PathCounts` table."""
-        return PathCounts(self.carrier, self.start, self.target).count(strict_len_bound)
+        """|{w in the set : |w| < bound}|, read off the set's table."""
+        return self.table.count(strict_len_bound)
 
 
 def enumerate_occurrences(
@@ -473,8 +480,7 @@ def enumerate_occurrences(
         raise ValueError("need a count or a length bound")
     if count is not None and count <= 0:
         return []
-    occs = occurrences_to(rs.carrier, rs.start, rs.target, maxlen)
-    return list(islice(occs, count))
+    return list(islice(rs.table.paths(maxlen), count))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +504,7 @@ class _Cuts:
         self, rs: RationalRedexSet, trie: Optional[PrefixTrie] = None
     ) -> None:
         self.rs, self.trie = rs, trie
-        self.table = PathCounts(rs.carrier, rs.start, rs.target)
+        self.table = rs.table
         self.labels: Dict[NodeId, str] = {}
         self.succs: Dict[NodeId, Tuple[NodeId, ...]] = {}
         self.holes: Set[NodeId] = set()

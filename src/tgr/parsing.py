@@ -41,7 +41,6 @@ from .rules import (
     TRS,
     RewriteRule,
     check_rule,
-    check_trs,
     graph_trs,
 )
 from .terms import (
@@ -106,12 +105,21 @@ class _Parser:
     def at(self, value: str) -> bool:
         return self.i < len(self.toks) and self.toks[self.i][1] == value
 
+    def _names(self) -> List[str]:
+        """One or more names, one comma between each two."""
+        names = [self.expect_id()[0]]
+        while self.at(","):
+            self.next()
+            names.append(self.expect_id()[0])
+        return names
+
     # -- declarations ------------------------------------------------------
 
     def parse(self) -> Workspace:
         arities: Dict[str, int] = {}
         graphs: Dict[str, RationalTerm] = {}
-        pending_rules: List[Tuple[RewriteRule, int]] = []  # checked once sig is whole
+        # by name, with their lines; checked once the signature is whole
+        pending_rules: Dict[str, Tuple[RewriteRule, int]] = {}
 
         while self.i < len(self.toks):
             kind, value, line = self.next()
@@ -123,23 +131,22 @@ class _Parser:
                     raise ParseError(f"graph {name} declared twice", line)
                 graphs[name] = g
             elif value == "rule":
-                pending_rules.append(self._parse_rule(Signature.of(arities), graphs))
+                rule, rule_line = self._parse_rule(Signature.of(arities), graphs)
+                if rule.name in pending_rules:
+                    raise ParseError(f"rule {rule.name} declared twice", line)
+                pending_rules[rule.name] = rule, rule_line
             else:
                 raise ParseError(
                     f"expected sig, graph, or rule, found {value!r}", line
                 )
 
         sig = Signature.of(arities)
-        for rule, line in pending_rules:
+        for rule, line in pending_rules.values():
             try:
                 check_rule(rule, sig)
             except ValueError as e:
                 raise ParseError(str(e), line) from None
-        trs = TRS(sig, tuple(rule for rule, _ in pending_rules))
-        try:
-            check_trs(trs)
-        except ValueError as e:
-            raise ParseError(str(e), 1) from None
+        trs = TRS(sig, tuple(rule for rule, _ in pending_rules.values()))
         return Workspace(sig, graphs, trs)
 
     def _parse_sig(self, arities: Dict[str, int]) -> None:
@@ -179,10 +186,7 @@ class _Parser:
                 root, _ = self.expect_id()
                 self.expect(";")
             elif value == "bottom":
-                bottoms.append(self.expect_id()[0])
-                while self.at(","):
-                    self.next()
-                    bottoms.append(self.expect_id()[0])
+                bottoms += self._names()
                 self.expect(";")
             elif kind == "id":
                 node = value
@@ -197,11 +201,8 @@ class _Parser:
                 args: List[str] = []
                 if self.at("("):
                     self.next()
-                    while not self.at(")"):
-                        arg, _ = self.expect_id()
-                        args.append(arg)
-                        if self.at(","):
-                            self.next()
+                    if not self.at(")"):
+                        args = self._names()
                     self.expect(")")
                 labels[node] = label
                 succs[node] = tuple(args)

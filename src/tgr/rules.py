@@ -137,14 +137,6 @@ def check_rule(rule: RewriteRule, sig: Signature) -> None:
         )
 
 
-def check_trs(trs: TRS) -> None:
-    names = [r.name for r in trs.rules]
-    if len(names) != len(set(names)):
-        raise ValueError("duplicate rule names")
-    for r in trs.rules:
-        check_rule(r, trs.sig)
-
-
 # ---------------------------------------------------------------------------
 # Unification and overlap detection
 

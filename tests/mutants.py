@@ -200,6 +200,105 @@ MUTANTS += [
 ]
 
 
+GRAPHS = "tests/test_graphs.py::"
+BRUTE_FORCE = GRAPHS + "test_occurrences_to_against_brute_force"
+REDEX_SETS = "tests/test_parallel.py::test_redex_sets_against_brute_force"
+MUTANTS += [
+    Mutant(
+        "path-prune-strict",
+        "graphs.py",
+        "if s in dist and dist[s] <= room",
+        "if s in dist and dist[s] < room",
+        (
+            GRAPHS + "test_paths_to_length_lex",
+            BRUTE_FORCE,
+            GRAPHS + "test_count_paths_against_enumeration",
+            REDEX_SETS,
+        ),
+        "the path walk drops a successor whose shortest path to a target "
+        "uses up exactly the length left",
+    ),
+    Mutant(
+        "distance-walk-one-level",
+        "graphs.py",
+        "for s in order:",
+        "for s in list(order):",
+        (
+            BRUTE_FORCE,
+            "tests/test_parallel.py::test_find_redexes_matches_the_per_node_walks",
+            CUTS,
+            "tests/test_parallel.py::test_unranked_members_are_the_enumeration",
+        ),
+        "the backward distance walk stops after the targets' predecessors, "
+        "so nodes farther from a target look unable to reach one",
+    ),
+]
+
+
+PEEL = (
+    GRAPHS + "test_infinitely_reached_against_closed_paths",
+    "tests/test_rules.py::test_infinite_copying_is_a_variable_below_a_cycle",
+    REDEX_SETS,
+    "tests/test_cli_corpus.py::test_cli_output_matches_the_golden_corpus",
+)
+MINIMIZE = GRAPHS + "test_class_map_minimize_matches_the_reference"
+TERMGRAPH_OF = GRAPHS + "test_termgraph_of_matches_the_reference"
+MUTANTS += [
+    Mutant(
+        "peel-stops-at-the-start",
+        "graphs.py",
+        "if not indeg[s]:",
+        "if False:",
+        PEEL,
+        "the in-degree peel strips nothing past the nodes it starts from",
+    ),
+    Mutant(
+        "peel-keeps-only-cycles",
+        "graphs.py",
+        "return frozenset(indeg)",
+        "return frozenset(n for n in indeg "
+        "if any(n in g.reachable(s) for s in g.successors(n)))",
+        PEEL,
+        "the nodes below a cycle are left out, only those on one kept",
+    ),
+    Mutant(
+        "hopcroft-queued-block-loses-a-half",
+        "graphs.py",
+        "if not queued[t] and len(blocks[t]) < len(part):",
+        "if len(blocks[t]) < len(part):",
+        (MINIMIZE,),
+        "a split block already queued has only its smaller half queued, "
+        "so its larger half is lost",
+    ),
+    Mutant(
+        "hopcroft-blocks-without-arity",
+        "graphs.py",
+        "b = keys.setdefault((cls[n], len(succ.get(n, ()))), len(keys))",
+        "b = keys.setdefault(cls[n], len(keys))",
+        (
+            MINIMIZE,
+            GRAPHS + "test_minimize_classes_are_the_pointed_bisimulation_classes",
+        ),
+        "the initial blocks are keyed by class alone, not by successor count",
+    ),
+    Mutant(
+        "node-order-lexicographic-only",
+        "graphs.py",
+        "    out.sort(key=len)\n",
+        "",
+        (TERMGRAPH_OF,),
+        "sorted_nodes sorts lexicographically only, not by length first",
+    ),
+    Mutant(
+        "termgraph-of-accepts-dangling",
+        "graphs.py",
+        "            and nodeset.issuperset(chain.from_iterable(succs_d.values()))\n",
+        "",
+        (TERMGRAPH_OF, GRAPHS + "test_wellformed_rejects_dangling_successor"),
+        "TermGraph.of no longer checks that successors are nodes",
+    ),
+]
+
 def check(m: Mutant) -> str:
     """Apply one mutant in a copy and run its tests: '' or what went wrong."""
     with tempfile.TemporaryDirectory(prefix="tgr-mutant-") as tmp:

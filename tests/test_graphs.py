@@ -23,7 +23,6 @@ from tgr.graphs import (
     minimize,
     morphism_errors,
     node_key,
-    occurrences_to,
     rational_approx_leq,
     rational_of_term,
     tree_match,
@@ -241,7 +240,7 @@ def test_paths_to_length_lex():
     g = g_of(
         ["r", "m"], {"r": "p", "m": "f"}, {"r": ("m", "r"), "m": ("r",)}
     )
-    got = list(occurrences_to(g, "r", "r", 3))
+    got = list(PathCounts(g, "r", ["r"]).paths(3))
     assert got == [(), (2,), (1, 1), (2, 2), (1, 1, 2), (2, 1, 1), (2, 2, 2)]
     assert got == sorted(got, key=lambda w: (len(w), w))
 
@@ -276,15 +275,20 @@ def kernel_hosts():
 
 
 def test_occurrences_to_against_brute_force():
+    # into each node, into pairs and the whole node set, and into every
+    # node the source reaches (None)
     for host in kernel_hosts():
         g, src = host.graph, host.point
         paths = all_paths(g, src, MAXLEN)
         cyclic = [n for n in g.reachable(src) if returns_home(g, n)]
-        for dst in g.nodes:
-            want = [w for w in paths if g.walk(src, w) == dst]
-            assert list(occurrences_to(g, src, dst, MAXLEN)) == want
-            unbounded = occurrences_to(g, src, dst)
-            if any(dst in g.reachable(c) for c in cyclic):
+        nodes = list(g.nodes)
+        target_sets = [[n] for n in nodes] + [nodes[::2], nodes[1::3], nodes]
+        for dsts in [*target_sets, None]:
+            ends = g.reachable(src) if dsts is None else set(dsts)
+            want = [w for w in paths if g.walk(src, w) in ends]
+            assert list(PathCounts(g, src, dsts).paths(MAXLEN)) == want
+            unbounded = PathCounts(g, src, dsts).paths()
+            if any(ends & g.reachable(c) for c in cyclic):
                 got = list(takewhile(lambda w: len(w) <= MAXLEN, unbounded))
             else:  # finite: no member repeats a node, so all are listed
                 got = list(unbounded)
@@ -305,14 +309,15 @@ def test_count_paths_against_enumeration():
     for host in kernel_hosts():
         g, src = host.graph, host.point
         paths = all_paths(g, src, MAXLEN)
-        tables = {dst: PathCounts(g, src, dst) for dst in (None, *g.nodes)}
+        tables = {None: PathCounts(g, src)}
+        tables.update((dst, PathCounts(g, src, [dst])) for dst in g.nodes)
         for bound in range(MAXLEN + 2):
             assert tables[None].count(bound) == sum(
                 1 for w in paths if len(w) < bound
             )
             for dst in g.nodes:
                 assert tables[dst].count(bound) == len(
-                    list(occurrences_to(g, src, dst, bound - 1))
+                    list(PathCounts(g, src, [dst]).paths(bound - 1))
                 )
 
 
@@ -397,6 +402,81 @@ def test_truncated_equal_matches_unravel():
         x, y = random_graph(rng), random_graph(rng)
         for d in (0, 1, 3):
             assert truncated_equal(x, y, d) == (x.unravel(d) == y.unravel(d))
+
+
+def with_holes_and_names(rng, g):
+    """g pointed at its first node, each empty node a hole or a variable
+    named x or y."""
+    empty = g.varnodes()
+    holes = frozenset(n for n in empty if rng.random() < 0.3)
+    names = tuple((n, rng.choice("xy")) for n in empty if n not in holes)
+    return RationalTerm(g, g.nodes[0], holes, names)
+
+
+def unfolded(rng, rt):
+    """rt's graph in two copies `n~0` and `n~1`, each successor edge to a
+    random copy, so both copies of a node are bisimilar to it."""
+    g, twice = rt.graph, lambda n: (f"{n}~0", f"{n}~1")
+    succs = {
+        m: tuple(f"{s}~{rng.randrange(2)}" for s in ss)
+        for n, ss in g.succs.items()
+        for m in twice(n)
+    }
+    labels = {m: l for n, l in g.labels.items() for m in twice(n)}
+    return RationalTerm(
+        g_of([m for n in g.nodes for m in twice(n)], labels, succs),
+        f"{rt.point}~0",
+        frozenset(m for n in rt.bottoms for m in twice(n)),
+        tuple((m, x) for n, x in rt.var_names for m in twice(n)),
+    )
+
+
+SWAP = {"a": "b", "b": "a", "f": "g", "g": "f"}  # symbols of one arity
+
+
+def changed_once(rng, rt):
+    """rt with one label, successor or variable name changed."""
+    g = rt.graph
+    labels, succs, names = dict(g.labels), dict(g.succs), dict(rt.var_names)
+    n = rng.choice([*g.labels, *names])
+    if n in names:
+        names[n] = "xy"[names[n] == "x"]
+    elif succs[n] and rng.random() < 0.5:
+        i = rng.randrange(len(succs[n]))
+        succs[n] = succs[n][:i] + (rng.choice(g.nodes),) + succs[n][i + 1:]
+    elif labels[n] in SWAP:
+        labels[n] = SWAP[labels[n]]
+    else:  # p is alone at its arity: swap its successors instead
+        succs[n] = succs[n][::-1]
+    return RationalTerm(
+        g_of(g.nodes, labels, succs), rt.point, rt.bottoms,
+        tuple(sorted(names.items())),
+    )
+
+
+def test_truncation_to_both_sizes_decides_equality():
+    # Moore's bound ("Gedanken-experiments on sequential machines", 1956):
+    # two pointed graphs with n nodes between them that differ, differ at
+    # an occurrence shorter than n.  Pairs at every two points of a random
+    # graph and of an unfolding of it, with one change in half of them, so
+    # that equal pairs and pairs differing only deep both occur.
+    rng = random.Random(23)
+    equal = deep = 0
+    for _ in range(400):
+        a = with_holes_and_names(rng, random_graph(rng, 6).graph)
+        b = unfolded(rng, a)
+        if rng.random() < 0.5:
+            b = changed_once(rng, b)
+        n = len(a.graph.nodes) + len(b.graph.nodes)
+        for x in a.graph.nodes:
+            for y in b.graph.nodes:
+                left = RationalTerm(a.graph, x, a.bottoms, a.var_names)
+                right = RationalTerm(b.graph, y, b.bottoms, b.var_names)
+                same = left == right
+                assert truncated_equal(left, right, n) == same
+                equal += same
+                deep += not same and truncated_equal(left, right, 3)
+    assert equal > 1000 and deep > 20
 
 
 def test_minimize_preserves_unraveling():

@@ -13,7 +13,6 @@ from tgr.graphs import (
     TermGraph,
     minimize,
     node_key,
-    occurrences_to,
     rational_approx_leq,
     rational_of_term,
     tree_match,
@@ -36,6 +35,7 @@ from tgr.parallel import (
     find_redexes,
     infinite_parallel_reduce,
     join_parallel,
+    matching_nodes,
     reduce,
     residuals,
     residuals_of_set,
@@ -44,7 +44,7 @@ from tgr.parallel import (
     var_positions,
 )
 from tgr.rules import TRS, RewriteRule, graph_of_rule, is_infinite_copying
-from tgr.terms import BOTTOM, Signature, occ_format, parse_term
+from tgr.terms import BOTTOM, Signature, occ_format, occ_sort_key, parse_term
 
 SIG = Signature.of(
     {"a": 0, "b": 0, "f": 1, "g": 1, "I": 1, "cdr": 1, "cons": 2, "p": 2}
@@ -123,6 +123,27 @@ def test_find_redexes_bounded_on_a_loop():
     rs = find_redexes(F_LOOP, [R_F], 3)
     assert [r.occ for r in rs] == [(), (1,), (1, 1), (1, 1, 1)]
     assert len(find_redexes(F_LOOP, [R_F], 3, max_count=2)) == 2
+
+
+def ref_find_redexes(rt, rules, maxlen, max_count=None):
+    """`find_redexes` as one walk per matching node."""
+    out = [
+        Redex(w, rule)
+        for rule in rules
+        for n in matching_nodes(rt, rule)
+        for w in PathCounts(rt.graph, rt.point, [n]).paths(maxlen)
+    ]
+    out.sort(key=lambda r: (occ_sort_key(r.occ), r.rule.name))
+    return out[:max_count]
+
+
+def test_find_redexes_matches_the_per_node_walks():
+    for seed in range(300):
+        case = gen_case(random.Random(seed))
+        for args in ((3, 40), (16,)):
+            got = find_redexes(case.host, case.trs, *args)
+            want = ref_find_redexes(case.host, case.trs.rules, *args)
+            assert [r.key for r in got] == [r.key for r in want]
 
 
 def test_find_redexes_accepts_a_system():
@@ -343,7 +364,7 @@ def test_redex_sets_against_brute_force():
             short = [w for w in members if len(w) <= 5]
             assert enumerate_occurrences(rs, maxlen=5) == short
             assert enumerate_occurrences(rs, count=3) == members[:3]
-            table = PathCounts(g, rs.start, rs.target)  # one, read at any bound
+            table = PathCounts(g, rs.start, [rs.target])  # one, read at any bound
             for bound in (3, 0, 6, 1, 5, 2, 4):
                 want = sum(1 for w in short if len(w) < bound)
                 assert rs.count_below(bound) == table.count(bound) == want
@@ -848,7 +869,7 @@ def test_unranked_members_are_the_enumeration():
     ]
     finite = 0
     for rs, count in sets:
-        table = PathCounts(rs.carrier, rs.start, rs.target)
+        table = PathCounts(rs.carrier, rs.start, [rs.target])
         occs = enumerate_occurrences(rs, count=count)  # each count's prefix
         assert [unrank(rs, table, j) for j in range(len(occs))] == occs
         if len(occs) < count:  # a finite set, used up

@@ -200,11 +200,20 @@ def test_parse_error_cases():
          "line 2: rule R: left-hand side must be total"),
         ("sig f/1\nrule R: f(1) -> f(x)", "line 2: unexpected '1'"),
         ("\n\nsig", "line 3: sig needs at least one name/arity pair"),
+        # exactly one comma between successors, none after the last
+        ("sig p/2\ngraph G {\n n: p(n n); root n; }",
+         "line 3: expected ')', found 'n'"),
+        ("sig p/2\ngraph G {\n n: p(n, n,); root n; }",
+         "line 3: expected a name, found ')'"),
+        # a rule name declared twice is reported before any rule is checked
+        ("sig f/1\nrule R: f(x) -> f(y)\n\nrule R: f(x) -> x",
+         "line 4: rule R declared twice"),
     ],
     ids=["unknown-node", "arity", "graph-body", "term", "duplicate-node",
          "rule-arity", "undeclared-operator", "end-in-term", "two-lines",
          "arity-at-the-operator", "bottom-in-rule", "number-in-term",
-         "empty-sig-at-the-end"],
+         "empty-sig-at-the-end", "successors-without-comma",
+         "successors-trailing-comma", "duplicate-rule"],
 )
 def test_parse_error_messages(text, message):
     err = bad(text)
@@ -396,6 +405,11 @@ def test_cli_error_exits(ws_file, tmp_path, capsys):
     broken.write_text("graph G {")
     code, _, err = run(capsys, "check", str(broken))
     assert code == 2 and "line" in err
+
+    for succs in ("n n", "n, n,"):
+        broken.write_text(f"sig p/2\ngraph G {{ n: p({succs}); root n; }}")
+        code, _, err = run(capsys, "check", str(broken))
+        assert code == 2 and "line 2: expected" in err
 
     code, _, err = run(capsys, "unravel", ws_file, "--graph", "Nope")
     assert code == 2
