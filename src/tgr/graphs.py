@@ -714,6 +714,7 @@ def _agree(
     b: RationalTerm,
     depth: Optional[int] = None,
     below: bool = False,
+    proven: Optional[Dict[tuple, tuple]] = None,
 ) -> bool:
     """Do the unravelings of a and b agree on all occurrences (of length <
     depth, if given)?  With `below`, agreement is a <= b in the
@@ -737,12 +738,26 @@ def _agree(
     skipped only if it was seen before, at no larger distance.  Views of one
     graph with the same holes and names skip every pair (x, x): it holds in
     all three modes.
+
+    `proven`, with `below` and no depth, is a caller-owned memo of pairs
+    already proven, kept per (graph, holes, names) of either side, which
+    the walk skips as it skips a pair seen before.  The pairs a successful
+    walk has seen form a simulation, together with the reflexive and
+    hole-on-the-left pairs it skips: every successor pair of one lies in
+    it.  So each holds, and the walk adds them to the memo for later walks
+    between like views (Bonchi & Pous 2013).  A failed walk stopped at a
+    mismatch with pairs still unchecked, so its seen pairs prove nothing
+    and the memo is left as it was.  The equality modes need no memo:
+    their union-find already skips every pair in a class.
     """
     ga, gb = a.graph, b.graph
     same = ga is gb and a.bottoms == b.bottoms and a.var_names == b.var_names
     ren_a, ren_b = a.renaming(), b.renaming()
     parent: Dict[Tuple[int, NodeId], Tuple[int, NodeId]] = {}
     seen: Set[Tuple[NodeId, NodeId]] = set()
+    if proven is not None:  # the memo holds both graphs, so no other takes their ids
+        key = (id(ga), id(gb), a.bottoms, b.bottoms, a.var_names, b.var_names)
+        seen = set(proven[key][2]) if key in proven else seen
 
     def find(k: Tuple[int, NodeId]) -> Tuple[int, NodeId]:
         while k in parent:  # path halving: roots have no entry
@@ -782,6 +797,8 @@ def _agree(
             nxt.extend(zip(sx, sy))
         level = nxt
         d += 1
+    if proven is not None:
+        proven[key] = ga, gb, seen
     return True
 
 
@@ -794,13 +811,17 @@ def bisim_equal(a: RationalTerm, b: RationalTerm) -> bool:
     return _agree(a, b)
 
 
-def rational_approx_leq(a: RationalTerm, b: RationalTerm) -> bool:
+def rational_approx_leq(
+    a: RationalTerm, b: RationalTerm, proven: Optional[Dict[tuple, tuple]] = None
+) -> bool:
     """Unraveling of a <= unraveling of b in the approximation order.
 
     Coinductive simulation: hole positions of a are below anything; defined
-    positions must agree exactly.
+    positions must agree exactly.  `proven`, a dict the caller keeps empty
+    at first and passes to every call, lets later calls skip the pairs
+    earlier successful ones proved (see `_agree`).
     """
-    return _agree(a, b, below=True)
+    return _agree(a, b, below=True, proven=proven)
 
 
 def truncated_equal(a: RationalTerm, b: RationalTerm, depth: int) -> bool:

@@ -886,9 +886,11 @@ def infinite_parallel_reduce(
     prefix of a listed occurrence appears earlier in the list).
 
     Three independent views must agree before anything is returned: the
-    sampled chain must be ascending, and the last development must coincide
-    with the symbolic limit (`develop_rational` on the untouched carrier) up
-    to `effective_depth`.
+    sampled chain must be ascending, every sampled development must lie
+    below the symbolic limit (`develop_rational` on the untouched carrier),
+    its least upper bound, and the last development must coincide with the
+    symbolic limit up to `effective_depth`.  The first two checks share one
+    memo of proven pairs for the whole call.
 
     `sample_at` restricts which chain indices are inspected (0 and the final
     index are always included); by default every index up to
@@ -924,7 +926,7 @@ def infinite_parallel_reduce(
     carrier_term = RationalTerm(rs.carrier, rs.start, rs.bottoms, rs.var_names)
     symbolic, _ = develop_rational(carrier_term, [(rs.target, rs.rule)])
 
-    doublings = 0
+    doublings, proven = 0, {}
     while True:
         if sample_at is not None:
             indices = sorted(
@@ -940,13 +942,19 @@ def infinite_parallel_reduce(
             cut, developed = _cut_graph(rs, cuts, i)
             if samples:
                 prev = samples[-1]
-                monotone_ok &= rational_approx_leq(prev.approximant, cut)
-                monotone_ok &= rational_approx_leq(prev.developed, developed)
+                monotone_ok &= rational_approx_leq(prev.approximant, cut, proven)
+                monotone_ok &= rational_approx_leq(prev.developed, developed, proven)
             samples.append(ChainSample(i, cut, developed))
         if not monotone_ok:
             raise OracleError(
                 "approximating chain is not ascending; refusing the result"
             )
+        for s in samples:
+            if not rational_approx_leq(s.developed, symbolic, proven):
+                raise ConvergenceError(
+                    f"development of chain element {s.index} is not below "
+                    "the symbolic limit"
+                )
         limit = samples[-1].developed
         limit_agrees = truncated_equal(limit, symbolic, eff_depth)
         if limit_agrees:

@@ -299,6 +299,45 @@ MUTANTS += [
     ),
 ]
 
+MEMO = "tests/test_parallel.py::test_memoised_walks_match_the_unmemoised_ones"
+MUTANTS += [
+    Mutant(
+        "memo-kept-after-a-failed-walk",
+        "graphs.py",
+        "seen = set(proven[key][2]) if key in proven else seen",
+        "seen = proven.setdefault(key, (ga, gb, seen))[2]",
+        (MEMO,),
+        "a walk adds its pairs to the memo as it sees them, so a failed "
+        "walk leaves unproven pairs behind",
+    ),
+    Mutant(
+        "memo-shared-across-holes-and-names",
+        "graphs.py",
+        "key = (id(ga), id(gb), a.bottoms, b.bottoms, a.var_names, b.var_names)",
+        "key = (id(ga), id(gb))",
+        (
+            MEMO,
+            "tests/test_parallel.py::"
+            "test_a_memo_serves_only_views_like_the_proven_ones",
+        ),
+        "pairs proven between views of two graphs are reused between views "
+        "of the same graphs whose holes or names differ",
+    ),
+    Mutant(
+        "upper-bound-check-dropped",
+        "parallel.py",
+        "if not rational_approx_leq(s.developed, symbolic, proven):",
+        "if False:",
+        (
+            "tests/test_parallel.py::"
+            "test_the_upper_bound_check_catches_a_shallow_limit",
+        ),
+        "a sampled development above the symbolic limit goes unnoticed "
+        "when the last one agrees with it to the effective depth",
+    ),
+]
+
+
 def check(m: Mutant) -> str:
     """Apply one mutant in a copy and run its tests: '' or what went wrong."""
     with tempfile.TemporaryDirectory(prefix="tgr-mutant-") as tmp:

@@ -2,6 +2,7 @@
 
 import functools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -45,6 +46,8 @@ from tgr.parallel import (
 )
 from tgr.rules import TRS, RewriteRule, graph_of_rule, is_infinite_copying
 from tgr.terms import BOTTOM, Signature, occ_format, occ_sort_key, parse_term
+from tests.test_graphs import random_carrier
+from tests.test_terms import approx_leq
 
 SIG = Signature.of(
     {"a": 0, "b": 0, "f": 1, "g": 1, "I": 1, "cdr": 1, "cons": 2, "p": 2}
@@ -992,6 +995,165 @@ def test_the_chain_checks_catch_a_skipped_target(monkeypatch):
                 assert not wrong
     assert len(errors) >= 100
     assert set(errors) == {OracleError, ConvergenceError}
+
+
+def sample_pairs(report):
+    """The pairs the oracle compares, in its order: consecutive approximants
+    and developments, then every development against the symbolic limit;
+    each followed by its reverse, which mostly fails."""
+    pairs, s = [], report.samples
+    for prev, cur in zip(s, s[1:]):
+        pairs += [(prev.approximant, cur.approximant), (prev.developed, cur.developed)]
+    pairs += [(x.developed, report.symbolic_limit) for x in s]
+    return [q for a, b in pairs for q in ((a, b), (b, a))]
+
+
+def memo_state(proven):
+    return {k: (id(g), id(h), frozenset(pairs)) for k, (g, h, pairs) in proven.items()}
+
+
+def memoised_verdicts(pairs, proven):
+    """Each verdict through the memo equals the unmemoised one, and a failed
+    walk leaves the memo as it was.  Returns the number of failed walks."""
+    failed = 0
+    for a, b in pairs:
+        before = memo_state(proven)
+        verdict = rational_approx_leq(a, b, proven)
+        assert verdict == rational_approx_leq(a, b)
+        if not verdict:
+            assert memo_state(proven) == before
+            failed += 1
+    return failed
+
+
+BENCH_SIG = Signature.of({"a": 0, "d": 1, "p": 2, "cdr": 1, "cons": 2})
+BENCH_RULES = {
+    "f": R_F,
+    "I": R_I,
+    "d": RewriteRule.of(
+        "Rd", parse_term(BENCH_SIG, "d(x)"), parse_term(BENCH_SIG, "p(x, x)")
+    ),
+    "cdr": R_CDR,
+}
+# The oracle inputs of the benchmark: (shape, ring size, depth, rule root).
+# The shared 4- and 5-rings at depth 32 exceed the member budget.
+BENCH_ROOTS = ("f", "I", "d", "cdr")
+BENCH_SHAPES = (
+    [
+        ("unary", 4 + i % 13, 16 if i % 2 else 32, BENCH_ROOTS[i % 4])
+        for i in range(16)
+    ]
+    + [("shared", n, 16, r) for n, r in zip((8, 10, 12, 14), BENCH_ROOTS)]
+    + [("shared", n, 32, r) for n, r in zip((4, 5) * 3, BENCH_ROOTS * 2)]
+)
+
+
+def bench_host(rng, shape, n, root):
+    """A ring n0..n<n-1> matched at n1, its other labels drawn by rng.  On a
+    shared host the node after the match is binary with both edges on the
+    next one, so paths double every lap; under a cdr, that node is a cons
+    (on a unary ring, with a constant first child)."""
+    ids = [f"n{i}" for i in range(n)]
+    labels = {m: rng.choice(["f", "g", "h", "I", "d"]) for m in ids}
+    succs = {m: (ids[(i + 1) % n],) for i, m in enumerate(ids)}
+    labels["n1"], after, nxt = root, ids[2], ids[3 % n]
+    if shape == "shared":
+        labels[after] = "cons" if root == "cdr" else "p"
+        succs[after] = (nxt, nxt)
+    elif root == "cdr":
+        ids.append("c")
+        labels["c"], labels[after], succs[after] = "a", "cons", ("c", nxt)
+    carrier = TermGraph.of(ids, labels, succs)
+    return RationalRedexSet(carrier, "n0", "n1", BENCH_RULES[root])
+
+
+def test_memoised_walks_match_the_unmemoised_ones():
+    """Through one memo per oracle call, `rational_approx_leq` gives the
+    verdicts of the plain walk on the pairs the oracle compares and their
+    reverses: on the suite's sets and on the benchmark's oracle inputs
+    (whose six shared rings at depth 32 need more members than the budget
+    allows).  On random views with holes and names, some of one graph and
+    some alike, one memo serves every pair.  No failed walk changes the
+    memo."""
+    failed = 0
+    for rs, depth, budget in oracle_cases():
+        report = infinite_parallel_reduce(rs, depth, budget=budget)
+        failed += memoised_verdicts(sample_pairs(report), {})
+    rng = random.Random(5)
+    assert len(BENCH_SHAPES) == 26
+    for shape, n, depth, root in BENCH_SHAPES:
+        rs = bench_host(rng, shape, n, root)
+        report = infinite_parallel_reduce(rs, depth, budget=2048)
+        failed += memoised_verdicts(sample_pairs(report), {})
+    assert failed > 3000
+    random_failed = 0
+    for _ in range(300):
+        views = []
+        for g in (random_carrier(rng, 6), random_carrier(rng, 6)):
+            empty = [n for n in g.nodes if not g.is_labelled(n)]
+            for _ in range(3):
+                holes = frozenset(n for n in empty if rng.random() < 0.5)
+                names = tuple((n, rng.choice("xy")) for n in empty if n not in holes)
+                for p in rng.sample(g.nodes, min(3, len(g.nodes))):
+                    views.append(RationalTerm(g, p, holes, names))
+        pairs = [(rng.choice(views), rng.choice(views)) for _ in range(20)]
+        random_failed += memoised_verdicts(pairs, {})
+    assert random_failed > 4000
+
+
+def test_a_memo_serves_only_views_like_the_proven_ones():
+    """A pair proven between two views is not taken as proven between views
+    of the same graphs whose holes or names differ."""
+    g = TermGraph.of(
+        ["u", "h", "v", "c", "w", "k"],
+        {"u": "f", "v": "f", "c": "a", "w": "f"},
+        {"u": ("h",), "v": ("c",), "w": ("k",)},
+    )
+    u, v = RationalTerm(g, "u"), RationalTerm(g, "v")
+    proven = {}
+    assert rational_approx_leq(replace(u, bottoms=frozenset("h")), v, proven)
+    assert not rational_approx_leq(u, v, proven)  # h is a variable here
+    x, y = (("h", "x"), ("k", "x")), (("h", "y"), ("k", "x"))
+    w = RationalTerm(g, "w", var_names=x)
+    assert rational_approx_leq(replace(u, var_names=x), w, proven)
+    assert not rational_approx_leq(replace(u, var_names=y), w, proven)
+
+
+def test_the_upper_bound_check_catches_a_shallow_limit(monkeypatch):
+    """With the symbolic limit replaced by its truncation just below the
+    effective depth, the last development still agrees with it to that
+    depth, so only the check that every development lies below the limit
+    can tell.  The oracle raises `ConvergenceError` naming the first
+    sampled index whose development has a symbol where the truncation has
+    a hole (found on unravelings), and returns wherever there is none."""
+    develop = parallel.develop_rational
+    caught = 0
+    for rs, depth, budget in oracle_cases():
+        report = infinite_parallel_reduce(rs, depth, budget=budget)
+        cut = report.effective_depth + 1
+        shallow_term = report.symbolic_limit.unravel(cut)
+        shallow = rational_of_term(shallow_term)
+        assert truncated_equal(report.limit, shallow, report.effective_depth)
+        above = [
+            s.index
+            for s in report.samples
+            if not approx_leq(s.developed.unravel(cut + 1), shallow_term)
+        ]
+
+        def shallow_limit(rt, components, carrier=rs.carrier, shallow=shallow):
+            if rt.graph is carrier:
+                return shallow, {}
+            return develop(rt, components)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(parallel, "develop_rational", shallow_limit)
+            if above:
+                with pytest.raises(ConvergenceError, match=f"element {above[0]} is"):
+                    infinite_parallel_reduce(rs, depth, budget=budget)
+                caught += 1
+            else:
+                assert infinite_parallel_reduce(rs, depth, budget=budget).limit_agrees
+    assert caught >= 50
 
 
 def test_prefix_check_matches_the_quadratic_one():
