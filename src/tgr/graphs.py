@@ -266,14 +266,14 @@ class PrefixTrie:
     """The prefix tree of a list of paths from src.  States are numbered in
     insertion order, each after its parent, from 0 at the empty path, so
     the first i paths span exactly the states below `size[i]`.  `child[k]`
-    maps a successor index to a state, `end[j]` is path j's state, and
-    `at[k]` the node that state k's path walks to."""
+    maps a successor index to a state, `at[k]` is the node that state k's
+    path walks to, and `lengths[r]` how many of the paths have length r."""
 
     def __init__(self, src: NodeId) -> None:
         self.child: List[Dict[int, int]] = [{}]
         self.at: List[NodeId] = [src]
         self.size = [1]
-        self.end: List[int] = []
+        self.lengths: List[int] = []
 
 
 class PathCounts:
@@ -289,9 +289,9 @@ class PathCounts:
 
     The counts rank the paths from src in length-lex order (Ackerman &
     Shallit, "Efficient enumeration of words in regular languages", TCS
-    2009): `count` gives how many are shorter than a bound, `prefix` the
-    length and rank at which the first k of them end, and `paths` lists
-    them."""
+    2009): `count` gives how many are shorter than a bound, `within` the
+    longest bound that keeps the count within a budget, `prefix` the length
+    and rank at which the first k of them end, and `paths` lists them."""
 
     def __init__(
         self, g: TermGraph, src: NodeId, targets: Optional[Iterable[NodeId]] = None
@@ -314,19 +314,19 @@ class PathCounts:
                     dist[p] = dist[s] + 1
                     order.append(p)
 
-    def _extend(self) -> bool:
-        """Add one row; False, adding none, once the rows have ended."""
-        last = self.rows[-1]
-        if not last:
-            return False
-        row: Dict[NodeId, int] = {}
-        preds = self._preds
-        for s, c in last.items():
-            for p in preds.get(s, ()):
-                row[p] = row.get(p, 0) + c
-        self.rows.append(row)
-        self._below.append(self._below[-1] + row.get(self.src, 0))
-        return True
+    def within(self, n: float, bound: float) -> float:
+        """The largest b <= bound with count(b) <= n.  Rows are added here
+        only, and only while there are fewer than bound and the count is
+        still within n; `count` and `first` grow them through this loop."""
+        rows, below, preds = self.rows, self._below, self._preds
+        while len(rows) < bound and below[-1] <= n and rows[-1]:
+            row: Dict[NodeId, int] = {}
+            for s, c in rows[-1].items():
+                for p in preds.get(s, ()):
+                    row[p] = row.get(p, 0) + c
+            rows.append(row)
+            below.append(below[-1] + row.get(self.src, 0))
+        return bound if below[-1] <= n else min(bound, bisect_right(below, n) - 1)
 
     def paths(self, maxlen: Optional[int] = None) -> Iterator[Occurrence]:
         """The paths from src into the targets in length-lex order, none
@@ -357,16 +357,13 @@ class PathCounts:
 
     def count(self, bound: int) -> int:
         """The number of paths from src of length < bound."""
-        while len(self.rows) < bound and self._extend():
-            pass
+        self.within(float("inf"), bound)
         return self._below[max(min(bound, len(self.rows)), 0)]
 
     def first(self, n: int) -> int:
         """How many of the first n paths from src exist: n, or all if fewer."""
-        below = self._below
-        while below[-1] < n and self._extend():
-            pass
-        return min(n, below[-1])
+        self.within(n - 1, float("inf"))
+        return min(n, self._below[-1])
 
     def prefix(self, k: int) -> Tuple[int, int]:
         """(r, j) such that the first k paths from src are all those shorter

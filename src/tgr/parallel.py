@@ -804,38 +804,23 @@ def _sample_indices(n: int) -> List[int]:
     return sorted(set(x for x in out if 0 <= x <= n))
 
 
-def _deepest(depth: int, holds: Callable[[int], bool]) -> int:
-    """The largest d <= depth with holds(d), or 0 if no d >= 1 has it.
-
-    `holds` must be downward closed (true at every d >= 1 below one where it
-    is true), so bisection finds what a scan down from `depth` would.
-    """
-    if depth <= 0 or holds(depth):
-        return depth
-    lo, hi = 0, depth  # holds(hi) is false; lo is 0 or holds(lo) is true
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def _prefix_respecting_trie(
     rs: RationalRedexSet, occs: Sequence[Occurrence]
 ) -> PrefixTrie:
     """The trie of a caller-supplied enumeration, which must list members
-    of the set only, each after every member that is a proper prefix of it.
+    of the set only, each once and after every member that is a proper
+    prefix of it.
 
     One walk down the trie per occurrence, adding the states it lacks,
     finds every member prefix and whether it was listed, and whether the
     occurrence is a member: each new state is checked against its parent's
     successors, as `TermGraph.walk` checks a step.  A missing prefix is
-    reported only once the occurrence is known to be a member.
+    reported only once the occurrence is known to be a member, a repeat
+    only once its prefixes are known to be listed.
     """
     trie = PrefixTrie(rs.start)
     child, at, succs, target = trie.child, trie.at, rs.carrier.succs, rs.target
+    lengths = trie.lengths
     listed = set()  # trie states of the occurrences checked so far
     for w in occs:
         st, missing = 0, None
@@ -859,7 +844,10 @@ def _prefix_respecting_trie(
                 "enumeration is not prefix-respecting: "
                 f"{occ_format(missing)} missing before {occ_format(w)}"
             )
-        trie.end.append(st)
+        if st in listed:
+            raise ValueError(f"{occ_format(w)} is listed twice")
+        lengths += [0] * (len(w) + 1 - len(lengths))
+        lengths[len(w)] += 1
         trie.size.append(len(child))
         listed.add(st)
     return trie
@@ -879,11 +867,14 @@ def infinite_parallel_reduce(
     number of members needed so the limit is exact on positions shorter than
     `depth` comes from `threshold_length`; when that many members would
     exceed `budget`, the largest depth whose requirement fits is used instead
-    and reported as `effective_depth`.
+    and reported as `effective_depth`.  The count table's rows are read only
+    as far as the budget admits.
 
     `occurrences` overrides the enumeration with a caller-supplied one, which
-    must be prefix-respecting (every member of the set that is a proper
-    prefix of a listed occurrence appears earlier in the list).
+    must list each member once and be prefix-respecting (every member of the
+    set that is a proper prefix of a listed occurrence appears earlier in
+    the list); the effective depth is then the largest whose required
+    members are all listed.
 
     Three independent views must agree before anything is returned: the
     sampled chain must be ascending, every sampled development must lie
@@ -899,29 +890,29 @@ def infinite_parallel_reduce(
     """
     _refuse_infinite_copying(rs.rule)
     threshold = threshold_length(rs.rule, depth)
-
+    table = rs.table
     if occurrences is not None:
-        occs = [tuple(w) for w in occurrences]
-        cuts = _Cuts(rs, _prefix_respecting_trie(rs, occs))
-        table = cuts.table
-
-        def complete_to(d: int) -> bool:
-            bound = threshold_length(rs.rule, d)
-            return sum(1 for w in occs if len(w) < bound) == table.count(bound)
-
-        # Trust only the depth whose required members are all present.
-        eff_depth = _deepest(depth, complete_to)
-        kept = len(occs)
+        trie = _prefix_respecting_trie(rs, [tuple(w) for w in occurrences])
+        cuts, kept = _Cuts(rs, trie), len(trie.size) - 1
+        # the members shorter than `settled` are all listed
+        settled, have = 0, 0
+        for c in trie.lengths:
+            have += c
+            if settled >= threshold or table.count(settled + 1) != have:
+                break
+            settled += 1
+        else:  # past the longest listed length the next member is missing
+            settled = table.within(have, threshold)
     else:
         cuts = _Cuts(rs)
-        table = cuts.table
-
-        def needed(d: int) -> int:
-            return table.count(threshold_length(rs.rule, d))
-
-        eff_depth = _deepest(depth, lambda d: needed(d) <= budget)
-        # the budget caps the members even where not even depth 1 fits it
-        kept = min(needed(eff_depth), budget)
+        # the members shorter than `settled` all fit the budget
+        settled = table.within(budget, threshold)
+    eff_depth = depth  # trusted where every member it needs is kept
+    while eff_depth > 0 and threshold_length(rs.rule, eff_depth) > settled:
+        eff_depth -= 1
+    if occurrences is None:
+        # at effective depth 0 the budget still caps the members
+        kept = min(table.count(threshold_length(rs.rule, eff_depth)), budget)
 
     carrier_term = RationalTerm(rs.carrier, rs.start, rs.bottoms, rs.var_names)
     symbolic, _ = develop_rational(carrier_term, [(rs.target, rs.rule)])

@@ -337,6 +337,96 @@ MUTANTS += [
     ),
 ]
 
+LOCAL_STEPS = "tests/test_dpo.py::test_local_steps_match_the_reference_on_"
+MUTANTS += [
+    Mutant(
+        "fresh-ids-skip-only-kept-ids",
+        "dpo.py",
+        'while g.has_node(f"h#{fresh}"):',
+        'while g.has_node(f"h#{fresh}") and f"h#{fresh}" not in gone:',
+        (LOCAL_STEPS + "hand_built_rules",),
+        "a fresh id skips only the ids H keeps, so it can reuse the id of "
+        "a node merged away",
+    ),
+    Mutant(
+        "redirected-edge-without-predecessor",
+        "dpo.py",
+        "    for q in changed:\n",
+        "    for q in changed - (gluing.before.nodes - set(mapping.values())):\n",
+        (
+            LOCAL_STEPS + "generated_cases[1]",
+            LOCAL_STEPS + "rings_lassos_and_dags",
+        ),
+        "an edge redirected from a merged-away node gets no entry in the "
+        "predecessor index",
+    ),
+    Mutant(
+        "region-node-keeps-its-hole-tag",
+        "dpo.py",
+        "    bottoms.difference_update(region)  # R's other images are fresh\n",
+        "",
+        (LOCAL_STEPS + "hand_built_rules",),
+        "a matched node that was a hole stays one after it gains content",
+    ),
+    Mutant(
+        "b-checked-on-the-region-only",
+        "dpo.py",
+        "check_morphism(GraphMorphism(before, g, track), touched)",
+        "check_morphism(GraphMorphism(before, g, track), region)",
+        (
+            "tests/test_dpo.py::"
+            "test_b_is_checked_at_the_predecessors_of_merged_away_nodes",
+        ),
+        "b is checked on the matched region only, not at the predecessors "
+        "of merged-away nodes",
+    ),
+    Mutant(
+        "kept-target-merged-with-the-past-hole",
+        "parallel.py",
+        "                self.redexes.append(nid)",
+        "                nid = self._shared[m, ss] = self.past[m]",
+        (CUTS, REFERENCE),
+        "a kept member's node is the target's past node, a hole, so no "
+        "kept redex is developed",
+    ),
+]
+
+DECISION = "tests/test_parallel.py::test_the_depth_decision_matches_the_linear_scan"
+MUTANTS += [
+    Mutant(
+        "asked-depth-probe-restored",
+        "parallel.py",
+        "        settled = table.within(budget, threshold)",
+        "        table.count(threshold)\n"
+        "        settled = table.within(budget, threshold)",
+        (
+            "tests/test_harness.py::"
+            "test_the_depth_decision_reads_rows_only_to_the_budget",
+        ),
+        "the count table is filled to the asked depth's threshold before "
+        "the budget's depth is read off it",
+    ),
+    Mutant(
+        "depth-scan-off-by-one",
+        "parallel.py",
+        "threshold_length(rs.rule, eff_depth) > settled:",
+        "threshold_length(rs.rule, eff_depth) >= settled:",
+        (DECISION, CUTS),
+        "the scan steps below a depth whose members all fit",
+    ),
+    Mutant(
+        "repeat-refusal-dropped",
+        "parallel.py",
+        "        if st in listed:",
+        "        if False:",
+        (
+            "tests/test_parallel.py::test_a_repeated_occurrence_is_refused",
+            "tests/test_parallel.py::test_prefix_check_matches_the_quadratic_one",
+        ),
+        "a supplied occurrence listed twice is counted as another member",
+    ),
+]
+
 
 def check(m: Mutant) -> str:
     """Apply one mutant in a copy and run its tests: '' or what went wrong."""

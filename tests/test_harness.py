@@ -329,6 +329,45 @@ def test_a_step_that_does_nothing_fails_below_the_depth(monkeypatch):
     assert report.chain_ok and not report.symbolic_ok and not report.ok
 
 
+def host_scale_ring(n):
+    """An n-node f ring pointed at n0 with a binary p(next, next-but-one) at
+    every seventh node from n0, and the match of Rf at node n/2."""
+    ids = [f"n{i}" for i in range(n)]
+    labels = dict.fromkeys(ids, "f")
+    succs = {a: (b,) for a, b in zip(ids, ids[1:] + ids[:1])}
+    for i in range(0, n, 7):
+        labels[ids[i]] = "p"
+        succs[ids[i]] = (ids[(i + 1) % n], ids[(i + 2) % n])
+    ring = RationalTerm(TermGraph.of(ids, labels, succs), "n0")
+    (m,) = [
+        m
+        for m in find_matches(ring.graph, TGRS1.rule("Rf"))
+        if m.root_image == f"n{n // 2}"
+    ]
+    return ring, m
+
+
+def test_the_depth_decision_reads_rows_only_to_the_budget(monkeypatch):
+    # asked for depth 1,016 on a 1,000-node ring, the budget caps the chain
+    # leg at depth 215 with 73 members kept; the count table then holds no
+    # row past the length depth 216 would need (probing the asked depth
+    # first filled 2,031 rows).
+    ring, m = host_scale_ring(1000)
+    sets = []
+    real = tgr.harness.induced_parallel_redex
+    monkeypatch.setattr(
+        tgr.harness,
+        "induced_parallel_redex",
+        lambda *args: sets.append(real(*args)) or sets[-1],
+    )
+    report = verify_soundness(
+        Signature.of({"f": 1, "g": 1, "p": 2}), ring, m, depth=1016
+    )
+    assert (report.effective_depth, report.occurrences, report.ok) == (215, 73, True)
+    (rs,) = sets
+    assert len(rs.table.rows) <= threshold_length(R_F, 216) + 1
+
+
 def test_oracle_doubling_backstops_a_bad_threshold(monkeypatch):
     # cripple the occurrence-count bound: the oracle keeps too few members,
     # notices the chain limit disagreeing with the symbolic development, and

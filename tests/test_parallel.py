@@ -28,7 +28,6 @@ from tgr.parallel import (
     UnsupportedRuleError,
     _cut_graph,
     _Cuts,
-    _deepest,
     _prefix_respecting_trie,
     complete_development,
     develop_rational,
@@ -626,6 +625,8 @@ def ref_prefix_check(rs, occs):
                     "enumeration is not prefix-respecting: "
                     f"{occ_format(p)} missing before {occ_format(w)}"
                 )
+        if w in seen:
+            raise ValueError(f"{occ_format(w)} is listed twice")
         seen.add(w)
 
 
@@ -709,12 +710,12 @@ def test_cut_graphs_match_the_string_trie(monkeypatch):
     calls, are equal too, and the paths from each point to the redex nodes
     it reaches are exactly the kept members, each once."""
 
-    def old_cut(rs, cuts, i):
-        if cuts.trie is None:
-            return ref_route(rs, enumerate_occurrences(rs, count=i))
-        return ref_route(rs, trie_members(cuts.trie)[:i])
-
     def compare(rs, depth, budget, occurrences=None, sample_at=None):
+        def old_cut(rs, cuts, i):
+            if occurrences is None:
+                return ref_route(rs, enumerate_occurrences(rs, count=i))
+            return ref_route(rs, occurrences[:i])
+
         args = dict(budget=budget, occurrences=occurrences, sample_at=sample_at)
         report = infinite_parallel_reduce(rs, depth, **args)
         with monkeypatch.context() as mp:
@@ -780,9 +781,9 @@ def test_cut_graphs_share_their_finite_part():
 
 
 def ref_trie(rs, batches):
-    """`child`, `at`, `size` and `end` of a trie that walks every occurrence
-    from the root, in the trie and in the carrier."""
-    child, at, size, end = [{}], [rs.start], [1], []
+    """`child`, `at` and `size` of a trie that walks every occurrence from
+    the root, in the trie and in the carrier."""
+    child, at, size = [{}], [rs.start], [1]
     for batch in batches:
         for w in batch:
             st, m = 0, rs.start
@@ -793,39 +794,25 @@ def ref_trie(rs, batches):
                     child.append({})
                     at.append(m)
                 st = child[st][k]
-            end.append(st)
             size.append(len(child))
-    return child, at, size, end
-
-
-def trie_members(trie):
-    """The members of a trie, read back as occurrences through parent links
-    rebuilt from `child`."""
-    up = {c: (st, k) for st, kids in enumerate(trie.child) for k, c in kids.items()}
-    members = []
-    for st in trie.end:
-        w = []
-        while st:
-            st, k = up[st]
-            w.append(k)
-        members.append(tuple(reversed(w)))
-    return members
+    return child, at, size
 
 
 def test_supplied_trie_matches_the_root_walk():
     """The trie of a caller-supplied enumeration equals one that walks each
-    occurrence from the root, and its members read back are the list: on
-    the suite's sets in length-lex order and reordered (shorter members
-    still first), and on the one-node I loop to 300 members."""
+    occurrence from the root, and counts its members per length: on the
+    suite's sets in length-lex order and reordered (shorter members still
+    first), and on the one-node I loop to 300 members."""
     sets = [(rs, 200) for rs, _, _ in oracle_cases()]
     sets.append((RationalRedexSet(I_LOOP.graph, "n", "n", R_I), 300))
     for rs, count in sets:
         occs = enumerate_occurrences(rs, count=count)
         for lst in (occs, sorted(occs, key=lambda w: (len(w), [-i for i in w]))):
             trie = _prefix_respecting_trie(rs, lst)
-            got = (trie.child, trie.at, trie.size, trie.end)
-            assert got == ref_trie(rs, [lst])
-            assert trie_members(trie) == lst
+            assert (trie.child, trie.at, trie.size) == ref_trie(rs, [lst])
+            lengths = [len(w) for w in lst]
+            longest = max(lengths, default=-1)
+            assert trie.lengths == [lengths.count(r) for r in range(longest + 1)]
 
 
 def unrank(rs, table, j):
@@ -1209,25 +1196,67 @@ def test_the_trie_walk_tests_membership():
             assert str(refused.value) == want
 
 
-def test_bisection_agrees_with_the_linear_scan():
-    """`_deepest` finds the depth the one-step scan finds, for the budget
-    cap and for the completeness of a supplied enumeration."""
+def test_a_repeated_occurrence_is_refused():
+    """A supplied enumeration lists each member once.  A repeat is refused
+    by name rather than counted as a member the list lacks: on the f loop
+    at depth 4, the first list below was trusted to depth 2 with 111
+    missing, and the last got depth 0, below its own subset's depth 1."""
+    rs = RationalRedexSet(F_LOOP.graph, "n", "n", R_F)
+    for lst, twice in (
+        ([(), (1,), (1, 1), (1, 1)], "11"),
+        ([(), ()], "λ"),
+        ([(), (1,), (1,)], "1"),
+    ):
+        for check in (_prefix_respecting_trie, ref_prefix_check):
+            with pytest.raises(ValueError) as refused:
+                check(rs, lst)
+            assert str(refused.value) == f"{twice} is listed twice"
+        with pytest.raises(ValueError, match=f"^{twice} is listed twice$"):
+            infinite_parallel_reduce(rs, 4, occurrences=lst)
+    for lst, depth in (
+        ([(), (1,)], 1),
+        ([(), (1,), (1, 1)], 1),
+        ([(), (1,), (1, 1), (1, 1, 1)], 2),
+    ):
+        assert infinite_parallel_reduce(rs, 4, occurrences=lst).effective_depth == depth
+
+
+def test_the_depth_decision_matches_the_linear_scan(monkeypatch):
+    """The oracle's effective depth and kept members are those of the old
+    one-step scan over its two predicates: the budget admits every member
+    the depth needs, or a supplied enumeration lists them all.  Every layer
+    past the decision is stubbed out; the tests above check those layers,
+    and running them on all 165,240 inputs would take half a minute."""
     sets = [RationalRedexSet(I_LOOP.graph, "n", "n", R_I)]
     sets += generated_sets(range(100))
     budgets = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2048]
-    for rs in sets:
-        counts = [rs.count_below(threshold_length(rs.rule, d)) for d in range(65)]
-        for depth in range(65):
-            for budget in budgets:
-                holds = lambda d: counts[d] <= budget
-                assert _deepest(depth, holds) == ref_scan(depth, holds)
-        for c in (0, 1, 2, 5, 17):
-            occs = enumerate_occurrences(rs, count=c)
-            for depth in range(0, 65, 3):
+    with monkeypatch.context() as mp:
+        mp.setattr(parallel, "develop_rational", lambda rt, components: (rt, {}))
+        mp.setattr(_Cuts, "point", lambda cuts, i: None)
+        mp.setattr(parallel, "_cut_graph", lambda rs, cuts, i: (None, None))
+        mp.setattr(parallel, "rational_approx_leq", lambda a, b, proven: True)
+        mp.setattr(parallel, "truncated_equal", lambda a, b, depth: True)
+        for rs in sets:
+            counts = [rs.count_below(threshold_length(rs.rule, d)) for d in range(65)]
+            for depth in range(65):
+                for budget in budgets:
+                    want = ref_scan(depth, lambda d: counts[d] <= budget)
+                    report = infinite_parallel_reduce(
+                        rs, depth, budget=budget, sample_at=[]
+                    )
+                    assert report.effective_depth == want
+                    assert report.occurrences == min(counts[want], budget)
+            for c in (0, 1, 2, 5, 17):
+                occs = enumerate_occurrences(rs, count=c)
+                for depth in range(0, 65, 3):
 
-                def complete(d):
-                    bound = threshold_length(rs.rule, d)
-                    have = sum(1 for w in occs if len(w) < bound)
-                    return have == counts[d]
+                    def complete(d):
+                        bound = threshold_length(rs.rule, d)
+                        have = sum(1 for w in occs if len(w) < bound)
+                        return have == counts[d]
 
-                assert _deepest(depth, complete) == ref_scan(depth, complete)
+                    report = infinite_parallel_reduce(
+                        rs, depth, occurrences=occs, sample_at=[]
+                    )
+                    assert report.effective_depth == ref_scan(depth, complete)
+                    assert report.occurrences == len(occs)
