@@ -19,7 +19,7 @@ example, the report and error types, and the comparison helpers the
 benchmark replays; everything else is imported from its submodule.
 """
 
-from .dpo import derive_rational, find_matches, induced_parallel_redex
+from .dpo import derive_rational, find_matches
 from .graphs import (
     RationalTerm,
     TermGraph,
@@ -32,6 +32,7 @@ from .harness import (
     NormalFormReport,
     SoundnessReport,
     SuiteReport,
+    induced_parallel_redex,
     rewrite_sequence,
 )
 from .parallel import (

@@ -41,7 +41,7 @@ from .parsing import (
     graph_to_json,
     parse_workspace,
 )
-from .rules import is_infinite_copying, orthogonality_conflicts
+from .rules import orthogonality_conflicts
 from .terms import format_term, occ_format
 
 DEFAULT_DEPTH = 16
@@ -119,7 +119,7 @@ def _cmd_check(args) -> int:
         tags = []
         if r.is_collapsing():
             tags.append("collapsing")
-        if is_infinite_copying(r):
+        if r.copies_infinitely:
             tags.append("not oracle-supported")
         suffix = f" [{', '.join(tags)}]" if tags else ""
         lines.append(
@@ -129,7 +129,7 @@ def _cmd_check(args) -> int:
             {
                 "name": r.name,
                 "collapsing": r.is_collapsing(),
-                "oracle_supported": not is_infinite_copying(r),
+                "oracle_supported": not r.copies_infinitely,
             }
         )
     if conflicts:

@@ -59,9 +59,8 @@ from .graphs import (
     sorted_nodes,
     tree_match,
 )
-from .parallel import RationalRedexSet
-from .rules import TGRS, EvaluationRule, unravel_rule
-from .terms import BOTTOM, FiniteTerm, Signature, var
+from .rules import TGRS, EvaluationRule
+from .terms import BOTTOM, FiniteTerm, var
 
 
 # ---------------------------------------------------------------------------
@@ -575,18 +574,3 @@ class Stepper:
                     elif v not in live:
                         live.add(v)
                         heapq.heappush(heap, node_key(v))
-
-
-def induced_parallel_redex(
-    rt: RationalTerm, match: Match, sig: Signature
-) -> RationalRedexSet:
-    """The set of term-level redexes a graph match stands for.
-
-    A single matched node unravels to every occurrence of that node reachable
-    from the point, so one graph step corresponds to a (possibly infinite,
-    always rational) parallel term rewrite.
-    """
-    rule = unravel_rule(match.rule, sig)
-    return RationalRedexSet(
-        rt.graph, rt.point, match.root_image, rule, rt.bottoms, rt.var_names
-    )

@@ -32,7 +32,6 @@ from .dpo import (
     Stepper,
     derive_rational,
     find_matches,
-    induced_parallel_redex,
     match_at,
 )
 from .graphs import (
@@ -48,6 +47,7 @@ from .graphs import (
 )
 from .parallel import (
     OracleError,
+    RationalRedexSet,
     Redex,
     complete_development,
     enumerate_occurrences,
@@ -115,6 +115,21 @@ class SoundnessReport:
             f" (chain checked to {self.effective_depth},"
             f" {self.occurrences} occurrences){detail}"
         )
+
+
+def induced_parallel_redex(
+    rt: RationalTerm, match: Match, sig: Signature
+) -> RationalRedexSet:
+    """The set of term-level redexes a graph match stands for.
+
+    A single matched node unravels to every occurrence of that node reachable
+    from the point, so one graph step corresponds to a (possibly infinite,
+    always rational) parallel term rewrite.
+    """
+    rule = unravel_rule(match.rule, sig)
+    return RationalRedexSet(
+        rt.graph, rt.point, match.root_image, rule, rt.bottoms, rt.var_names
+    )
 
 
 def verify_soundness(
@@ -539,7 +554,7 @@ def _prop_enumerations(
 def _pick_redexes(
     case: RandomCase, rng: random.Random, k: int
 ) -> List[Redex]:
-    found = find_redexes(case.host, case.trs, maxlen=3, max_count=40)
+    found = find_redexes(case.host, case.trs, maxlen=3)[:40]
     if not found:
         return []
     return rng.sample(found, min(len(found), rng.randint(1, k)))

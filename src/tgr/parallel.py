@@ -11,7 +11,7 @@ The pieces:
 
 - `Redex`, `find_redexes`, `reduce`: single-step rewriting at one occurrence,
   implemented by copying the spine from the point down to the redex so the
-  rest of the carrier keeps its sharing.
+  rest of the carrier keeps its sharing, and developing the copied redex.
 - `residuals`, `complete_development`: what happens to other redexes when one
   is contracted, and the (finite, order-independent) development of a finite
   redex set.  Requires orthogonality.
@@ -37,11 +37,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -60,8 +58,8 @@ from .graphs import (
     sorted_nodes,
     truncated_equal,
 )
-from .rules import RewriteRule, TRS, is_infinite_copying
-from .terms import Occurrence, occ_format, occ_leq, occ_sort_key, subterms
+from .rules import RewriteRule, TRS
+from .terms import Occurrence, occ_format, occ_leq, occ_sort_key
 
 
 class OracleError(Exception):
@@ -73,7 +71,7 @@ class UnsupportedRuleError(OracleError):
 
 
 def _refuse_infinite_copying(rule: RewriteRule) -> None:
-    if is_infinite_copying(rule):
+    if rule.copies_infinitely:
         raise UnsupportedRuleError(
             f"rule {rule.name} copies a variable infinitely often; "
             "its developments are not finite"
@@ -104,11 +102,6 @@ class Redex:
 
     def describe(self) -> str:
         return f"({occ_format(self.occ)}, {self.rule.name})"
-
-
-def var_positions(rule: RewriteRule) -> Dict[str, Occurrence]:
-    """Position of each variable in the (linear) left-hand side."""
-    return {s.symbol: w for w, s in subterms(rule.lhs) if s.is_var}
 
 
 def rule_matches_at(
@@ -147,7 +140,6 @@ def find_redexes(
     rt: RationalTerm,
     rules: "Sequence[RewriteRule] | TRS",
     maxlen: int,
-    max_count: Optional[int] = None,
 ) -> List[Redex]:
     """All redexes at occurrences of length <= maxlen, length-lex order.
 
@@ -163,8 +155,6 @@ def find_redexes(
             table = PathCounts(rt.graph, rt.point, nodes)
             out += [Redex(w, rule) for w in table.paths(maxlen)]
     out.sort(key=lambda r: (occ_sort_key(r.occ), r.rule.name))
-    if max_count is not None:
-        out = out[:max_count]
     return out
 
 
@@ -187,69 +177,15 @@ def _fresh_namer(used: set) -> "callable":
     return fresh
 
 
-class _RhsPlan(NamedTuple):
-    """What importing a rule's right-hand side needs of the rule alone."""
-
-    var_positions: Tuple[Tuple[str, Occurrence], ...]
-    point: NodeId
-    # the live right-hand side in node order: node, label (None for a
-    # variable), successors, rendered name
-    live: Tuple[Tuple[NodeId, Optional[str], Tuple[NodeId, ...], str], ...]
-
-
-def _rhs_plan(rule: RewriteRule) -> _RhsPlan:
-    rhs = rule.rhs
-    ren = rhs.renaming()
-    return _RhsPlan(
-        tuple(var_positions(rule).items()),
-        rhs.point,
-        tuple(
-            (n, rhs.graph.labels.get(n), rhs.graph.successors(n), ren.get(n, n))
-            for n in sorted_nodes(rhs.graph.reachable(rhs.point))
-        ),
-    )
-
-
-def _import_rhs(
-    plan: _RhsPlan,
-    g: TermGraph,
-    at: NodeId,
-    labels: Dict[NodeId, str],
-    succs: Dict[NodeId, Tuple[NodeId, ...]],
-    new_id: Callable[[], NodeId],
-    point_id: Optional[NodeId] = None,
-) -> NodeId:
-    """Copy the live right-hand side of a rule (planned by `_rhs_plan`)
-    matched at `at` into the given label and successor maps; returns the
-    image of its point.
-
-    Pattern variables are bound by walking g from `at`.  Labelled nodes get
-    `new_id()` in node order, except that the point takes `point_id` when
-    given.  A collapsing rule copies nothing and returns its variable's image.
-    """
-    bind = {x: g.walk(at, v) for x, v in plan.var_positions}
-    imported: Dict[NodeId, NodeId] = {}
-    for n, lbl, _, name in plan.live:
-        if lbl is None:
-            imported[n] = bind[name]
-        elif n == plan.point and point_id is not None:
-            imported[n] = point_id
-        else:
-            imported[n] = new_id()
-    for n, lbl, ss, _ in plan.live:
-        if lbl is not None:
-            labels[imported[n]] = lbl
-            succs[imported[n]] = tuple(imported[s] for s in ss)
-    return imported[plan.point]
-
-
 def reduce(rt: RationalTerm, redex: Redex) -> RationalTerm:
     """Contract one redex occurrence; the term-level small step.
 
-    The nodes along the path from the point to the redex are copied (so
-    occurrences sharing them are untouched), and the right-hand side is
-    spliced in at the bottom of the copied spine with the pattern's variables
-    bound by walking from the redex node.
+    The nodes along the path from the point to the redex, the redex node
+    included, are copied under fresh ids, each copy pointing at the next,
+    so occurrences sharing them are untouched.  Only the redex occurrence
+    reaches the copied redex node, so developing that node alone
+    (`develop_rational`) contracts exactly this occurrence (Kennaway, Klop,
+    Sleep & de Vries, TOPLAS 1994).
     """
     g, rule = rt.graph, redex.rule
     spine = [rt.point]
@@ -260,56 +196,26 @@ def reduce(rt: RationalTerm, redex: Redex) -> RationalTerm:
                 f"{occ_format(redex.occ)} is not an occurrence of the term"
             )
         spine.append(succ[i - 1])
-    hub = spine[-1]
-    if not rule_matches_at(g, hub, rule, rt.bottoms):
+    if not rule_matches_at(g, spine[-1], rule, rt.bottoms):
         raise ValueError(
             f"rule {rule.name} does not match at {occ_format(redex.occ)}"
         )
 
-    used = set(g.nodes)
-    fresh = _fresh_namer(used)
-    labels = dict(g.labels)
-    succs = dict(g.succs)
-    point = _import_rhs(
-        _rhs_plan(rule), g, hub, labels, succs, lambda: fresh("r#")
-    )
-
-    # Copy the spine bottom-up, rerouting one child per level.
-    for depth in range(len(redex.occ) - 1, -1, -1):
-        orig = spine[depth]
-        copy = fresh("s#")
+    fresh = _fresh_namer(set(g.nodes))
+    copies = [fresh("s#") for _ in spine]
+    labels, succs = dict(g.labels), dict(g.succs)
+    for k, orig in enumerate(spine):
         ss = list(g.succs[orig])
-        ss[redex.occ[depth] - 1] = point
-        labels[copy] = g.labels[orig]
-        succs[copy] = tuple(ss)
-        point = copy
-
-    out = TermGraph.of(used, labels, succs)
-    return RationalTerm(out, point, rt.bottoms, rt.var_names)
+        if k < len(redex.occ):  # each copy points at the next
+            ss[redex.occ[k] - 1] = copies[k + 1]
+        labels[copies[k]], succs[copies[k]] = g.labels[orig], tuple(ss)
+    copied = TermGraph.of([*g.nodes, *copies], labels, succs)
+    spined = RationalTerm(copied, copies[0], rt.bottoms, rt.var_names)
+    return develop_rational(spined, [(copies[-1], rule)])[0]
 
 
 # ---------------------------------------------------------------------------
 # Residuals and finite developments
-
-
-def _rhs_variable_occurrences(rule: RewriteRule, name: str) -> List[Occurrence]:
-    """Occurrences of a left-hand-side variable in the right-hand side.
-
-    Finite and complete for non-copying rules: a path longer than the carrier
-    revisits a node, which would put the variable under a cycle.
-    """
-    _refuse_infinite_copying(rule)
-    rhs = rule.rhs
-    target = None
-    ren = rhs.renaming()
-    for n in rhs.graph.varnodes():
-        if ren.get(n, n) == name:
-            target = n
-            break
-    if target is None:
-        return []
-    table = PathCounts(rhs.graph, rhs.point, [target])
-    return list(table.paths(len(rhs.graph.nodes)))
 
 
 def residuals(redex: Redex, contracted: Redex) -> List[Redex]:
@@ -326,13 +232,14 @@ def residuals(redex: Redex, contracted: Redex) -> List[Redex]:
         return []
     if not (occ_leq(wp, w) and w != wp):
         return [redex]
-    rest = w[len(wp):]
-    for x, vx in var_positions(contracted.rule).items():
+    rest, rule = w[len(wp):], contracted.rule
+    for x, vx in rule.var_positions.items():
         if occ_leq(vx, rest):
+            _refuse_infinite_copying(rule)
             tail = rest[len(vx):]
             return [
                 Redex(wp + hatx + tail, redex.rule)
-                for hatx in _rhs_variable_occurrences(contracted.rule, x)
+                for hatx in rule.rhs_var_occurrences.get(x, ())
             ]
     raise OracleError(
         f"redex {redex.describe()} overlaps {contracted.describe()}; "
@@ -447,9 +354,6 @@ class RationalRedexSet:
             raise ValueError(
                 f"rule {self.rule.name} does not match at node {self.target}"
             )
-
-    def contains(self, w: Occurrence) -> bool:
-        return self.carrier.walk(self.start, w) == self.target
 
     def is_finite(self) -> bool:
         """Finite iff finitely many paths from the start reach the target."""
@@ -660,18 +564,14 @@ def develop_rational(
     sit strictly inside another's pattern (that would be an overlap).
     """
     g = rt.graph
-    targets: Dict[NodeId, Tuple[RewriteRule, _RhsPlan]] = {}
-    plans: Dict[int, _RhsPlan] = {}  # per rule object, for this call only
+    targets: Dict[NodeId, RewriteRule] = {}
     for m, rule in components:
         if m in targets:
             raise ValueError(f"duplicate development target {m}")
-        plan = plans.get(id(rule))
-        if plan is None:
-            _refuse_infinite_copying(rule)
-            plan = plans[id(rule)] = _rhs_plan(rule)
+        _refuse_infinite_copying(rule)
         if not rule_matches_at(g, m, rule, rt.bottoms):
             raise ValueError(f"rule {rule.name} does not match at node {m}")
-        targets[m] = rule, plan
+        targets[m] = rule
 
     used = set(g.nodes)
     fresh = _fresh_namer(used)
@@ -682,10 +582,20 @@ def develop_rational(
     redirect: Dict[NodeId, NodeId] = {}
 
     for m in sorted_nodes(targets):
-        rule, plan = targets[m]
-        image = _import_rhs(plan, g, m, labels, succs, lambda: fresh("g#"), m)
+        # the right-hand side's point takes over m, its variables are bound
+        # by walking g from m, and its other labelled nodes get fresh ids
+        rule, image = targets[m], {}
+        for n, lbl, _, name in rule.rhs_nodes:
+            if lbl is None:
+                image[n] = g.walk(m, rule.var_positions[name])
+            else:
+                image[n] = m if n == rule.rhs.point else fresh("g#")
+        for n, lbl, ss, _ in rule.rhs_nodes:
+            if lbl is not None:
+                labels[image[n]] = lbl
+                succs[image[n]] = tuple([image[s] for s in ss])
         if rule.is_collapsing():
-            redirect[m] = image
+            redirect[m] = image[rule.rhs.point]
 
     resolved: Dict[NodeId, NodeId] = {}
     fresh_holes: List[NodeId] = []
@@ -749,11 +659,10 @@ def threshold_length(rule: RewriteRule, depth: int) -> int:
     bound grows by one extra round.  The bound is deliberately generous: a
     cheap over-approximation that the convergence cross-check backstops.
     """
-    vpos = var_positions(rule)
+    vpos = rule.var_positions
     if rule.is_collapsing():
         return (depth + 1) * (len(vpos[rule.collapse_variable()]) + 1) + 1
-    used = set(rule.rhs.variables())
-    maxv = max((len(vpos[x]) for x in used), default=1)
+    maxv = max((len(vpos[x]) for x in rule.rhs_var_occurrences), default=1)
     return max(depth * (maxv + 1), 1)
 
 

@@ -29,6 +29,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .graphs import (
     GraphMorphism,
     NodeId,
+    PathCounts,
     RationalTerm,
     TermGraph,
     check_morphism,
@@ -38,6 +39,7 @@ from .graphs import (
     is_tree,
     node_key,
     rational_of_term,
+    sorted_nodes,
     unravel,
 )
 from .terms import (
@@ -57,6 +59,19 @@ from .terms import (
 
 # ---------------------------------------------------------------------------
 # Term-level rules
+
+
+def is_infinite_copying(rule: "RewriteRule") -> bool:
+    """Does the right-hand side place a variable under a cycle?
+
+    Such a rule duplicates a subterm infinitely often in one step; the
+    parallel-reduction machinery refuses them (the graph engine does not).
+    """
+    g = rule.rhs.graph
+    return any(
+        g.is_empty_node(m) and m not in rule.rhs.bottoms
+        for m in infinitely_reached(g, rule.rhs.point)
+    )
 
 
 @dataclass(frozen=True)
@@ -81,6 +96,40 @@ class RewriteRule:
             for w, s in subterms(self.lhs)
             if not s.is_var
         )
+
+    @cached_property
+    def var_positions(self) -> Dict[str, Occurrence]:
+        """Position of each variable in the (linear) left-hand side."""
+        return {s.symbol: w for w, s in subterms(self.lhs) if s.is_var}
+
+    @cached_property
+    def rhs_nodes(
+        self,
+    ) -> Tuple[Tuple[NodeId, Optional[str], Tuple[NodeId, ...], str], ...]:
+        """The right-hand side's reachable nodes in node order, as (node,
+        label or None for a variable, successors, rendered name)."""
+        g, ren = self.rhs.graph, self.rhs.renaming()
+        return tuple(
+            (n, g.labels.get(n), g.successors(n), ren.get(n, n))
+            for n in sorted_nodes(g.reachable(self.rhs.point))
+        )
+
+    @cached_property
+    def rhs_var_occurrences(self) -> Dict[str, Tuple[Occurrence, ...]]:
+        """Each right-hand-side variable's occurrences there, length-lex.
+
+        Finite and complete for rules that are not infinite copying: a path
+        longer than the carrier revisits a node, which would put the
+        variable under a cycle.
+        """
+        g, point = self.rhs.graph, self.rhs.point
+        names = {n: name for n, lbl, _, name in self.rhs_nodes if lbl is None}
+        out: Dict[str, List[Occurrence]] = {x: [] for x in names.values()}
+        for w in PathCounts(g, point, names).paths(len(g.nodes)):
+            out[names[g.walk(point, w)]].append(w)
+        return {x: tuple(ws) for x, ws in out.items()}
+
+    copies_infinitely = cached_property(is_infinite_copying)
 
     def is_collapsing(self) -> bool:
         return self.rhs.graph.is_empty_node(self.rhs.point)
@@ -235,19 +284,6 @@ def orthogonality_conflicts(trs: TRS) -> List[str]:
                     f"{r1.name}'s left-hand side"
                 )
     return conflicts
-
-
-def is_infinite_copying(rule: RewriteRule) -> bool:
-    """Does the right-hand side place a variable under a cycle?
-
-    Such a rule duplicates a subterm infinitely often in one step; the
-    parallel-reduction machinery refuses them (the graph engine does not).
-    """
-    g = rule.rhs.graph
-    return any(
-        g.is_empty_node(m) and m not in rule.rhs.bottoms
-        for m in infinitely_reached(g, rule.rhs.point)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -428,6 +428,140 @@ MUTANTS += [
 ]
 
 
+PARALLEL = "tests/test_parallel.py::"
+FACTS = PARALLEL + "test_rule_facts_are_computed_once_per_rule"
+MUTANTS += [
+    Mutant(
+        "redex-node-developed-uncopied",
+        "parallel.py",
+        "return develop_rational(spined, [(copies[-1], rule)])[0]",
+        "return develop_rational(spined, [(spine[-1], rule)])[0]",
+        (
+            PARALLEL + "test_reduce_touches_one_occurrence_despite_sharing",
+            PARALLEL + "test_development_order_independent_but_step_counts_differ",
+            PARALLEL + "test_join_parallel_on_a_cycle",
+        ),
+        "a step develops the original redex node, which every occurrence "
+        "sharing it reaches, not the copy only the redex occurrence reaches",
+    ),
+    Mutant(
+        "rhs-variable-bound-at-its-first-letter",
+        "parallel.py",
+        "image[n] = g.walk(m, rule.var_positions[name])",
+        "image[n] = g.walk(m, rule.var_positions[name][:1])",
+        (
+            PARALLEL + "test_reduce_collapsing",
+            PARALLEL + "test_develop_rational_cdr_cycle",
+        ),
+        "a right-hand-side variable is bound to the target's successor its "
+        "position starts with, not to the node at its whole position",
+    ),
+    Mutant(
+        "rhs-variable-keeps-its-last-occurrence",
+        "rules.py",
+        "out[names[g.walk(point, w)]].append(w)",
+        "out[names[g.walk(point, w)]][:] = [w]",
+        (
+            PARALLEL + "test_residuals_duplicated",
+            PARALLEL + "test_residuals_of_set_dedups",
+            FACTS,
+        ),
+        "a variable the right-hand side copies keeps only its last "
+        "occurrence there, so a redex below it has one residual",
+    ),
+    Mutant(
+        "variable-positions-recomputed-per-call",
+        "rules.py",
+        "    @cached_property\n    def var_positions(self)",
+        "    @property\n    def var_positions(self)",
+        (FACTS,),
+        "the left-hand side's variable positions are walked again on every "
+        "read, not once per rule",
+    ),
+    Mutant(
+        "listed-prefix-test-dropped",
+        "parallel.py",
+        "if missing is None and at[st] == target and st not in listed:",
+        "if missing is None and at[st] == target:",
+        (
+            PARALLEL + "test_oracle_supplied_enumeration",
+            PARALLEL + "test_prefix_check_matches_the_quadratic_one",
+        ),
+        "a member prefix of a supplied occurrence counts as missing even "
+        "when it was listed earlier",
+    ),
+]
+
+RULES = "tests/test_rules.py::"
+TERMS = "tests/test_terms.py::"
+MUTANTS += [
+    Mutant(
+        "overlap-checked-in-one-direction",
+        "harness.py",
+        "pairs += [(lhs, r.lhs, False), (r.lhs, lhs, False)]",
+        "pairs += [(r.lhs, lhs, False)]",
+        (
+            "tests/test_harness.py::test_generated_rules_are_orthogonal",
+            "tests/test_harness.py::"
+            "test_gen_case_matches_the_whole_system_reference",
+        ),
+        "a candidate rule is checked for overlaps inside accepted rules "
+        "only, not for accepted rules overlapping inside it",
+    ),
+    Mutant(
+        "overlap-symbol-filter-on-l1-root",
+        "rules.py",
+        "(head is None or s.symbol == head)",
+        "(head is None or l1.symbol == head)",
+        (
+            RULES + "test_overlaps_match_unification_at_every_position",
+            RULES + "test_overlaps_below_the_root",
+        ),
+        "the symbol filter compares `l2`'s root with `l1`'s root, not with "
+        "the symbol at each position",
+    ),
+    Mutant(
+        "unravel-memo-keyed-by-node",
+        "graphs.py",
+        "        here: Dict[NodeId, Tuple[FiniteTerm, int]] = {}\n",
+        "        here = below\n",
+        (GRAPHS + "test_unravel_matches_the_recursive_reference",),
+        "one unraveling memo for all distances, keyed by node alone, so a "
+        "node can take its subterm from another distance",
+    ),
+    Mutant(
+        "term-eq-marks-children-first",
+        "terms.py",
+        "            todo.extend(zip(a.children, b.children))\n",
+        "            pairs = list(zip(a.children, b.children))\n"
+        "            seen.update((id(x), id(y)) for x, y in pairs)\n"
+        "            todo.extend(pairs)\n",
+        (
+            TERMS + "test_walk_matches_the_recursive_references",
+            TERMS + "test_equality_agrees_with_the_printed_terms",
+            TERMS + "test_equality_on_a_doubling_dag_costs_its_distinct_pairs",
+        ),
+        "`==` marks child pairs as compared when it queues them, before "
+        "their labels are compared",
+    ),
+    Mutant(
+        "term-eq-keyed-by-left-object",
+        "terms.py",
+        "            if a is b or (id(a), id(b)) in seen:\n"
+        "                continue\n"
+        "            seen.add((id(a), id(b)))\n",
+        "            if a is b or id(a) in seen:\n"
+        "                continue\n"
+        "            seen.add(id(a))\n",
+        (
+            TERMS + "test_equality_agrees_with_the_printed_terms",
+            TERMS + "test_equality_on_a_doubling_dag_costs_its_distinct_pairs",
+        ),
+        "`==` skips a pair whose left term it has compared with any term",
+    ),
+]
+
+
 def check(m: Mutant) -> str:
     """Apply one mutant in a copy and run its tests: '' or what went wrong."""
     with tempfile.TemporaryDirectory(prefix="tgr-mutant-") as tmp:

@@ -10,7 +10,7 @@ import time
 from contextlib import contextmanager
 
 from tgr.cli import main as cli_main
-from tgr.dpo import derive_rational, find_matches, induced_parallel_redex
+from tgr.dpo import derive_rational, find_matches
 from tgr.graphs import (
     RationalTerm,
     TermGraph,
@@ -20,6 +20,7 @@ from tgr.graphs import (
 )
 from tgr.harness import (
     check_weak_normal_form_preservation,
+    induced_parallel_redex,
     rewrite_sequence,
     run_property_suite,
     verify_soundness,

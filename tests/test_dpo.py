@@ -14,7 +14,6 @@ from tgr.dpo import (
     derive,
     derive_rational,
     find_matches,
-    induced_parallel_redex,
     match_at,
     pushout,
     pushout_complement,
@@ -29,7 +28,7 @@ from tgr.graphs import (
     predecessors,
     unravel,
 )
-from tgr.harness import gen_case, rewrite_sequence
+from tgr.harness import gen_case, induced_parallel_redex, rewrite_sequence
 from tgr.parallel import enumerate_occurrences
 from tgr.rules import (
     TGRS,

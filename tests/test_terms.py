@@ -16,7 +16,7 @@ from tgr.graphs import (
     apply_subst_rational,
     rational_of_term,
 )
-from tgr.parallel import rule_matches_at, var_positions
+from tgr.parallel import rule_matches_at
 from tgr.rules import RewriteRule, check_rule
 from tgr.terms import (
     BOTTOM,
@@ -192,7 +192,7 @@ def test_walk_matches_the_recursive_references():
         assert is_linear(s) == (len(names) == len(set(names)))
         assert is_total(s) == ref_is_total(s)
         rule = RewriteRule("R", s, F_LOOP)
-        assert list(var_positions(rule).items()) == list(
+        assert list(rule.var_positions.items()) == list(
             ref_var_positions(s).items()
         )
         text = format_term(s)
