@@ -73,7 +73,7 @@ def _emit(args, payload: Dict[str, object], lines: List[str]) -> None:
 
 def _find_match(ws: Workspace, host: RationalTerm, rule_name: str, at: str) -> Match:
     er = ws.tgrs().rule(rule_name)
-    if not host.graph.has_node(at):
+    if at not in host.graph.nodes:
         raise KeyError(f"no node named {at}")
     match = match_at(er, host.graph, at)
     if match is None:
@@ -264,7 +264,7 @@ def _redex_set(ws: Workspace, args) -> RationalRedexSet:
     rule = ws.trs.rule(args.rule)
     start = args.start or host.point
     for node in (start, args.at):
-        if not host.graph.has_node(node):
+        if node not in host.graph.nodes:
             raise KeyError(f"no node named {node}")
     return RationalRedexSet(
         host.graph, start, args.at, rule, host.bottoms, host.var_names

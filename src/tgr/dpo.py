@@ -54,9 +54,7 @@ from .graphs import (
     check_morphism,
     find_tree_morphisms,
     node_key,
-    node_position,
     predecessors,
-    sorted_nodes,
     tree_match,
 )
 from .rules import TGRS, EvaluationRule
@@ -114,15 +112,14 @@ def find_matches(G: TermGraph, rules: Union[EvaluationRule, TGRS]) -> List[Match
 
 
 class EditableGraph(NamedTuple):
-    """A term graph open to the pushouts' in-place edits.  It has the part
-    of `TermGraph`'s interface that `tree_match` and `check_morphism` read."""
+    """A term graph open to the pushouts' in-place edits.  Its node set
+    answers `n in g.nodes` as a `TermGraph`'s node index does, so it has the
+    part of `TermGraph`'s interface that `tree_match` and `check_morphism`
+    read; it keeps no node order."""
 
     nodes: Set[NodeId]
     labels: Dict[NodeId, str]
     succs: Dict[NodeId, Tuple[NodeId, ...]]
-
-    def has_node(self, n: NodeId) -> bool:
-        return n in self.nodes
 
 
 def pushout_complement(
@@ -213,7 +210,7 @@ def pushout(
                 gone[n] = nid
                 touched.update(preds.get(n, ()))
         else:
-            while g.has_node(f"h#{fresh}"):
+            while f"h#{fresh}" in g.nodes:
                 fresh += 1
             nid = f"h#{fresh}"
             fresh_ids.append(nid)
@@ -337,16 +334,8 @@ def derive(match: Match) -> DirectDerivation:
     labels, succs = G.labels.copy(), G.succs.copy()
     labels.pop(hub, None)
     succs.pop(hub, None)
-    D = TermGraph(G.nodes, labels, succs)
-    nodes = G.nodes
-    if gluing.gone or gluing.fresh:
-        node_list = list(nodes)
-        for x in gluing.gone:
-            del node_list[node_position(node_list, x)]
-        for x in gluing.fresh:
-            node_list.insert(node_position(node_list, x), x)
-        nodes = tuple(node_list)
-    H = TermGraph(nodes, g.labels, g.succs)
+    D = TermGraph.of(G.nodes, labels, succs)
+    H = TermGraph.of(g.nodes, g.labels, g.succs)
     track = dict(zip(G.nodes, G.nodes))
     track.update(gluing.gone)
     d = GraphMorphism(rule.K, D, dict(match.g.mapping))
@@ -514,8 +503,7 @@ class Stepper:
         self._check()
         if self._current is None:
             g = self._g
-            nodes = tuple(sorted_nodes(g.nodes))
-            H = TermGraph(nodes, g.labels.copy(), g.succs.copy())
+            H = TermGraph.of(g.nodes, g.labels, g.succs)
             self._current = _rational(H, self._point, self._bottoms, self._names)
         return self._current
 

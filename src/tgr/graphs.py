@@ -21,7 +21,7 @@ empty nodes matched by rendered name).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from typing import (
@@ -65,11 +65,6 @@ def sorted_nodes(nodes: Iterable[NodeId]) -> List[NodeId]:
     return out
 
 
-def node_position(nodes: Sequence[NodeId], n: NodeId) -> int:
-    """Where n is, or would be inserted, in a node_key-sorted sequence."""
-    return bisect_left(nodes, node_key(n), key=node_key)
-
-
 # ---------------------------------------------------------------------------
 # Term graphs
 
@@ -78,12 +73,14 @@ def node_position(nodes: Sequence[NodeId], n: NodeId) -> int:
 class TermGraph:
     """Nodes with partial label/successor structure (see module docstring).
 
-    `nodes` is sorted by node_key without repeats (`of` establishes it, and
-    code building a graph directly must keep it).  The dict fields are never
-    mutated after construction; every operation returns a new graph.
+    `nodes` is the graph's one node index: a dict from each node to None,
+    inserted in node_key order, so iterating it gives that order and `n in
+    g.nodes` is a hash lookup.  `of` is the only constructor.  The dict
+    fields are never mutated after construction; every operation returns a
+    new graph.
     """
 
-    nodes: Tuple[NodeId, ...]
+    nodes: Dict[NodeId, None]
     labels: Dict[NodeId, str]
     succs: Dict[NodeId, Tuple[NodeId, ...]]
 
@@ -100,7 +97,7 @@ class TermGraph:
         The references are checked by set inclusion; only a failed check
         walks the entries, to name the first offender."""
         nodeset = set(nodes)
-        node_t = tuple(sorted_nodes(nodeset))
+        node_d = dict.fromkeys(sorted_nodes(nodeset))
         labels_d = dict(labels)
         succs_d = dict(zip(succs, map(tuple, succs.values())))
         if not (
@@ -112,12 +109,7 @@ class TermGraph:
         if len(succs_d) < len(labels_d):  # some constant has no entry
             for n in labels_d:
                 succs_d.setdefault(n, ())
-        return TermGraph(node_t, labels_d, succs_d)
-
-    def has_node(self, n: NodeId) -> bool:
-        """Membership by bisection in the sorted node tuple: O(log n), no set."""
-        i = node_position(self.nodes, n)
-        return i < len(self.nodes) and self.nodes[i] == n
+        return TermGraph(node_d, labels_d, succs_d)
 
     def is_labelled(self, n: NodeId) -> bool:
         return n in self.labels
@@ -424,21 +416,19 @@ def morphism_errors(
     f: GraphMorphism, among: Optional[Iterable[NodeId]] = None
 ) -> List[str]:
     """The morphism conditions violated at the source nodes `among` (all
-    source nodes by default).  The full check builds the target's node set
-    once; a partial one looks images up by bisection, so its cost does not
-    grow with the target."""
+    source nodes by default).  Images are looked up in the target's node
+    index (a `TermGraph`'s dict or an `EditableGraph`'s set), so a partial
+    check's cost does not grow with the target."""
     if among is None:
         among = f.src.nodes
-        is_node = set(f.dst.nodes).__contains__
-    else:
-        is_node = f.dst.has_node
+    nodes = f.dst.nodes
     errs = []
     for n in among:
         if n not in f.mapping:
             errs.append(f"node {n} unmapped")
             continue
         m = f.mapping[n]
-        if not is_node(m):
+        if m not in nodes:
             errs.append(f"image {m} of {n} not a node")
             continue
         lbl = f.src.labels.get(n)
@@ -629,13 +619,13 @@ class RationalTerm:
 
     def __post_init__(self):
         g = self.graph
-        if not g.has_node(self.point):
+        if self.point not in g.nodes:
             raise ValueError(f"point {self.point} not a node")
         for n in self.bottoms:
-            if not g.has_node(n) or g.is_labelled(n):
+            if n not in g.nodes or g.is_labelled(n):
                 raise ValueError(f"bottom tag on non-empty node {n}")
         for n, _ in self.var_names:
-            if not g.has_node(n) or g.is_labelled(n):
+            if n not in g.nodes or g.is_labelled(n):
                 raise ValueError(f"variable renaming on non-empty node {n}")
 
     def renaming(self) -> Dict[NodeId, str]:

@@ -242,8 +242,16 @@ def check_cofinality_step(
     re-finding each surviving match through the track maps; (2) develop all
     induced redex sets simultaneously; (3) develop the sub-family `phi`
     (default: the first half) first and its residual family after.  All
-    three must agree on the unraveling to `depth`.
+    three must agree on the unraveling to `depth`.  An index of `phi`
+    outside range(len(matches)) raises ValueError.
     """
+    if phi is None:
+        phi = range((len(matches) + 1) // 2)
+    for i in phi:
+        if i not in range(len(matches)):
+            raise ValueError(
+                f"phi index {i} out of range for {len(matches)} matches"
+            )
     failures: List[str] = []
     stages: List[str] = []
 
@@ -292,10 +300,8 @@ def check_cofinality_step(
         return CofinalityReport(False, stages, current, None, None, failures)
 
     # Route 3: a sub-family first, then its residual family.
-    if phi is None:
-        phi = range(0, (len(components) + 1) // 2)
     phi_set = set(phi)
-    first = [components[i] for i in sorted(phi_set) if i < len(components)]
+    first = [components[i] for i in sorted(phi_set)]
     rest_comps = [
         c for i, c in enumerate(components) if i not in phi_set
     ]
@@ -814,7 +820,7 @@ class SuiteReport:
 def _drop_node(host: RationalTerm, n: NodeId) -> Optional[RationalTerm]:
     """Remove a node, emptying any node that referenced it (shrinking only:
     the result is a valid but semantically different workspace)."""
-    if n == host.point or not host.graph.has_node(n):
+    if n == host.point or n not in host.graph.nodes:
         return None
     g = host.graph
     labels = {}

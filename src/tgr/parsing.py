@@ -243,7 +243,7 @@ class _Parser:
         if gname not in graphs:
             raise ParseError(f"rule {name} uses unknown graph {gname}", gline)
         base = graphs[gname]
-        if not base.graph.has_node(node):
+        if node not in base.graph.nodes:
             raise ParseError(f"graph {gname} has no node {node}", gline)
         rhs_graph = RationalTerm(base.graph, node, base.bottoms, base.var_names)
         return RewriteRule(name, lhs, rhs_graph), line

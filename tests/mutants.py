@@ -342,11 +342,34 @@ MUTANTS += [
     Mutant(
         "fresh-ids-skip-only-kept-ids",
         "dpo.py",
-        'while g.has_node(f"h#{fresh}"):',
-        'while g.has_node(f"h#{fresh}") and f"h#{fresh}" not in gone:',
+        'while f"h#{fresh}" in g.nodes:',
+        'while f"h#{fresh}" in g.nodes and f"h#{fresh}" not in gone:',
         (LOCAL_STEPS + "hand_built_rules",),
         "a fresh id skips only the ids H keeps, so it can reuse the id of "
         "a node merged away",
+    ),
+    Mutant(
+        "termgraph-of-keeps-insertion-order",
+        "graphs.py",
+        "        nodeset = set(nodes)\n"
+        "        node_d = dict.fromkeys(sorted_nodes(nodeset))\n",
+        "        node_d = dict.fromkeys(nodes)\n"
+        "        nodeset = set(node_d)\n",
+        (
+            GRAPHS + "test_termgraph_of_matches_the_reference",
+            LOCAL_STEPS + "rings_lassos_and_dags",
+        ),
+        "`TermGraph.of` keeps its input's order, so a graph built from a "
+        "set, as `derive` and `Stepper.current` build H, lists its nodes "
+        "out of node_key order",
+    ),
+    Mutant(
+        "rational-term-point-unchecked",
+        "graphs.py",
+        "        if self.point not in g.nodes:\n",
+        "        if False:\n",
+        (GRAPHS + "test_graph_errors[point]",),
+        "a rational term accepts a point that is not a node of its graph",
     ),
     Mutant(
         "redirected-edge-without-predecessor",

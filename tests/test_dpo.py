@@ -26,6 +26,7 @@ from tgr.graphs import (
     check_morphism,
     node_key,
     predecessors,
+    sorted_nodes,
     unravel,
 )
 from tgr.harness import gen_case, induced_parallel_redex, rewrite_sequence
@@ -115,7 +116,7 @@ def test_pushout_complement_erases_only_the_root_content():
     assert pushout_complement(R_F, {"l": "r", "x": "c"}, g) == ("c",)
     assert g == ({"r", "c"}, {"c": "a"}, {"c": ()})
     drv = derive(the_match(R_F, host, "r"))
-    assert drv.D.nodes == host.nodes
+    assert list(drv.D.nodes) == list(host.nodes)
     assert drv.D.is_empty_node("r")
     assert drv.D.labels["c"] == "a"
     assert drv.d.mapping == {"l": "r", "x": "c"}
@@ -160,7 +161,8 @@ def test_pushout_square_commutes_and_covers():
 def test_pushout_fresh_nodes_for_new_structure():
     host = graph(["r", "c"], {"r": "f", "c": "a"}, {"r": ("c",)})
     drv = derive(the_match(R_FGG, host, "r"))
-    assert set(drv.H.nodes) == {"r", "c", "h#0"}
+    assert list(drv.H.nodes) == ["c", "r", "h#0"]
+    assert_node_order(drv.D, drv.H)
     assert drv.H.labels["r"] == "g"
     assert drv.H.succs["r"] == ("h#0",)
     assert drv.H.labels["h#0"] == "g"
@@ -176,6 +178,8 @@ def test_pushout_merges_keep_least_host_id():
     )
     drv = derive(the_match(R_CDR, host, "r"))
     assert drv.track["yb"] == "r"
+    assert list(drv.H.nodes) == ["k", "r", "xa"]
+    assert_node_order(drv.D, drv.H)
     assert drv.H.labels["r"] == "b"
     assert drv.H.succs["k"] == ("xa", "r")
     assert unravel(drv.H, "r", 4) == t("b")
@@ -390,11 +394,18 @@ def ref_rewrite(host, tgrs, max_steps):
     return rt, steps, not find_matches(rt.graph, tgrs)
 
 
+def assert_node_order(*graphs):
+    """Each graph's node index iterates in node_key order."""
+    for g in graphs:
+        assert list(g.nodes) == sorted_nodes(g.nodes)
+
+
 def assert_same_run(host, tgrs, max_steps):
     """The Stepper's run against `ref_rewrite`, step by step: each recorded
     step replayed by `derive_rational` must give the reference's H, h and
     track with a full morphism check, and the Stepper's final term must be
-    both the replay's and the reference's.  Returns it with the steps."""
+    both the replay's and the reference's, node order included.  Returns it
+    with the steps."""
     got, steps, nf = rewrite_sequence(host, tgrs, max_steps)
     want, ref_steps, ref_nf = ref_rewrite(host, tgrs, max_steps)
     assert [(step.rule.name, step.at) for step in steps] == [
@@ -406,15 +417,17 @@ def assert_same_run(host, tgrs, max_steps):
         drv, replayed = derive_rational(replayed, m)
         assert drv.track == track
         assert drv.h.mapping == h
-        assert (drv.H.nodes, drv.H.labels, drv.H.succs) == (
-            H.nodes, H.labels, H.succs,
+        assert (list(drv.H.nodes), drv.H.labels, drv.H.succs) == (
+            list(H.nodes), H.labels, H.succs,
         )
+        assert_node_order(drv.D, drv.H)
         for f in (drv.match.g, drv.h, drv.b):
             check_morphism(f)  # the full check the step itself skips
     assert nf == ref_nf
+    assert_node_order(got.graph)
     for other in (replayed, want):
-        assert (got.graph.nodes, got.graph.labels, got.graph.succs) == (
-            other.graph.nodes, other.graph.labels, other.graph.succs,
+        assert (list(got.graph.nodes), got.graph.labels, got.graph.succs) == (
+            list(other.graph.nodes), other.graph.labels, other.graph.succs,
         )
         assert (got.point, got.bottoms, got.var_names) == (
             other.point, other.bottoms, other.var_names,
@@ -484,9 +497,12 @@ def ring_host(rng, family, n):
 
 @pytest.mark.parametrize("chunk", range(3))
 def test_local_steps_match_the_reference_on_generated_cases(chunk):
+    fresh = 0
     for seed in range(100 * chunk, 100 * chunk + 100):
         case = gen_case(random.Random(seed))
-        assert_same_run(case.host, case.tgrs(), 20)
+        got, _ = assert_same_run(case.host, case.tgrs(), 20)
+        fresh += any(n.startswith("h#") for n in got.graph.nodes)
+    assert fresh > 10  # steps added h#k nodes, whose place the order checks
 
 
 def test_local_steps_match_the_reference_on_hand_built_rules():
@@ -502,7 +518,7 @@ def test_local_steps_match_the_reference_on_hand_built_rules():
         {"r": ("h#0", "m")},
     )
     got, _ = assert_same_run(RationalTerm(host, "r"), TGRS(SIG, (merge,)), 5)
-    assert got.graph.nodes == ("m", "r", "h#1")
+    assert list(got.graph.nodes) == ["m", "r", "h#1"]
 
     # f(x) -> g(a) with x glued into the a: a hole gains content and must
     # lose its hole tag; the named variable beside it keeps its name.
@@ -639,9 +655,11 @@ def test_a_step_is_local(monkeypatch):
 
     init = counted("TermGraph", TermGraph.__init__)
     monkeypatch.setattr(TermGraph, "__init__", init)
-    for module in (tgr.graphs, tgr.dpo):
-        for name in ("predecessors", "sorted_nodes"):
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for module, name in (
+        (tgr.graphs, "predecessors"), (tgr.dpo, "predecessors"),
+        (tgr.graphs, "sorted_nodes"),  # `TermGraph.of` sorts through it
+    ):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     assert len(list(run)) == 400
     assert calls == Counter()
     monkeypatch.undo()

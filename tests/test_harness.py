@@ -100,7 +100,8 @@ def test_nf_preservation_report_fields():
     assert rep.graph_nf and rep.term_nf and rep.ok
 
 
-def test_cofinality_step_routes_agree():
+def two_f_redexes():
+    """f(f(a)) with its two matches of TGRS1."""
     host = RationalTerm(
         TermGraph.of(
             ["n1", "n2", "n3"], {"n1": "f", "n2": "f", "n3": "a"},
@@ -108,13 +109,26 @@ def test_cofinality_step_routes_agree():
         ),
         "n1",
     )
-    matches = find_matches(host.graph, TGRS1)
+    return host, find_matches(host.graph, TGRS1)
+
+
+def test_cofinality_step_routes_agree():
+    host, matches = two_f_redexes()
     assert len(matches) == 2
     rep = check_cofinality_step(SIG, host, matches, depth=8)
     assert rep.ok
     assert rep.stages
     rep = check_cofinality_step(SIG, host, matches, depth=8, phi=[1])
     assert rep.ok
+
+
+def test_cofinality_step_rejects_a_phi_index_out_of_range():
+    # an index outside the family is an error, not a stage of its own
+    host, matches = two_f_redexes()
+    for phi in ([-1], [2], [0, 5]):
+        message = f"phi index {phi[-1]} out of range for 2 matches"
+        with pytest.raises(ValueError, match=message):
+            check_cofinality_step(SIG, host, matches, depth=8, phi=phi)
 
 
 def test_rewrite_sequence():

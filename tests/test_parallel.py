@@ -1134,7 +1134,7 @@ def test_memoised_walks_match_the_unmemoised_ones():
             for _ in range(3):
                 holes = frozenset(n for n in empty if rng.random() < 0.5)
                 names = tuple((n, rng.choice("xy")) for n in empty if n not in holes)
-                for p in rng.sample(g.nodes, min(3, len(g.nodes))):
+                for p in rng.sample(list(g.nodes), min(3, len(g.nodes))):
                     views.append(RationalTerm(g, p, holes, names))
         pairs = [(rng.choice(views), rng.choice(views)) for _ in range(20)]
         random_failed += memoised_verdicts(pairs, {})

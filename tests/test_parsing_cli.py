@@ -374,6 +374,15 @@ def test_cli_verify_cofinality(ws_file, capsys):
     assert doc["ok"] is True
 
 
+def test_cli_verify_cofinality_rejects_a_phi_index_out_of_range(capsys):
+    work = str(Path(__file__).resolve().parent / "corpus" / "work.tgr")
+    for phi in ("-1", "5"):
+        code, out, err = run(capsys, "verify-cofinality", work,
+                             "--graph", "Tail", f"--phi={phi}")
+        assert (code, out) == (2, "")
+        assert err == f"error: phi index {phi} out of range for 1 matches\n"
+
+
 def test_cli_suite(capsys):
     code, doc = run_json(capsys, "suite", "--cases", "2", "--seed", "3",
                          "--properties", "soundness,confluence")
