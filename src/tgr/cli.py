@@ -424,10 +424,7 @@ def _cmd_verify_cofinality(args) -> int:
     ws = _load(args.file)
     host = ws.graph(args.graph)
     matches = find_matches(host.graph, ws.tgrs())
-    phi = None
-    if args.phi:
-        phi = [int(x) for x in args.phi.split(",") if x != ""]
-    rep = check_cofinality_step(ws.sig, host, matches, args.depth, phi)
+    rep = check_cofinality_step(ws.sig, host, matches, args.depth, args.phi)
     lines = [f"matches: {len(matches)}"]
     lines.extend(f"STEP {s}" for s in rep.stages)
     lines.extend(rep.failures)
@@ -508,6 +505,17 @@ def natural(text: str) -> int:
     return value
 
 
+def indices(text: str) -> Optional[List[int]]:
+    """Comma-separated integers, empty items skipped; '' keeps the default."""
+    out = []
+    for x in filter(None, text.split(",")):
+        try:
+            out.append(int(x))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {x!r}") from None
+    return out if text else None
+
+
 def _add_common(p, file=True, graph=False, depth=False):
     if file:
         p.add_argument("file", help="workspace file")
@@ -586,7 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-cofinality", help="sequential steps develop all matches"
     )
     _add_common(p, graph=True, depth=True)
-    p.add_argument("--phi", help="comma-separated match indices to stage first")
+    p.add_argument(
+        "--phi", type=indices, help="comma-separated match indices to stage first"
+    )
     p.set_defaults(fn=_cmd_verify_cofinality)
 
     p = sub.add_parser("suite", help="run the seeded property suite")

@@ -16,7 +16,7 @@ Two layers of rule:
 mutually inverse up to bisimilarity of the graphs involved.
 
 Orthogonality here is the usual syntactic condition — left-linear rules with
-no overlaps, detected by first-order unification with occurs check — and
+no overlaps, found by one walk over operator positions (`overlaps`) — and
 guarantees that distinct redexes in one graph never interfere.
 """
 
@@ -46,13 +46,10 @@ from .terms import (
     FiniteTerm,
     Occurrence,
     Signature,
-    Substitution,
     is_linear,
     is_total,
     occ_sort_key,
-    rebuild,
     subterms,
-    var,
     vars_of,
 )
 
@@ -74,6 +71,14 @@ def is_infinite_copying(rule: "RewriteRule") -> bool:
     )
 
 
+def pattern(t: FiniteTerm) -> Tuple[Tuple[Occurrence, str, int], ...]:
+    """The non-variable positions of t in preorder, as (occurrence, symbol,
+    arity): what matching and overlap detection compare."""
+    return tuple(
+        (w, s.symbol, len(s.children)) for w, s in subterms(t) if not s.is_var
+    )
+
+
 @dataclass(frozen=True)
 class RewriteRule:
     """A term rewrite rule; see the module docstring for the conditions."""
@@ -89,13 +94,8 @@ class RewriteRule:
 
     @cached_property
     def lhs_pattern(self) -> Tuple[Tuple[Occurrence, str, int], ...]:
-        """The left-hand side's non-variable positions in preorder, as
-        (occurrence, symbol, arity); what matching checks, computed once."""
-        return tuple(
-            (w, s.symbol, len(s.children))
-            for w, s in subterms(self.lhs)
-            if not s.is_var
-        )
+        """The left-hand side's `pattern`, computed once."""
+        return pattern(self.lhs)
 
     @cached_property
     def var_positions(self) -> Dict[str, Occurrence]:
@@ -187,96 +187,34 @@ def check_rule(rule: RewriteRule, sig: Signature) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Unification and overlap detection
-
-
-def _resolve(t: FiniteTerm, subst: Substitution) -> FiniteTerm:
-    while t.is_var and t.symbol in subst:
-        t = subst[t.symbol]  # type: ignore[index]
-    return t
-
-
-def _occurs(name: str, t: FiniteTerm, subst: Substitution) -> bool:
-    todo = [t]  # bound variables stand for their bindings
-    while todo:
-        for _, s in subterms(todo.pop()):
-            if s.is_var and s.symbol in subst:
-                todo.append(subst[s.symbol])  # type: ignore[index]
-            elif s.is_var and s.symbol == name:
-                return True
-    return False
-
-
-def unify(
-    s: FiniteTerm, t: FiniteTerm, subst: Optional[Substitution] = None
-) -> Optional[Substitution]:
-    """Most general unifier of two total terms, or None.
-
-    Triangular form: bindings may mention other bound variables; use
-    `_resolve` (or apply repeatedly) to read values off.  Includes the occurs
-    check, so the result is always a finite unifier.
-    """
-    subst = dict(subst) if subst else {}
-    stack = [(s, t)]
-    while stack:
-        a, b = stack.pop()
-        a, b = _resolve(a, subst), _resolve(b, subst)
-        if a.is_var and b.is_var and a.symbol == b.symbol:
-            continue
-        if a.is_var:
-            if _occurs(a.symbol, b, subst):  # type: ignore[arg-type]
-                return None
-            subst[a.symbol] = b  # type: ignore[index]
-            continue
-        if b.is_var:
-            if _occurs(b.symbol, a, subst):  # type: ignore[arg-type]
-                return None
-            subst[b.symbol] = a  # type: ignore[index]
-            continue
-        if a.symbol != b.symbol or len(a.children) != len(b.children):
-            return None
-        stack.extend(zip(a.children, b.children))
-    return subst
-
-
-def _primed(t: FiniteTerm) -> FiniteTerm:
-    """Rename every variable apart (x becomes x')."""
-    return rebuild(t, lambda s, _: var(f"{s.symbol}'") if s.is_var else None)
+# Overlap detection
 
 
 def overlaps(l1: FiniteTerm, l2: FiniteTerm, same: bool) -> Iterator[Occurrence]:
-    """The operator positions of `l1` where `l2`, renamed apart, unifies
-    with the subterm there, in length-lex order; the root is skipped when
-    `same` (a left-hand side always overlaps itself there).
-
-    Unification needs equal symbols at the top, so a position whose symbol
-    differs from an operator-rooted `l2`'s is skipped without renaming.
-    """
-    head = None if l2.is_var else l2.symbol
-    candidates = sorted(
-        (
-            (w, s)
-            for w, s in subterms(l1)
-            if s.is_op and (head is None or s.symbol == head) and (w or not same)
-        ),
-        key=lambda ws: occ_sort_key(ws[0]),
-    )
-    if candidates:
-        fresh = _primed(l2)
-    for w, s in candidates:
-        if unify(s, fresh) is not None:
+    """The positions of `l1` where `l2` overlaps it, in length-lex order; the
+    root is skipped when `same` (a left-hand side always overlaps itself
+    there).  Both are linear, total patterns, their variables kept apart, so
+    `l2` unifies with `l1` at w iff each operator position v of `l2` that is
+    one of `l1` at w.v carries the same symbol and arity there."""
+    ops1 = {w: (f, k) for w, f, k in pattern(l1)}
+    ops2 = [(v, (f, k)) for v, f, k in pattern(l2)]
+    for w in sorted(ops1, key=occ_sort_key):
+        if (w or not same) and all(ops1.get(w + v, f) == f for v, f in ops2):
             yield w
 
 
 def orthogonality_conflicts(trs: TRS) -> List[str]:
-    """Human-readable reasons the system fails to be orthogonal."""
+    """Human-readable reasons the system fails to be orthogonal.  A rule
+    that is not left-linear is reported as that alone: `overlaps` is exact
+    only on linear patterns."""
+    linear = [r for r in trs.rules if is_linear(r.lhs)]
     conflicts = [
         f"rule {r.name} is not left-linear"
         for r in trs.rules
         if not is_linear(r.lhs)
     ]
-    for r1 in trs.rules:
-        for r2 in trs.rules:
+    for r1 in linear:
+        for r2 in linear:
             for w in overlaps(r1.lhs, r2.lhs, r1.name == r2.name):
                 at = "the root" if not w else f"position {w}"
                 conflicts.append(

@@ -253,9 +253,6 @@ def rebuild(
     return done[0]
 
 
-Substitution = Dict[str, "FiniteTerm"]
-
-
 # ---------------------------------------------------------------------------
 # Term literals
 

@@ -532,16 +532,39 @@ MUTANTS += [
         "only, not for accepted rules overlapping inside it",
     ),
     Mutant(
-        "overlap-symbol-filter-on-l1-root",
+        "overlap-arity-not-compared",
         "rules.py",
-        "(head is None or s.symbol == head)",
-        "(head is None or l1.symbol == head)",
+        "ops1 = {w: (f, k) for w, f, k in pattern(l1)}\n"
+        "    ops2 = [(v, (f, k)) for v, f, k in pattern(l2)]\n",
+        "ops1 = {w: f for w, f, k in pattern(l1)}\n"
+        "    ops2 = [(v, f) for v, f, k in pattern(l2)]\n",
         (
             RULES + "test_overlaps_match_unification_at_every_position",
             RULES + "test_overlaps_below_the_root",
         ),
-        "the symbol filter compares `l2`'s root with `l1`'s root, not with "
-        "the symbol at each position",
+        "the overlap walk compares symbols only, so one symbol at two "
+        "arities counts as agreeing",
+    ),
+    Mutant(
+        "overlap-under-l1-variable-is-a-clash",
+        "rules.py",
+        "ops1.get(w + v, f) == f",
+        "ops1.get(w + v) == f",
+        (
+            RULES + "test_overlaps_match_unification_at_every_position",
+            RULES + "test_overlaps_below_the_root",
+            RULES + "test_self_overlap",
+        ),
+        "an operator of `l2` that lies under a variable of `l1` counts as "
+        "a clash, not as bound by that variable",
+    ),
+    Mutant(
+        "overlap-positions-in-preorder",
+        "rules.py",
+        "for w in sorted(ops1, key=occ_sort_key):",
+        "for w in ops1:",
+        (RULES + "test_overlaps_below_the_root",),
+        "overlap positions come in preorder, not length-lex order",
     ),
     Mutant(
         "unravel-memo-keyed-by-node",

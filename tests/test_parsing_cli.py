@@ -383,6 +383,17 @@ def test_cli_verify_cofinality_rejects_a_phi_index_out_of_range(capsys):
         assert err == f"error: phi index {phi} out of range for 1 matches\n"
 
 
+def test_cli_verify_cofinality_names_a_phi_item_that_is_not_an_integer(capsys):
+    work = str(Path(__file__).resolve().parent / "corpus" / "work.tgr")
+    with pytest.raises(SystemExit) as e:
+        cli.main(["verify-cofinality", work, "--graph", "Tail", "--phi=0,x"])
+    assert e.value.code == 2
+    out = capsys.readouterr()
+    errors = [line for line in out.err.splitlines() if "error" in line]
+    assert out.out == "" and len(errors) == 1
+    assert errors[0].endswith("error: argument --phi: not an integer: 'x'")
+
+
 def test_cli_suite(capsys):
     code, doc = run_json(capsys, "suite", "--cases", "2", "--seed", "3",
                          "--properties", "soundness,confluence")

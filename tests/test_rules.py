@@ -5,6 +5,7 @@ import random
 import pytest
 
 from tgr.graphs import RationalTerm, TermGraph, bisim_equal, rational_of_term
+from tgr.harness import _gen_lhs, gen_signature
 from tgr.rules import (
     TRS,
     EvaluationRule,
@@ -16,7 +17,6 @@ from tgr.rules import (
     is_infinite_copying,
     orthogonality_conflicts,
     overlaps,
-    unify,
     unravel_rule,
 )
 from tgr.terms import Signature, occ_sort_key, op, parse_term, rebuild, subterms, var
@@ -122,20 +122,7 @@ def test_finite_rhs_never_infinite_copying():
 
 
 # ---------------------------------------------------------------------------
-# Unification and overlaps
-
-
-def test_unify_basic():
-    sigma = unify(t("p(x, a)"), t("p(f(y), y)"))
-    assert sigma is not None
-
-
-def test_unify_occurs_check():
-    assert unify(t("x"), t("f(x)")) is None
-
-
-def test_unify_clash():
-    assert unify(t("f(x)"), t("g(y)")) is None
+# Overlaps, against unification
 
 
 def test_self_overlap():
@@ -156,8 +143,53 @@ def test_overlapping_pair_detected():
 
 
 def test_nonlinear_rule_not_orthogonal():
+    # p(x, x) unifies with p(f(y), z) at the root, but the walk is exact on
+    # linear patterns only, so a non-left-linear rule gets one line
     bad = RewriteRule.of("nl", t("p(x, x)"), t("x"))
-    assert orthogonality_conflicts(TRS(SIG, (bad,)))
+    beside = rule("Rp", "p(f(y), z)", "z")
+    assert ref_unify(bad.lhs, t("p(f(u), v)")) is not None
+    for rules in ((bad,), (bad, beside), (beside, bad)):
+        assert orthogonality_conflicts(TRS(SIG, rules)) == [
+            "rule nl is not left-linear"
+        ]
+
+
+def ref_unify(left, right):
+    """Most general unifier of two total terms in triangular form, or None:
+    Robinson's algorithm with the occurs check."""
+    subst = {}
+
+    def resolve(a):
+        while a.is_var and a.symbol in subst:
+            a = subst[a.symbol]
+        return a
+
+    def occurs(name, a):
+        todo = [a]  # bound variables stand for their bindings
+        while todo:
+            for _, b in subterms(todo.pop()):
+                if b.is_var and b.symbol in subst:
+                    todo.append(subst[b.symbol])
+                elif b.is_var and b.symbol == name:
+                    return True
+        return False
+
+    stack = [(left, right)]
+    while stack:
+        a, b = map(resolve, stack.pop())
+        if a.is_var and b.is_var and a.symbol == b.symbol:
+            continue
+        if b.is_var:
+            a, b = b, a
+        if a.is_var:
+            if occurs(a.symbol, b):
+                return None
+            subst[a.symbol] = b
+        elif a.symbol != b.symbol or len(a.children) != len(b.children):
+            return None
+        else:
+            stack.extend(zip(a.children, b.children))
+    return subst
 
 
 def ref_overlaps(l1, l2, same):
@@ -168,12 +200,16 @@ def ref_overlaps(l1, l2, same):
         w
         for w in ops
         if not (same and not w)
-        and unify(dict(subterms(l1))[w], fresh) is not None
+        and ref_unify(dict(subterms(l1))[w], fresh) is not None
     ]
 
 
-def random_lhs(rng, depth=3):
-    """A linear operator-rooted term over SIG, variables numbered apart."""
+# SIG's names at other arities, so a symbol can agree while its arity clashes
+SIG_ARITIES = Signature.of({"a": 1, "f": 2, "g": 0, "cons": 1, "p": 3})
+
+
+def random_lhs(rng, sig=SIG, depth=3):
+    """A linear operator-rooted term over `sig`, variables numbered apart."""
     fresh = iter(f"v{i}" for i in range(100))
     todo, done = [(depth, None)], []
     while todo:
@@ -184,17 +220,26 @@ def random_lhs(rng, depth=3):
         elif d < depth and (d <= 0 or rng.random() < 0.35):
             done.append(var(next(fresh)))
         else:
-            name, k = rng.choice(sorted(SIG.as_dict().items()))
+            name, k = rng.choice(sorted(sig.as_dict().items()))
             todo.append((k, name))
             todo.extend([(d - 1, None)] * k)
     return done[0]
 
 
+def overlap_pairs(rng):
+    """Pairs of linear patterns: random ones over SIG, over SIG and
+    SIG_ARITIES, and the generator's left-hand sides over its signatures."""
+    for _ in range(400):
+        yield random_lhs(rng), random_lhs(rng)
+        yield random_lhs(rng), random_lhs(rng, SIG_ARITIES)
+        sig = gen_signature(rng)
+        yield _gen_lhs(rng, sig), _gen_lhs(rng, sig)
+
+
 def test_overlaps_match_unification_at_every_position():
     rng = random.Random(5)
     found = 0
-    for _ in range(400):
-        l1, l2 = random_lhs(rng), random_lhs(rng)
+    for l1, l2 in overlap_pairs(rng):
         for a, b in ((l1, l2), (l2, l1), (l1, l1)):
             for same in (False, True):
                 got = list(overlaps(a, b, same))
@@ -204,12 +249,19 @@ def test_overlaps_match_unification_at_every_position():
 
 
 def test_overlaps_below_the_root():
-    # the symbol test is against l2's root, not l1's
+    # a position of l1 counts when l2's operators agree with l1's wherever
+    # both have one, symbol and arity alike; under a variable anything goes
     assert list(overlaps(t("cdr(cons(x, y))"), t("cons(u, v)"), False)) == [(1,)]
     assert list(overlaps(t("p(f(x), g(y))"), t("g(a)"), False)) == [(2,)]
     assert list(overlaps(t("f(f(x))"), t("f(f(y))"), True)) == [(1,)]
     assert list(overlaps(t("f(f(x))"), t("f(f(y))"), False)) == [(), (1,)]
     assert list(overlaps(t("f(x)"), t("g(y)"), False)) == []
+    assert list(overlaps(t("f(x)"), t("f(f(f(y)))"), False)) == [()]
+    # length-lex, not preorder
+    assert list(overlaps(t("p(f(f(x)), f(y))"), t("f(z)"), False)) == [
+        (1,), (2,), (1, 1)
+    ]
+    assert list(overlaps(t("f(x)"), op("f", [var("y"), var("z")]), False)) == []
 
 
 # ---------------------------------------------------------------------------
