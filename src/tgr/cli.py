@@ -339,6 +339,8 @@ def _cmd_oracle(args) -> int:
             "at": args.at,
             "occurrences": report.occurrences,
             "threshold": report.threshold,
+            "lift": report.lift,
+            "cycle": report.cycle,
             "depth": report.depth,
             "effective_depth": report.effective_depth,
             "doublings": report.doublings,

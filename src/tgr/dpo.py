@@ -122,6 +122,27 @@ class EditableGraph(NamedTuple):
     succs: Dict[NodeId, Tuple[NodeId, ...]]
 
 
+class FreshIds:
+    """The ids h#0, h#1, ... one graph lacks, least first, over a run of
+    steps: each h#k below `high` is a node of it or in the heap `free`."""
+
+    def __init__(self) -> None:
+        self.high, self.free = 0, []
+
+    def take(self, nodes: Set[NodeId]) -> NodeId:
+        if self.free:
+            return f"h#{heapq.heappop(self.free)}"
+        while f"h#{self.high}" in nodes:
+            self.high += 1
+        self.high += 1
+        return f"h#{self.high - 1}"
+
+    def release(self, n: NodeId) -> None:  # n has left the graph
+        k = n[2:]
+        if k.isdecimal() and n == f"h#{int(k)}" and int(k) < self.high:
+            heapq.heappush(self.free, int(k))
+
+
 def pushout_complement(
     rule: EvaluationRule, mapping: Mapping[NodeId, NodeId], g: EditableGraph
 ) -> Tuple[NodeId, ...]:
@@ -158,13 +179,15 @@ def pushout(
     dmap: Mapping[NodeId, NodeId],
     g: EditableGraph,
     preds: Mapping[NodeId, Iterable[NodeId]],
+    ids: FreshIds,
 ) -> Gluing:
     """Glue R into D along K in place: g holds D on entry and H on exit, and
     `dmap` is d's node map.  b : D -> H is the identity except on `gone`.
 
     Node ids: a class containing D nodes keeps its least D id; classes from R
     alone get fresh ids h#0, h#1, ... (skipping every id D has, merged-away
-    nodes included), assigned in order of their least R member.
+    nodes included), assigned in order of their least R member by `ids`,
+    which has seen every earlier step on g.
 
     Only the matched region d(K) meets R, so the union-find runs over d(K)
     and R.  Every other D node keeps its content, except that an edge into
@@ -197,7 +220,6 @@ def pushout(
         classes.setdefault(find(("r", n)), []).append(("r", n))
 
     labels, succs = g.labels, g.succs
-    fresh = 0
     fresh_ids: List[NodeId] = []
     names: Dict[Tuple[str, NodeId], NodeId] = {}
     gone: Dict[NodeId, NodeId] = {}
@@ -210,11 +232,8 @@ def pushout(
                 gone[n] = nid
                 touched.update(preds.get(n, ()))
         else:
-            while f"h#{fresh}" in g.nodes:
-                fresh += 1
-            nid = f"h#{fresh}"
+            nid = ids.take(g.nodes)
             fresh_ids.append(nid)
-            fresh += 1
         names[key] = nid
 
     def node_of(side: str, n: NodeId) -> NodeId:
@@ -248,6 +267,7 @@ def pushout(
     for nid, (lbl, ss) in content.items():
         labels[nid], succs[nid] = lbl, ss
     for x in gone:
+        ids.release(x)
         for p in preds.get(x, ()):
             if p in succs:
                 succs[p] = tuple(gone.get(s, s) for s in succs[p])
@@ -267,6 +287,7 @@ def _step(
     mapping: Mapping[NodeId, NodeId],
     g: EditableGraph,
     preds: Dict[NodeId, Set[NodeId]],
+    ids: FreshIds,
 ) -> Tuple[Gluing, Set[NodeId]]:
     """One rewrite step at the match `mapping` (L -> g), in place: check g,
     run both pushouts, and bring `preds`, g's predecessor index, up to date.
@@ -276,7 +297,7 @@ def _step(
     hub = mapping[rule.root]
     for s in pushout_complement(rule, mapping, g):
         preds[s].discard(hub)
-    gluing = pushout(rule, mapping, g, preds)
+    gluing = pushout(rule, mapping, g, preds, ids)
     gone = gluing.gone
     for p, ss in gluing.before.succs.items():
         for s in ss:
@@ -330,7 +351,7 @@ def derive(match: Match) -> DirectDerivation:
     want it."""
     rule, G, hub = match.rule, match.host, match.root_image
     g = EditableGraph(set(G.nodes), G.labels.copy(), G.succs.copy())
-    gluing, _ = _step(rule, match.g.mapping, g, predecessors(G))
+    gluing, _ = _step(rule, match.g.mapping, g, predecessors(G), FreshIds())
     labels, succs = G.labels.copy(), G.succs.copy()
     labels.pop(hub, None)
     succs.pop(hub, None)
@@ -477,6 +498,7 @@ class Stepper:
         self._current: Optional[RationalTerm] = host
         self._spent = False
         self._g = EditableGraph(set(G.nodes), G.labels.copy(), G.succs.copy())
+        self._ids = FreshIds()
         self._preds = predecessors(G)
         self._point = host.point
         self._bottoms = set(host.bottoms)
@@ -534,7 +556,7 @@ class Stepper:
             rule, v = first
             self._current, self._spent = None, True
             mapping = tree_match(rule.L, rule.root, g, v)
-            gluing, changed = _step(rule, mapping, g, self._preds)
+            gluing, changed = _step(rule, mapping, g, self._preds, self._ids)
             gone, h, before = gluing.gone, gluing.h.values(), gluing.before
             _retag(rule, mapping, before.labels, gone, h, g.labels, bottoms, names)
             self._point = gone.get(self._point, self._point)

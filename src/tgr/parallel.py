@@ -364,6 +364,12 @@ class RationalRedexSet:
         """The path counts of the set, extended as its readers need."""
         return PathCounts(self.carrier, self.start, [self.target])
 
+    @cached_property
+    def cycle(self) -> Optional[int]:
+        """The length of the shortest cycle through the target, or None."""
+        dist, succs = self.table.dist, self.carrier.successors(self.target)
+        return min((dist[s] + 1 for s in succs if s in dist), default=None)
+
     def count_below(self, strict_len_bound: int) -> int:
         """|{w in the set : |w| < bound}|, read off the set's table."""
         return self.table.count(strict_len_bound)
@@ -649,20 +655,25 @@ class ConvergenceError(OracleError):
     """
 
 
-def threshold_length(rule: RewriteRule, depth: int) -> int:
-    """Occurrence length below which members must be developed so the
-    approximant is settled on all positions shorter than `depth`.
+def threshold_length(rs: RationalRedexSet, depth: int) -> int:
+    """Occurrence length T such that developing the members shorter than T
+    settles the limit on all positions shorter than `depth`.
 
-    An ordinary rule moves a residual at least one level of its own depth per
-    nesting level, losing at most the deepest used variable position each
-    time; a collapsing rule instead *consumes* its variable's depth, so the
-    bound grows by one extra round.  The bound is deliberately generous: a
-    cheap over-approximation that the convergence cross-check backstops.
+    The developments part only below the residuals of the members left out.
+    One of length L has at most ceil(L/g) enclosing members, g the set's
+    shortest `cycle`, each lifting it by at most the rule's `lift`
+    (Kennaway, Klop, Sleep & de Vries, Inf. & Comp. 1995), so it lands at
+    depth >= L (g-lift)/g - lift.  So T is the depth d when nothing lifts or
+    nests, ceil((d+lift) g/(g-lift)) when g > lift, else an older bound.
     """
-    vpos = rule.var_positions
-    if rule.is_collapsing():
-        return (depth + 1) * (len(vpos[rule.collapse_variable()]) + 1) + 1
-    maxv = max((len(vpos[x]) for x in rule.rhs_var_occurrences), default=1)
+    rule, g = rs.rule, rs.cycle
+    if not rule.lift or g is None:
+        return depth
+    if g > rule.lift:
+        return -(-(depth + rule.lift) * g // (g - rule.lift))
+    if rule.is_collapsing():  # lift is the collapse variable's depth
+        return (depth + 1) * (rule.lift + 1) + 1
+    maxv = max(len(rule.var_positions[x]) for x in rule.rhs_var_occurrences)
     return max(depth * (maxv + 1), 1)
 
 
@@ -683,6 +694,8 @@ class OracleReport:
     depth: int
     effective_depth: int
     threshold: int
+    lift: int  # the rule's, as `threshold_length` read it
+    cycle: Optional[int]  # the set's shortest cycle through the target
     occurrences: int  # members kept in the last approximant
     samples: List[ChainSample]
     limit: RationalTerm  # development of the last approximant
@@ -798,7 +811,7 @@ def infinite_parallel_reduce(
     more.
     """
     _refuse_infinite_copying(rs.rule)
-    threshold = threshold_length(rs.rule, depth)
+    threshold = threshold_length(rs, depth)
     table = rs.table
     if occurrences is not None:
         trie = _prefix_respecting_trie(rs, [tuple(w) for w in occurrences])
@@ -817,11 +830,11 @@ def infinite_parallel_reduce(
         # the members shorter than `settled` all fit the budget
         settled = table.within(budget, threshold)
     eff_depth = depth  # trusted where every member it needs is kept
-    while eff_depth > 0 and threshold_length(rs.rule, eff_depth) > settled:
+    while eff_depth > 0 and threshold_length(rs, eff_depth) > settled:
         eff_depth -= 1
     if occurrences is None:
         # at effective depth 0 the budget still caps the members
-        kept = min(table.count(threshold_length(rs.rule, eff_depth)), budget)
+        kept = min(table.count(threshold_length(rs, eff_depth)), budget)
 
     carrier_term = RationalTerm(rs.carrier, rs.start, rs.bottoms, rs.var_names)
     symbolic, _ = develop_rational(carrier_term, [(rs.target, rs.rule)])
@@ -863,6 +876,8 @@ def infinite_parallel_reduce(
                 depth,
                 eff_depth,
                 threshold,
+                rs.rule.lift,
+                rs.cycle,
                 kept,
                 samples,
                 limit,

@@ -129,16 +129,17 @@ class RewriteRule:
             out[names[g.walk(point, w)]].append(w)
         return {x: tuple(ws) for x, ws in out.items()}
 
+    @cached_property
+    def lift(self) -> int:
+        """How far one contraction can lift a position below a variable x:
+        the most |lhs position of x| - |shortest rhs occurrence of x|, or 0."""
+        vpos, occs = self.var_positions, self.rhs_var_occurrences.items()
+        return max([0, *(len(vpos[x]) - len(ws[0]) for x, ws in occs)])
+
     copies_infinitely = cached_property(is_infinite_copying)
 
     def is_collapsing(self) -> bool:
         return self.rhs.graph.is_empty_node(self.rhs.point)
-
-    def collapse_variable(self) -> Optional[str]:
-        """The variable a collapsing rule rewrites to, else None."""
-        if not self.is_collapsing():
-            return None
-        return self.rhs.renaming().get(self.rhs.point, self.rhs.point)
 
 
 @dataclass(frozen=True)

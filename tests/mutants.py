@@ -342,11 +342,29 @@ MUTANTS += [
     Mutant(
         "fresh-ids-skip-only-kept-ids",
         "dpo.py",
-        'while f"h#{fresh}" in g.nodes:',
-        'while f"h#{fresh}" in g.nodes and f"h#{fresh}" not in gone:',
+        "nid = ids.take(g.nodes)",
+        "nid = ids.take(g.nodes - gone.keys())",
         (LOCAL_STEPS + "hand_built_rules",),
         "a fresh id skips only the ids H keeps, so it can reuse the id of "
         "a node merged away",
+    ),
+    Mutant(
+        "fresh-id-release-dropped",
+        "dpo.py",
+        "            heapq.heappush(self.free, int(k))",
+        "            pass",
+        ("tests/test_dpo.py::test_local_steps_reuse_the_fresh_ids_merges_free",),
+        "an id a merge frees is never taken again, so a later fresh id is "
+        "not the least one D lacks",
+    ),
+    Mutant(
+        "fresh-ids-scan-from-h0",
+        "dpo.py",
+        '        while f"h#{self.high}" in nodes:\n',
+        '        self.high = 0\n        while f"h#{self.high}" in nodes:\n',
+        ("tests/test_dpo.py::test_fresh_ids_cost_a_few_probes_per_step",),
+        "every fresh id is found by a scan up from h#0, so a step costs "
+        "time linear in the fresh nodes made before it",
     ),
     Mutant(
         "termgraph-of-keeps-insertion-order",
@@ -432,8 +450,8 @@ MUTANTS += [
     Mutant(
         "depth-scan-off-by-one",
         "parallel.py",
-        "threshold_length(rs.rule, eff_depth) > settled:",
-        "threshold_length(rs.rule, eff_depth) >= settled:",
+        "threshold_length(rs, eff_depth) > settled:",
+        "threshold_length(rs, eff_depth) >= settled:",
         (DECISION, CUTS),
         "the scan steps below a depth whose members all fit",
     ),
@@ -513,6 +531,30 @@ MUTANTS += [
         "a member prefix of a supplied occurrence counts as missing even "
         "when it was listed earlier",
     ),
+    Mutant(
+        "threshold-one-short-without-lift",
+        "parallel.py",
+        "    if not rule.lift or g is None:\n        return depth\n",
+        "    if not rule.lift or g is None:\n        return depth - (not rule.lift)\n",
+        (
+            PARALLEL + "test_the_threshold_settles_the_limit",
+            PARALLEL + "test_threshold_lengths",
+        ),
+        "a rule that lifts nothing keeps the members shorter than depth - 1, "
+        "so a hole is left at the depth the limit must settle",
+    ),
+    Mutant(
+        "lift-one-short",
+        "rules.py",
+        "return max([0, *(len(vpos[x]) - len(ws[0]) for x, ws in occs)])",
+        "return max([1, *(len(vpos[x]) - len(ws[0]) for x, ws in occs)]) - 1",
+        (
+            PARALLEL + "test_the_threshold_settles_the_limit",
+            PARALLEL + "test_lift_is_the_most_a_contraction_raises_a_variable",
+        ),
+        "a contraction is taken to lift a residual one level less than it "
+        "can, so the threshold leaves out members the depth needs",
+    ),
 ]
 
 RULES = "tests/test_rules.py::"
@@ -563,7 +605,10 @@ MUTANTS += [
         "rules.py",
         "for w in sorted(ops1, key=occ_sort_key):",
         "for w in ops1:",
-        (RULES + "test_overlaps_below_the_root",),
+        (
+            RULES + "test_overlaps_match_unification_at_every_position",
+            RULES + "test_overlaps_below_the_root",
+        ),
         "overlap positions come in preorder, not length-lex order",
     ),
     Mutant(

@@ -6,6 +6,8 @@ all three outputs with the record. Wall-clock seconds in `tgr suite` output
 are masked. To re-record after an intended change of output:
 
     PYTHONPATH=src python tests/test_cli_corpus.py
+
+which prints the argv of every record that is new or whose output changed.
 """
 
 import contextlib
@@ -187,5 +189,11 @@ def test_corpus_covers_every_subcommand_and_exit_code():
 if __name__ == "__main__":
     sys.path.insert(0, str(CORPUS.parents[1] / "src"))
     records = [run_cli(a) for a in argvs()]
+    old = []
+    if CASES.exists():
+        old = json.loads(CASES.read_text(encoding="utf-8"))
+    for record in records:
+        if record not in old:
+            print("changed:", " ".join(record["argv"]))
     CASES.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     print(f"recorded {len(records)} cases in {CASES}")

@@ -9,6 +9,7 @@ import tgr.dpo
 import tgr.graphs
 from tgr.dpo import (
     EditableGraph,
+    FreshIds,
     Match,
     Stepper,
     derive,
@@ -201,7 +202,7 @@ def test_pushout_conflicting_content_rejected():
     pushout_complement(er, m.g.mapping, g)
     D = editable(g)
     with pytest.raises(ValueError, match="conflicting"):
-        pushout(er, m.g.mapping, g, predecessors(host))
+        pushout(er, m.g.mapping, g, predecessors(host), FreshIds())
     assert g == D  # raised before any edit
     with pytest.raises(ValueError, match="conflicting"):
         derive(m)
@@ -535,6 +536,54 @@ def test_local_steps_match_the_reference_on_hand_built_rules():
     got, _ = assert_same_run(rt, TGRS(SIG, (fill,)), 5)
     assert got.bottoms == frozenset() and got.var_names == (("y", "acc"),)
     assert got.unravel(3) == t("p(g(a), acc)")
+
+
+def test_local_steps_reuse_the_fresh_ids_merges_free(monkeypatch):
+    # f(x) -> g(g(g(x))) gives two fresh ids a step and g(x) -> x merges
+    # them away again, the host's own h#1 among them: each step takes the
+    # least ids D lacks, as the whole-graph reference names them.
+    taken = []
+    take = tgr.dpo.FreshIds.take
+    monkeypatch.setattr(
+        tgr.dpo.FreshIds,
+        "take",
+        lambda ids, nodes: taken.append(take(ids, nodes)) or taken[-1],
+    )
+    ids = ["a0", "a1", "h#1", "a3", "a4"]
+    ring = graph(
+        ids, {m: "f" for m in ids}, {m: (ids[(i + 1) % 5],) for i, m in enumerate(ids)}
+    )
+    rules = TGRS(SIG, (g_rule("Ra", "g(x)", "x"), g_rule("Rf3", "f(x)", "g(g(g(x)))")))
+    assert_same_run(RationalTerm(ring, "a0"), rules, 40)
+    assert taken[:6] == ["h#0", "h#2", "h#0", "h#2", "h#0", "h#1"]
+
+
+def test_fresh_ids_cost_a_few_probes_per_step(monkeypatch):
+    """Over 2,000 steps of f(x) -> g(h(x)) on an f-ring, each giving its h
+    node a fresh id, the stepper asks its node set about h#k ids at most
+    three times a step: it does not scan up from h#0 every time (which
+    made 2,003,000 probes)."""
+    probes = [0]
+
+    class Counted(set):
+        def __contains__(self, n):
+            probes[0] += n.startswith("h#")
+            return set.__contains__(self, n)
+
+    editable_graph = tgr.dpo.EditableGraph
+    monkeypatch.setattr(
+        tgr.dpo,
+        "EditableGraph",
+        lambda nodes, labels, succs: editable_graph(Counted(nodes), labels, succs),
+    )
+    sig = Signature.of({"f": 1, "g": 1, "h": 1})
+    rule = RewriteRule.of("Rf", parse_term(sig, "f(x)"), parse_term(sig, "g(h(x))"))
+    ids = [f"n{i}" for i in range(2000)]
+    succs = {m: (ids[(i + 1) % len(ids)],) for i, m in enumerate(ids)}
+    ring = RationalTerm(TermGraph.of(ids, dict.fromkeys(ids, "f"), succs), "n0")
+    _, steps, nf = rewrite_sequence(ring, graph_trs(TRS(sig, (rule,))), 2000)
+    assert nf and len(steps) == 2000
+    assert 2000 <= probes[0] <= 3 * 2000
 
 
 def test_stepper_and_derive_reject_the_same_identification():

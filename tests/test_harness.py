@@ -363,9 +363,9 @@ def host_scale_ring(n):
 
 def test_the_depth_decision_reads_rows_only_to_the_budget(monkeypatch):
     # asked for depth 1,016 on a 1,000-node ring, the budget caps the chain
-    # leg at depth 215 with 73 members kept; the count table then holds no
-    # row past the length depth 216 would need (probing the asked depth
-    # first filled 2,031 rows).
+    # leg at depth 430 with 73 members kept; the count table then holds no
+    # row past the length depth 431 would need (probing the asked depth
+    # first would fill 1,016 rows).
     ring, m = host_scale_ring(1000)
     sets = []
     real = tgr.harness.induced_parallel_redex
@@ -377,9 +377,9 @@ def test_the_depth_decision_reads_rows_only_to_the_budget(monkeypatch):
     report = verify_soundness(
         Signature.of({"f": 1, "g": 1, "p": 2}), ring, m, depth=1016
     )
-    assert (report.effective_depth, report.occurrences, report.ok) == (215, 73, True)
+    assert (report.effective_depth, report.occurrences, report.ok) == (430, 73, True)
     (rs,) = sets
-    assert len(rs.table.rows) <= threshold_length(R_F, 216) + 1
+    assert len(rs.table.rows) <= threshold_length(rs, 431) + 1
 
 
 def test_oracle_doubling_backstops_a_bad_threshold(monkeypatch):
@@ -387,7 +387,7 @@ def test_oracle_doubling_backstops_a_bad_threshold(monkeypatch):
     # notices the chain limit disagreeing with the symbolic development, and
     # extends the enumeration instead of returning a wrong answer.
     monkeypatch.setattr(
-        tgr.parallel, "threshold_length", lambda rule, depth: 1
+        tgr.parallel, "threshold_length", lambda rs, depth: 1
     )
     rs = RationalRedexSet(F_LOOP.graph, "n", "n", R_F)
     report = infinite_parallel_reduce(rs, depth=4)

@@ -449,12 +449,35 @@ def test_develop_rational_validates_targets():
 # Thresholds and the oracle
 
 
+def test_lift_is_the_most_a_contraction_raises_a_variable():
+    assert (R_F.lift, R_DUP.lift, R_K.lift) == (0, 0, 0)  # none, or erased
+    assert (R_I.lift, R_CDR.lift) == (1, 2)  # collapsing: the variable's depth
+    assert rule("Rdeep", "f(x)", "g(g(x))").lift == 0  # never negative
+    assert rule("Rswap", "cdr(cons(x, y))", "cons(y, x)").lift == 1
+    assert rule("Rtwice", "f(g(x))", "p(g(g(x)), x)").lift == 1  # shortest
+
+
 def test_threshold_lengths():
-    assert threshold_length(R_F, 4) == 8
-    assert threshold_length(R_I, 4) == 11  # collapsing costs an extra round
-    assert threshold_length(R_F, 0) == 1
-    for d in range(1, 6):
-        assert threshold_length(R_F, d + 1) >= threshold_length(R_F, d)
+    """The depth itself when nothing lifts or no member encloses another,
+    the cycle bound when the shortest cycle through the target is longer
+    than the lift, and the per-rule bound when it is not."""
+    f_loop = RationalRedexSet(F_LOOP.graph, "n", "n", R_F)
+    i_loop = RationalRedexSet(I_LOOP.graph, "n", "n", R_I)
+    i_ring = shared_ring(5, "I", R_I)
+    chain = TermGraph.of(
+        ["u", "v", "c"], {"u": "I", "v": "I", "c": "a"}, {"u": ("v",), "v": ("c",)}
+    )
+    i_chain = RationalRedexSet(chain, "u", "v", R_I)
+    assert (f_loop.cycle, i_loop.cycle, i_ring.cycle, i_chain.cycle) == (
+        1, 1, 5, None
+    )
+    assert [threshold_length(f_loop, d) for d in (0, 1, 4)] == [0, 1, 4]
+    assert threshold_length(i_chain, 4) == 4
+    assert threshold_length(i_ring, 4) == 7  # ceil((4 + 1) 5 / 4)
+    assert threshold_length(i_loop, 4) == 11  # (4 + 1)(1 + 1) + 1
+    for rs in (f_loop, i_loop, i_ring, i_chain):
+        for d in range(0, 6):
+            assert threshold_length(rs, d + 1) >= threshold_length(rs, d) >= d
 
 
 def test_rule_facts_are_computed_once_per_rule(monkeypatch):
@@ -491,7 +514,7 @@ def test_rule_facts_are_computed_once_per_rule(monkeypatch):
 
     def round_of_calls():
         for d in range(10):
-            threshold_length(dup, d)
+            threshold_length(RationalRedexSet(F_LOOP.graph, "n", "n", dup), d)
         develop_rational(F_LOOP, [("n", dup)])
         assert [r.occ for r in residuals(rx((1,)), rx((), dup))] == [(1,), (2, 1)]
         assert reduce(rat("f(a)"), rx((), dup)).unravel(4) == t("p(a, g(a))")
@@ -536,7 +559,7 @@ def test_oracle_on_an_empty_set():
 def test_oracle_budget_lowers_effective_depth():
     rs = RationalRedexSet(F_LOOP.graph, "n", "n", R_F)
     report = infinite_parallel_reduce(rs, depth=16, budget=8)
-    assert report.effective_depth == 4
+    assert report.effective_depth == 8
     assert report.occurrences == 8
     assert truncated_equal(report.limit, G_LOOP, report.effective_depth)
 
@@ -552,7 +575,7 @@ def test_oracle_min_occurrences():
 def test_oracle_supplied_enumeration():
     rs = RationalRedexSet(F_LOOP.graph, "n", "n", R_F)
     report = infinite_parallel_reduce(rs, depth=4, occurrences=[(), (1,)])
-    assert report.effective_depth == 1
+    assert report.effective_depth == 2
     with pytest.raises(ValueError, match="prefix-respecting"):
         infinite_parallel_reduce(rs, depth=4, occurrences=[(), (1, 1)])
     with pytest.raises(ValueError, match="not in the redex set"):
@@ -717,17 +740,17 @@ def generated_sets(seeds=range(300)):
 def oracle_cases():
     """(redex set, depth, budget), built once: the generated sets with a
     member the start reaches, the first one without (a chain of one empty
-    cut), shared 4- and 5-node rings whose depth-32 requirement exceeds
+    cut), shared 4- and 5-node rings whose depth-48 requirement exceeds
     the budget, the cdr/cons cycle and a hole below the target."""
     sets = list(generated_sets())
     empty = [rs for rs in sets if not enumerate_occurrences(rs, count=1)]
-    cases = [(empty[0], 6, 64)]
-    cases += [(rs, 6, 64) for rs in sets if enumerate_occurrences(rs, count=1)]
+    cases = [(empty[0], 12, 64)]
+    cases += [(rs, 12, 64) for rs in sets if enumerate_occurrences(rs, count=1)]
     cases += [
-        (shared_ring(4, "f", R_F), 32, 2048),
-        (shared_ring(5, "I", R_I), 32, 2048),
+        (shared_ring(4, "f", R_F), 48, 2048),
+        (shared_ring(5, "I", R_I), 48, 2048),
         (CDR_CONS, 16, 2048),
-        (HOLE_BEHIND_TARGET, 6, 64),
+        (HOLE_BEHIND_TARGET, 12, 64),
     ]
     return tuple(cases)
 
@@ -797,7 +820,7 @@ def test_cut_graphs_match_the_string_trie(monkeypatch):
         report = compare(rs, depth, budget)
         assert report.effective_depth == ref_scan(
             depth,
-            lambda d: rs.count_below(threshold_length(rs.rule, d)) <= budget,
+            lambda d: rs.count_below(threshold_length(rs, d)) <= budget,
         )
     picked = oracle_cases()[-6:] + oracle_cases()[1:40:6]
     for rs, depth, budget in picked:
@@ -806,7 +829,7 @@ def test_cut_graphs_match_the_string_trie(monkeypatch):
         reordered = sorted(occs, key=lambda w: (len(w), [-i for i in w]))
         compare(rs, min(depth, 4), budget, occurrences=reordered)
     with monkeypatch.context() as mp:
-        mp.setattr(parallel, "threshold_length", lambda rule, depth: 1)
+        mp.setattr(parallel, "threshold_length", lambda rs, depth: 1)
         reports = [compare(rs, min(depth, 8), budget) for rs, depth, budget in picked]
     assert sum(r.doublings > 0 for r in reports) >= 4
 
@@ -950,7 +973,7 @@ def test_cuts_match_the_reference():
 
 
 def test_the_default_chain_builds_no_trie(monkeypatch):
-    """On the shared 5-ring at depth 32 the oracle constructs no prefix
+    """On the shared 5-ring at depth 48 the oracle constructs no prefix
     trie, and builds fewer position nodes (count-table states, one
     `_Cuts.node` call each) than the trie of its members has states."""
     rs = shared_ring(5, "I", R_I)
@@ -964,7 +987,7 @@ def test_the_default_chain_builds_no_trie(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(parallel, "PrefixTrie", lambda *a: tries.append(a))
         mp.setattr(_Cuts, "node", counted_node)
-        report = infinite_parallel_reduce(rs, 32, budget=2048)
+        report = infinite_parallel_reduce(rs, 48, budget=2048)
     assert not tries
     trie = _prefix_respecting_trie(
         rs, enumerate_occurrences(rs, count=report.occurrences)
@@ -977,7 +1000,7 @@ def test_the_budget_is_a_hard_cap():
     """When not even depth 1 fits, the oracle keeps no more members than
     the budget allows, down to none."""
     rs = RationalRedexSet(I_LOOP.graph, "n", "n", R_I)
-    assert threshold_length(R_I, 0) == 3
+    assert threshold_length(rs, 0) == 3
     for budget, kept in ((0, 0), (1, 1), (2, 2), (3, 3)):
         report = infinite_parallel_reduce(rs, depth=16, budget=budget)
         assert (report.effective_depth, report.occurrences) == (0, kept)
@@ -1076,7 +1099,8 @@ BENCH_RULES = {
     "cdr": R_CDR,
 }
 # The oracle inputs of the benchmark: (shape, ring size, depth, rule root).
-# The shared 4- and 5-rings at depth 32 exceed the member budget.
+# Of the shared 4- and 5-rings at depth 32, the cdr one exceeds the member
+# budget; at depth 48 all six do.
 BENCH_ROOTS = ("f", "I", "d", "cdr")
 BENCH_SHAPES = (
     [
@@ -1107,14 +1131,45 @@ def bench_host(rng, shape, n, root):
     return RationalRedexSet(carrier, "n0", "n1", BENCH_RULES[root])
 
 
+def test_the_threshold_settles_the_limit():
+    """Developing the members shorter than `threshold_length` agrees with
+    the symbolic limit (the rule developed on the untouched carrier, built
+    here) to the depth: on the suite's sets at every depth up to 32 whose
+    members fit the default budget, and on the benchmark's oracle inputs
+    at their depths.  The oracle, given just those members, reaches the
+    depth without a doubling (checked at every fourth depth)."""
+    rng = random.Random(5)
+    cases = [(rs, range(33)) for rs in generated_sets()]
+    cases += [
+        (bench_host(rng, shape, n, root), [depth])
+        for shape, n, depth, root in BENCH_SHAPES
+    ]
+    checked = 0
+    for rs, depths in cases:
+        carrier = RationalTerm(rs.carrier, rs.start, rs.bottoms, rs.var_names)
+        symbolic, _ = develop_rational(carrier, [(rs.target, rs.rule)])
+        cuts = _Cuts(rs)
+        for depth in depths:
+            kept = rs.count_below(threshold_length(rs, depth))
+            if len(depths) > 1 and kept > 2048:
+                break
+            _, developed = _cut_graph(rs, cuts, kept)
+            assert truncated_equal(developed, symbolic, depth), (rs, depth)
+            checked += 1
+            if depth % 4 == 0 or len(depths) == 1:
+                report = infinite_parallel_reduce(rs, depth, budget=kept)
+                assert (report.effective_depth, report.doublings) == (depth, 0)
+    assert checked > 10000
+
+
 def test_memoised_walks_match_the_unmemoised_ones():
     """Through one memo per oracle call, `rational_approx_leq` gives the
     verdicts of the plain walk on the pairs the oracle compares and their
     reverses: on the suite's sets and on the benchmark's oracle inputs
-    (whose six shared rings at depth 32 need more members than the budget
-    allows).  On random views with holes and names, some of one graph and
-    some alike, one memo serves every pair.  No failed walk changes the
-    memo."""
+    (whose six shared rings run at depth 48, where they need more members
+    than the budget allows).  On random views with holes and names, some
+    of one graph and some alike, one memo serves every pair.  No failed
+    walk changes the memo."""
     failed = 0
     for rs, depth, budget in oracle_cases():
         report = infinite_parallel_reduce(rs, depth, budget=budget)
@@ -1123,7 +1178,8 @@ def test_memoised_walks_match_the_unmemoised_ones():
     assert len(BENCH_SHAPES) == 26
     for shape, n, depth, root in BENCH_SHAPES:
         rs = bench_host(rng, shape, n, root)
-        report = infinite_parallel_reduce(rs, depth, budget=2048)
+        deeper = 48 if (shape, depth) == ("shared", 32) else depth
+        report = infinite_parallel_reduce(rs, deeper, budget=2048)
         failed += memoised_verdicts(sample_pairs(report), {})
     assert failed > 3000
     random_failed = 0
@@ -1165,10 +1221,16 @@ def test_the_upper_bound_check_catches_a_shallow_limit(monkeypatch):
     depth, so only the check that every development lies below the limit
     can tell.  The oracle raises `ConvergenceError` naming the first
     sampled index whose development has a symbol where the truncation has
-    a hole (found on unravelings), and returns wherever there is none."""
+    a hole (found on unravelings), and returns wherever there is none: on
+    the suite's sets and on the benchmark's oracle inputs."""
     develop = parallel.develop_rational
+    rng = random.Random(5)
+    bench = [
+        (bench_host(rng, shape, n, root), depth, 2048)
+        for shape, n, depth, root in BENCH_SHAPES
+    ]
     caught = 0
-    for rs, depth, budget in oracle_cases():
+    for rs, depth, budget in [*oracle_cases(), *bench]:
         report = infinite_parallel_reduce(rs, depth, budget=budget)
         cut = report.effective_depth + 1
         shallow_term = report.symbolic_limit.unravel(cut)
@@ -1252,8 +1314,9 @@ def test_the_trie_walk_tests_membership():
 def test_a_repeated_occurrence_is_refused():
     """A supplied enumeration lists each member once.  A repeat is refused
     by name rather than counted as a member the list lacks: on the f loop
-    at depth 4, the first list below was trusted to depth 2 with 111
-    missing, and the last got depth 0, below its own subset's depth 1."""
+    at depth 4, that count trusts the first list below to depth 2, below
+    its own subset's depth 3, and the last to depth 1, below its subset's
+    depth 2."""
     rs = RationalRedexSet(F_LOOP.graph, "n", "n", R_F)
     for lst, twice in (
         ([(), (1,), (1, 1), (1, 1)], "11"),
@@ -1267,9 +1330,9 @@ def test_a_repeated_occurrence_is_refused():
         with pytest.raises(ValueError, match=f"^{twice} is listed twice$"):
             infinite_parallel_reduce(rs, 4, occurrences=lst)
     for lst, depth in (
-        ([(), (1,)], 1),
-        ([(), (1,), (1, 1)], 1),
-        ([(), (1,), (1, 1), (1, 1, 1)], 2),
+        ([(), (1,)], 2),
+        ([(), (1,), (1, 1)], 3),
+        ([(), (1,), (1, 1), (1, 1, 1)], 4),
     ):
         assert infinite_parallel_reduce(rs, 4, occurrences=lst).effective_depth == depth
 
@@ -1290,7 +1353,7 @@ def test_the_depth_decision_matches_the_linear_scan(monkeypatch):
         mp.setattr(parallel, "rational_approx_leq", lambda a, b, proven: True)
         mp.setattr(parallel, "truncated_equal", lambda a, b, depth: True)
         for rs in sets:
-            counts = [rs.count_below(threshold_length(rs.rule, d)) for d in range(65)]
+            counts = [rs.count_below(threshold_length(rs, d)) for d in range(65)]
             for depth in range(65):
                 for budget in budgets:
                     want = ref_scan(depth, lambda d: counts[d] <= budget)
@@ -1304,7 +1367,7 @@ def test_the_depth_decision_matches_the_linear_scan(monkeypatch):
                 for depth in range(0, 65, 3):
 
                     def complete(d):
-                        bound = threshold_length(rs.rule, d)
+                        bound = threshold_length(rs, d)
                         have = sum(1 for w in occs if len(w) < bound)
                         return have == counts[d]
 

@@ -87,8 +87,6 @@ def test_check_rule_rejects_partial_rhs():
 def test_collapsing_detection():
     assert R_CDR.is_collapsing() and R_I.is_collapsing()
     assert not R_F.is_collapsing()
-    assert R_CDR.collapse_variable() == "y"
-    assert R_F.collapse_variable() is None
 
 
 def test_cyclic_rhs_rules_are_representable():
@@ -228,12 +226,17 @@ def random_lhs(rng, sig=SIG, depth=3):
 
 def overlap_pairs(rng):
     """Pairs of linear patterns: random ones over SIG, over SIG and
-    SIG_ARITIES, and the generator's left-hand sides over its signatures."""
+    SIG_ARITIES, the generator's left-hand sides over its signatures, and
+    patterns 4-5 deep against a small one, which can overlap at several
+    depths of one branch, and against another deep one."""
     for _ in range(400):
         yield random_lhs(rng), random_lhs(rng)
         yield random_lhs(rng), random_lhs(rng, SIG_ARITIES)
         sig = gen_signature(rng)
         yield _gen_lhs(rng, sig), _gen_lhs(rng, sig)
+        deep = random_lhs(rng, depth=rng.choice((4, 5)))
+        yield deep, random_lhs(rng, depth=rng.choice((1, 2)))
+        yield deep, random_lhs(rng, depth=rng.choice((4, 5)))
 
 
 def test_overlaps_match_unification_at_every_position():
