@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, filterfalse
 from typing import (
     Dict,
@@ -318,14 +319,13 @@ def _step(
 
 @dataclass(frozen=True)
 class DirectDerivation:
-    """One double-pushout step G => H with its full diagram."""
+    """One double-pushout step G => H with its diagram; D, d and b are built
+    when read."""
 
     match: Match
-    D: TermGraph
-    d: GraphMorphism  # K -> D
     H: TermGraph
     h: GraphMorphism  # R -> H
-    b: GraphMorphism  # D -> H
+    track: Dict[NodeId, NodeId]  # where each host node went: b's node map
 
     @property
     def G(self) -> TermGraph:
@@ -335,10 +335,22 @@ class DirectDerivation:
     def rule(self) -> EvaluationRule:
         return self.match.rule
 
-    @property
-    def track(self) -> Dict[NodeId, NodeId]:
-        """Where each host node went (D and G share their node set)."""
-        return self.b.mapping
+    @cached_property
+    def D(self) -> TermGraph:
+        """G with the content of the root's image erased."""
+        G, hub = self.G, self.match.root_image
+        labels, succs = G.labels.copy(), G.succs.copy()
+        labels.pop(hub, None)
+        succs.pop(hub, None)
+        return TermGraph.of(G.nodes, labels, succs)
+
+    @cached_property
+    def d(self) -> GraphMorphism:  # K -> D
+        return GraphMorphism(self.rule.K, self.D, dict(self.match.g.mapping))
+
+    @cached_property
+    def b(self) -> GraphMorphism:  # D -> H
+        return GraphMorphism(self.D, self.H, self.track)
 
     def describe(self) -> str:
         return self.match.describe()
@@ -349,25 +361,19 @@ def derive(match: Match) -> DirectDerivation:
     `Stepper` step, with its checks, on copies of the host's dicts.
     `check_morphism` on the whole diagram stays available to callers that
     want it."""
-    rule, G, hub = match.rule, match.host, match.root_image
+    rule, G = match.rule, match.host
     g = EditableGraph(set(G.nodes), G.labels.copy(), G.succs.copy())
     gluing, _ = _step(rule, match.g.mapping, g, predecessors(G), FreshIds())
-    labels, succs = G.labels.copy(), G.succs.copy()
-    labels.pop(hub, None)
-    succs.pop(hub, None)
-    D = TermGraph.of(G.nodes, labels, succs)
     H = TermGraph.of(g.nodes, g.labels, g.succs)
     track = dict(zip(G.nodes, G.nodes))
     track.update(gluing.gone)
-    d = GraphMorphism(rule.K, D, dict(match.g.mapping))
-    h = GraphMorphism(rule.R, H, gluing.h)
-    return DirectDerivation(match, D, d, H, h, GraphMorphism(D, H, track))
+    return DirectDerivation(match, H, GraphMorphism(rule.R, H, gluing.h), track)
 
 
 def _retag(
     rule: EvaluationRule,
     mapping: Mapping[NodeId, NodeId],
-    d_labels: Mapping[NodeId, str],
+    old_labels: Mapping[NodeId, str],
     track: Mapping[NodeId, NodeId],
     h: Iterable[NodeId],
     labels: Mapping[NodeId, str],
@@ -375,7 +381,7 @@ def _retag(
     names: Dict[NodeId, str],
 ) -> None:
     """Update a term's holes and names in place after a step at `mapping`
-    (L -> G), given D's labels, b's node map, R's images and H's labels.
+    (L -> G), given G's or D's labels, b's node map, R's images and H's labels.
     An empty H node that one live G variable tracks to is named after it,
     one that none tracks to is a hole; only the match's and R's images can
     change, so only those are read.  Two variables tracked together would
@@ -383,7 +389,7 @@ def _retag(
     hub, region = mapping[rule.root], set(mapping.values())
     sources: Dict[NodeId, List[NodeId]] = {}
     for n in region:
-        if n != hub and n not in d_labels and n not in bottoms:
+        if n != hub and n not in old_labels and n not in bottoms:
             sources.setdefault(track.get(n, n), []).append(n)
     spot = {track.get(n, n) for n in region}
     spot.update(h)
@@ -415,7 +421,7 @@ def track_substitution(
     """
     bottoms, names = set(host_bottoms), {}
     _retag(
-        drv.rule, drv.match.g.mapping, drv.D.labels, drv.track,
+        drv.rule, drv.match.g.mapping, drv.G.labels, drv.track,
         drv.h.mapping.values(), drv.H.labels, bottoms, names,
     )
     empties = filterfalse(drv.H.labels.__contains__, drv.H.nodes)
@@ -446,7 +452,7 @@ def derive_rational(
     drv = derive(match)
     bottoms, names = set(rt.bottoms), rt.renaming()
     _retag(
-        drv.rule, drv.match.g.mapping, drv.D.labels, drv.track,
+        drv.rule, drv.match.g.mapping, drv.G.labels, drv.track,
         drv.h.mapping.values(), drv.H.labels, bottoms, names,
     )
     return drv, _rational(drv.H, drv.track[rt.point], bottoms, names)

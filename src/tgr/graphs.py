@@ -701,17 +701,20 @@ def _agree(
     b: RationalTerm,
     depth: Optional[int] = None,
     below: bool = False,
-    proven: Optional[Dict[tuple, tuple]] = None,
+    starts: Optional[Sequence[Tuple[NodeId, NodeId]]] = None,
 ) -> bool:
     """Do the unravelings of a and b agree on all occurrences (of length <
     depth, if given)?  With `below`, agreement is a <= b in the
-    approximation order.
+    approximation order.  With `starts`, node pairs of a's and b's views
+    (graph, holes and names), it decides that for every pair at once, as
+    if each were the two points.
 
     One breadth-first walk over the node pairs that one occurrence reaches
-    from the two points.  Holes match holes, empty nodes match on rendered
+    from the start pairs.  Holes match holes, empty nodes match on rendered
     name, labelled nodes on label and arity, and their successor pairs make
     the next level; with `below`, a hole of a matches anything and is not
-    descended.  A mismatch is a difference at that occurrence.
+    descended.  A mismatch is a difference at that occurrence below the
+    start pair that reached it.
 
     No pair is expanded twice.  In the equality modes each checked pair is
     united in a union-find over (side, node) keys, and a pair already in one
@@ -722,70 +725,57 @@ def _agree(
     distance d agrees to depth min(j, depth - d), since its successor pairs
     lie in classes of pairs at distance <= d + 1.  The order is not
     symmetric (x <= y >= z does not give x <= z), so with `below` a pair is
-    skipped only if it was seen before, at no larger distance.  Views of one
-    graph with the same holes and names skip every pair (x, x): it holds in
-    all three modes.
-
-    `proven`, with `below` and no depth, is a caller-owned memo of pairs
-    already proven, kept per (graph, holes, names) of either side, which
-    the walk skips as it skips a pair seen before.  The pairs a successful
-    walk has seen form a simulation, together with the reflexive and
-    hole-on-the-left pairs it skips: every successor pair of one lies in
-    it.  So each holds, and the walk adds them to the memo for later walks
-    between like views (Bonchi & Pous 2013).  A failed walk stopped at a
-    mismatch with pairs still unchecked, so its seen pairs prove nothing
-    and the memo is left as it was.  The equality modes need no memo:
-    their union-find already skips every pair in a class.
+    skipped only if it was seen before, at no larger distance.  Without a
+    depth, the pairs a successful `below` walk has seen form a simulation,
+    together with the reflexive and hole-on-the-left pairs it skips: every
+    successor pair of one lies in it.  So every start pair holds.  Views of
+    one graph with the same holes and names skip every pair (x, x): it
+    holds in all three modes.
     """
     ga, gb = a.graph, b.graph
     same = ga is gb and a.bottoms == b.bottoms and a.var_names == b.var_names
-    ren_a, ren_b = a.renaming(), b.renaming()
+    labels_a, labels_b, succs_a, succs_b = ga.labels, gb.labels, ga.succs, gb.succs
+    holes_a, holes_b, ren_a, ren_b = a.bottoms, b.bottoms, a.renaming(), b.renaming()
     parent: Dict[Tuple[int, NodeId], Tuple[int, NodeId]] = {}
     seen: Set[Tuple[NodeId, NodeId]] = set()
-    if proven is not None:  # the memo holds both graphs, so no other takes their ids
-        key = (id(ga), id(gb), a.bottoms, b.bottoms, a.var_names, b.var_names)
-        seen = set(proven[key][2]) if key in proven else seen
-
-    def find(k: Tuple[int, NodeId]) -> Tuple[int, NodeId]:
-        while k in parent:  # path halving: roots have no entry
-            p = parent[k]
-            parent[k] = parent.get(p, p)
-            k = parent[k]
-        return k
-
-    level, d = [(a.point, b.point)], 0
+    level = [(a.point, b.point)] if starts is None else list(starts)
+    d = 0
     while level and (depth is None or d < depth):
         nxt: List[Tuple[NodeId, NodeId]] = []
         for x, y in level:
             if same and x == y:
                 continue
             if below:
-                if x in a.bottoms or (x, y) in seen:
+                if x in holes_a or (x, y) in seen:
                     continue
                 seen.add((x, y))
-            else:
-                rx, ry = find((0, x)), find((1, y))
+            else:  # find both roots, halving the paths: roots have no entry
+                rx, ry = (0, x), (1, y)
+                while rx in parent:
+                    p = parent[rx]
+                    parent[rx] = rx = parent.get(p, p)
+                while ry in parent:
+                    p = parent[ry]
+                    parent[ry] = ry = parent.get(p, p)
                 if rx == ry:
                     continue
                 parent[rx] = ry
-            hole = x in a.bottoms
-            if hole != (y in b.bottoms):
+            hole = x in holes_a
+            if hole != (y in holes_b):
                 return False
             if hole:
                 continue
-            lx, ly = ga.labels.get(x), gb.labels.get(y)
+            lx, ly = labels_a.get(x), labels_b.get(y)
             if lx is None or ly is None:
                 if lx != ly or ren_a.get(x, x) != ren_b.get(y, y):
                     return False
                 continue
-            sx, sy = ga.succs[x], gb.succs[y]
+            sx, sy = succs_a[x], succs_b[y]
             if lx != ly or len(sx) != len(sy):
                 return False
             nxt.extend(zip(sx, sy))
         level = nxt
         d += 1
-    if proven is not None:
-        proven[key] = ga, gb, seen
     return True
 
 
@@ -798,17 +788,25 @@ def bisim_equal(a: RationalTerm, b: RationalTerm) -> bool:
     return _agree(a, b)
 
 
-def rational_approx_leq(
-    a: RationalTerm, b: RationalTerm, proven: Optional[Dict[tuple, tuple]] = None
-) -> bool:
+def rational_approx_leq(a: RationalTerm, b: RationalTerm) -> bool:
     """Unraveling of a <= unraveling of b in the approximation order.
 
     Coinductive simulation: hole positions of a are below anything; defined
-    positions must agree exactly.  `proven`, a dict the caller keeps empty
-    at first and passes to every call, lets later calls skip the pairs
-    earlier successful ones proved (see `_agree`).
+    positions must agree exactly.
     """
-    return _agree(a, b, below=True, proven=proven)
+    return _agree(a, b, below=True)
+
+
+def all_approx_leq(pairs: Iterable[Tuple[RationalTerm, RationalTerm]]) -> bool:
+    """Is a <= b for every pair (a, b)?  One `_agree` walk per pair of views
+    (graph, holes and names on each side) from the points of all the pairs
+    between them, so a node pair that several of them reach is checked once."""
+    groups: Dict[tuple, Tuple[RationalTerm, RationalTerm, list]] = {}
+    for a, b in pairs:  # a group keeps its graphs, so no other takes their ids
+        view = (a.bottoms, a.var_names, b.bottoms, b.var_names)
+        key = (id(a.graph), id(b.graph), view)
+        groups.setdefault(key, (a, b, []))[2].append((a.point, b.point))
+    return all(_agree(a, b, below=True, starts=s) for a, b, s in groups.values())
 
 
 def truncated_equal(a: RationalTerm, b: RationalTerm, depth: int) -> bool:

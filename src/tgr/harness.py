@@ -62,6 +62,7 @@ from .parsing import format_graph
 from .rules import (
     TGRS,
     TRS,
+    Pattern,
     RewriteRule,
     check_rule,
     graph_trs,
@@ -72,11 +73,9 @@ from .terms import (
     FiniteTerm,
     Signature,
     format_term,
-    is_linear,
     occ_format,
     occ_sort_key,
     op,
-    subterms,
     var,
 )
 
@@ -416,34 +415,41 @@ def gen_term(
     return done[0]
 
 
-def _gen_lhs(rng: random.Random, sig: Signature) -> FiniteTerm:
+def _gen_lhs(
+    rng: random.Random, sig: Signature
+) -> Tuple[FiniteTerm, Pattern, List[str]]:
+    """A left-hand side of depth at most two, with its `pattern` and its
+    variables in preorder, built as drawn; each variable is fresh (linear)."""
     pairs = list(sig.as_dict().items())
     roots = [(n, k) for n, k in pairs if k > 0] or pairs
     name, k = rng.choice(roots)
     fresh = iter(_VARS)
     args: List[FiniteTerm] = []
-    for _ in range(k):
+    pat = [((), name, k)]
+    for i in range(1, k + 1):
         if rng.random() < 0.3:
             inner, ik = rng.choice(pairs)
             args.append(op(inner, [var(next(fresh)) for _ in range(ik)]))
+            pat.append(((i,), inner, ik))
         else:
             args.append(var(next(fresh)))
-    return op(name, args)
+    xs = [v.symbol for a in args for v in ((a,) if a.is_var else a.children)]
+    return op(name, args), tuple(pat), xs
 
 
-def _overlaps_any(lhs: FiniteTerm, accepted: Sequence[RewriteRule]) -> bool:
-    """Does `lhs` overlap itself below the root, or overlap an accepted
-    left-hand side in either direction?"""
-    pairs = [(lhs, lhs, True)]
+def _overlaps_any(pat: Pattern, accepted: Sequence[RewriteRule]) -> bool:
+    """Does the pattern overlap itself below the root, or overlap an
+    accepted left-hand side in either direction?"""
+    pairs = [(pat, pat, True)]
     for r in accepted:
-        pairs += [(lhs, r.lhs, False), (r.lhs, lhs, False)]
+        pairs += [(pat, r.lhs_pattern, False), (r.lhs_pattern, pat, False)]
     # the root occurrence is (), which is falsy: test for any position at all
     return any(next(overlaps(*p), None) is not None for p in pairs)
 
 
 def gen_rules(rng: random.Random, sig: Signature) -> TRS:
     """One to three rules, by generate-and-filter.  A candidate enters only
-    if its left-hand side is linear and overlaps neither itself nor an
+    if its left-hand side (linear as drawn) overlaps neither itself nor an
     accepted rule in either direction.  The accepted rules are orthogonal by
     induction, so this is the whole-system check, and the result is
     orthogonal by construction."""
@@ -453,14 +459,13 @@ def gen_rules(rng: random.Random, sig: Signature) -> TRS:
         if len(rules) >= want:
             break
         name = f"R{len(rules) + 1}"
-        lhs = _gen_lhs(rng, sig)
-        lhs_vars = [s.symbol for _, s in subterms(lhs) if s.is_var]
+        lhs, pat, lhs_vars = _gen_lhs(rng, sig)
         if lhs_vars and rng.random() < 0.15:
             rhs: FiniteTerm = var(rng.choice(lhs_vars))
         else:
             rhs = gen_term(rng, sig, lhs_vars, rng.randint(1, 2))
         # every draw is made; the cheap test runs before any graph is built
-        if not is_linear(lhs) or _overlaps_any(lhs, rules):
+        if _overlaps_any(pat, rules):
             continue
         candidate = RewriteRule.of(name, lhs, rhs)
         try:

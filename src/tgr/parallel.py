@@ -52,9 +52,9 @@ from .graphs import (
     PrefixTrie,
     RationalTerm,
     TermGraph,
+    all_approx_leq,
     infinitely_reached,
     node_key,
-    rational_approx_leq,
     sorted_nodes,
     truncated_equal,
 )
@@ -426,6 +426,7 @@ class _Cuts:
         self._points: Dict[int, NodeId] = {}
         g, ren = rs.carrier, dict(rs.var_names)
         self.past = {m: f"{m}@*" for m in g.reachable(rs.start)}
+        self._points[0] = self.past[rs.start]
         for m, nid in self.past.items():
             if m == rs.target or m in rs.bottoms:
                 self.holes.add(nid)  # a hole, or a member not kept: cut
@@ -491,22 +492,22 @@ class _Cuts:
         """The node of the cut that keeps the first i members: the start's
         past node for none, with the default enumeration the state that
         keeps them below the start, and with a supplied one the states of
-        its trie below `size[i]`, built children first."""
-        if not i:
-            return self.past[self.rs.start]
+        its trie below `size[i]`, built children first; each once a call."""
+        if i in self._points:
+            return self._points[i]
         if self.trie is None:
-            return self.state(self.rs.start, *self.table.prefix(i))
-        if i not in self._points:
-            succs, past = self.rs.carrier.succs, self.past
-            child, at, limit = self.trie.child, self.trie.at, self.trie.size[i]
-            ids: List[NodeId] = [""] * limit  # each trie state's node
-            for st in range(limit - 1, -1, -1):
-                kids, ss = child[st], []
-                for k, s in enumerate(succs[at[st]], 1):
-                    c = kids.get(k, limit)
-                    ss.append(ids[c] if c < limit else past[s])
-                ids[st] = self.node(at[st], tuple(ss))
-            self._points[i] = ids[0]
+            self._points[i] = self.state(self.rs.start, *self.table.prefix(i))
+            return self._points[i]
+        succs, past = self.rs.carrier.succs, self.past
+        child, at, limit = self.trie.child, self.trie.at, self.trie.size[i]
+        ids: List[NodeId] = [""] * limit  # each trie state's node
+        for st in range(limit - 1, -1, -1):
+            kids, ss = child[st], []
+            for k, s in enumerate(succs[at[st]], 1):
+                c = kids.get(k, limit)
+                ss.append(ids[c] if c < limit else past[s])
+            ids[st] = self.node(at[st], tuple(ss))
+        self._points[i] = ids[0]
         return self._points[i]
 
 
@@ -716,14 +717,12 @@ EVERY_APPROXIMANT_UP_TO = 16
 
 
 def _sample_indices(n: int) -> List[int]:
-    out = list(range(0, min(n, EVERY_APPROXIMANT_UP_TO) + 1))
+    out = list(range(min(n, EVERY_APPROXIMANT_UP_TO) + 1))
     i = 2 * EVERY_APPROXIMANT_UP_TO
     while i < n:
         out.append(i)
         i *= 2
-    if n not in out:
-        out.append(n)
-    return sorted(set(x for x in out if 0 <= x <= n))
+    return sorted({*out, n})
 
 
 def _prefix_respecting_trie(
@@ -802,8 +801,8 @@ def infinite_parallel_reduce(
     sampled chain must be ascending, every sampled development must lie
     below the symbolic limit (`develop_rational` on the untouched carrier),
     its least upper bound, and the last development must coincide with the
-    symbolic limit up to `effective_depth`.  The first two checks share one
-    memo of proven pairs for the whole call.
+    symbolic limit up to `effective_depth`.  The first two checks take one
+    walk per chain relation (`all_approx_leq`), three a round.
 
     `sample_at` restricts which chain indices are inspected (0 and the final
     index are always included); by default every index up to
@@ -839,52 +838,36 @@ def infinite_parallel_reduce(
     carrier_term = RationalTerm(rs.carrier, rs.start, rs.bottoms, rs.var_names)
     symbolic, _ = develop_rational(carrier_term, [(rs.target, rs.rule)])
 
-    doublings, proven = 0, {}
+    doublings = 0
     while True:
         if sample_at is not None:
-            indices = sorted(
-                {min(max(i, 0), kept) for i in sample_at} | {0, kept}
-            )
+            indices = sorted({min(max(i, 0), kept) for i in sample_at} | {0, kept})
         else:
             indices = _sample_indices(kept)
         for i in indices:  # the round's states first: one table serves it
             cuts.point(i)
-        samples: List[ChainSample] = []
-        monotone_ok = True
-        for i in indices:
-            cut, developed = _cut_graph(rs, cuts, i)
-            if samples:
-                prev = samples[-1]
-                monotone_ok &= rational_approx_leq(prev.approximant, cut, proven)
-                monotone_ok &= rational_approx_leq(prev.developed, developed, proven)
-            samples.append(ChainSample(i, cut, developed))
+        samples = [ChainSample(i, *_cut_graph(rs, cuts, i)) for i in indices]
+        steps = list(zip(samples, samples[1:]))
+        monotone_ok = all_approx_leq(
+            [(p.approximant, s.approximant) for p, s in steps]
+            + [(p.developed, s.developed) for p, s in steps]
+        )
         if not monotone_ok:
             raise OracleError(
                 "approximating chain is not ascending; refusing the result"
             )
-        for s in samples:
-            if not rational_approx_leq(s.developed, symbolic, proven):
-                raise ConvergenceError(
-                    f"development of chain element {s.index} is not below "
-                    "the symbolic limit"
-                )
+        uppers = [(s.developed, symbolic) for s in samples]
+        if not all_approx_leq(uppers):  # name the first sample above the limit
+            k = next(i for i, p in zip(indices, uppers) if not all_approx_leq([p]))
+            raise ConvergenceError(
+                f"development of chain element {k} is not below the symbolic limit"
+            )
         limit = samples[-1].developed
         limit_agrees = truncated_equal(limit, symbolic, eff_depth)
         if limit_agrees:
             return OracleReport(
-                rs,
-                depth,
-                eff_depth,
-                threshold,
-                rs.rule.lift,
-                rs.cycle,
-                kept,
-                samples,
-                limit,
-                symbolic,
-                monotone_ok,
-                limit_agrees,
-                doublings,
+                rs, depth, eff_depth, threshold, rs.rule.lift, rs.cycle, kept,
+                samples, limit, symbolic, monotone_ok, limit_agrees, doublings,
             )
         # The threshold says this cannot happen; before concluding a bug,
         # rule out an off-by-a-few by taking more of the enumeration.

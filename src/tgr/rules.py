@@ -22,7 +22,7 @@ guarantees that distinct redexes in one graph never interfere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -71,7 +71,10 @@ def is_infinite_copying(rule: "RewriteRule") -> bool:
     )
 
 
-def pattern(t: FiniteTerm) -> Tuple[Tuple[Occurrence, str, int], ...]:
+Pattern = Tuple[Tuple[Occurrence, str, int], ...]
+
+
+def pattern(t: FiniteTerm) -> Pattern:
     """The non-variable positions of t in preorder, as (occurrence, symbol,
     arity): what matching and overlap detection compare."""
     return tuple(
@@ -93,7 +96,7 @@ class RewriteRule:
         return RewriteRule(name, lhs, rational_of_term(rhs, prefix=f"{name}.r"))
 
     @cached_property
-    def lhs_pattern(self) -> Tuple[Tuple[Occurrence, str, int], ...]:
+    def lhs_pattern(self) -> Pattern:
         """The left-hand side's `pattern`, computed once."""
         return pattern(self.lhs)
 
@@ -191,14 +194,14 @@ def check_rule(rule: RewriteRule, sig: Signature) -> None:
 # Overlap detection
 
 
-def overlaps(l1: FiniteTerm, l2: FiniteTerm, same: bool) -> Iterator[Occurrence]:
-    """The positions of `l1` where `l2` overlaps it, in length-lex order; the
-    root is skipped when `same` (a left-hand side always overlaps itself
-    there).  Both are linear, total patterns, their variables kept apart, so
-    `l2` unifies with `l1` at w iff each operator position v of `l2` that is
-    one of `l1` at w.v carries the same symbol and arity there."""
-    ops1 = {w: (f, k) for w, f, k in pattern(l1)}
-    ops2 = [(v, (f, k)) for v, f, k in pattern(l2)]
+def overlaps(p1: Pattern, p2: Pattern, same: bool) -> Iterator[Occurrence]:
+    """The positions of pattern `p1` where `p2` overlaps it, in length-lex
+    order; the root is skipped when `same` (a left-hand side always overlaps
+    itself there).  Both are of linear, total terms, their variables kept
+    apart, so `p2` unifies with `p1` at w iff each operator position v of
+    `p2` that is one of `p1` at w.v carries the same symbol and arity."""
+    ops1 = {w: (f, k) for w, f, k in p1}
+    ops2 = [(v, (f, k)) for v, f, k in p2]
     for w in sorted(ops1, key=occ_sort_key):
         if (w or not same) and all(ops1.get(w + v, f) == f for v, f in ops2):
             yield w
@@ -216,7 +219,7 @@ def orthogonality_conflicts(trs: TRS) -> List[str]:
     ]
     for r1 in linear:
         for r2 in linear:
-            for w in overlaps(r1.lhs, r2.lhs, r1.name == r2.name):
+            for w in overlaps(r1.lhs_pattern, r2.lhs_pattern, r1.name == r2.name):
                 at = "the root" if not w else f"position {w}"
                 conflicts.append(
                     f"rules {r1.name} and {r2.name} overlap at {at} of "
@@ -234,7 +237,7 @@ class EvaluationRule:
     """A graph rewrite rule L <- K -> R (see the module docstring).
 
     The left leg is the identity inclusion of K into L, so it is not stored;
-    `r` sends each K node to its R image.
+    `r` sends each K node to its R image, `term_rules` caches `unravel_rule`.
     """
 
     name: str
@@ -243,6 +246,9 @@ class EvaluationRule:
     K: TermGraph
     R: TermGraph
     r: Dict[NodeId, NodeId]
+    term_rules: Dict[Signature, RewriteRule] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -308,10 +314,7 @@ def graph_of_rule(rule: RewriteRule, sig: Signature) -> EvaluationRule:
     L_minus_root = L.restricted(rest)
     items = [rule.rhs] + [RationalTerm(L_minus_root, n) for n in rest]
     R, points, _ = graph_of_terms(items)
-    r = {root: points[0]}
-    for n, p in zip(rest, points[1:]):
-        r[n] = p
-    er = EvaluationRule(rule.name, L, root, K, R, r)
+    er = EvaluationRule(rule.name, L, root, K, R, dict(zip([root, *rest], points)))
     check_evaluation_rule(er, sig)
     return er
 
@@ -322,8 +325,11 @@ def unravel_rule(er: EvaluationRule, sig: Signature) -> RewriteRule:
     The left-hand side is the unraveling of L (a finite tree, so any depth
     beyond its node count is exact); the right-hand side is R pointed at the
     image of the root, with variables renamed back to L's variable names via
-    r (which is injective on variable nodes for a well-formed rule).
+    r (which is injective on variable nodes for a well-formed rule).  Both
+    rules are checked once per signature: a later call returns the same rule.
     """
+    if sig in er.term_rules:
+        return er.term_rules[sig]
     check_evaluation_rule(er, sig)
     lhs = unravel(er.L, er.root, len(er.L.nodes) + 1)
     renames: Dict[NodeId, str] = {}
@@ -343,6 +349,7 @@ def unravel_rule(er: EvaluationRule, sig: Signature) -> RewriteRule:
     )
     rule = RewriteRule(er.name, lhs, rhs)
     check_rule(rule, sig)
+    er.term_rules[sig] = rule
     return rule
 
 

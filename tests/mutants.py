@@ -7,9 +7,11 @@ Each entry names a file under `src/tgr`, an exact snippet of it, the text
 that replaces the snippet, and the tests that must fail once it is in place.
 For each mutant the runner copies `src` and `tests` to a temporary
 directory, applies the mutant there and runs the named tests with pytest in
-a subprocess.  It fails if a snippet no longer occurs exactly once in its
-file, so the catalogue cannot rot silently, or if a named test still
-passes, so no test can lose a mutant it caught.  The repository itself is
+a subprocess, once under each of the string-hash seeds `HASH_SEEDS`.  It
+fails if a snippet no longer occurs exactly once in its file, so the
+catalogue cannot rot silently, or if a named test still passes under either
+seed, so no test can lose a mutant it caught, nor catch one only by the
+iteration order of a set.  The repository itself is
 never edited.  Standard library only, apart from the pytest it starts; not
 part of the tier-1 suite, since each mutant costs a pytest run.
 """
@@ -25,6 +27,7 @@ from pathlib import Path
 from typing import List, NamedTuple, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
+HASH_SEEDS = ("0", "1")  # PYTHONHASHSEED values each named test runs under
 
 
 class Mutant(NamedTuple):
@@ -299,34 +302,46 @@ MUTANTS += [
     ),
 ]
 
-MEMO = "tests/test_parallel.py::test_memoised_walks_match_the_unmemoised_ones"
+GROUPED = "tests/test_parallel.py::test_grouped_walks_match_the_single_ones"
 MUTANTS += [
     Mutant(
-        "memo-kept-after-a-failed-walk",
+        "grouped-walk-from-its-first-start-pair",
         "graphs.py",
-        "seen = set(proven[key][2]) if key in proven else seen",
-        "seen = proven.setdefault(key, (ga, gb, seen))[2]",
-        (MEMO,),
-        "a walk adds its pairs to the memo as it sees them, so a failed "
-        "walk leaves unproven pairs behind",
+        "level = [(a.point, b.point)] if starts is None else list(starts)",
+        "level = [(a.point, b.point)] if starts is None else list(starts)[:1]",
+        (GROUPED,),
+        "a walk from several start pairs checks only the first, so a later "
+        "pair that fails goes unnoticed",
     ),
     Mutant(
-        "memo-shared-across-holes-and-names",
+        "grouped-walk-key-ignores-holes-and-names",
         "graphs.py",
-        "key = (id(ga), id(gb), a.bottoms, b.bottoms, a.var_names, b.var_names)",
-        "key = (id(ga), id(gb))",
+        "view = (a.bottoms, a.var_names, b.bottoms, b.var_names)",
+        "view = ()",
         (
-            MEMO,
+            GROUPED,
             "tests/test_parallel.py::"
-            "test_a_memo_serves_only_views_like_the_proven_ones",
+            "test_views_that_differ_in_holes_or_names_get_walks_of_their_own",
         ),
-        "pairs proven between views of two graphs are reused between views "
-        "of the same graphs whose holes or names differ",
+        "pairs between views of the same graphs whose holes or names differ "
+        "share one walk over the first pair's views",
+    ),
+    Mutant(
+        "rule-check-record-ignores-the-signature",
+        "rules.py",
+        "    if sig in er.term_rules:\n        return er.term_rules[sig]\n",
+        "    if er.term_rules:\n        return next(iter(er.term_rules.values()))\n",
+        (
+            "tests/test_rules.py::"
+            "test_unravel_rule_translates_once_and_checks_once_per_signature",
+        ),
+        "a rule translated and checked under one signature is returned "
+        "under every other, so one that lacks its operators is not refused",
     ),
     Mutant(
         "upper-bound-check-dropped",
         "parallel.py",
-        "if not rational_approx_leq(s.developed, symbolic, proven):",
+        "if not all_approx_leq(uppers):",
         "if False:",
         (
             "tests/test_parallel.py::"
@@ -563,8 +578,8 @@ MUTANTS += [
     Mutant(
         "overlap-checked-in-one-direction",
         "harness.py",
-        "pairs += [(lhs, r.lhs, False), (r.lhs, lhs, False)]",
-        "pairs += [(r.lhs, lhs, False)]",
+        "pairs += [(pat, r.lhs_pattern, False), (r.lhs_pattern, pat, False)]",
+        "pairs += [(r.lhs_pattern, pat, False)]",
         (
             "tests/test_harness.py::test_generated_rules_are_orthogonal",
             "tests/test_harness.py::"
@@ -576,10 +591,10 @@ MUTANTS += [
     Mutant(
         "overlap-arity-not-compared",
         "rules.py",
-        "ops1 = {w: (f, k) for w, f, k in pattern(l1)}\n"
-        "    ops2 = [(v, (f, k)) for v, f, k in pattern(l2)]\n",
-        "ops1 = {w: f for w, f, k in pattern(l1)}\n"
-        "    ops2 = [(v, f) for v, f, k in pattern(l2)]\n",
+        "ops1 = {w: (f, k) for w, f, k in p1}\n"
+        "    ops2 = [(v, (f, k)) for v, f, k in p2]\n",
+        "ops1 = {w: f for w, f, k in p1}\n"
+        "    ops2 = [(v, f) for v, f, k in p2]\n",
         (
             RULES + "test_overlaps_match_unification_at_every_position",
             RULES + "test_overlaps_below_the_root",
@@ -666,18 +681,23 @@ def check(m: Mutant) -> str:
         path.write_text(text.replace(m.before, m.after), encoding="utf-8")
         passed = []
         for test in m.catches:
-            run = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-x",
-                 "-p", "no:cacheprovider", test],
-                cwd=copy,
-                env={**os.environ, "PYTHONPATH": str(copy / "src")},
-                capture_output=True,
-                text=True,
-            )
-            if run.returncode == 0:
-                passed.append(test)
-            elif run.returncode != 1:  # not a test failure: a broken run
-                return f"{test} did not run:\n{run.stdout[-2000:]}"
+            for seed in HASH_SEEDS:
+                run = subprocess.run(
+                    [sys.executable, "-m", "pytest", "-q", "-x",
+                     "-p", "no:cacheprovider", test],
+                    cwd=copy,
+                    env={
+                        **os.environ,
+                        "PYTHONPATH": str(copy / "src"),
+                        "PYTHONHASHSEED": seed,
+                    },
+                    capture_output=True,
+                    text=True,
+                )
+                if run.returncode == 0:
+                    passed.append(f"{test} (PYTHONHASHSEED={seed})")
+                elif run.returncode != 1:  # not a test failure: a broken run
+                    return f"{test} did not run:\n{run.stdout[-2000:]}"
         return f"not caught by {', '.join(passed)}" if passed else ""
 
 

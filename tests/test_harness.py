@@ -192,7 +192,7 @@ def ref_gen_case(rng):
     for _ in range(30):
         if len(rules) >= want:
             break
-        lhs = _gen_lhs(rng, sig)
+        lhs = _gen_lhs(rng, sig)[0]
         lhs_vars = [s.symbol for _, s in subterms(lhs) if s.is_var]
         if lhs_vars and rng.random() < 0.15:
             rhs = var(rng.choice(lhs_vars))

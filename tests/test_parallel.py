@@ -13,6 +13,7 @@ from tgr.graphs import (
     PathCounts,
     RationalTerm,
     TermGraph,
+    all_approx_leq,
     minimize,
     node_key,
     rational_approx_leq,
@@ -1071,22 +1072,25 @@ def sample_pairs(report):
     return [q for a, b in pairs for q in ((a, b), (b, a))]
 
 
-def memo_state(proven):
-    return {k: (id(g), id(h), frozenset(pairs)) for k, (g, h, pairs) in proven.items()}
-
-
-def memoised_verdicts(pairs, proven):
-    """Each verdict through the memo equals the unmemoised one, and a failed
-    walk leaves the memo as it was.  Returns the number of failed walks."""
-    failed = 0
-    for a, b in pairs:
-        before = memo_state(proven)
-        verdict = rational_approx_leq(a, b, proven)
-        assert verdict == rational_approx_leq(a, b)
-        if not verdict:
-            assert memo_state(proven) == before
-            failed += 1
-    return failed
+def grouped_verdicts(pairs, rng):
+    """`all_approx_leq` decides lists of the pairs as `rational_approx_leq`
+    on each pair does: all of them, the ones that hold, and for each pair
+    that fails a random sublist of those, alone and with it put in at a
+    random place.  Returns the numbers of lists that hold and that fail."""
+    verdicts = [rational_approx_leq(a, b) for a, b in pairs]
+    holding = [i for i, v in enumerate(verdicts) if v]
+    lists = [range(len(pairs)), holding]
+    for bad in (i for i, v in enumerate(verdicts) if not v):
+        some = rng.sample(holding, rng.randint(0, len(holding)))
+        lists.append(some)
+        lists.append(some[:])
+        lists[-1].insert(rng.randint(0, len(some)), bad)
+    held = failed = 0
+    for lst in lists:
+        want = all(verdicts[i] for i in lst)
+        assert all_approx_leq([pairs[i] for i in lst]) == want
+        held, failed = held + want, failed + (not want)
+    return held, failed
 
 
 BENCH_SIG = Signature.of({"a": 0, "d": 1, "p": 2, "cdr": 1, "cons": 2})
@@ -1162,27 +1166,28 @@ def test_the_threshold_settles_the_limit():
     assert checked > 10000
 
 
-def test_memoised_walks_match_the_unmemoised_ones():
-    """Through one memo per oracle call, `rational_approx_leq` gives the
-    verdicts of the plain walk on the pairs the oracle compares and their
-    reverses: on the suite's sets and on the benchmark's oracle inputs
-    (whose six shared rings run at depth 48, where they need more members
-    than the budget allows).  On random views with holes and names, some
-    of one graph and some alike, one memo serves every pair.  No failed
-    walk changes the memo."""
-    failed = 0
+def test_grouped_walks_match_the_single_ones():
+    """One walk per pair of views from many start pairs decides what the
+    walks from each pair decide, on the pairs the oracle compares and their
+    reverses (on the suite's sets and on the benchmark's oracle inputs,
+    whose six shared rings run at depth 48, where they need more members
+    than the budget allows) and on random views with holes and names, some
+    of one graph and some alike."""
+    rng = random.Random(5)
+    held = failed = 0
     for rs, depth, budget in oracle_cases():
         report = infinite_parallel_reduce(rs, depth, budget=budget)
-        failed += memoised_verdicts(sample_pairs(report), {})
-    rng = random.Random(5)
+        h, f = grouped_verdicts(sample_pairs(report), rng)
+        held, failed = held + h, failed + f
     assert len(BENCH_SHAPES) == 26
     for shape, n, depth, root in BENCH_SHAPES:
         rs = bench_host(rng, shape, n, root)
         deeper = 48 if (shape, depth) == ("shared", 32) else depth
         report = infinite_parallel_reduce(rs, deeper, budget=2048)
-        failed += memoised_verdicts(sample_pairs(report), {})
-    assert failed > 3000
-    random_failed = 0
+        h, f = grouped_verdicts(sample_pairs(report), rng)
+        held, failed = held + h, failed + f
+    assert held > 3000 and failed > 3000, (held, failed)
+    random_held = random_failed = 0
     for _ in range(300):
         views = []
         for g in (random_carrier(rng, 6), random_carrier(rng, 6)):
@@ -1193,26 +1198,35 @@ def test_memoised_walks_match_the_unmemoised_ones():
                 for p in rng.sample(list(g.nodes), min(3, len(g.nodes))):
                     views.append(RationalTerm(g, p, holes, names))
         pairs = [(rng.choice(views), rng.choice(views)) for _ in range(20)]
-        random_failed += memoised_verdicts(pairs, {})
-    assert random_failed > 4000
+        h, f = grouped_verdicts(pairs, rng)
+        random_held, random_failed = random_held + h, random_failed + f
+    assert random_held > 4000 and random_failed > 4000, (random_held, random_failed)
 
 
-def test_a_memo_serves_only_views_like_the_proven_ones():
-    """A pair proven between two views is not taken as proven between views
-    of the same graphs whose holes or names differ."""
+def test_views_that_differ_in_holes_or_names_get_walks_of_their_own():
+    """Pairs between views of the same graphs whose holes or names differ
+    are not decided by one walk over either's views, in either order."""
     g = TermGraph.of(
         ["u", "h", "v", "c", "w", "k"],
         {"u": "f", "v": "f", "c": "a", "w": "f"},
         {"u": ("h",), "v": ("c",), "w": ("k",)},
     )
     u, v = RationalTerm(g, "u"), RationalTerm(g, "v")
-    proven = {}
-    assert rational_approx_leq(replace(u, bottoms=frozenset("h")), v, proven)
-    assert not rational_approx_leq(u, v, proven)  # h is a variable here
+    holed = replace(u, bottoms=frozenset("h"))
+    assert rational_approx_leq(holed, v)
+    assert not rational_approx_leq(u, v)  # h is a variable here
     x, y = (("h", "x"), ("k", "x")), (("h", "y"), ("k", "x"))
     w = RationalTerm(g, "w", var_names=x)
-    assert rational_approx_leq(replace(u, var_names=x), w, proven)
-    assert not rational_approx_leq(replace(u, var_names=y), w, proven)
+    assert rational_approx_leq(replace(u, var_names=x), w)
+    assert not rational_approx_leq(replace(u, var_names=y), w)
+    for pairs in (
+        [(holed, v), (u, v)],
+        [(u, v), (holed, v)],
+        [(replace(u, var_names=x), w), (replace(u, var_names=y), w)],
+        [(replace(u, var_names=y), w), (replace(u, var_names=x), w)],
+    ):
+        assert not all_approx_leq(pairs)
+    assert all_approx_leq([(holed, v), (replace(u, var_names=x), w)])
 
 
 def test_the_upper_bound_check_catches_a_shallow_limit(monkeypatch):
@@ -1350,7 +1364,7 @@ def test_the_depth_decision_matches_the_linear_scan(monkeypatch):
         mp.setattr(parallel, "develop_rational", lambda rt, components: (rt, {}))
         mp.setattr(_Cuts, "point", lambda cuts, i: None)
         mp.setattr(parallel, "_cut_graph", lambda rs, cuts, i: (None, None))
-        mp.setattr(parallel, "rational_approx_leq", lambda a, b, proven: True)
+        mp.setattr(parallel, "all_approx_leq", lambda pairs: True)
         mp.setattr(parallel, "truncated_equal", lambda a, b, depth: True)
         for rs in sets:
             counts = [rs.count_below(threshold_length(rs, d)) for d in range(65)]

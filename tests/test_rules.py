@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import tgr.rules
 from tgr.graphs import RationalTerm, TermGraph, bisim_equal, rational_of_term
 from tgr.harness import _gen_lhs, gen_signature
 from tgr.rules import (
@@ -17,9 +18,19 @@ from tgr.rules import (
     is_infinite_copying,
     orthogonality_conflicts,
     overlaps,
+    pattern,
     unravel_rule,
 )
-from tgr.terms import Signature, occ_sort_key, op, parse_term, rebuild, subterms, var
+from tgr.terms import (
+    Signature,
+    is_linear,
+    occ_sort_key,
+    op,
+    parse_term,
+    rebuild,
+    subterms,
+    var,
+)
 
 SIG = Signature.of(
     {"a": 0, "f": 1, "g": 1, "I": 1, "cdr": 1, "cons": 2, "p": 2}
@@ -233,7 +244,7 @@ def overlap_pairs(rng):
         yield random_lhs(rng), random_lhs(rng)
         yield random_lhs(rng), random_lhs(rng, SIG_ARITIES)
         sig = gen_signature(rng)
-        yield _gen_lhs(rng, sig), _gen_lhs(rng, sig)
+        yield _gen_lhs(rng, sig)[0], _gen_lhs(rng, sig)[0]
         deep = random_lhs(rng, depth=rng.choice((4, 5)))
         yield deep, random_lhs(rng, depth=rng.choice((1, 2)))
         yield deep, random_lhs(rng, depth=rng.choice((4, 5)))
@@ -245,26 +256,42 @@ def test_overlaps_match_unification_at_every_position():
     for l1, l2 in overlap_pairs(rng):
         for a, b in ((l1, l2), (l2, l1), (l1, l1)):
             for same in (False, True):
-                got = list(overlaps(a, b, same))
+                got = list(overlaps(pattern(a), pattern(b), same))
                 assert got == ref_overlaps(a, b, same)
                 found += len(got)
     assert found > 100
 
 
+def overlaps_of(l1, l2, same):
+    return list(overlaps(pattern(l1), pattern(l2), same))
+
+
 def test_overlaps_below_the_root():
     # a position of l1 counts when l2's operators agree with l1's wherever
     # both have one, symbol and arity alike; under a variable anything goes
-    assert list(overlaps(t("cdr(cons(x, y))"), t("cons(u, v)"), False)) == [(1,)]
-    assert list(overlaps(t("p(f(x), g(y))"), t("g(a)"), False)) == [(2,)]
-    assert list(overlaps(t("f(f(x))"), t("f(f(y))"), True)) == [(1,)]
-    assert list(overlaps(t("f(f(x))"), t("f(f(y))"), False)) == [(), (1,)]
-    assert list(overlaps(t("f(x)"), t("g(y)"), False)) == []
-    assert list(overlaps(t("f(x)"), t("f(f(f(y)))"), False)) == [()]
+    assert overlaps_of(t("cdr(cons(x, y))"), t("cons(u, v)"), False) == [(1,)]
+    assert overlaps_of(t("p(f(x), g(y))"), t("g(a)"), False) == [(2,)]
+    assert overlaps_of(t("f(f(x))"), t("f(f(y))"), True) == [(1,)]
+    assert overlaps_of(t("f(f(x))"), t("f(f(y))"), False) == [(), (1,)]
+    assert overlaps_of(t("f(x)"), t("g(y)"), False) == []
+    assert overlaps_of(t("f(x)"), t("f(f(f(y)))"), False) == [()]
     # length-lex, not preorder
-    assert list(overlaps(t("p(f(f(x)), f(y))"), t("f(z)"), False)) == [
+    assert overlaps_of(t("p(f(f(x)), f(y))"), t("f(z)"), False) == [
         (1,), (2,), (1, 1)
     ]
-    assert list(overlaps(t("f(x)"), op("f", [var("y"), var("z")]), False)) == []
+    assert overlaps_of(t("f(x)"), op("f", [var("y"), var("z")]), False) == []
+
+
+def test_generated_lhs_comes_with_its_pattern_and_variables():
+    """`_gen_lhs` builds the pattern and the variables as it draws, so the
+    generator walks no term: they are `pattern` of the left-hand side and
+    its variables in preorder, and it is linear."""
+    rng = random.Random(5)
+    for _ in range(3000):
+        lhs, pat, xs = _gen_lhs(rng, gen_signature(rng))
+        assert pat == pattern(lhs)
+        assert xs == [s.symbol for _, s in subterms(lhs) if s.is_var]
+        assert is_linear(lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +326,35 @@ def test_unravel_rule_roundtrips():
         assert back.name == r.name
         assert back.lhs == r.lhs
         assert bisim_equal(back.rhs, r.rhs)
+
+
+def test_unravel_rule_translates_once_and_checks_once_per_signature(monkeypatch):
+    """Every call under one signature returns the same term rule, so its
+    cached facts are computed once.  Both checks run once per signature,
+    and a rule that passed under one signature is still refused under one
+    that lacks one of its operators, however often it is asked."""
+    er = graph_of_rule(R_CDR, SIG)
+    calls = []
+    for name in ("check_evaluation_rule", "check_rule"):
+
+        def counted(*args, name=name, check=getattr(tgr.rules, name)):
+            calls.append(name)
+            return check(*args)
+
+        monkeypatch.setattr(tgr.rules, name, counted)
+    first = unravel_rule(er, SIG)
+    assert first.lift == 2
+    assert unravel_rule(er, SIG) is first
+    assert calls == ["check_evaluation_rule", "check_rule"]
+    no_cons = Signature.of({"a": 0, "cdr": 1})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="cons"):
+            unravel_rule(er, no_cons)
+    assert unravel_rule(er, SIG) is first
+    wider = Signature.of({**SIG.as_dict(), "h": 1})
+    again = unravel_rule(er, wider)
+    assert unravel_rule(er, wider) is again and again == first
+    assert calls.count("check_rule") == 2
 
 
 def test_unravel_rule_rejects_identified_variables():
