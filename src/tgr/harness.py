@@ -232,7 +232,6 @@ def check_cofinality_step(
     sig: Signature,
     host: RationalTerm,
     matches: Sequence[Match],
-    depth: int = 16,
     phi: Optional[Sequence[int]] = None,
 ) -> CofinalityReport:
     """Check that sequential graph steps develop the whole match family.
@@ -241,7 +240,8 @@ def check_cofinality_step(
     re-finding each surviving match through the track maps; (2) develop all
     induced redex sets simultaneously; (3) develop the sub-family `phi`
     (default: the first half) first and its residual family after.  All
-    three must agree on the unraveling to `depth`.  An index of `phi`
+    three are exact rational terms, so they must be equal (`==`, at every
+    depth).  An index of `phi`
     outside range(len(matches)) raises ValueError.
     """
     if phi is None:
@@ -312,11 +312,11 @@ def check_cofinality_step(
         failures.append(f"staged development failed: {e}")
         return CofinalityReport(False, stages, current, one_shot, None, failures)
 
-    if not truncated_equal(current, one_shot, depth):
+    if current != one_shot:
         failures.append(
             "sequential derivation disagrees with the simultaneous development"
         )
-    if not truncated_equal(staged, one_shot, depth):
+    if staged != one_shot:
         failures.append(
             "staged development disagrees with the simultaneous development"
         )
@@ -738,11 +738,8 @@ def _prop_morphism_subst(
                 right = RationalTerm(
                     H, f.mapping[m], host.bottoms, host.var_names
                 )
-                if not truncated_equal(left, right, depth):
-                    return (
-                        f"{tr.name} at {n}: square fails at {m} "
-                        f"(depth {depth})"
-                    )
+                if left != right:
+                    return f"{tr.name} at {n}: square fails at {m}"
             # the path count is the node count of the materialized unraveling
             if PathCounts(H, n).count(depth) <= 4000:
                 sigma = induced_substitution(f)
@@ -767,7 +764,7 @@ def _prop_cofinality(
         matches = matches[:5]
     k = len(matches)
     phi = rng.sample(range(k), rng.randint(0, k))
-    rep = check_cofinality_step(case.sig, case.host, matches, depth, phi)
+    rep = check_cofinality_step(case.sig, case.host, matches, phi)
     if not rep.ok:
         return "; ".join(rep.failures)
     return None

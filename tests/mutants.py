@@ -115,7 +115,7 @@ MUTANTS += [
         "if cuts.chain is None:",
         ONE_TABLE,
         "the table term and its development are not rebuilt once the "
-        "table has grown, as it does at a doubling",
+        "table has grown, as it does between incremental `_cut_graph` calls",
     ),
     Mutant(
         "holes-of-the-first-sample",
@@ -199,6 +199,31 @@ MUTANTS += [
         ),
         "the step's result is compared with the symbolic development only "
         "to the chain leg's depth",
+    ),
+    Mutant(
+        "limit-check-dropped",
+        "parallel.py",
+        "if not truncated_equal(limit, symbolic, eff_depth):",
+        "if False:",
+        (
+            "tests/test_harness.py::"
+            "test_a_crippled_threshold_raises_convergence_error",
+            CUTS,
+        ),
+        "the oracle returns a chain limit that disagrees with the symbolic "
+        "limit to the effective depth",
+    ),
+    Mutant(
+        "cofinality-leg-truncated",
+        "harness.py",
+        "if current != one_shot:",
+        "if not truncated_equal(current, one_shot, 16):",
+        (
+            "tests/test_harness.py::"
+            "test_cofinality_step_sees_a_difference_below_depth_16",
+        ),
+        "the sequential result is compared with the simultaneous "
+        "development only to depth 16",
     ),
 ]
 

@@ -45,8 +45,8 @@ _WORK = [
      "--depth", "8"],
     ["verify-nf", "--graph", "Tail"],
     ["verify-nf", "--graph", "Loop"],
-    ["verify-cofinality", "--graph", "Tail", "--depth", "6"],
-    ["verify-cofinality", "--graph", "Tail", "--depth", "6", "--phi", "0"],
+    ["verify-cofinality", "--graph", "Tail"],
+    ["verify-cofinality", "--graph", "Tail", "--phi", "0"],
     # bad input
     ["unravel", "--graph", "Nope"],
     ["derive", "--graph", "Loop", "--rule", "Rzz", "--at", "n"],

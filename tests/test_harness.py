@@ -12,7 +12,7 @@ import tgr.dpo
 import tgr.harness
 import tgr.parallel
 from tgr.dpo import find_matches
-from tgr.graphs import RationalTerm, TermGraph
+from tgr.graphs import RationalTerm, TermGraph, truncated_equal
 from tgr.harness import (
     PROPERTIES,
     RandomCase,
@@ -28,7 +28,12 @@ from tgr.harness import (
     shrink_case,
     verify_soundness,
 )
-from tgr.parallel import RationalRedexSet, infinite_parallel_reduce, threshold_length
+from tgr.parallel import (
+    ConvergenceError,
+    RationalRedexSet,
+    infinite_parallel_reduce,
+    threshold_length,
+)
 from tgr.rules import (
     TRS,
     RewriteRule,
@@ -115,10 +120,10 @@ def two_f_redexes():
 def test_cofinality_step_routes_agree():
     host, matches = two_f_redexes()
     assert len(matches) == 2
-    rep = check_cofinality_step(SIG, host, matches, depth=8)
+    rep = check_cofinality_step(SIG, host, matches)
     assert rep.ok
     assert rep.stages
-    rep = check_cofinality_step(SIG, host, matches, depth=8, phi=[1])
+    rep = check_cofinality_step(SIG, host, matches, phi=[1])
     assert rep.ok
 
 
@@ -128,7 +133,34 @@ def test_cofinality_step_rejects_a_phi_index_out_of_range():
     for phi in ([-1], [2], [0, 5]):
         message = f"phi index {phi[-1]} out of range for 2 matches"
         with pytest.raises(ValueError, match=message):
-            check_cofinality_step(SIG, host, matches, depth=8, phi=phi)
+            check_cofinality_step(SIG, host, matches, phi=phi)
+
+
+def test_cofinality_step_sees_a_difference_below_depth_16(monkeypatch):
+    # the routes are compared exactly: a sequential result that is the
+    # chain g^20(a) where the developments give the g loop agrees with
+    # them to depth 20, and still disagrees
+    chain = TermGraph.of(
+        [f"c{i}" for i in range(21)],
+        {**{f"c{i}": "g" for i in range(20)}, "c20": "a"},
+        {f"c{i}": (f"c{i + 1}",) for i in range(20)},
+    )
+    deep = RationalTerm(chain, "c0")
+    g_loop = RationalTerm(TermGraph.of(["z"], {"z": "g"}, {"z": ("z",)}), "z")
+    assert truncated_equal(deep, g_loop, 20) and deep != g_loop
+    real = tgr.harness.derive_rational
+    monkeypatch.setattr(
+        tgr.harness,
+        "derive_rational",
+        lambda host, match: (real(host, match)[0], deep),
+    )
+    matches = find_matches(F_LOOP.graph, TGRS1)
+    rep = check_cofinality_step(SIG, F_LOOP, matches)
+    assert rep.one_shot == g_loop and rep.staged == g_loop
+    assert not rep.ok
+    assert rep.failures == [
+        "sequential derivation disagrees with the simultaneous development"
+    ]
 
 
 def test_rewrite_sequence():
@@ -382,24 +414,26 @@ def test_the_depth_decision_reads_rows_only_to_the_budget(monkeypatch):
     assert len(rs.table.rows) <= threshold_length(rs, 431) + 1
 
 
-def test_oracle_doubling_backstops_a_bad_threshold(monkeypatch):
+def test_a_crippled_threshold_raises_convergence_error(monkeypatch):
     # cripple the occurrence-count bound: the oracle keeps too few members,
-    # notices the chain limit disagreeing with the symbolic development, and
-    # extends the enumeration instead of returning a wrong answer.
+    # finds the chain limit disagreeing with the symbolic development, and
+    # refuses in its one round, naming both depths, the threshold length
+    # and the members it kept.
     monkeypatch.setattr(
         tgr.parallel, "threshold_length", lambda rs, depth: 1
     )
     rs = RationalRedexSet(F_LOOP.graph, "n", "n", R_F)
-    report = infinite_parallel_reduce(rs, depth=4)
-    assert report.doublings > 0
-    assert report.limit_agrees
-    g_loop = RationalTerm(TermGraph.of(["z"], {"z": "g"}, {"z": ("z",)}), "z")
-    assert report.symbolic_limit == g_loop
+    message = (
+        r"chain limit disagrees with the symbolic limit to effective depth 4 "
+        r"\(asked 4, threshold length 1, 1 members kept\)"
+    )
+    with pytest.raises(ConvergenceError, match=message):
+        infinite_parallel_reduce(rs, depth=4)
 
 
 def test_threshold_is_actually_sufficient():
-    # the doubling loop exists as a backstop; on the standard rules it must
-    # not fire at all.
+    # a chain limit that disagrees raises; on the standard rules the
+    # oracle returns.
     for rule, host in ((R_F, F_LOOP), (R_CDR, CY)):
         (m,) = [
             n
@@ -407,6 +441,4 @@ def test_threshold_is_actually_sufficient():
             if tgr.parallel.rule_matches_at(host.graph, n, rule)
         ]
         rs = RationalRedexSet(host.graph, host.point, m, rule)
-        report = infinite_parallel_reduce(rs, depth=12)
-        assert report.doublings == 0
-        assert report.limit_agrees
+        infinite_parallel_reduce(rs, depth=12)

@@ -345,12 +345,11 @@ def test_cli_oracle(ws_file, capsys):
     code, doc = run_json(capsys, "oracle", ws_file, "--graph", "Loop",
                          "--rule", "Rf", "--at", "n", "--depth", "4")
     assert code == 0
-    assert doc["monotone"] is True and doc["agrees"] is True
     assert doc["symbolic"] == "g(g(g(g(_|_))))"
-    assert doc["doublings"] == 0
+    assert not {"doublings", "monotone", "agrees"} & set(doc)
     code, out, _ = run(capsys, "oracle", ws_file, "--graph", "Loop",
                        "--rule", "Rf", "--at", "n", "--depth", "4")
-    assert code == 0 and out.splitlines()[1] == "doublings: 0"
+    assert code == 0 and out.splitlines()[-1] == "symbolic = g(g(g(g(_|_))))"
 
 
 def test_cli_verify_soundness(ws_file, capsys):
@@ -368,8 +367,7 @@ def test_cli_verify_nf(ws_file, capsys):
 
 
 def test_cli_verify_cofinality(ws_file, capsys):
-    code, doc = run_json(capsys, "verify-cofinality", ws_file,
-                         "--graph", "Cy", "--depth", "6")
+    code, doc = run_json(capsys, "verify-cofinality", ws_file, "--graph", "Cy")
     assert code == 0
     assert doc["ok"] is True
 
