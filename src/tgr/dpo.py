@@ -7,9 +7,11 @@ A rewrite step at a match ``g : L -> G`` of an evaluation rule L <- K -> R:
    labelled node of L may share the root's image — which holds automatically
    for matches of non-self-overlapping rules.
 2. *Pushout*: H glues R and D along K, identifying r(n) with g(n) for every
-   node n of K.  The gluing is computed with a union-find; merged classes
-   keep the least involved D-node id, classes built only from R get fresh
-   ids.
+   node n of K.  Merged classes keep the least involved D-node id, classes
+   built only from R get fresh ids.  Which classes form depends only on the
+   rule and on which K nodes the match identifies, so a union-find works
+   them out once per rule and identification pattern, as a `GluingPlan`
+   the rule keeps.
 
 Because D keeps every node of G, the D-to-H leg of the pushout is a total
 *track* function on G's nodes: it says where each old node went.  Collapsing
@@ -24,7 +26,8 @@ Both pushouts edit an `EditableGraph` in place, touching only the matched
 region and the edges into nodes it merges away.  `derive` runs a step on
 copies of the host's dicts and wraps the diagram; `Stepper` runs the same
 step on the graph it owns, so a step costs O(|L| + |R| + touched nodes) at
-any host size.
+any host size, and finds matches through an index of its rules by root
+label.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, filterfalse
+from itertools import chain, count, filterfalse
 from typing import (
     Dict,
     FrozenSet,
@@ -56,6 +59,7 @@ from .graphs import (
     find_tree_morphisms,
     node_key,
     predecessors,
+    sorted_nodes,
     tree_match,
 )
 from .rules import TGRS, EvaluationRule
@@ -166,6 +170,66 @@ def pushout_complement(
     return g.succs.pop(hub, ())
 
 
+class GluingPlan(NamedTuple):
+    """How R glues into D for one rule and one identification pattern: all
+    that a step at a match of that shape shares with every other.
+
+    D's slots are the matched region's nodes, numbered in order of the first
+    K node (in K's node order) sent to each.  The classes of K and R are
+    numbered with those holding slots first, by least slot, then those from
+    R alone, by least R node.  A class with one slot and no labelled R node
+    keeps its D content, edges into merged-away nodes aside, so only the
+    others are written."""
+
+    lead: Tuple[int, ...]  # each slot class's least slot
+    merges: Tuple[Tuple[int, Tuple[int, ...]], ...]  # classes of 2+ slots
+    fresh: int  # how many classes R alone makes
+    writes: Tuple[Tuple[int, Tuple[Tuple[str, Tuple[int, ...]], ...]], ...]
+    # ^ each written class with its labelled R nodes' (label, successor classes)
+    h: Tuple[int, ...]  # each R node's class, in R's node order
+
+
+def _plan(rule: EvaluationRule, pattern: Tuple[int, ...]) -> GluingPlan:
+    """The gluing plan of `rule` for `pattern`, which gives for each K node
+    the index of the first K node with the same image: one union-find over
+    D's slots and R's nodes."""
+    slot_of: Dict[int, int] = {}
+    for p in pattern:
+        slot_of.setdefault(p, len(slot_of))
+    # slots are ints and R's nodes are ids, so one dict holds both
+    parent: Dict[Union[int, NodeId], Union[int, NodeId]] = {}
+
+    def find(x: Union[int, NodeId]) -> Union[int, NodeId]:
+        while x in parent:  # a chain has at most |K| links: no compression
+            x = parent[x]
+        return x
+
+    for n, p in zip(rule.K.nodes, pattern):
+        a, b = find(rule.r[n]), find(slot_of[p])
+        if a != b:
+            parent[a] = b
+    slots: Dict[Union[int, NodeId], List[int]] = {}
+    for slot in range(len(slot_of)):
+        slots.setdefault(find(slot), []).append(slot)
+    cls = {key: c for c, key in enumerate(slots)}
+    r_cls = {n: cls.setdefault(find(n), len(cls)) for n in rule.R.nodes}
+    rside: List[List[Tuple[str, Tuple[int, ...]]]] = [[] for _ in cls]
+    for n, c in r_cls.items():
+        lbl = rule.R.labels.get(n)
+        if lbl is not None:
+            rside[c].append((lbl, tuple(map(r_cls.__getitem__, rule.R.succs[n]))))
+    ours = list(slots.values())
+    merges = tuple((c, tuple(ss)) for c, ss in enumerate(ours) if len(ss) > 1)
+    merged = {c for c, _ in merges}
+    return GluingPlan(
+        tuple(ss[0] for ss in ours),
+        merges,
+        len(cls) - len(ours),
+        tuple((c, tuple(w)) for c, w in enumerate(rside) if w or c in merged),
+        tuple(r_cls.values()),
+    )
+
+
 class Gluing(NamedTuple):
     """What `pushout` changed to turn D into H."""
 
@@ -179,7 +243,7 @@ def pushout(
     rule: EvaluationRule,
     dmap: Mapping[NodeId, NodeId],
     g: EditableGraph,
-    preds: Mapping[NodeId, Iterable[NodeId]],
+    preds: Optional[Mapping[NodeId, Iterable[NodeId]]],
     ids: FreshIds,
 ) -> Gluing:
     """Glue R into D along K in place: g holds D on entry and H on exit, and
@@ -190,95 +254,93 @@ def pushout(
     nodes included), assigned in order of their least R member by `ids`,
     which has seen every earlier step on g.
 
-    Only the matched region d(K) meets R, so the union-find runs over d(K)
-    and R.  Every other D node keeps its content, except that an edge into
-    a region node merged away is redirected; `preds` (D's predecessor index,
-    or a superset) finds those edges.  The region and those predecessors
-    are the touched nodes.  A content conflict raises before any edit.  h is
-    checked on R's nodes and b at the touched nodes, against their saved D
-    content; elsewhere b is the identity on unchanged content.
+    Only the matched region d(K) meets R.  Which classes K and R form there
+    depends only on the rule and on which K nodes d identifies, its
+    pattern, so the rule keeps one `GluingPlan` per pattern: a step computes
+    the pattern, looks up the plan, names each class (the least D id of a
+    merged class) and writes the content the plan lists.  Every other D
+    node keeps its content, except that an edge into a region node merged
+    away is redirected; `preds` (D's predecessor index, or a superset; None
+    to build it from g, which then only a step that merges nodes does) finds
+    those edges.  The region and those predecessors are the touched nodes.
+    A content conflict raises before any edit, naming the first in the order
+    of the classes' ids.  h is checked on R's nodes and b at the touched
+    nodes, against their saved D content; elsewhere b is the identity on
+    unchanged content.
     """
-    parent: Dict[Tuple[str, NodeId], Tuple[str, NodeId]] = {}
+    first: Dict[NodeId, int] = {}
+    pattern = tuple(map(first.setdefault, map(dmap.__getitem__, rule.K.nodes), count()))
+    plan = rule.plans.get(pattern)
+    if plan is None:
+        plan = rule.plans[pattern] = _plan(rule, pattern)
+    region = list(first)  # the slots' D nodes
 
-    def find(x: Tuple[str, NodeId]) -> Tuple[str, NodeId]:
-        while x in parent:  # a chain has at most |K| links: no compression
-            x = parent[x]
-        return x
-
-    for n in rule.K.nodes:
-        a, b = find(("r", rule.r[n])), find(("d", dmap[n]))
-        if a != b:
-            parent[a] = b
-
-    # Members join in order (D region by node_key, then R's sorted nodes),
-    # so each class lists its least member first and the classes come in
-    # the order of their least members.
-    region = set(dmap.values())
-    classes: Dict[Tuple[str, NodeId], List[Tuple[str, NodeId]]] = {}
-    for n in sorted(region, key=node_key):
-        classes.setdefault(find(("d", n)), []).append(("d", n))
-    for n in rule.R.nodes:
-        classes.setdefault(find(("r", n)), []).append(("r", n))
-
-    labels, succs = g.labels, g.succs
-    fresh_ids: List[NodeId] = []
-    names: Dict[Tuple[str, NodeId], NodeId] = {}
+    names = list(map(region.__getitem__, plan.lead))  # each class's H node
     gone: Dict[NodeId, NodeId] = {}
+    members = {}  # each merged class's D nodes, least first
+    for c, slots in plan.merges:
+        ds = members[c] = sorted_nodes(map(region.__getitem__, slots))
+        names[c] = ds[0]
+        gone.update(dict.fromkeys(ds[1:], ds[0]))
+    fresh_ids = [ids.take(g.nodes) for _ in range(plan.fresh)]
+    names += fresh_ids
+
     touched = set(region)
-    for key, members in classes.items():
-        d_ids = [n for side, n in members if side == "d"]
-        if d_ids:
-            nid = d_ids[0]
-            for n in d_ids[1:]:
-                gone[n] = nid
-                touched.update(preds.get(n, ()))
-        else:
-            nid = ids.take(g.nodes)
-            fresh_ids.append(nid)
-        names[key] = nid
-
-    def node_of(side: str, n: NodeId) -> NodeId:
-        # a D node outside the region is its own class, named by itself
-        return names.get(find((side, n)), n)
-
+    if gone:
+        if preds is None:
+            preds = predecessors(g)
+        for n in gone:
+            touched.update(preds.get(n, ()))
+    labels, succs = g.labels, g.succs
+    full = touched & labels.keys()  # g's labels and successors share keys
     before = EditableGraph(
         touched,
-        {n: labels[n] for n in touched if n in labels},
-        {n: succs[n] for n in touched if n in succs},
+        dict(zip(full, map(labels.__getitem__, full))),
+        dict(zip(full, map(succs.__getitem__, full))),
     )
-    content: Dict[NodeId, Tuple[str, Tuple[NodeId, ...]]] = {}
-    for key, members in classes.items():
-        nid = names[key]
-        for side, n in members:
-            graph = before if side == "d" else rule.R
-            lbl = graph.labels.get(n)
-            if lbl is None:
-                continue
-            ss = tuple(node_of(side, s) for s in graph.succs[n])
-            old = content.setdefault(nid, (lbl, ss))
-            if old != (lbl, ss):
-                raise ValueError(
-                    f"pushout is not a term graph: node {nid} receives "
-                    f"conflicting content {old[0]}{old[1]} vs {lbl}{ss}"
-                )
 
-    for n in region:
-        labels.pop(n, None)
-        succs.pop(n, None)
+    # the written classes' content, slot classes in the order of their ids
+    # and then R's alone: a class's D nodes least first, then its R nodes
+    writes = plan.writes
+    if len(writes) > 1:
+        m = len(plan.lead)  # the first class from R alone
+        writes = sorted(writes, key=lambda w: (w[0] >= m, node_key(names[w[0]])))
+    news = []  # (H node, label, successors)
+    for c, rside in writes:
+        nid = names[c]
+        for n in members.get(c, (nid,)):
+            if n in full:
+                ss = tuple([gone.get(s, s) for s in before.succs[n]])
+                news.append((nid, before.labels[n], ss))
+        for lbl, ss in rside:
+            news.append((nid, lbl, tuple(map(names.__getitem__, ss))))
+    content: Dict[NodeId, Tuple[str, Tuple[NodeId, ...]]] = {}
+    for nid, lbl, ss in news:
+        old = content.setdefault(nid, (lbl, ss))
+        if old != (lbl, ss):
+            raise ValueError(
+                f"pushout is not a term graph: node {nid} receives "
+                f"conflicting content {old[0]}{old[1]} vs {lbl}{ss}"
+            )
+
+    for x in gone:
+        labels.pop(x, None)
+        succs.pop(x, None)
     for nid, (lbl, ss) in content.items():
         labels[nid], succs[nid] = lbl, ss
     for x in gone:
         ids.release(x)
         for p in preds.get(x, ()):
             if p in succs:
-                succs[p] = tuple(gone.get(s, s) for s in succs[p])
+                succs[p] = tuple([gone.get(s, s) for s in succs[p]])
     g.nodes.difference_update(gone)
     g.nodes.update(fresh_ids)
 
-    h = {n: node_of("r", n) for n in rule.R.nodes}
+    h = dict(zip(rule.R.nodes, map(names.__getitem__, plan.h)))
     check_morphism(GraphMorphism(rule.R, g, h), rule.R.nodes)
-    reached = chain(touched, chain.from_iterable(before.succs.values()))
-    track = {n: gone.get(n, n) for n in reached}
+    reached = [*touched, *chain.from_iterable(before.succs.values())]
+    track = dict(zip(reached, reached))
+    track.update(gone)
     check_morphism(GraphMorphism(before, g, track), touched)
     return Gluing(gone, fresh_ids, h, before)
 
@@ -287,30 +349,15 @@ def _step(
     rule: EvaluationRule,
     mapping: Mapping[NodeId, NodeId],
     g: EditableGraph,
-    preds: Dict[NodeId, Set[NodeId]],
+    preds: Optional[Mapping[NodeId, Iterable[NodeId]]],
     ids: FreshIds,
-) -> Tuple[Gluing, Set[NodeId]]:
-    """One rewrite step at the match `mapping` (L -> g), in place: check g,
-    run both pushouts, and bring `preds`, g's predecessor index, up to date.
-    Returns the gluing and the changed nodes (the touched nodes' classes
-    and R's images), the only H nodes whose content can differ from G's."""
+) -> Tuple[Tuple[NodeId, ...], Gluing]:
+    """One rewrite step at the match `mapping` (L -> g), in place: check the
+    match and run both pushouts.  `preds` is as for `pushout`.  Returns the
+    successors the complement erased and the gluing."""
     check_morphism(GraphMorphism(rule.L, g, mapping), rule.L.nodes)
-    hub = mapping[rule.root]
-    for s in pushout_complement(rule, mapping, g):
-        preds[s].discard(hub)
-    gluing = pushout(rule, mapping, g, preds, ids)
-    gone = gluing.gone
-    for p, ss in gluing.before.succs.items():
-        for s in ss:
-            preds[s].discard(p)
-    changed = {gone.get(n, n) for n in gluing.before.nodes}
-    changed.update(gluing.h.values())
-    for q in changed:
-        for s in g.succs.get(q, ()):
-            preds.setdefault(s, set()).add(q)
-    for x in gone:
-        preds.pop(x, None)
-    return gluing, changed
+    erased = pushout_complement(rule, mapping, g)
+    return erased, pushout(rule, mapping, g, preds, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +405,13 @@ class DirectDerivation:
 
 def derive(match: Match) -> DirectDerivation:
     """Perform one rewrite step at the given match, with its diagram: a
-    `Stepper` step, with its checks, on copies of the host's dicts.
+    `Stepper` step, with its checks, on copies of the host's dicts.  The
+    host's predecessor index is built only for a step that merges nodes.
     `check_morphism` on the whole diagram stays available to callers that
     want it."""
     rule, G = match.rule, match.host
     g = EditableGraph(set(G.nodes), G.labels.copy(), G.succs.copy())
-    gluing, _ = _step(rule, match.g.mapping, g, predecessors(G), FreshIds())
+    _, gluing = _step(rule, match.g.mapping, g, None, FreshIds())
     H = TermGraph.of(g.nodes, g.labels, g.succs)
     track = dict(zip(G.nodes, G.nodes))
     track.update(gluing.gone)
@@ -492,10 +540,13 @@ class Stepper:
     step.at)` replays on request.  A step that raises leaves the stepper
     spent: every later use raises.
 
-    It keeps each node's predecessors and, per rule, the nodes it matches
-    at (with a heap for the least).  A match can appear or vanish only at
-    the changed nodes and their ancestors up to the left-hand side's depth,
-    so only those are re-checked; the first match is `find_matches(...)[0]`.
+    It keeps each node's predecessors and, per rule, the matches by root
+    image, with one heap for the least by rule name and node order.  Set-up
+    walks the host once and tries at each node only the rules whose root
+    label it carries.  A match can appear, vanish or change only at the
+    changed nodes and their ancestors up to the left-hand side's depth, so
+    only those are re-checked, each against the rules whose root label it
+    carries; the first match is `find_matches(...)[0]`.
     """
 
     def __init__(self, host: RationalTerm, tgrs: TGRS, max_steps: int):
@@ -510,16 +561,30 @@ class Stepper:
         self._bottoms = set(host.bottoms)
         self._names = host.renaming()
         self._rules = sorted(tgrs.rules, key=lambda r: r.name)
+        self._roots = [rule.L.labels[rule.root] for rule in self._rules]
         self._depths = [_lhs_depth(r) for r in self._rules]
-        self._matched: List[Set[NodeId]] = []
-        self._heaps: List[List[Tuple[int, NodeId]]] = []  # node_keys
-        for rule in self._rules:
-            roots = [
-                f.mapping[rule.root]
-                for f in find_tree_morphisms(rule.L, rule.root, G)
-            ]
-            self._matched.append(set(roots))
-            self._heaps.append([node_key(v) for v in roots])  # sorted
+        self._reach = max(self._depths, default=0)
+        # per rule, each root image's match (L -> g's node map)
+        self._matched: List[Dict[NodeId, Dict[NodeId, NodeId]]] = [
+            {} for _ in self._rules
+        ]
+        by_label: Dict[str, List[int]] = {}  # the rules with each root label
+        for i, lbl in enumerate(self._roots):
+            by_label.setdefault(lbl, []).append(i)
+        self._by_label = by_label
+        for v, lbl in G.labels.items():
+            for i in by_label.get(lbl, ()):
+                rule = self._rules[i]
+                mapping = tree_match(rule.L, rule.root, G, v)
+                if mapping is not None:
+                    self._matched[i][v] = mapping
+        # (rule name, node_key, rule index) of each match, least first
+        self._heap = [
+            (self._rules[i].name, node_key(v), i)
+            for i, live in enumerate(self._matched)
+            for v in live
+        ]
+        heapq.heapify(self._heap)
 
     def _check(self) -> None:
         if self._spent:
@@ -535,19 +600,13 @@ class Stepper:
             self._current = _rational(H, self._point, self._bottoms, self._names)
         return self._current
 
-    def _first(self) -> Optional[Tuple[EvaluationRule, NodeId]]:
+    def _first(self) -> Optional[Tuple[int, NodeId]]:
+        """The first match's rule index and root image."""
         self._check()
-        best = None
-        for i, (heap, live) in enumerate(zip(self._heaps, self._matched)):
-            while heap and heap[0][1] not in live:
-                heapq.heappop(heap)
-            if heap:
-                cand = (self._rules[i].name, heap[0], i)
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
-            return None
-        return self._rules[best[2]], best[1][1]
+        heap, matched = self._heap, self._matched
+        while heap and heap[0][1][1] not in matched[heap[0][2]]:
+            heapq.heappop(heap)
+        return (heap[0][2], heap[0][1][1]) if heap else None
 
     @property
     def normal_form(self) -> bool:
@@ -559,34 +618,71 @@ class Stepper:
             first = self._first()
             if first is None:
                 return
-            rule, v = first
+            i, v = first
+            rule, mapping = self._rules[i], self._matched[i][v]
             self._current, self._spent = None, True
-            mapping = tree_match(rule.L, rule.root, g, v)
-            gluing, changed = _step(rule, mapping, g, self._preds, self._ids)
+            erased, gluing = _step(rule, mapping, g, self._preds, self._ids)
             gone, h, before = gluing.gone, gluing.h.values(), gluing.before
             _retag(rule, mapping, before.labels, gone, h, g.labels, bottoms, names)
             self._point = gone.get(self._point, self._point)
-            self._rematch(gone, changed)
+            self._rematch(gone, self._reindex(v, erased, gluing))
             self._spent = False
             yield Step(rule, v)
 
+    def _reindex(
+        self, hub: NodeId, erased: Iterable[NodeId], gluing: Gluing
+    ) -> Set[NodeId]:
+        """Bring the predecessor index up to date after a step at `hub`.
+        Returns the changed nodes (the touched nodes' classes and R's
+        images), the only H nodes whose content can differ from G's."""
+        preds, gone = self._preds, gluing.gone
+        for s in erased:
+            preds[s].discard(hub)
+        for p, ss in gluing.before.succs.items():
+            for s in ss:
+                preds[s].discard(p)
+        changed = {gone.get(n, n) for n in gluing.before.nodes}
+        changed.update(gluing.h.values())
+        succs = self._g.succs
+        for q in changed:
+            for s in succs.get(q, ()):
+                preds.setdefault(s, set()).add(q)
+        for x in gone:
+            preds.pop(x, None)
+        return changed
+
     def _rematch(self, gone: Mapping[NodeId, NodeId], changed: Set[NodeId]) -> None:
-        g, preds = self._g, self._preds
-        # levels[k]: the nodes k edges above a changed node, not seen before
-        levels = [changed]
-        seen = set(changed)
-        for _ in range(max(self._depths, default=0)):
-            up = {p for n in levels[-1] for p in preds.get(n, ()) if p not in seen}
-            seen.update(up)
-            levels.append(up)
-        for rule, depth, live, heap in zip(
-            self._rules, self._depths, self._matched, self._heaps
-        ):
-            live.difference_update(gone)
-            for level in levels[: depth + 1]:
-                for v in level:
-                    if tree_match(rule.L, rule.root, g, v) is None:
-                        live.discard(v)
-                    elif v not in live:
-                        live.add(v)
-                        heapq.heappush(heap, node_key(v))
+        """Re-check every rule at the changed nodes, and at their ancestors up
+        to a rule's depth the rules whose root label they carry."""
+        g, preds, labels, heap = self._g, self._preds, self._g.labels, self._heap
+        rules, roots, depths, matched = (
+            self._rules, self._roots, self._depths, self._matched
+        )
+        for live in matched:
+            for x in gone:
+                live.pop(x, None)
+        level, seen = changed, set(changed)  # the nodes k edges above them
+        for k in range(self._reach + 1):
+            if k:
+                up: Set[NodeId] = set()
+                for n in level:
+                    up.update(preds.get(n, ()))
+                up -= seen
+                seen |= up
+                level = up
+            for v in level:
+                lbl = labels.get(v)
+                # a changed node may have lost a match under its old label
+                for i in self._by_label.get(lbl, ()) if k else range(len(rules)):
+                    if depths[i] < k:
+                        continue
+                    rule, live = rules[i], matched[i]
+                    mapping = None
+                    if roots[i] == lbl:
+                        mapping = tree_match(rule.L, rule.root, g, v)
+                    if mapping is None:
+                        live.pop(v, None)
+                    else:
+                        if v not in live:
+                            heapq.heappush(heap, (rule.name, node_key(v), i))
+                        live[v] = mapping

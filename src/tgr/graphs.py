@@ -419,25 +419,26 @@ def morphism_errors(
     source nodes by default).  Images are looked up in the target's node
     index (a `TermGraph`'s dict or an `EditableGraph`'s set), so a partial
     check's cost does not grow with the target."""
+    src, dst, mapping = f.src, f.dst, f.mapping
     if among is None:
-        among = f.src.nodes
-    nodes = f.dst.nodes
+        among = src.nodes
+    src_labels, src_succs = src.labels, src.succs
+    nodes, labels, succs = dst.nodes, dst.labels, dst.succs
     errs = []
     for n in among:
-        if n not in f.mapping:
+        m = mapping.get(n)
+        if m is None:
             errs.append(f"node {n} unmapped")
-            continue
-        m = f.mapping[n]
-        if m not in nodes:
+        elif m not in nodes:
             errs.append(f"image {m} of {n} not a node")
-            continue
-        lbl = f.src.labels.get(n)
-        if lbl is None:
-            continue
-        if f.dst.labels.get(m) != lbl:
-            errs.append(f"label not preserved at {n}: {lbl} vs {f.dst.labels.get(m)}")
-        elif tuple(f.mapping[s] for s in f.src.succs[n]) != f.dst.succs[m]:
-            errs.append(f"successors not preserved at {n}")
+        else:
+            lbl = src_labels.get(n)
+            if lbl is None:
+                continue
+            if labels.get(m) != lbl:
+                errs.append(f"label not preserved at {n}: {lbl} vs {labels.get(m)}")
+            elif tuple(map(mapping.__getitem__, src_succs[n])) != succs[m]:
+                errs.append(f"successors not preserved at {n}")
     return errs
 
 

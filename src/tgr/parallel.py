@@ -33,6 +33,7 @@ them up front.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -733,22 +734,36 @@ def _prefix_respecting_trie(
     of the set only, each once and after every member that is a proper
     prefix of it.
 
-    One walk down the trie per occurrence, adding the states it lacks,
-    finds every member prefix and whether it was listed, and whether the
-    occurrence is a member: each new state is checked against its parent's
-    successors, as `TermGraph.walk` checks a step.  A missing prefix is
-    reported only once the occurrence is known to be a member, a repeat
-    only once its prefixes are known to be listed.
+    Each occurrence is walked down the trie from the state of its longest
+    listed proper prefix (the root if it has none), adding the states it
+    lacks: every member prefix up to that state was checked when that
+    prefix was listed.  The walk finds every further member prefix and
+    whether it was listed, and whether the occurrence is a member: each new
+    state is checked against its parent's successors, as `TermGraph.walk`
+    checks a step.  A missing prefix is reported only once the occurrence
+    is known to be a member, a repeat only once its prefixes are known to be
+    listed.  The prefix is found by one lookup per listed length below the
+    occurrence's, longest first, until one hits; on a loop the first does.
     """
     trie = PrefixTrie(rs.start)
     child, at, succs, target = trie.child, trie.at, rs.carrier.succs, rs.target
     lengths = trie.lengths
-    listed = set()  # trie states of the occurrences checked so far
+    state_of: Dict[Occurrence, int] = {}  # the occurrences checked so far
+    listed = set()  # their trie states
+    lens: List[int] = []  # their lengths, ascending
     for w in occs:
-        st, missing = 0, None
-        for i, k in enumerate(w):
+        st, start, j = 0, 0, bisect_left(lens, len(w))
+        while j:
+            j -= 1
+            found = state_of.get(w[: lens[j]])
+            if found is not None:
+                st, start = found, lens[j]
+                break
+        missing = None
+        for i in range(start, len(w)):
             if missing is None and at[st] == target and st not in listed:
                 missing = w[:i]
+            k = w[i]
             nxt = child[st].get(k)
             if nxt is None:
                 ss = succs.get(at[st])
@@ -769,8 +784,11 @@ def _prefix_respecting_trie(
         if st in listed:
             raise ValueError(f"{occ_format(w)} is listed twice")
         lengths += [0] * (len(w) + 1 - len(lengths))
+        if not lengths[len(w)]:
+            insort(lens, len(w))
         lengths[len(w)] += 1
         trie.size.append(len(child))
+        state_of[w] = st
         listed.add(st)
     return trie
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .graphs import (
     GraphMorphism,
@@ -237,7 +237,8 @@ class EvaluationRule:
     """A graph rewrite rule L <- K -> R (see the module docstring).
 
     The left leg is the identity inclusion of K into L, so it is not stored;
-    `r` sends each K node to its R image, `term_rules` caches `unravel_rule`.
+    `r` sends each K node to its R image, `term_rules` caches `unravel_rule`
+    and `plans` caches `dpo`'s gluing plans, one per identification pattern.
     """
 
     name: str
@@ -247,6 +248,9 @@ class EvaluationRule:
     R: TermGraph
     r: Dict[NodeId, NodeId]
     term_rules: Dict[Signature, RewriteRule] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    plans: Dict[Tuple[int, ...], Any] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 

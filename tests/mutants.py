@@ -382,8 +382,8 @@ MUTANTS += [
     Mutant(
         "fresh-ids-skip-only-kept-ids",
         "dpo.py",
-        "nid = ids.take(g.nodes)",
-        "nid = ids.take(g.nodes - gone.keys())",
+        "fresh_ids = [ids.take(g.nodes) for _ in range(plan.fresh)]",
+        "fresh_ids = [ids.take(g.nodes - gone.keys()) for _ in range(plan.fresh)]",
         (LOCAL_STEPS + "hand_built_rules",),
         "a fresh id skips only the ids H keeps, so it can reuse the id of "
         "a node merged away",
@@ -432,8 +432,8 @@ MUTANTS += [
     Mutant(
         "redirected-edge-without-predecessor",
         "dpo.py",
-        "    for q in changed:\n",
-        "    for q in changed - (gluing.before.nodes - set(mapping.values())):\n",
+        "        for q in changed:\n",
+        "        for q in changed - (gluing.before.nodes - set(gluing.h.values())):\n",
         (
             LOCAL_STEPS + "generated_cases[1]",
             LOCAL_STEPS + "rings_lassos_and_dags",
@@ -689,6 +689,83 @@ MUTANTS += [
             TERMS + "test_equality_on_a_doubling_dag_costs_its_distinct_pairs",
         ),
         "`==` skips a pair whose left term it has compared with any term",
+    ),
+]
+
+
+DPO = "tests/test_dpo.py::"
+MUTANTS += [
+    Mutant(
+        "gluing-plan-ignores-identification",
+        "dpo.py",
+        "    plan = rule.plans.get(pattern)\n",
+        "    plan = next(iter(rule.plans.values()), None)\n",
+        (DPO + "test_a_rule_keeps_one_gluing_plan_per_identification_pattern",),
+        "a rule's first gluing plan serves every later match, whichever K "
+        "nodes that match identifies",
+    ),
+    Mutant(
+        "gluing-plans-keyed-by-rule-identity",
+        "dpo.py",
+        "    plan = rule.plans.get(pattern)\n"
+        "    if plan is None:\n"
+        "        plan = rule.plans[pattern] = _plan(rule, pattern)\n",
+        '    plans = globals().setdefault("_PLANS", {})\n'
+        "    plan = plans.get((id(rule), pattern))\n"
+        "    if plan is None:\n"
+        "        plan = plans[id(rule), pattern] = _plan(rule, pattern)\n",
+        (DPO + "test_plans_live_on_their_rules",),
+        "gluing plans are cached by the rule's object identity, which a rule "
+        "built after another was dropped can take over",
+    ),
+    Mutant(
+        "rematch-prefilter-wrong-label",
+        "dpo.py",
+        "                    if roots[i] == lbl:\n",
+        "                    if rule.R.labels.get(rule.r[rule.root]) == lbl:\n",
+        (LOCAL_STEPS + "rings_lassos_and_dags", LOCAL_STEPS + "generated_cases[0]"),
+        "after a step, a rule is re-checked only at nodes carrying its "
+        "right-hand side's root label, not its left-hand side's",
+    ),
+    Mutant(
+        "rematch-keeps-matches-of-a-relabelled-node",
+        "dpo.py",
+        "for i in self._by_label.get(lbl, ()) if k else range(len(rules)):",
+        "for i in self._by_label.get(lbl, ()):",
+        (LOCAL_STEPS + "rings_lassos_and_dags",),
+        "a changed node is re-checked only against the rules of its new "
+        "label, so a match under its old label survives the step",
+    ),
+    Mutant(
+        "rematch-keeps-a-stale-match",
+        "dpo.py",
+        "                        live[v] = mapping\n",
+        "                        live.setdefault(v, mapping)\n",
+        (LOCAL_STEPS + "rings_lassos_and_dags",),
+        "a node that still matches after a step keeps the match found "
+        "before it, whose variables may point at nodes the step changed",
+    ),
+    Mutant(
+        "label-index-one-rule-per-label",
+        "dpo.py",
+        "by_label.setdefault(lbl, []).append(i)",
+        "by_label[lbl] = [i]",
+        (DPO + "test_rules_sharing_a_root_label_are_all_matched",),
+        "the stepper's label index keeps one rule per root label, so of two "
+        "rules with the same root label only one is matched at set-up",
+    ),
+    Mutant(
+        "prefix-walk-skips-its-last-check",
+        "parallel.py",
+        "if missing is None and at[st] == target and st not in listed:",
+        "if missing is None and i + 1 < len(w) and at[st] == target "
+        "and st not in listed:",
+        (
+            PARALLEL + "test_the_prefix_walk_matches_the_walk_from_the_root",
+            PARALLEL + "test_prefix_check_matches_the_quadratic_one",
+        ),
+        "the walk from a listed prefix skips the state one letter short of "
+        "the occurrence, so a member missing there goes unnoticed for good",
     ),
 ]
 

@@ -635,6 +635,103 @@ def test_local_steps_match_the_reference_on_rings_lassos_and_dags():
     assert collapses > 100  # merges and redirected edges were exercised
 
 
+def test_a_rule_keeps_one_gluing_plan_per_identification_pattern():
+    # each rule matches at r injectively, then at k2 with x and y both sent
+    # to c: the two shapes glue differently and get a plan each
+    swap = g_rule("Rs", "cons(x, y)", "p(y, x)")
+    first = g_rule("Rfst", "p(x, y)", "x")
+    host = graph(
+        ["r", "k1", "k2", "a1", "b1", "c"],
+        {"r": "p", "k1": "cons", "k2": "cons", "a1": "a", "b1": "b", "c": "a"},
+        {"r": ("k1", "k2"), "k1": ("a1", "b1"), "k2": ("c", "c")},
+    )
+    got, steps = assert_same_run(RationalTerm(host, "r"), TGRS(SIG, (swap, first)), 10)
+    assert [(step.rule.name, step.at) for step in steps] == [
+        ("Rfst", "r"), ("Rs", "r"), ("Rfst", "r"), ("Rs", "k2"), ("Rfst", "k2"),
+    ]
+    assert sorted(swap.plans) == [(0, 1, 1), (0, 1, 2)]
+    assert sorted(first.plans) == [(0, 1, 1), (0, 1, 2)]
+
+
+def test_rules_sharing_a_root_label_are_all_matched():
+    # Ra and Rb both have root f, so the stepper's label index lists both
+    # under f; Ra comes first by name wherever an f lies above a g
+    ra = g_rule("Ra", "f(g(x))", "p(x, x)")
+    rb = g_rule("Rb", "f(x)", "g(x)")
+    labels = ["f", "f", "g", "f", "g", "g", "f", "f", "f", "g"]
+    ids = [f"n{i}" for i in range(len(labels))]
+    succs = {m: (ids[(i + 1) % len(ids)],) for i, m in enumerate(ids)}
+    ring = graph(ids, dict(zip(ids, labels)), succs)
+    _, steps = assert_same_run(RationalTerm(ring, "n0"), TGRS(SIG, (rb, ra)), 20)
+    assert {step.rule.name for step in steps} == {"Ra", "Rb"}
+
+
+def test_plans_live_on_their_rules():
+    # 2,000 rules built and dropped one after another, each used once, with
+    # the same left-hand side (so the same pattern) but four right-hand
+    # sides: a plan cache keyed by object identity hands a new rule the plan
+    # of a dropped one that lived at the same address
+    host = RationalTerm(graph(["r", "c"], {"r": "f", "c": "a"}, {"r": ("c",)}), "r")
+    rhs = ["g(x)", "g(g(x))", "cons(x, x)", "p(x, g(x))"]
+    for i in range(2000):
+        rule = g_rule(f"R{i}", "f(x)", rhs[i % 4])
+        got, steps = assert_same_run(host, TGRS(SIG, (rule,)), 1)
+        assert len(steps) == 1
+        assert got.unravel(4) == t(rhs[i % 4].replace("x", "a"))
+
+
+def test_matching_and_gluing_cost_a_few_calls_per_step(monkeypatch):
+    """400 steps of f(x) -> g(x) on a 1,000-node f-ring, beside a cdr rule
+    the ring never matches.  Setting up tries each (node, rule) pair whose
+    labels agree once, so 1,000 tree matches; the run builds one gluing
+    plan, and each step matches once, at the f below it (the step's own
+    match is the one the index holds).  Nothing calls
+    `find_tree_morphisms`."""
+    n = 1000
+    ids = [f"v{i}" for i in range(n)]
+    succs = {v: (w,) for v, w in zip(ids, ids[1:] + ids[:1])}
+    ring = RationalTerm(graph(ids, dict.fromkeys(ids, "f"), succs), "v0")
+    r_f, r_cdr = g_rule("Rf", "f(x)", "g(x)"), g_rule("Rcdr", "cdr(cons(x, y))", "y")
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    for module, name in (
+        (tgr.dpo, "tree_match"), (tgr.dpo, "_plan"),
+        (tgr.dpo, "find_tree_morphisms"), (tgr.graphs, "find_tree_morphisms"),
+    ):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    run = Stepper(ring, TGRS(SIG, (r_cdr, r_f)), 400)
+    assert calls == Counter({"tree_match": n})
+    calls.clear()
+    assert len(list(run)) == 400
+    assert calls["_plan"] == 1 and list(r_f.plans) == [(0, 1)]
+    assert calls["tree_match"] == 400
+    assert calls["find_tree_morphisms"] == 0
+
+
+def test_a_step_that_merges_nothing_builds_no_predecessor_index(monkeypatch):
+    # derive finds the edges into merged-away nodes through an index of the
+    # host's predecessors; a step that merges nothing has none to find
+    built = []
+    real = tgr.dpo.predecessors
+    monkeypatch.setattr(tgr.dpo, "predecessors", lambda g: built.append(g) or real(g))
+    host = graph(["r", "c"], {"r": "f", "c": "a"}, {"r": ("c",)})
+    assert derive(the_match(R_F, host, "r")).H.labels["r"] == "g"
+    assert built == []
+    host = graph(
+        ["r", "k", "xa", "yb", "q"],
+        {"r": "cdr", "k": "cons", "xa": "a", "yb": "b", "q": "f"},
+        {"r": ("k",), "k": ("xa", "yb"), "q": ("yb",)},
+    )
+    assert derive(the_match(R_CDR, host, "r")).H.succs["q"] == ("r",)
+    assert len(built) == 1
+
+
 # ---------------------------------------------------------------------------
 # Scale: every step local, so thousands of nodes rewrite to normal form
 

@@ -11,6 +11,7 @@ from tgr import parallel
 from tgr.dpo import find_matches
 from tgr.graphs import (
     PathCounts,
+    PrefixTrie,
     RationalTerm,
     TermGraph,
     all_approx_leq,
@@ -705,6 +706,43 @@ def ref_prefix_check(rs, occs):
         seen.add(w)
 
 
+def ref_prefix_trie(rs, occs):
+    """The old trie walk: every occurrence walked from the root."""
+    trie = PrefixTrie(rs.start)
+    child, at, succs, target = trie.child, trie.at, rs.carrier.succs, rs.target
+    lengths = trie.lengths
+    listed = set()  # trie states of the occurrences checked so far
+    for w in occs:
+        st, missing = 0, None
+        for i, k in enumerate(w):
+            if missing is None and at[st] == target and st not in listed:
+                missing = w[:i]
+            nxt = child[st].get(k)
+            if nxt is None:
+                ss = succs.get(at[st])
+                if ss is None or not 0 < k <= len(ss):  # no such step
+                    st = None
+                    break
+                nxt = child[st][k] = len(child)
+                child.append({})
+                at.append(ss[k - 1])
+            st = nxt
+        if st is None or at[st] != target:
+            raise ValueError(f"{occ_format(w)} is not in the redex set")
+        if missing is not None:
+            raise ValueError(
+                "enumeration is not prefix-respecting: "
+                f"{occ_format(missing)} missing before {occ_format(w)}"
+            )
+        if st in listed:
+            raise ValueError(f"{occ_format(w)} is listed twice")
+        lengths += [0] * (len(w) + 1 - len(lengths))
+        lengths[len(w)] += 1
+        trie.size.append(len(child))
+        listed.add(st)
+    return trie
+
+
 def ref_scan(depth, holds):
     """The old effective-depth search: one step down at a time."""
     d = depth
@@ -1357,6 +1395,61 @@ def test_a_repeated_occurrence_is_refused():
         ([(), (1,), (1, 1), (1, 1, 1)], 4),
     ):
         assert infinite_parallel_reduce(rs, 4, occurrences=lst).effective_depth == depth
+
+
+def test_the_prefix_walk_matches_the_walk_from_the_root():
+    """Walking each occurrence from its longest listed proper prefix builds
+    the trie of the walk from the root, state for state, and refuses the
+    same lists with the same message: generated enumerations reordered,
+    with a member dropped, moved late, repeated, or followed by a
+    non-member, and hand-built lists on loops and a hole."""
+    cases = []
+    for rs, _, _ in oracle_cases():
+        occs = enumerate_occurrences(rs, count=30)
+        lists = [
+            occs,
+            sorted(occs, key=lambda w: (len(w), tuple(-i for i in w))),
+            occs[::-1],
+            occs + occs[-1:],
+            occs[:1] + occs,
+            occs + [(9,)],
+            occs + [occs[-1] + (9,)] if occs else [(9,)],
+        ]
+        for j in range(0, len(occs), 4):
+            lists.append(occs[:j] + occs[j + 1:])
+            lists.append(occs[:j] + occs[j + 1:] + occs[j:j + 1])
+            lists.append(occs[: j + 1] + occs[j:])
+        cases += [(rs, lst) for lst in lists]
+    f_loop = RationalRedexSet(F_LOOP.graph, "n", "n", R_F)
+    ones = [(1,) * k for k in range(40)]
+    cases += [(f_loop, ones), (f_loop, ones[::2]), (f_loop, ones[:20] + ones[21:])]
+    cases += [(f_loop, ones[:30] + ones[29:30] + ones[30:])]
+    cases += [(f_loop, ones + [(1,) * 39 + (2,)]), (f_loop, [(), (1, 1)])]
+    cases += [
+        (HOLE_BEHIND_TARGET, lst)
+        for lst in (
+            [(), (1, 1), (1, 1, 1, 1)],
+            [(), (1, 1, 1, 1)],
+            [(1, 1)],
+            [(), (1, 1), (1, 2, 1)],
+            [(), (1, 1), (1, 1, 1, 3)],
+            [(), (1, 1), (1, 1), (1, 1, 1, 1)],
+        )
+    ]
+    refusals = set()
+    for rs, lst in cases:
+        outcomes = []
+        for walk in (ref_prefix_trie, _prefix_respecting_trie):
+            try:
+                trie = walk(rs, lst)
+            except ValueError as e:
+                outcomes.append(str(e))
+            else:
+                outcomes.append((trie.child, trie.at, trie.size, trie.lengths))
+        assert outcomes[0] == outcomes[1], (lst, outcomes)
+        if isinstance(outcomes[0], str):
+            refusals.add(outcomes[0].split(":")[0].split()[-1])
+    assert refusals == {"set", "prefix-respecting", "twice"}
 
 
 def test_the_depth_decision_matches_the_linear_scan(monkeypatch):
