@@ -188,22 +188,22 @@ def _cmd_rewrite(args) -> int:
     steps = []
     run = Stepper(current, ws.tgrs(), args.steps)
     for step in run:
-        drv, after = derive_rational(
-            current, match_at(step.rule, current.graph, step.at)
-        )
+        after = run.current
+        track = dict(zip(current.graph.nodes, current.graph.nodes))
+        track.update(step.gone)
         lines.append(
-            f"STEP {drv.rule.name} at {drv.match.root_image} : "
+            f"STEP {step.rule.name} at {step.at} : "
             f"{format_graph(current, name=None)} => "
             f"{format_graph(after, name=None)}"
         )
-        lines.extend(_track_lines(drv.track))
+        lines.extend(_track_lines(track))
         steps.append(
             {
-                "rule": drv.rule.name,
-                "at": drv.match.root_image,
+                "rule": step.rule.name,
+                "at": step.at,
                 "before": graph_to_json(current),
                 "after": graph_to_json(after),
-                "track": dict(drv.track),
+                "track": track,
             }
         )
         current = after

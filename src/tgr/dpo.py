@@ -51,6 +51,7 @@ from typing import (
 )
 
 from .graphs import (
+    FreshIds,
     GraphMorphism,
     NodeId,
     RationalTerm,
@@ -125,27 +126,6 @@ class EditableGraph(NamedTuple):
     nodes: Set[NodeId]
     labels: Dict[NodeId, str]
     succs: Dict[NodeId, Tuple[NodeId, ...]]
-
-
-class FreshIds:
-    """The ids h#0, h#1, ... one graph lacks, least first, over a run of
-    steps: each h#k below `high` is a node of it or in the heap `free`."""
-
-    def __init__(self) -> None:
-        self.high, self.free = 0, []
-
-    def take(self, nodes: Set[NodeId]) -> NodeId:
-        if self.free:
-            return f"h#{heapq.heappop(self.free)}"
-        while f"h#{self.high}" in nodes:
-            self.high += 1
-        self.high += 1
-        return f"h#{self.high - 1}"
-
-    def release(self, n: NodeId) -> None:  # n has left the graph
-        k = n[2:]
-        if k.isdecimal() and n == f"h#{int(k)}" and int(k) < self.high:
-            heapq.heappush(self.free, int(k))
 
 
 def pushout_complement(
@@ -522,10 +502,12 @@ def _lhs_depth(rule: EvaluationRule) -> int:
 
 
 class Step(NamedTuple):
-    """One step of a `Stepper` run: the rule and its match's root image."""
+    """One step of a `Stepper` run: the rule, its match's root image, and
+    each node the step merged away with the node it merged into."""
 
     rule: EvaluationRule
     at: NodeId
+    gone: Dict[NodeId, NodeId]
 
 
 class Stepper:
@@ -536,9 +518,9 @@ class Stepper:
 
     It runs `derive`'s step, holes and names included, on the one
     `EditableGraph` it owns: a step costs O(|L| + |R| + touched nodes) and
-    builds no diagram, which `derive_rational` at `match_at(step.rule, ...,
-    step.at)` replays on request.  A step that raises leaves the stepper
-    spent: every later use raises.
+    builds no diagram.  Its track is the identity on the nodes of `current`
+    before it, updated with `Step.gone`.  A step that raises leaves the
+    stepper spent: every later use raises.
 
     It keeps each node's predecessors and, per rule, the matches by root
     image, with one heap for the least by rule name and node order.  Set-up
@@ -627,7 +609,7 @@ class Stepper:
             self._point = gone.get(self._point, self._point)
             self._rematch(gone, self._reindex(v, erased, gluing))
             self._spent = False
-            yield Step(rule, v)
+            yield Step(rule, v, gone)
 
     def _reindex(
         self, hub: NodeId, erased: Iterable[NodeId], gluing: Gluing

@@ -21,10 +21,12 @@ empty nodes matched by rendered name).
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from typing import (
+    Container,
     Dict,
     FrozenSet,
     Hashable,
@@ -63,6 +65,29 @@ def sorted_nodes(nodes: Iterable[NodeId]) -> List[NodeId]:
     out = sorted(nodes)
     out.sort(key=len)
     return out
+
+
+class FreshIds:
+    """The ids p0, p1, ... for one prefix p (default h#) that a graph lacks,
+    least first, over a run of edits that may free some: each pk below
+    `high` is a node of it or in the heap `free`.  The caller adds each id
+    it takes to the graph and `release`s each node that leaves it."""
+
+    def __init__(self, prefix: str = "h#") -> None:
+        self.prefix, self.high, self.free = prefix, 0, []
+
+    def take(self, nodes: Container[NodeId]) -> NodeId:
+        if self.free:
+            return f"{self.prefix}{heapq.heappop(self.free)}"
+        while f"{self.prefix}{self.high}" in nodes:
+            self.high += 1
+        self.high += 1
+        return f"{self.prefix}{self.high - 1}"
+
+    def release(self, n: NodeId) -> None:  # n has left the graph
+        k = n[len(self.prefix):]
+        if k.isdecimal() and n == f"{self.prefix}{int(k)}" and int(k) < self.high:
+            heapq.heappush(self.free, int(k))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +443,8 @@ def morphism_errors(
     """The morphism conditions violated at the source nodes `among` (all
     source nodes by default).  Images are looked up in the target's node
     index (a `TermGraph`'s dict or an `EditableGraph`'s set), so a partial
-    check's cost does not grow with the target."""
+    check's cost does not grow with the target.  An unmapped successor of a
+    labelled node breaks that node's successor condition."""
     src, dst, mapping = f.src, f.dst, f.mapping
     if among is None:
         among = src.nodes
@@ -437,7 +463,7 @@ def morphism_errors(
                 continue
             if labels.get(m) != lbl:
                 errs.append(f"label not preserved at {n}: {lbl} vs {labels.get(m)}")
-            elif tuple(map(mapping.__getitem__, src_succs[n])) != succs[m]:
+            elif tuple(map(mapping.get, src_succs[n])) != succs[m]:
                 errs.append(f"successors not preserved at {n}")
     return errs
 

@@ -33,7 +33,6 @@ them up front.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -48,6 +47,7 @@ from typing import (
 )
 
 from .graphs import (
+    FreshIds,
     NodeId,
     PathCounts,
     PrefixTrie,
@@ -163,21 +163,6 @@ def find_redexes(
 # Single-step reduction (spine copy + splice)
 
 
-def _fresh_namer(used: set) -> "callable":
-    counters: Dict[str, int] = {}
-
-    def fresh(base: str) -> NodeId:
-        i = counters.get(base, 0)
-        while f"{base}{i}" in used:
-            i += 1
-        counters[base] = i + 1
-        nid = f"{base}{i}"
-        used.add(nid)
-        return nid
-
-    return fresh
-
-
 def reduce(rt: RationalTerm, redex: Redex) -> RationalTerm:
     """Contract one redex occurrence; the term-level small step.
 
@@ -202,8 +187,8 @@ def reduce(rt: RationalTerm, redex: Redex) -> RationalTerm:
             f"rule {rule.name} does not match at {occ_format(redex.occ)}"
         )
 
-    fresh = _fresh_namer(set(g.nodes))
-    copies = [fresh("s#") for _ in spine]
+    ids = FreshIds("s#")
+    copies = [ids.take(g.nodes) for _ in spine]
     labels, succs = dict(g.labels), dict(g.succs)
     for k, orig in enumerate(spine):
         ss = list(g.succs[orig])
@@ -582,7 +567,7 @@ def develop_rational(
         targets[m] = rule
 
     used = set(g.nodes)
-    fresh = _fresh_namer(used)
+    inner, holes = FreshIds("g#"), FreshIds("b#")
     labels = dict(g.labels)
     succs = dict(g.succs)
     for m in targets:
@@ -597,7 +582,8 @@ def develop_rational(
             if lbl is None:
                 image[n] = g.walk(m, rule.var_positions[name])
             else:
-                image[n] = m if n == rule.rhs.point else fresh("g#")
+                image[n] = m if n == rule.rhs.point else inner.take(used)
+        used.update(image.values())
         for n, lbl, ss, _ in rule.rhs_nodes:
             if lbl is not None:
                 labels[image[n]] = lbl
@@ -619,7 +605,7 @@ def develop_rational(
                 end = cur
                 break
             if cur in path:
-                end = fresh("b#")  # divergent collapse: a hole
+                end = holes.take(used)  # divergent collapse: a hole
                 fresh_holes.append(end)
                 break
             path.append(cur)
@@ -630,6 +616,7 @@ def develop_rational(
 
     for m in sorted_nodes(redirect):
         resolve(m)
+    used.update(fresh_holes)
     if redirect:  # edges into a redirected node go to where it resolved
         used -= redirect.keys()
         succs = {
@@ -707,12 +694,6 @@ class OracleReport:
     # removes that counter and this constant together.
     doublings = 0
 
-    def sample(self, i: int) -> ChainSample:
-        for s in self.samples:
-            if s.index == i:
-                return s
-        raise KeyError(f"index {i} was not sampled")
-
 
 # The oracle inspects every chain index up to this one, then doubles.
 EVERY_APPROXIMANT_UP_TO = 16
@@ -734,36 +715,22 @@ def _prefix_respecting_trie(
     of the set only, each once and after every member that is a proper
     prefix of it.
 
-    Each occurrence is walked down the trie from the state of its longest
-    listed proper prefix (the root if it has none), adding the states it
-    lacks: every member prefix up to that state was checked when that
-    prefix was listed.  The walk finds every further member prefix and
-    whether it was listed, and whether the occurrence is a member: each new
-    state is checked against its parent's successors, as `TermGraph.walk`
-    checks a step.  A missing prefix is reported only once the occurrence
-    is known to be a member, a repeat only once its prefixes are known to be
-    listed.  The prefix is found by one lookup per listed length below the
-    occurrence's, longest first, until one hits; on a loop the first does.
+    One walk down the trie per occurrence, adding the states it lacks,
+    finds every member prefix and whether it was listed, and whether the
+    occurrence is a member: each new state is checked against its parent's
+    successors, as `TermGraph.walk` checks a step.  A missing prefix is
+    reported only once the occurrence is known to be a member, a repeat
+    only once its prefixes are known to be listed.
     """
     trie = PrefixTrie(rs.start)
     child, at, succs, target = trie.child, trie.at, rs.carrier.succs, rs.target
     lengths = trie.lengths
-    state_of: Dict[Occurrence, int] = {}  # the occurrences checked so far
-    listed = set()  # their trie states
-    lens: List[int] = []  # their lengths, ascending
+    listed = set()  # trie states of the occurrences checked so far
     for w in occs:
-        st, start, j = 0, 0, bisect_left(lens, len(w))
-        while j:
-            j -= 1
-            found = state_of.get(w[: lens[j]])
-            if found is not None:
-                st, start = found, lens[j]
-                break
-        missing = None
-        for i in range(start, len(w)):
+        st, missing = 0, None
+        for i, k in enumerate(w):
             if missing is None and at[st] == target and st not in listed:
                 missing = w[:i]
-            k = w[i]
             nxt = child[st].get(k)
             if nxt is None:
                 ss = succs.get(at[st])
@@ -784,11 +751,8 @@ def _prefix_respecting_trie(
         if st in listed:
             raise ValueError(f"{occ_format(w)} is listed twice")
         lengths += [0] * (len(w) + 1 - len(lengths))
-        if not lengths[len(w)]:
-            insort(lens, len(w))
         lengths[len(w)] += 1
         trie.size.append(len(child))
-        state_of[w] = st
         listed.add(st)
     return trie
 

@@ -390,7 +390,7 @@ MUTANTS += [
     ),
     Mutant(
         "fresh-id-release-dropped",
-        "dpo.py",
+        "graphs.py",
         "            heapq.heappush(self.free, int(k))",
         "            pass",
         ("tests/test_dpo.py::test_local_steps_reuse_the_fresh_ids_merges_free",),
@@ -399,9 +399,9 @@ MUTANTS += [
     ),
     Mutant(
         "fresh-ids-scan-from-h0",
-        "dpo.py",
-        '        while f"h#{self.high}" in nodes:\n',
-        '        self.high = 0\n        while f"h#{self.high}" in nodes:\n',
+        "graphs.py",
+        '        while f"{self.prefix}{self.high}" in nodes:\n',
+        '        self.high = 0\n        while f"{self.prefix}{self.high}" in nodes:\n',
         ("tests/test_dpo.py::test_fresh_ids_cost_a_few_probes_per_step",),
         "every fresh id is found by a scan up from h#0, so a step costs "
         "time linear in the fresh nodes made before it",
@@ -755,17 +755,23 @@ MUTANTS += [
         "rules with the same root label only one is matched at set-up",
     ),
     Mutant(
-        "prefix-walk-skips-its-last-check",
+        "step-forgets-what-it-merged",
+        "dpo.py",
+        "            yield Step(rule, v, gone)\n",
+        "            yield Step(rule, v, {})\n",
+        ("tests/test_parsing_cli.py::"
+         "test_cli_rewrite_prints_the_steps_the_replay_takes",),
+        "a step reports no merged-away nodes, so `tgr rewrite` prints the "
+        "identity as the track of a step that merges nodes",
+    ),
+    Mutant(
+        "developed-inner-nodes-left-out",
         "parallel.py",
-        "if missing is None and at[st] == target and st not in listed:",
-        "if missing is None and i + 1 < len(w) and at[st] == target "
-        "and st not in listed:",
-        (
-            PARALLEL + "test_the_prefix_walk_matches_the_walk_from_the_root",
-            PARALLEL + "test_prefix_check_matches_the_quadratic_one",
-        ),
-        "the walk from a listed prefix skips the state one letter short of "
-        "the occurrence, so a member missing there goes unnoticed for good",
+        "        used.update(image.values())\n",
+        "",
+        (PARALLEL + "test_develop_rational_gives_inner_nodes_fresh_ids",),
+        "`develop_rational` takes g# ids for the right-hand side's inner "
+        "nodes without adding them to the developed graph's node set",
     ),
 ]
 

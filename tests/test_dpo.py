@@ -9,8 +9,6 @@ import tgr.dpo
 import tgr.graphs
 from tgr.dpo import (
     EditableGraph,
-    FreshIds,
-    Match,
     Stepper,
     derive,
     derive_rational,
@@ -21,11 +19,10 @@ from tgr.dpo import (
     track_substitution,
 )
 from tgr.graphs import (
-    GraphMorphism,
+    FreshIds,
     RationalTerm,
     TermGraph,
     check_morphism,
-    node_key,
     predecessors,
     sorted_nodes,
     unravel,
@@ -41,6 +38,7 @@ from tgr.rules import (
     graph_trs,
 )
 from tgr.terms import BOTTOM, Signature, parse_term, var
+from tests.reference import ref_rewrite
 
 SIG = Signature.of(
     {"a": 0, "b": 0, "f": 1, "g": 1, "cdr": 1, "cons": 2, "p": 2}
@@ -314,87 +312,6 @@ def test_induced_parallel_redex_finite_host():
 # Local steps against the whole-graph reference
 
 
-def ref_pushout(rule, D, d):
-    """The pushout over every node of D and R: one union-find over all of
-    them, classes named as in `pushout` (least D id, else fresh h#k)."""
-    parent = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            x = parent[x]
-        return x
-
-    for n in rule.K.nodes:
-        a, b = find(("r", rule.r[n])), find(("d", d.mapping[n]))
-        if a != b:
-            parent[a] = b
-    classes = {}
-    for side, graph in (("d", D), ("r", rule.R)):
-        for n in graph.nodes:
-            classes.setdefault(find((side, n)), []).append((side, n))
-    names, fresh = {}, 0
-    ordered = sorted(
-        classes.items(),
-        key=lambda kv: min((side != "d", node_key(n)) for side, n in kv[1]),
-    )
-    for key, members in ordered:
-        d_ids = [n for side, n in members if side == "d"]
-        if d_ids:
-            names[key] = min(d_ids, key=node_key)
-        else:
-            while f"h#{fresh}" in D.nodes:
-                fresh += 1
-            names[key] = f"h#{fresh}"
-            fresh += 1
-
-    def node_of(side, n):
-        return names[find((side, n))]
-
-    labels, succs = {}, {}
-    for side, graph in (("d", D), ("r", rule.R)):
-        for n, lbl in graph.labels.items():
-            labels[node_of(side, n)] = lbl
-            succs[node_of(side, n)] = tuple(node_of(side, s) for s in graph.succs[n])
-    H = TermGraph.of(names.values(), labels, succs)
-    h = {n: node_of("r", n) for n in rule.R.nodes}
-    return H, h, {n: node_of("d", n) for n in D.nodes}
-
-
-def ref_rewrite(host, tgrs, max_steps):
-    """`rewrite_sequence` from scratch: a full `find_matches` before every
-    step, the whole-graph pushout, and the substitution read off all nodes."""
-    rt, steps = host, []
-    for _ in range(max_steps):
-        ms = find_matches(rt.graph, tgrs)
-        if not ms:
-            return rt, steps, True
-        m, G = ms[0], rt.graph
-        hub = m.root_image
-        D = TermGraph.of(
-            G.nodes,
-            {n: l for n, l in G.labels.items() if n != hub},
-            {n: s for n, s in G.succs.items() if n != hub},
-        )
-        d = GraphMorphism(m.rule.K, D, dict(m.g.mapping))
-        H, h, track = ref_pushout(m.rule, D, d)
-        sources = {}
-        for n in G.nodes:
-            if G.is_empty_node(n) and n not in rt.bottoms:
-                sources.setdefault(track[n], []).append(n)
-        renaming = rt.renaming()
-        holes, names = [], []
-        for n in H.nodes:
-            if H.is_empty_node(n):
-                if n in sources:
-                    (src,) = sources[n]
-                    names.append((n, renaming.get(src, src)))
-                else:
-                    holes.append(n)
-        rt = RationalTerm(H, track[rt.point], frozenset(holes), tuple(names))
-        steps.append((m.rule.name, hub, H, h, track))
-    return rt, steps, not find_matches(rt.graph, tgrs)
-
-
 def assert_node_order(*graphs):
     """Each graph's node index iterates in node_key order."""
     for g in graphs:
@@ -543,9 +460,9 @@ def test_local_steps_reuse_the_fresh_ids_merges_free(monkeypatch):
     # them away again, the host's own h#1 among them: each step takes the
     # least ids D lacks, as the whole-graph reference names them.
     taken = []
-    take = tgr.dpo.FreshIds.take
+    take = tgr.graphs.FreshIds.take
     monkeypatch.setattr(
-        tgr.dpo.FreshIds,
+        tgr.graphs.FreshIds,
         "take",
         lambda ids, nodes: taken.append(take(ids, nodes)) or taken[-1],
     )

@@ -9,11 +9,13 @@ import pytest
 
 from tgr import graphs
 from tgr.graphs import (
+    FreshIds,
     GraphMorphism,
     PathCounts,
     RationalTerm,
     TermGraph,
     bisim_equal,
+    check_morphism,
     check_wellformed,
     find_tree_morphisms,
     graph_of_terms,
@@ -34,11 +36,19 @@ from tgr.terms import (
     BOTTOM,
     Signature,
     format_term,
-    op,
     parse_term,
-    var,
 )
 from tests.test_terms import approx_leq, truncate
+from tests.reference import (
+    ref_approx_leq,
+    ref_bisim,
+    ref_eq,
+    ref_fresh_namer,
+    ref_minimize,
+    ref_termgraph_of,
+    ref_truncated_equal,
+    ref_unravel,
+)
 
 SIG = Signature.of({"a": 0, "b": 0, "f": 1, "g": 1, "p": 2})
 
@@ -129,26 +139,6 @@ def test_graph_errors(build, message):
     with pytest.raises(ValueError) as e:
         build()
     assert str(e.value) == message
-
-
-def ref_termgraph_of(nodes, labels, succs):
-    """The former `TermGraph.of`: a `node_key` sort, then one loop over the
-    entries that checks every label and every edge."""
-    node_t = tuple(sorted(set(nodes), key=node_key))
-    nodeset = set(node_t)
-    labels_d = dict(labels)
-    succs_d = {n: tuple(s) for n, s in succs.items()}
-    for n in labels_d:
-        if n not in nodeset:
-            raise ValueError(f"labelled node {n} not in node set")
-        succs_d.setdefault(n, ())
-    for n, ss in succs_d.items():
-        if n not in labels_d:
-            raise ValueError(f"successors on unlabelled node {n}")
-        for s in ss:
-            if s not in nodeset:
-                raise ValueError(f"dangling successor {s} at node {n}")
-    return TermGraph(node_t, labels_d, succs_d)
 
 
 def random_of_input(rng):
@@ -357,6 +347,51 @@ def test_tree_morphisms_variables_map_anywhere():
     assert len(morphs) == 2
 
 
+def test_an_unmapped_successor_breaks_the_morphism():
+    """A labelled source node whose successor the node map leaves out is a
+    violation, also when the check leaves that successor out."""
+    L = rational_of_term(t("f(x)"), prefix="l").graph
+    f = GraphMorphism(L, F_LOOP.graph, {"l": "m"})
+    with pytest.raises(ValueError) as whole:
+        check_morphism(f)
+    assert str(whole.value) == (
+        "not a graph morphism: successors not preserved at l; node x unmapped"
+    )
+    with pytest.raises(ValueError) as partial:
+        check_morphism(f, ["l"])
+    assert str(partial.value) == "not a graph morphism: successors not preserved at l"
+    assert morphism_errors(f, ["x"]) == ["node x unmapped"]
+
+
+# ---------------------------------------------------------------------------
+# Fresh node ids
+
+
+def test_fresh_ids_match_the_namer_they_replaced():
+    """With nothing released, `FreshIds(prefix)` takes the ids the old
+    namer gave for that prefix, in the same order: random node sets that
+    hold some of its ids (with leading zeros and other prefixes' ids among
+    them), one or two prefixes drawn from one set, and nodes added between
+    takes."""
+    rng = random.Random(30)
+    for _ in range(400):
+        prefixes = rng.sample(["h#", "s#", "g#", "b#", "n"], rng.randint(1, 2))
+        nodes = {f"{rng.choice(prefixes)}{rng.randint(0, 12)}" for _ in range(8)}
+        nodes |= {f"{prefixes[0]}0{rng.randint(0, 9)}", "a", "h#x", "s#-1"}
+        used = set(nodes)
+        fresh, ids = ref_fresh_namer(used), {p: FreshIds(p) for p in prefixes}
+        for _ in range(rng.randint(1, 20)):
+            if rng.random() < 0.3:  # the graph grows between takes
+                extra = f"{rng.choice(prefixes)}{rng.randint(0, 30)}"
+                nodes.add(extra)
+                used.add(extra)
+            p = rng.choice(prefixes)
+            got = ids[p].take(nodes)
+            assert got == fresh(p)
+            nodes.add(got)
+        assert nodes == used
+
+
 # ---------------------------------------------------------------------------
 # Bisimulation
 
@@ -504,115 +539,7 @@ def test_minimize_keeps_empty_nodes_apart():
 # Differential test of the pair walk (`bisim_equal`, `rational_approx_leq`,
 # `truncated_equal`) and the splitter refinement (`minimize`) against the
 # Moore refinement by rounds over a disjoint union and the recursive
-# closures they replaced, kept here as references.
-
-
-def ref_refine(blocks, succ):
-    while True:
-        index = {n: i for i, b in enumerate(blocks) for n in b}
-        new, changed = [], False
-        for b in blocks:
-            groups = {}
-            for n in sorted(b, key=node_key):
-                key = tuple(index[s] for s in succ.get(n, ()))
-                groups.setdefault(key, []).append(n)
-            changed |= len(groups) > 1
-            new.extend(frozenset(groups[k]) for k in sorted(groups))
-        blocks = new
-        if not changed:
-            return blocks
-
-
-def ref_minimize(g):
-    blocks, by_label = [], {}
-    for n in g.nodes:
-        if n in g.labels:
-            by_label.setdefault(g.labels[n], []).append(n)
-        else:
-            blocks.append(frozenset([n]))
-    blocks += [frozenset(by_label[lbl]) for lbl in sorted(by_label)]
-    rep = {}
-    for b in ref_refine(blocks, g.succs):
-        for n in b:
-            rep[n] = min(b, key=node_key)
-    out = TermGraph.of(
-        set(rep.values()),
-        {rep[n]: l for n, l in g.labels.items()},
-        {rep[n]: tuple(rep[s] for s in ss) for n, ss in g.succs.items()},
-    )
-    return out, rep
-
-
-def ref_bisim(a, b):
-    """The old Moore refinement over the disjoint union of the carriers, as
-    a function of the two points (one refinement for all of them)."""
-    labels, succs, holes, by_name = {}, {}, [], {}
-    for side, rt in (("a", a), ("b", b)):
-        ren = rt.renaming()
-        for n in rt.graph.nodes:
-            key = f"{side}:{n}"
-            if n in rt.graph.labels:
-                labels[key] = rt.graph.labels[n]
-                succs[key] = tuple(f"{side}:{s}" for s in rt.graph.succs[n])
-            elif n in rt.bottoms:
-                holes.append(key)
-            else:
-                by_name.setdefault(ren.get(n, n), []).append(key)
-    by_label = {}
-    for n, lbl in labels.items():
-        by_label.setdefault(lbl, []).append(n)
-    blocks = [frozenset(by_label[lbl]) for lbl in sorted(by_label)]
-    blocks += [frozenset(holes)] if holes else []
-    blocks += [frozenset(by_name[name]) for name in sorted(by_name)]
-    index = {n: i for i, blk in enumerate(ref_refine(blocks, succs)) for n in blk}
-    return lambda p, q: index[f"a:{p}"] == index[f"b:{q}"]
-
-
-def ref_approx_leq(a, b):
-    ren_a, ren_b, assumed = a.renaming(), b.renaming(), set()
-
-    def sim(na, nb):
-        if na in a.bottoms or (na, nb) in assumed:
-            return True
-        assumed.add((na, nb))
-        la = a.graph.labels.get(na)
-        if la is None:
-            return (
-                b.graph.is_empty_node(nb)
-                and nb not in b.bottoms
-                and ren_a.get(na, na) == ren_b.get(nb, nb)
-            )
-        return b.graph.labels.get(nb) == la and all(
-            sim(sa, sb) for sa, sb in zip(a.graph.succs[na], b.graph.succs[nb])
-        )
-
-    return sim(a.point, b.point)
-
-
-def ref_truncated_equal(a, b):
-    """The old memoised closure, as a function of the depth (one memo for
-    all depths)."""
-    ren_a, ren_b, memo = a.renaming(), b.renaming(), {}
-
-    def eq(na, nb, d):
-        if d <= 0:
-            return True
-        if (na, nb, d) not in memo:
-            bot_a, bot_b = na in a.bottoms, nb in b.bottoms
-            la, lb = a.graph.labels.get(na), b.graph.labels.get(nb)
-            if bot_a or bot_b:
-                ans = bot_a and bot_b
-            elif la is None or lb is None:
-                ans = la == lb and ren_a.get(na, na) == ren_b.get(nb, nb)
-            else:
-                ans = la == lb and all(
-                    eq(sa, sb, d - 1)
-                    for sa, sb in zip(a.graph.succs[na], b.graph.succs[nb])
-                )
-            memo[na, nb, d] = ans
-        return memo[na, nb, d]
-
-    return lambda depth: eq(a.point, b.point, depth)
+# closures they replaced, kept as references in `tests/reference.py`.
 
 
 def decorated(g, bottoms=frozenset()):
@@ -978,24 +905,6 @@ def test_comparisons_on_3000_node_carriers():
 
 # ---------------------------------------------------------------------------
 # The approximation order on rational terms
-
-
-def ref_unravel(g, n, depth, bottoms=frozenset(), var_names=None, max_size=500_000):
-    """The recursive `unravel` that the explicit stack replaced."""
-    budget = [max_size]
-
-    def go(m, d):
-        if d <= 0 or m in bottoms:
-            return BOTTOM
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ValueError("unraveling exceeds size budget; lower the depth")
-        lbl = g.labels.get(m)
-        if lbl is None:
-            return var(var_names.get(m, m) if var_names else m)
-        return op(lbl, [go(s, d - 1) for s in g.succs[m]])
-
-    return go(n, depth)
 
 
 def counted(term):

@@ -15,8 +15,6 @@ from tgr.dpo import find_matches
 from tgr.graphs import RationalTerm, TermGraph, truncated_equal
 from tgr.harness import (
     PROPERTIES,
-    RandomCase,
-    _gen_lhs,
     check_cofinality_step,
     check_weak_normal_form_preservation,
     gen_case,
@@ -37,11 +35,11 @@ from tgr.parallel import (
 from tgr.rules import (
     TRS,
     RewriteRule,
-    check_rule,
     graph_trs,
     orthogonality_conflicts,
 )
-from tgr.terms import Signature, op, parse_term, subterms, var
+from tgr.terms import Signature, parse_term
+from tests.reference import ref_gen_case
 
 SIG = Signature.of({"a": 0, "f": 1, "g": 1, "cdr": 1, "cons": 2})
 
@@ -199,49 +197,6 @@ def test_generated_rules_are_orthogonal():
         sig = gen_signature(rng)
         trs = gen_rules(rng, sig)
         assert orthogonality_conflicts(trs) == []
-
-
-def ref_gen_term(rng, sig, variables, depth):
-    """The recursive generator the explicit stack replaced."""
-    pairs = list(sig.as_dict().items())
-    constants = [n for n, k in pairs if k == 0]
-    if depth <= 0:
-        if variables and rng.random() < 0.6:
-            return var(rng.choice(list(variables)))
-        return op(rng.choice(constants))
-    if variables and rng.random() < 0.25:
-        return var(rng.choice(list(variables)))
-    name, k = rng.choice(pairs)
-    return op(name, [ref_gen_term(rng, sig, variables, depth - 1) for _ in range(k)])
-
-
-def ref_gen_case(rng):
-    """`gen_case` with every candidate rule built, checked and filtered by
-    the whole-system `orthogonality_conflicts`, as before the pairwise test."""
-    sig = gen_signature(rng)
-    want = rng.randint(1, 3)
-    rules = []
-    for _ in range(30):
-        if len(rules) >= want:
-            break
-        lhs = _gen_lhs(rng, sig)[0]
-        lhs_vars = [s.symbol for _, s in subterms(lhs) if s.is_var]
-        if lhs_vars and rng.random() < 0.15:
-            rhs = var(rng.choice(lhs_vars))
-        else:
-            rhs = ref_gen_term(rng, sig, lhs_vars, rng.randint(1, 2))
-        candidate = RewriteRule.of(f"R{len(rules) + 1}", lhs, rhs)
-        try:
-            check_rule(candidate, sig)
-        except ValueError:
-            continue
-        if orthogonality_conflicts(TRS(sig, tuple(rules + [candidate]))):
-            continue
-        rules.append(candidate)
-    if not rules:
-        name, k = next((n, k) for n, k in sig.as_dict().items() if k > 0)
-        rules = [RewriteRule.of("R1", op(name, [var("x")] * k), var("x"))]
-    return RandomCase(sig, TRS(sig, tuple(rules)), gen_graph(rng, sig))
 
 
 def test_gen_case_matches_the_whole_system_reference():

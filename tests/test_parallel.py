@@ -11,12 +11,10 @@ from tgr import parallel
 from tgr.dpo import find_matches
 from tgr.graphs import (
     PathCounts,
-    PrefixTrie,
     RationalTerm,
     TermGraph,
     all_approx_leq,
     minimize,
-    node_key,
     rational_approx_leq,
     rational_of_term,
     tree_match,
@@ -38,7 +36,6 @@ from tgr.parallel import (
     find_redexes,
     infinite_parallel_reduce,
     join_parallel,
-    matching_nodes,
     reduce,
     residuals,
     residuals_of_set,
@@ -46,9 +43,17 @@ from tgr.parallel import (
     threshold_length,
 )
 from tgr.rules import TRS, RewriteRule, graph_of_rule, is_infinite_copying
-from tgr.terms import BOTTOM, Signature, occ_format, occ_sort_key, parse_term
+from tgr.terms import BOTTOM, Signature, occ_format, parse_term
 from tests.test_graphs import random_carrier
 from tests.test_terms import approx_leq
+from tests.reference import (
+    member,
+    ref_find_redexes,
+    ref_prefix_check,
+    ref_route,
+    ref_scan,
+    ref_trie,
+)
 
 SIG = Signature.of(
     {"a": 0, "b": 0, "f": 1, "g": 1, "I": 1, "cdr": 1, "cons": 2, "p": 2}
@@ -80,12 +85,6 @@ I_LOOP = RationalTerm(TermGraph.of(["n"], {"n": "I"}, {"n": ("n",)}), "n")
 
 def rx(occ, r=R_F):
     return Redex(tuple(occ), r)
-
-
-def member(rs, w):
-    """Is w in the redex set: does walking it from the start reach the
-    target?"""
-    return rs.carrier.walk(rs.start, w) == rs.target
 
 
 # ---------------------------------------------------------------------------
@@ -133,18 +132,6 @@ def test_find_redexes_bounded_on_a_loop():
     rs = find_redexes(F_LOOP, [R_F], 3)
     assert [r.occ for r in rs] == [(), (1,), (1, 1), (1, 1, 1)]
     assert len(find_redexes(F_LOOP, [R_F], 3)[:2]) == 2
-
-
-def ref_find_redexes(rt, rules, maxlen):
-    """`find_redexes` as one walk per matching node."""
-    out = [
-        Redex(w, rule)
-        for rule in rules
-        for n in matching_nodes(rt, rule)
-        for w in PathCounts(rt.graph, rt.point, [n]).paths(maxlen)
-    ]
-    out.sort(key=lambda r: (occ_sort_key(r.occ), r.rule.name))
-    return out
 
 
 def test_find_redexes_matches_the_per_node_walks():
@@ -411,6 +398,23 @@ def test_develop_rational_loop():
     assert developed == G_LOOP
 
 
+def test_develop_rational_gives_inner_nodes_fresh_ids():
+    """A right-hand side's inner nodes get the g# ids the carrier lacks,
+    least first, in node order of their targets."""
+    ring = TermGraph.of(
+        ["n", "g#0"], {"n": "f", "g#0": "f"}, {"n": ("g#0",), "g#0": ("n",)}
+    )
+    rule_gg = rule("Rgg", "f(x)", "g(g(x))")
+    developed, _ = develop_rational(
+        RationalTerm(ring, "n"), [("g#0", rule_gg), ("n", rule_gg)]
+    )
+    assert list(developed.graph.nodes) == ["n", "g#0", "g#1", "g#2"]
+    assert developed.graph.succs == {
+        "n": ("g#1",), "g#1": ("g#0",), "g#0": ("g#2",), "g#2": ("n",)
+    }
+    assert set(developed.graph.labels.values()) == {"g"}
+
+
 def test_develop_rational_collapse_cycle_is_a_hole():
     developed, res = develop_rational(I_LOOP, [("n", R_I)])
     assert developed.unravel(8) == BOTTOM
@@ -529,13 +533,18 @@ def test_rule_facts_are_computed_once_per_rule(monkeypatch):
     assert walks == first
 
 
+def sample(report, i):
+    """The oracle's sample of chain index i (KeyError if it took none)."""
+    return {s.index: s for s in report.samples}[i]
+
+
 def test_oracle_on_the_f_loop():
     rs = RationalRedexSet(F_LOOP.graph, "n", "n", R_F)
     report = infinite_parallel_reduce(rs, depth=8)
     assert report.effective_depth == 8
     assert report.symbolic_limit == G_LOOP
     assert truncated_equal(report.limit, G_LOOP, 8)
-    assert report.sample(2).developed.unravel(8) == t("g(g(_|_))")
+    assert sample(report, 2).developed.unravel(8) == t("g(g(_|_))")
 
 
 def test_oracle_on_the_collapsing_loop():
@@ -587,7 +596,7 @@ def test_oracle_sample_selection():
     report = infinite_parallel_reduce(rs, depth=4, sample_at=[0, 2])
     assert [s.index for s in report.samples] == [0, 2, report.occurrences]
     with pytest.raises(KeyError):
-        report.sample(1)
+        sample(report, 1)
 
 
 def test_oracle_refuses_infinite_copying():
@@ -609,71 +618,6 @@ def test_error_hierarchy():
 # The shared cuts against the string trie they replaced
 
 
-def ref_cut_graph(rs, kept):
-    """The old `_cut_graph`: a trie of prefix tuples, rebuilt per call, with
-    one node per occurrence."""
-    g = rs.carrier
-    ren = dict(rs.var_names)
-    elements = set(kept)
-    prefixes = {()}
-    for w in kept:  # the set stays prefix-closed: stop at a known prefix
-        for i in range(len(w), 0, -1):
-            if w[:i] in prefixes:
-                break
-            prefixes.add(w[:i])
-
-    numbers = {}  # a number per occurrence, so ids stay short
-
-    def node_id(m, st):
-        if st is None:
-            return f"{m}@*"
-        return f"{m}@" + numbers.setdefault(st, str(len(numbers)))
-
-    nodes, labels, succs, bottoms, names = [], {}, {}, [], []
-    todo = [(rs.start, ())]
-    seen = {(rs.start, ())}
-    while todo:
-        m, st = todo.pop()
-        nid = node_id(m, st)
-        nodes.append(nid)
-        if m == rs.target and not (st is not None and st in elements):
-            bottoms.append(nid)
-            continue
-        if m in rs.bottoms:
-            bottoms.append(nid)
-            continue
-        lbl = g.labels.get(m)
-        if lbl is None:
-            names.append((nid, ren.get(m, m)))
-            continue
-        ss = []
-        for k, s in enumerate(g.succs[m], start=1):
-            child_st = None
-            if st is not None and st + (k,) in prefixes:
-                child_st = st + (k,)
-            ss.append(node_id(s, child_st))
-            if (s, child_st) not in seen:
-                seen.add((s, child_st))
-                todo.append((s, child_st))
-        labels[nid] = lbl
-        succs[nid] = tuple(ss)
-    term = RationalTerm(
-        TermGraph.of(nodes, labels, succs),
-        node_id(rs.start, ()),
-        frozenset(bottoms),
-        tuple(sorted(names, key=lambda kv: node_key(kv[0]))),
-    )
-    return term, [node_id(rs.target, w) for w in kept]
-
-
-def ref_route(rs, kept):
-    """The per-cut route the shared table replaced: the string-trie cut of
-    the kept members, and `develop_rational` on that cut alone."""
-    cut, nodes = ref_cut_graph(rs, kept)
-    developed, _ = develop_rational(cut, [(n, rs.rule) for n in nodes])
-    return cut, developed
-
-
 def kept_paths(cuts, cut):
     """The paths from a view's point to the redex nodes it reaches, in
     order: a walk that enters no past node, since none reaches one."""
@@ -686,69 +630,6 @@ def kept_paths(cuts, cut):
                 out.append(w)
             todo += [(w + (k,), s) for k, s in enumerate(cut.graph.succs[n], 1)]
     return sorted(out)
-
-
-def ref_prefix_check(rs, occs):
-    """The old prefix-respecting check: every prefix of every occurrence."""
-    seen = set()
-    for w in occs:
-        if not member(rs, w):
-            raise ValueError(f"{occ_format(w)} is not in the redex set")
-        for i in range(len(w)):
-            p = w[:i]
-            if p not in seen and member(rs, p):
-                raise ValueError(
-                    "enumeration is not prefix-respecting: "
-                    f"{occ_format(p)} missing before {occ_format(w)}"
-                )
-        if w in seen:
-            raise ValueError(f"{occ_format(w)} is listed twice")
-        seen.add(w)
-
-
-def ref_prefix_trie(rs, occs):
-    """The old trie walk: every occurrence walked from the root."""
-    trie = PrefixTrie(rs.start)
-    child, at, succs, target = trie.child, trie.at, rs.carrier.succs, rs.target
-    lengths = trie.lengths
-    listed = set()  # trie states of the occurrences checked so far
-    for w in occs:
-        st, missing = 0, None
-        for i, k in enumerate(w):
-            if missing is None and at[st] == target and st not in listed:
-                missing = w[:i]
-            nxt = child[st].get(k)
-            if nxt is None:
-                ss = succs.get(at[st])
-                if ss is None or not 0 < k <= len(ss):  # no such step
-                    st = None
-                    break
-                nxt = child[st][k] = len(child)
-                child.append({})
-                at.append(ss[k - 1])
-            st = nxt
-        if st is None or at[st] != target:
-            raise ValueError(f"{occ_format(w)} is not in the redex set")
-        if missing is not None:
-            raise ValueError(
-                "enumeration is not prefix-respecting: "
-                f"{occ_format(missing)} missing before {occ_format(w)}"
-            )
-        if st in listed:
-            raise ValueError(f"{occ_format(w)} is listed twice")
-        lengths += [0] * (len(w) + 1 - len(lengths))
-        lengths[len(w)] += 1
-        trie.size.append(len(child))
-        listed.add(st)
-    return trie
-
-
-def ref_scan(depth, holds):
-    """The old effective-depth search: one step down at a time."""
-    d = depth
-    while d > 0 and not holds(d):
-        d -= 1
-    return d
 
 
 def shared_ring(n, label, rule):
@@ -901,24 +782,6 @@ def test_cut_graphs_share_their_finite_part():
         assert len(set(cuts.redexes).intersection(reach.nodes)) <= redexes
         assert len(reach.nodes) == len(minimize(reach)[0].nodes)
     assert (len(reach.nodes), len(cuts.redexes)) == (2048, 2047)
-
-
-def ref_trie(rs, batches):
-    """`child`, `at` and `size` of a trie that walks every occurrence from
-    the root, in the trie and in the carrier."""
-    child, at, size = [{}], [rs.start], [1]
-    for batch in batches:
-        for w in batch:
-            st, m = 0, rs.start
-            for k in w:
-                m = rs.carrier.succs[m][k - 1]
-                if k not in child[st]:
-                    child[st][k] = len(child)
-                    child.append({})
-                    at.append(m)
-                st = child[st][k]
-            size.append(len(child))
-    return child, at, size
 
 
 def test_supplied_trie_matches_the_root_walk():
@@ -1319,9 +1182,11 @@ def test_the_upper_bound_check_catches_a_shallow_limit(monkeypatch):
 
 
 def test_prefix_check_matches_the_quadratic_one():
-    """Caller-supplied enumerations: reordered, with a member dropped, with
-    a repeat and with a non-member, accepted or refused with the same
-    message as the check on every prefix."""
+    """Caller-supplied enumerations, accepted or refused with the same
+    message as the check on every prefix: generated ones reordered, with a
+    member dropped, moved late or repeated, or followed by a non-member, and
+    hand-built lists on the f loop and a hole."""
+    cases = []
     for rs, _, _ in oracle_cases():
         occs = enumerate_occurrences(rs, count=24)
         lists = [
@@ -1329,20 +1194,46 @@ def test_prefix_check_matches_the_quadratic_one():
             sorted(occs, key=lambda w: (len(w), tuple(-i for i in w))),
             occs[::-1],
             occs + occs[-1:],
+            occs[:1] + occs,
             occs + [(9,)],
+            occs + [occs[-1] + (9,)] if occs else [(9,)],
         ]
         lists += [occs[:j] + occs[j + 1:] for j in range(min(len(occs), 6))]
-        for lst in lists:
-            want = got = None
-            try:
-                ref_prefix_check(rs, lst)
-            except ValueError as e:
-                want = str(e)
-            try:
-                _prefix_respecting_trie(rs, lst)
-            except ValueError as e:
-                got = str(e)
-            assert got == want
+        for j in range(0, len(occs), 4):
+            lists.append(occs[:j] + occs[j + 1:] + occs[j:j + 1])
+            lists.append(occs[: j + 1] + occs[j:])
+        cases += [(rs, lst) for lst in lists]
+    f_loop = RationalRedexSet(F_LOOP.graph, "n", "n", R_F)
+    ones = [(1,) * k for k in range(40)]
+    cases += [(f_loop, ones), (f_loop, ones[::2]), (f_loop, ones[:20] + ones[21:])]
+    cases += [(f_loop, ones[:30] + ones[29:30] + ones[30:])]
+    cases += [(f_loop, ones + [(1,) * 39 + (2,)]), (f_loop, [(), (1, 1)])]
+    cases += [
+        (HOLE_BEHIND_TARGET, lst)
+        for lst in (
+            [(), (1, 1), (1, 1, 1, 1)],
+            [(), (1, 1, 1, 1)],
+            [(1, 1)],
+            [(), (1, 1), (1, 2, 1)],
+            [(), (1, 1), (1, 1, 1, 3)],
+            [(), (1, 1), (1, 1), (1, 1, 1, 1)],
+        )
+    ]
+    refusals = set()
+    for rs, lst in cases:
+        want = got = None
+        try:
+            ref_prefix_check(rs, lst)
+        except ValueError as e:
+            want = str(e)
+        try:
+            _prefix_respecting_trie(rs, lst)
+        except ValueError as e:
+            got = str(e)
+        assert got == want, lst
+        if want is not None:
+            refusals.add(want.split(":")[0].split()[-1])
+    assert refusals == {"set", "prefix-respecting", "twice"}
 
 
 def test_the_trie_walk_tests_membership():
@@ -1395,61 +1286,6 @@ def test_a_repeated_occurrence_is_refused():
         ([(), (1,), (1, 1), (1, 1, 1)], 4),
     ):
         assert infinite_parallel_reduce(rs, 4, occurrences=lst).effective_depth == depth
-
-
-def test_the_prefix_walk_matches_the_walk_from_the_root():
-    """Walking each occurrence from its longest listed proper prefix builds
-    the trie of the walk from the root, state for state, and refuses the
-    same lists with the same message: generated enumerations reordered,
-    with a member dropped, moved late, repeated, or followed by a
-    non-member, and hand-built lists on loops and a hole."""
-    cases = []
-    for rs, _, _ in oracle_cases():
-        occs = enumerate_occurrences(rs, count=30)
-        lists = [
-            occs,
-            sorted(occs, key=lambda w: (len(w), tuple(-i for i in w))),
-            occs[::-1],
-            occs + occs[-1:],
-            occs[:1] + occs,
-            occs + [(9,)],
-            occs + [occs[-1] + (9,)] if occs else [(9,)],
-        ]
-        for j in range(0, len(occs), 4):
-            lists.append(occs[:j] + occs[j + 1:])
-            lists.append(occs[:j] + occs[j + 1:] + occs[j:j + 1])
-            lists.append(occs[: j + 1] + occs[j:])
-        cases += [(rs, lst) for lst in lists]
-    f_loop = RationalRedexSet(F_LOOP.graph, "n", "n", R_F)
-    ones = [(1,) * k for k in range(40)]
-    cases += [(f_loop, ones), (f_loop, ones[::2]), (f_loop, ones[:20] + ones[21:])]
-    cases += [(f_loop, ones[:30] + ones[29:30] + ones[30:])]
-    cases += [(f_loop, ones + [(1,) * 39 + (2,)]), (f_loop, [(), (1, 1)])]
-    cases += [
-        (HOLE_BEHIND_TARGET, lst)
-        for lst in (
-            [(), (1, 1), (1, 1, 1, 1)],
-            [(), (1, 1, 1, 1)],
-            [(1, 1)],
-            [(), (1, 1), (1, 2, 1)],
-            [(), (1, 1), (1, 1, 1, 3)],
-            [(), (1, 1), (1, 1), (1, 1, 1, 1)],
-        )
-    ]
-    refusals = set()
-    for rs, lst in cases:
-        outcomes = []
-        for walk in (ref_prefix_trie, _prefix_respecting_trie):
-            try:
-                trie = walk(rs, lst)
-            except ValueError as e:
-                outcomes.append(str(e))
-            else:
-                outcomes.append((trie.child, trie.at, trie.size, trie.lengths))
-        assert outcomes[0] == outcomes[1], (lst, outcomes)
-        if isinstance(outcomes[0], str):
-            refusals.add(outcomes[0].split(":")[0].split()[-1])
-    assert refusals == {"set", "prefix-respecting", "twice"}
 
 
 def test_the_depth_decision_matches_the_linear_scan(monkeypatch):

@@ -13,15 +13,17 @@ import tgr
 from tgr import cli
 from tgr.dot import export_dot
 from tgr.graphs import RationalTerm, TermGraph, bisim_equal
-from tgr.harness import gen_signature, gen_term
+from tgr.harness import gen_case, gen_signature, gen_term
 from tgr.parsing import (
     ParseError,
+    Workspace,
     format_graph,
     graph_to_json,
     parse_workspace,
 )
 from tgr.rules import RewriteRule
 from tgr.terms import format_term, op, parse_term, var
+from tests.reference import ref_rewrite_steps
 
 WORKSPACE = """\
 # a small workspace exercising every declaration form
@@ -319,6 +321,43 @@ def test_cli_rewrite_to_normal_form(ws_file, capsys):
     assert out.splitlines()[0].startswith("STEP Rf at m")
     # f(a) => g(a) => the stream, which has no redexes
     assert "normal form: yes" in out
+
+
+def test_cli_rewrite_prints_the_steps_the_replay_takes(ws, capsys, monkeypatch):
+    """`tgr rewrite --json` prints the steps its `Stepper` took, with the
+    identity plus the merged-away nodes as each track; the old route, which
+    replayed each first match on copies (`ref_rewrite_steps`), gives the
+    same steps, tracks, result and verdict, or the same refusal, on every
+    graph of this file's and the corpus's workspaces and on generated
+    hosts."""
+    corpus = Path(__file__).resolve().parent / "corpus"
+    spaces = [ws]
+    for path in sorted(corpus.glob("*.tgr")):
+        try:
+            spaces.append(parse_workspace(path.read_text(encoding="utf-8")))
+        except ValueError:  # the corpus's broken workspaces
+            pass
+    for seed in range(80):
+        case = gen_case(random.Random(seed))
+        spaces.append(Workspace(case.sig, {"H": case.host}, case.trs))
+    compared = merged = 0
+    for space in spaces:
+        monkeypatch.setattr(cli, "_load", lambda path: space)
+        for name in space.graphs:
+            try:
+                want = ref_rewrite_steps(space.graph(name), space.tgrs(), 20)
+            except ValueError as e:
+                code, _, err = run(capsys, "rewrite", "-", "--graph", name)
+                assert (code, err) == (2, f"error: {e}\n")
+                continue
+            steps, result, nf = want
+            code, doc = run_json(capsys, "rewrite", "-", "--graph", name)
+            assert code == 0
+            assert doc["steps"] == steps, name
+            assert (doc["result"], doc["normal_form"]) == (graph_to_json(result), nf)
+            compared += len(steps)
+            merged += sum(s["track"] != {n: n for n in s["track"]} for s in steps)
+    assert compared >= 400 and merged >= 20
 
 
 def test_cli_derive(ws_file, capsys):

@@ -24,13 +24,12 @@ from tgr.rules import (
 from tgr.terms import (
     Signature,
     is_linear,
-    occ_sort_key,
     op,
     parse_term,
-    rebuild,
     subterms,
     var,
 )
+from tests.reference import ref_overlaps, ref_unify
 
 SIG = Signature.of(
     {"a": 0, "f": 1, "g": 1, "I": 1, "cdr": 1, "cons": 2, "p": 2}
@@ -161,56 +160,6 @@ def test_nonlinear_rule_not_orthogonal():
         assert orthogonality_conflicts(TRS(SIG, rules)) == [
             "rule nl is not left-linear"
         ]
-
-
-def ref_unify(left, right):
-    """Most general unifier of two total terms in triangular form, or None:
-    Robinson's algorithm with the occurs check."""
-    subst = {}
-
-    def resolve(a):
-        while a.is_var and a.symbol in subst:
-            a = subst[a.symbol]
-        return a
-
-    def occurs(name, a):
-        todo = [a]  # bound variables stand for their bindings
-        while todo:
-            for _, b in subterms(todo.pop()):
-                if b.is_var and b.symbol in subst:
-                    todo.append(subst[b.symbol])
-                elif b.is_var and b.symbol == name:
-                    return True
-        return False
-
-    stack = [(left, right)]
-    while stack:
-        a, b = map(resolve, stack.pop())
-        if a.is_var and b.is_var and a.symbol == b.symbol:
-            continue
-        if b.is_var:
-            a, b = b, a
-        if a.is_var:
-            if occurs(a.symbol, b):
-                return None
-            subst[a.symbol] = b
-        elif a.symbol != b.symbol or len(a.children) != len(b.children):
-            return None
-        else:
-            stack.extend(zip(a.children, b.children))
-    return subst
-
-
-def ref_overlaps(l1, l2, same):
-    """Unify a renamed-apart l2 at every operator position of l1, no filter."""
-    fresh = rebuild(l2, lambda s, _: var(s.symbol + "'") if s.is_var else None)
-    ops = sorted((w for w, s in subterms(l1) if s.is_op), key=occ_sort_key)
-    return [
-        w
-        for w in ops
-        if not (same and not w)
-        and ref_unify(dict(subterms(l1))[w], fresh) is not None
-    ]
 
 
 # SIG's names at other arities, so a symbol can agree while its arity clashes

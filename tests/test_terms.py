@@ -33,6 +33,16 @@ from tgr.terms import (
     var,
     vars_of,
 )
+from tests.reference import (
+    ref_apply_subst_rational,
+    ref_eq,
+    ref_format,
+    ref_is_total,
+    ref_occurrences,
+    ref_rational_of_term,
+    ref_var_names,
+    ref_var_positions,
+)
 
 SIG = Signature.of({"a": 0, "b": 0, "f": 1, "g": 1, "p": 2})
 
@@ -96,85 +106,7 @@ def subterm(s, w):
 
 
 # ---------------------------------------------------------------------------
-# The recursive walkers the one walk replaced, kept as references
-
-
-def ref_eq(s, u):
-    return (
-        s.symbol == u.symbol
-        and s.is_var == u.is_var
-        and len(s.children) == len(u.children)
-        and all(ref_eq(a, b) for a, b in zip(s.children, u.children))
-    )
-
-
-def ref_occurrences(s, at=()):
-    if s.is_bottom:
-        return {}
-    out = {at: s.symbol}
-    for i, c in enumerate(s.children, start=1):
-        out.update(ref_occurrences(c, at + (i,)))
-    return out
-
-
-def ref_var_names(s):
-    """Variable names in preorder, repeats included."""
-    if s.is_var:
-        return [s.symbol]
-    return [x for c in s.children for x in ref_var_names(c)]
-
-
-def ref_is_total(s):
-    return not s.is_bottom and all(ref_is_total(c) for c in s.children)
-
-
-def ref_var_positions(s, at=()):
-    if s.is_var:
-        return {s.symbol: at}
-    out = {}
-    for i, c in enumerate(s.children, start=1):
-        out.update(ref_var_positions(c, at + (i,)))
-    return out
-
-
-def ref_format(s):
-    if s.is_bottom:
-        return "_|_"
-    if s.is_var or not s.children:
-        return s.symbol
-    return f"{s.symbol}({', '.join(ref_format(c) for c in s.children)})"
-
-
-def ref_rational_of_term(s, prefix="t"):
-    labels, succs, nodes, bottoms = {}, {}, [], []
-
-    def go(u, at):
-        if u.is_var:
-            if u.symbol not in nodes:
-                nodes.append(u.symbol)
-            return u.symbol
-        nid = prefix + "".join(f".{i}" for i in at) if at else prefix
-        nodes.append(nid)
-        if u.is_bottom:
-            bottoms.append(nid)
-            return nid
-        labels[nid] = u.symbol
-        succs[nid] = tuple(go(c, at + (i,)) for i, c in enumerate(u.children, 1))
-        return nid
-
-    root = go(s, ())
-    return RationalTerm(TermGraph.of(nodes, labels, succs), root, frozenset(bottoms))
-
-
-def ref_apply_subst_rational(s, sigma, depth):
-    if s.is_bottom or depth <= 0:
-        return BOTTOM
-    if s.is_var:
-        bound = sigma.get(s.symbol)
-        return bound.unravel(depth) if bound is not None else s
-    return op(
-        s.symbol, [ref_apply_subst_rational(c, sigma, depth - 1) for c in s.children]
-    )
+# The one walk against the recursive walkers it replaced (tests/reference.py)
 
 
 F_LOOP = RationalTerm(TermGraph.of(["n"], {"n": "f"}, {"n": ("n",)}), "n")
