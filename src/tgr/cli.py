@@ -29,6 +29,7 @@ from .harness import (
     verify_soundness,
 )
 from .parallel import (
+    DEFAULT_BUDGET,
     OracleError,
     RationalRedexSet,
     UnsupportedRuleError,
@@ -330,6 +331,7 @@ def _cmd_oracle(args) -> int:
             "rule": args.rule,
             "at": args.at,
             "occurrences": report.occurrences,
+            "nodes": report.nodes,
             "threshold": report.threshold,
             "lift": report.lift,
             "cycle": report.cycle,
@@ -376,6 +378,7 @@ def _cmd_verify_soundness(args) -> int:
                     "depth": r.depth,
                     "effective_depth": r.effective_depth,
                     "occurrences": r.occurrences,
+                    "nodes": r.nodes,
                 }
                 for r in reports
             ],
@@ -507,7 +510,7 @@ def indices(text: str) -> Optional[List[int]]:
     return out if text else None
 
 
-def _add_common(p, file=True, graph=False, depth=False):
+def _add_common(p, file=True, graph=False, depth=False, budget=False):
     if file:
         p.add_argument("file", help="workspace file")
     if graph:
@@ -515,6 +518,10 @@ def _add_common(p, file=True, graph=False, depth=False):
     if depth:
         p.add_argument(
             "--depth", type=natural, default=DEFAULT_DEPTH, help="truncation depth"
+        )
+    if budget:
+        p.add_argument(
+            "--budget", type=natural, default=DEFAULT_BUDGET, help="cut-node budget"
         )
     p.add_argument("--json", action="store_true", help="emit JSON")
 
@@ -559,20 +566,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_redex_set)
 
     p = sub.add_parser("oracle", help="develop an infinite redex set")
-    _add_common(p, graph=True, depth=True)
+    _add_common(p, graph=True, depth=True, budget=True)
     p.add_argument("--rule", required=True, help="rule name")
     p.add_argument("--at", required=True, help="matched node")
     p.add_argument("--from", dest="start", help="start node (default: root)")
-    p.add_argument("--budget", type=natural, default=2048, help="occurrence budget")
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser(
         "verify-soundness", help="graph steps against the oracle"
     )
-    _add_common(p, graph=True, depth=True)
+    _add_common(p, graph=True, depth=True, budget=True)
     p.add_argument("--rule", help="verify one rule (with --at)")
     p.add_argument("--at", help="verify one node (with --rule)")
-    p.add_argument("--budget", type=natural, default=2048, help="occurrence budget")
     p.set_defaults(fn=_cmd_verify_soundness)
 
     p = sub.add_parser(

@@ -22,7 +22,6 @@ empty nodes matched by rendered name).
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from typing import (
@@ -304,11 +303,8 @@ class PathCounts:
     enumerated, so exponentially many cost nothing extra.  A row without
     entries ends them all, and then finitely many paths exist.
 
-    The counts rank the paths from src in length-lex order (Ackerman &
-    Shallit, "Efficient enumeration of words in regular languages", TCS
-    2009): `count` gives how many are shorter than a bound, `within` the
-    longest bound that keeps the count within a budget, `prefix` the length
-    and rank at which the first k of them end, and `paths` lists them."""
+    `count` gives how many paths from src are shorter than a bound, adding
+    rows only up to it, and `paths` lists them in length-lex order."""
 
     def __init__(
         self, g: TermGraph, src: NodeId, targets: Optional[Iterable[NodeId]] = None
@@ -330,20 +326,6 @@ class PathCounts:
                 if p not in dist:
                     dist[p] = dist[s] + 1
                     order.append(p)
-
-    def within(self, n: float, bound: float) -> float:
-        """The largest b <= bound with count(b) <= n.  Rows are added here
-        only, and only while there are fewer than bound and the count is
-        still within n; `count` and `first` grow them through this loop."""
-        rows, below, preds = self.rows, self._below, self._preds
-        while len(rows) < bound and below[-1] <= n and rows[-1]:
-            row: Dict[NodeId, int] = {}
-            for s, c in rows[-1].items():
-                for p in preds.get(s, ()):
-                    row[p] = row.get(p, 0) + c
-            rows.append(row)
-            below.append(below[-1] + row.get(self.src, 0))
-        return bound if below[-1] <= n else min(bound, bisect_right(below, n) - 1)
 
     def paths(self, maxlen: Optional[int] = None) -> Iterator[Occurrence]:
         """The paths from src into the targets in length-lex order, none
@@ -373,23 +355,17 @@ class PathCounts:
             ]
 
     def count(self, bound: int) -> int:
-        """The number of paths from src of length < bound."""
-        self.within(float("inf"), bound)
-        return self._below[max(min(bound, len(self.rows)), 0)]
-
-    def first(self, n: int) -> int:
-        """How many of the first n paths from src exist: n, or all if fewer."""
-        self.within(n - 1, float("inf"))
-        return min(n, self._below[-1])
-
-    def prefix(self, k: int) -> Tuple[int, int]:
-        """(r, j) such that the first k paths from src are all those shorter
-        than r and the first j of length r: fewer than all of length r,
-        unless r is past the last row."""
-        self.first(k)
-        below = self._below
-        r = bisect_right(below, k) - 1
-        return r, k - below[r]
+        """The number of paths from src of length < bound.  Rows are added
+        here only, and only while there are fewer than bound."""
+        rows, below, preds = self.rows, self._below, self._preds
+        while len(rows) < bound and rows[-1]:
+            row: Dict[NodeId, int] = {}
+            for s, c in rows[-1].items():
+                for p in preds.get(s, ()):
+                    row[p] = row.get(p, 0) + c
+            rows.append(row)
+            below.append(below[-1] + row.get(self.src, 0))
+        return below[max(min(bound, len(rows)), 0)]
 
 
 def predecessors(g: TermGraph) -> Dict[NodeId, Set[NodeId]]:

@@ -46,6 +46,7 @@ from .graphs import (
     truncated_equal,
 )
 from .parallel import (
+    DEFAULT_BUDGET,
     OracleError,
     RationalRedexSet,
     Redex,
@@ -57,6 +58,7 @@ from .parallel import (
     matching_nodes,
     rule_matches_at,
     develop_rational,
+    threshold_length,
 )
 from .parsing import format_graph
 from .rules import (
@@ -96,7 +98,8 @@ class SoundnessReport:
     chain_limit: RationalTerm
     symbolic_ok: bool  # result == symbolic development, at every depth
     chain_ok: bool  # result vs chain limit, at the effective depth
-    occurrences: int
+    occurrences: int  # members the oracle's last approximant keeps
+    nodes: int  # its cut-table nodes, which the budget bounds
 
     @property
     def ok(self) -> bool:
@@ -136,7 +139,7 @@ def verify_soundness(
     host: RationalTerm,
     match: Match,
     depth: int = 16,
-    budget: int = 2048,
+    budget: int = DEFAULT_BUDGET,
     sample_at: Optional[Sequence[int]] = None,
 ) -> SoundnessReport:
     """Check that one graph step is a correct infinite parallel term step.
@@ -146,8 +149,9 @@ def verify_soundness(
     asks the oracle to develop the match's induced redex set.  The step's
     result must equal the oracle's symbolic development exactly (`==`, at
     every depth), and agree with its chain limit to the oracle's effective
-    depth: `depth`, unless `budget` lowers it on very dense hosts.  So
-    `depth` bounds only the chain leg.
+    depth: `depth`, unless `budget`, counted in the oracle's cut-table
+    nodes, lowers it on very dense hosts.  So `depth` bounds only the chain
+    leg.  `sample_at` counts chain positions, as the oracle does.
     """
     drv, after = derive_rational(host, match)
     rs = induced_parallel_redex(host, match, sig)
@@ -166,6 +170,7 @@ def verify_soundness(
         symbolic_ok,
         chain_ok,
         report.occurrences,
+        report.nodes,
     )
 
 
@@ -549,8 +554,13 @@ def _prop_enumerations(
     rs = induced_parallel_redex(case.host, m, case.sig)
     try:
         rep1 = infinite_parallel_reduce(rs, depth, budget=budget)
+        # at most `budget` members, all that the deepest depth they cover
+        # needs (the default chain may keep ~10^21): more would check no deeper
+        d = rep1.effective_depth
+        while d > 0 and rs.count_below(threshold_length(rs, d)) > budget:
+            d -= 1
         alt = sorted(
-            enumerate_occurrences(rs, count=rep1.occurrences),
+            enumerate_occurrences(rs, budget, threshold_length(rs, d) - 1),
             key=lambda w: (len(w), tuple(-i for i in w)),
         )
         rep2 = infinite_parallel_reduce(rs, depth, occurrences=alt)

@@ -385,22 +385,25 @@ def enumerate_occurrences(
 
 class _Cuts:
     """The nodes every cut of one oracle call shares, and where its kept
-    members come from: the path counts of the default enumeration, or the
-    trie of a caller-supplied one.
+    members come from: the length of the default chain, or the trie of a
+    caller-supplied enumeration.
 
     A node is hash-consed on its carrier node and successor nodes, so equal
     keys mean equal unravelings, wherever in the chain they were built, and
     no node changes once built.  Past the kept prefixes each carrier node m
     has one node `m@*`: a hole where m is the target or a hole, a variable
     under its name where m is empty, and otherwise m's label over the past
-    nodes of its successors.  `chain` caches what `_cut_graph` builds.
+    nodes of its successors.  The default chain builds no more than
+    `budget` nodes.  `chain` caches what `_cut_graph` builds.
     """
 
     def __init__(
-        self, rs: RationalRedexSet, trie: Optional[PrefixTrie] = None
+        self,
+        rs: RationalRedexSet,
+        trie: Optional[PrefixTrie] = None,
+        budget: float = float("inf"),
     ) -> None:
-        self.rs, self.trie = rs, trie
-        self.table = rs.table
+        self.rs, self.trie, self.budget = rs, trie, budget
         self.labels: Dict[NodeId, str] = {}
         self.succs: Dict[NodeId, Tuple[NodeId, ...]] = {}
         self.holes: Set[NodeId] = set()
@@ -408,11 +411,10 @@ class _Cuts:
         self.redexes: List[NodeId] = []  # kept nodes at the target, in order
         self.chain: Optional[Tuple[int, RationalTerm, RationalTerm, dict]] = None
         self._shared: Dict[Tuple[NodeId, Tuple[NodeId, ...]], NodeId] = {}
-        self._states: Dict[Tuple[NodeId, int, int], NodeId] = {}
-        self._points: Dict[int, NodeId] = {}
+        self._states: Dict[Tuple[NodeId, int], NodeId] = {}
+        self._points: Dict[int, NodeId] = {}  # a supplied enumeration's cuts
         g, ren = rs.carrier, dict(rs.var_names)
         self.past = {m: f"{m}@*" for m in g.reachable(rs.start)}
-        self._points[0] = self.past[rs.start]
         for m, nid in self.past.items():
             if m == rs.target or m in rs.bottoms:
                 self.holes.add(nid)  # a hole, or a member not kept: cut
@@ -433,56 +435,41 @@ class _Cuts:
                 self.redexes.append(nid)
         return nid
 
-    def state(self, m: NodeId, r: int, j: int) -> NodeId:
-        """The node of the state (m, r, j): the subterm at carrier node m
-        that keeps the set members below it shorter than r and the first j
-        of length r, and cuts the rest.  It does not depend on the cut, so
-        each state is built once per call, children first.  It is m's past
-        node when nothing is kept: j is 0 and m's shortest path to the
-        target is not shorter than r.
+    def state(self, m: NodeId, r: int) -> Optional[NodeId]:
+        """The node of the state (m, r): the subterm at carrier node m that
+        keeps the set members below it shorter than r and cuts the rest.
+        It is m's past node when m's shortest path to the target is not
+        shorter than r, and otherwise m's label over the states (s, r - 1)
+        of its successors s.  It does not depend on the cut, so each state
+        is built once per call: one walk down collects the states to build,
+        level by level, and they are built bottom up.  None, with the
+        states built so far kept, if the table would outgrow the budget."""
+        memo, dist = self._states, self.rs.table.dist
+        succs, past, shared = self.rs.carrier.succs, self.past, self._shared
+        levels, here, k = [], [m], r
+        while here:  # the states of bound k below (m, r) not yet built
+            here = [s for s in dict.fromkeys(here) if dist.get(s, k) < k]
+            here = [s for s in here if (s, k) not in memo]
+            levels.append((k, here))
+            here = [s for n in here for s in succs[n]]
+            k -= 1
+        for k, here in reversed(levels):  # a state not in memo is past
+            for n in here:
+                ss = tuple([memo.get((s, k - 1)) or past[s] for s in succs[n]])
+                if (n, ss) not in shared and len(shared) >= self.budget:
+                    return None
+                memo[n, k] = self.node(n, ss)
+        return memo.get((m, r)) or past[m]
 
-        A successor s whose members of length r - 1 all come before the
-        j-th is left of the last kept member's path and keeps what is
-        shorter than r; one after it is right of that path and keeps what
-        is shorter than r - 1; the one holding it keeps the rest of the j.
-        """
-        memo, rows, dist = self._states, self.table.rows, self.table.dist
-        succs, past = self.rs.carrier.succs, self.past
-        new: Dict[tuple, list] = {}  # states to build, with their successors'
-        todo = [(m, r, j)]
-        while todo:
-            state = todo.pop()
-            if state in memo or state in new:
-                continue
-            here, bound, left = state
-            if not left and dist.get(here, bound) >= bound:
-                memo[state] = past[here]
-                continue
-            row, kids = rows[bound - 1], []
-            for s in succs[here]:
-                c = row.get(s, 0)
-                if left >= c > 0:  # all of its members of length r - 1
-                    kids.append((s, bound, 0))
-                else:
-                    kids.append((s, bound - 1, left if 0 < left < c else 0))
-                left -= c
-            new[state] = kids
-            todo += kids
-        # (r, j > 0) falls from every state to its successors' states
-        for state in sorted(new, key=lambda st: (st[1], st[2] > 0)):
-            ss = tuple([memo[kid] for kid in new[state]])
-            memo[state] = self.node(state[0], ss)
-        return memo[m, r, j]
-
-    def point(self, i: int) -> NodeId:
-        """The node of the cut that keeps the first i members: the start's
-        past node for none, with the default enumeration the state that
-        keeps them below the start, and with a supplied one the states of
-        its trie below `size[i]`, built children first; each once a call."""
+    def point(self, i: int) -> Optional[NodeId]:
+        """The node of cut i: with the default enumeration the state that
+        keeps the members shorter than i below the start (the start's past
+        node for none), with a supplied one the states of its trie below
+        `size[i]`, which keep its first i members, built children first;
+        each once a call."""
+        if self.trie is None or not i:
+            return self.state(self.rs.start, i)
         if i in self._points:
-            return self._points[i]
-        if self.trie is None:
-            self._points[i] = self.state(self.rs.start, *self.table.prefix(i))
             return self._points[i]
         succs, past = self.rs.carrier.succs, self.past
         child, at, limit = self.trie.child, self.trie.at, self.trie.size[i]
@@ -494,16 +481,17 @@ class _Cuts:
                 ss.append(ids[c] if c < limit else past[s])
             ids[st] = self.node(at[st], tuple(ss))
         self._points[i] = ids[0]
-        return self._points[i]
+        return ids[0]
 
 
 def _cut_graph(
     rs: RationalRedexSet, cuts: _Cuts, i: int
 ) -> Tuple[RationalTerm, RationalTerm]:
-    """The approximant that keeps the first i members, every member not
-    kept cut to a hole, and its complete development.  The kept members
-    must be downward closed under the prefix order (prefix-respecting
-    enumerations are), so no cut lands inside a kept redex's pattern.
+    """Approximant i, which keeps the members shorter than i (or with a
+    supplied enumeration its first i), every member not kept cut to a hole,
+    and its complete development.  The kept members must be downward closed
+    under the prefix order (prefix-respecting enumerations are), so no cut
+    lands inside a kept redex's pattern.
 
     Both are exact views from `cuts.point(i)`: into the whole table as one
     term, and into its development by one `develop_rational` call at every
@@ -670,8 +658,8 @@ def threshold_length(rs: RationalRedexSet, depth: int) -> int:
 class ChainSample:
     """One inspected element of the approximating chain."""
 
-    index: int
-    approximant: RationalTerm  # the cut term, i members kept
+    index: int  # its length, or with a supplied enumeration its member count
+    approximant: RationalTerm  # the cut term
     developed: RationalTerm  # its complete development
 
 
@@ -686,6 +674,7 @@ class OracleReport:
     lift: int  # the rule's, as `threshold_length` read it
     cycle: Optional[int]  # the set's shortest cycle through the target
     occurrences: int  # members kept in the last approximant
+    nodes: int  # cut-table nodes built, which `budget` bounds
     samples: List[ChainSample]
     limit: RationalTerm  # development of the last approximant
     symbolic_limit: RationalTerm  # independently developed on the carrier
@@ -695,7 +684,10 @@ class OracleReport:
     doublings = 0
 
 
-# The oracle inspects every chain index up to this one, then doubles.
+# The cut-table nodes the oracle may build by default: the chain of the
+# one-node I loop needs one per length, 6,003 to settle depth 3,000.
+DEFAULT_BUDGET = 8192
+# The oracle inspects every chain position up to this one, then doubles.
 EVERY_APPROXIMANT_UP_TO = 16
 
 
@@ -760,25 +752,29 @@ def _prefix_respecting_trie(
 def infinite_parallel_reduce(
     rs: RationalRedexSet,
     depth: int = 16,
-    budget: int = 2048,
+    budget: int = DEFAULT_BUDGET,
     occurrences: Optional[Sequence[Occurrence]] = None,
     sample_at: Optional[Sequence[int]] = None,
 ) -> OracleReport:
     """Develop a rational redex set in full: the infinite parallel step.
 
     The result is the least upper bound of the developments of an ascending
-    chain of finite approximants (`_cut_graph` of enumeration prefixes).  The
-    number of members needed so the limit is exact on positions shorter than
-    `depth` comes from `threshold_length`; when that many members would
-    exceed `budget`, the largest depth whose requirement fits is used instead
-    and reported as `effective_depth`.  The count table's rows are read only
-    as far as the budget admits.
+    chain of finite approximants (`_cut_graph`), indexed by length:
+    approximant L keeps every member shorter than L.  The lengths are
+    cofinal, so the chain has the step as its limit.  Developing the members
+    shorter than `threshold_length` makes the limit exact on positions
+    shorter than `depth`.  The chain takes the lengths at which the cut
+    grows, one past a member's length, read off the set's path counts.
+    Unless the table, at most one node per state (m, r <= threshold), fits
+    `budget` nodes anyway, it builds them in turn while the table stays
+    within `budget`; if it would outgrow it, the largest depth whose
+    threshold the lengths built settle is reported as `effective_depth`.
 
     `occurrences` overrides the enumeration with a caller-supplied one, which
     must list each member once and be prefix-respecting (every member of the
     set that is a proper prefix of a listed occurrence appears earlier in
-    the list); the effective depth is then the largest whose required
-    members are all listed.
+    the list).  Its chain is indexed by member count, and the effective
+    depth is the largest whose required members are all listed.
 
     Three independent views must agree before anything is returned: the
     sampled chain must be ascending, every sampled development must lie
@@ -789,10 +785,11 @@ def infinite_parallel_reduce(
     is proven, so there is one round: a failed check raises (`OracleError`
     for a chain that does not ascend, `ConvergenceError` otherwise).
 
-    `sample_at` restricts which chain indices are inspected (0 and the final
-    index are always included); by default every index up to
+    `sample_at` restricts which chain positions are inspected (the first
+    and the last are always included); by default every position up to
     `EVERY_APPROXIMANT_UP_TO` is inspected and then geometrically many
-    more.
+    more.  A sample's `index` is its length, or with a supplied enumeration
+    its member count.
     """
     _refuse_infinite_copying(rs.rule)
     threshold = threshold_length(rs, depth)
@@ -800,34 +797,39 @@ def infinite_parallel_reduce(
     if occurrences is not None:
         trie = _prefix_respecting_trie(rs, [tuple(w) for w in occurrences])
         cuts, kept = _Cuts(rs, trie), len(trie.size) - 1
+        chain = list(range(kept + 1))
         # the members shorter than `settled` are all listed
         settled, have = 0, 0
-        for c in trie.lengths:
-            have += c
-            if settled >= threshold or table.count(settled + 1) != have:
+        while settled < threshold:
+            have += trie.lengths[settled] if settled < len(trie.lengths) else 0
+            if table.count(settled + 1) != have:
                 break
             settled += 1
-        else:  # past the longest listed length the next member is missing
-            settled = table.within(have, threshold)
     else:
-        cuts = _Cuts(rs)
-        # the members shorter than `settled` all fit the budget
-        settled = table.within(budget, threshold)
+        trie, cuts, chain = None, _Cuts(rs, budget=budget), [0]
+        # the members shorter than `settled` are all kept, `kept` of them
+        settled, kept = threshold, 0
+        # a table of states (m, r), r <= threshold, outgrows no larger budget
+        may_fill = len(cuts.past) * threshold > budget
+        for length in range(1, threshold + 1):
+            if table.count(length) == kept:
+                continue  # no member of length - 1: the cut does not grow
+            if may_fill and cuts.state(rs.start, length) is None:
+                settled = length - 1
+                break
+            chain.append(length)
+            kept = table.count(length)
     eff_depth = depth  # trusted where every member it needs is kept
     while eff_depth > 0 and threshold_length(rs, eff_depth) > settled:
         eff_depth -= 1
-    if occurrences is None:
-        # at effective depth 0 the budget still caps the members
-        kept = min(table.count(threshold_length(rs, eff_depth)), budget)
 
     carrier_term = RationalTerm(rs.carrier, rs.start, rs.bottoms, rs.var_names)
     symbolic, _ = develop_rational(carrier_term, [(rs.target, rs.rule)])
 
-    if sample_at is not None:
-        indices = sorted({min(max(i, 0), kept) for i in sample_at} | {0, kept})
-    else:
-        indices = _sample_indices(kept)
-    for i in indices:  # the states first: one table serves every sample
+    n = len(chain) - 1
+    picked = _sample_indices(n) if sample_at is None else sample_at
+    indices = [chain[i] for i in sorted({min(max(i, 0), n) for i in picked} | {0, n})]
+    for i in indices:  # every cut's states first: one table serves every sample
         cuts.point(i)
     samples = [ChainSample(i, *_cut_graph(rs, cuts, i)) for i in indices]
     steps = list(zip(samples, samples[1:]))
@@ -844,14 +846,15 @@ def infinite_parallel_reduce(
         raise ConvergenceError(
             f"development of chain element {k} is not below the symbolic limit"
         )
-    limit = samples[-1].developed
+    limit, nodes, last = samples[-1].developed, len(cuts._shared), chain[-1]
     if not truncated_equal(limit, symbolic, eff_depth):
+        final = f"final length {last}" if trie is None else f"{last} listed members"
         raise ConvergenceError(
             f"chain limit disagrees with the symbolic limit to effective depth "
             f"{eff_depth} (asked {depth}, threshold length {threshold}, "
-            f"{kept} members kept)"
+            f"{final}, {nodes} cut nodes)"
         )
     return OracleReport(
-        rs, depth, eff_depth, threshold, rs.rule.lift, rs.cycle, kept,
+        rs, depth, eff_depth, threshold, rs.rule.lift, rs.cycle, kept, nodes,
         samples, limit, symbolic,
     )

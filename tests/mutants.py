@@ -41,22 +41,13 @@ class Mutant(NamedTuple):
 
 CUTS = "tests/test_parallel.py::test_cut_graphs_match_the_string_trie"
 REFERENCE = "tests/test_parallel.py::test_cuts_match_the_reference"
+DECISION = "tests/test_parallel.py::test_the_depth_decision_matches_the_linear_scan"
 
 MUTANTS: List[Mutant] = [
     Mutant(
-        "right-of-spine-bound",
-        "parallel.py",
-        "kids.append((s, bound - 1, left if 0 < left < c else 0))",
-        "kids.append((s, bound - 1 + (left <= 0 < state[2]), "
-        "left if 0 < left < c else 0))",
-        (CUTS,),
-        "right of the last kept member's path, members of remaining length "
-        "L - |u| are kept instead of those up to L - |u| - 1",
-    ),
-    Mutant(
         "state-memo-by-node",
         "parallel.py",
-        "self._states: Dict[Tuple[NodeId, int, int], NodeId] = {}",
+        "self._states: Dict[Tuple[NodeId, int], NodeId] = {}",
         'self._states = type("ByNode", (dict,), {'
         '"__contains__": lambda d, k: dict.__contains__(d, k[0]), '
         '"__getitem__": lambda d, k: dict.__getitem__(d, k[0]), '
@@ -65,24 +56,48 @@ MUTANTS: List[Mutant] = [
         "a cut state's node is memoised by its carrier node alone",
     ),
     Mutant(
-        "distance-prune-off-by-one",
+        "state-keeps-one-length-short",
         "parallel.py",
-        "if not left and dist.get(here, bound) >= bound:",
-        "if not left and dist.get(here, bound) >= bound - 1:",
+        "here = [s for s in dict.fromkeys(here) if dist.get(s, k) < k]",
+        "here = [s for s in dict.fromkeys(here) if dist.get(s, k) < k - 1]",
         (CUTS, REFERENCE),
-        "a state is cut to its past node while it still keeps the members "
-        "one shorter than its bound",
+        "the state (m, r) keeps only the members below m shorter than r - 1: "
+        "it is cut to its past node while it still keeps those of length "
+        "r - 1",
     ),
     Mutant(
-        "unrank-without-offset",
-        "graphs.py",
-        "return r, k - below[r]",
-        "return r, k",
-        (
-            CUTS,
-            "tests/test_parallel.py::test_unranked_members_are_the_enumeration",
-        ),
-        "the rank within a length forgets the members of shorter lengths",
+        "approximant-one-length-short",
+        "parallel.py",
+        "return self.state(self.rs.start, i)",
+        "return self.state(self.rs.start, max(i - 1, 0))",
+        (CUTS, REFERENCE),
+        "approximant L keeps the members shorter than L - 1",
+    ),
+    Mutant(
+        "budget-one-node-over",
+        "parallel.py",
+        "len(shared) >= self.budget:",
+        "len(shared) > self.budget:",
+        ("tests/test_parallel.py::test_the_budget_is_a_hard_cap", DECISION),
+        "the cut table takes one node past the budget",
+    ),
+    Mutant(
+        "table-bound-trusted-blindly",
+        "parallel.py",
+        "may_fill = len(cuts.past) * threshold > budget",
+        "may_fill = False",
+        ("tests/test_parallel.py::test_the_budget_is_a_hard_cap", DECISION),
+        "no length is built against the budget, so the table can outgrow it",
+    ),
+    Mutant(
+        "every-length-sampled",
+        "parallel.py",
+        "            if table.count(length) == kept:\n"
+        "                continue  # no member of length - 1: the cut does not grow\n",
+        "",
+        ("tests/test_parallel.py::test_oracle_sample_selection",),
+        "the chain takes every length, not only those at which the cut "
+        "grows, so samples land where the cut is unchanged",
     ),
     Mutant(
         "hash-cons-by-node",
@@ -255,7 +270,6 @@ MUTANTS += [
             BRUTE_FORCE,
             "tests/test_parallel.py::test_find_redexes_matches_the_per_node_walks",
             CUTS,
-            "tests/test_parallel.py::test_unranked_members_are_the_enumeration",
         ),
         "the backward distance walk stops after the targets' predecessors, "
         "so nodes farther from a target look unable to reach one",
@@ -472,14 +486,12 @@ MUTANTS += [
     ),
 ]
 
-DECISION = "tests/test_parallel.py::test_the_depth_decision_matches_the_linear_scan"
 MUTANTS += [
     Mutant(
         "asked-depth-probe-restored",
         "parallel.py",
-        "        settled = table.within(budget, threshold)",
-        "        table.count(threshold)\n"
-        "        settled = table.within(budget, threshold)",
+        "        settled, kept = threshold, 0\n",
+        "        settled, kept = threshold, 0 * table.count(threshold)\n",
         (
             "tests/test_harness.py::"
             "test_the_depth_decision_reads_rows_only_to_the_budget",

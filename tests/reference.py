@@ -498,6 +498,27 @@ def ref_route(rs, kept):
     return cut, developed
 
 
+def ref_table_sizes(rs, lengths):
+    """The nodes of a hash-consed cut table once the cuts that keep the
+    members shorter than each of `lengths` are built in turn.  A node is a
+    carrier node m with the nonempty set of members below m that a cut
+    keeps there; that set holds those shorter than some bound, so its size
+    names it.  Each node's successors are walked once."""
+    tables, seen, sizes = {}, set(), []
+    for length in lengths:
+        todo = [(rs.start, length)]
+        while todo:
+            m, r = todo.pop()
+            if m not in tables:
+                tables[m] = PathCounts(rs.carrier, m, [rs.target])
+            kept = tables[m].count(r)
+            if kept and (m, kept) not in seen:
+                seen.add((m, kept))
+                todo += [(s, r - 1) for s in rs.carrier.successors(m)]
+        sizes.append(len(seen))
+    return sizes
+
+
 def ref_prefix_check(rs, occs):
     """The old prefix-respecting check: every prefix of every occurrence."""
     seen = set()

@@ -66,7 +66,7 @@ _LOOP = [
     ["redex-set", "--graph", "Loop", "--rule", "RI", "--at", "n",
      "--maxlen", "3"],
     ["oracle", "--graph", "Loop", "--rule", "RI", "--at", "n"],
-    # not even depth 1 fits: the budget still caps the members kept
+    # not even depth 1 fits: the budget still caps the cut nodes built
     ["oracle", "--graph", "Loop", "--rule", "RI", "--at", "n", "--budget", "0"],
     ["verify-soundness", "--graph", "Loop"],
     ["verify-nf", "--graph", "Loop"],

@@ -349,10 +349,10 @@ def host_scale_ring(n):
 
 
 def test_the_depth_decision_reads_rows_only_to_the_budget(monkeypatch):
-    # asked for depth 1,016 on a 1,000-node ring, the budget caps the chain
-    # leg at depth 430 with 73 members kept; the count table then holds no
-    # row past the length depth 431 would need (probing the asked depth
-    # first would fill 1,016 rows).
+    # asked for depth 1,016 on a 1,000-node ring, the default budget caps
+    # the chain leg at depth 446, its cut table full at 8,192 nodes; the
+    # count table then holds no row past the length depth 447 would need
+    # (probing the asked depth first would fill 1,016 rows).
     ring, m = host_scale_ring(1000)
     sets = []
     real = tgr.harness.induced_parallel_redex
@@ -364,23 +364,24 @@ def test_the_depth_decision_reads_rows_only_to_the_budget(monkeypatch):
     report = verify_soundness(
         Signature.of({"f": 1, "g": 1, "p": 2}), ring, m, depth=1016
     )
-    assert (report.effective_depth, report.occurrences, report.ok) == (430, 73, True)
+    assert (report.effective_depth, report.nodes, report.ok) == (446, 8192, True)
+    assert report.occurrences == 19220104372823340
     (rs,) = sets
-    assert len(rs.table.rows) <= threshold_length(rs, 431) + 1
+    assert len(rs.table.rows) <= threshold_length(rs, 447)
 
 
 def test_a_crippled_threshold_raises_convergence_error(monkeypatch):
-    # cripple the occurrence-count bound: the oracle keeps too few members,
+    # cripple the occurrence-length bound: the oracle keeps too few members,
     # finds the chain limit disagreeing with the symbolic development, and
-    # refuses in its one round, naming both depths, the threshold length
-    # and the members it kept.
+    # refuses in its one round, naming both depths, the threshold length,
+    # the chain's final length and its cut-table nodes.
     monkeypatch.setattr(
         tgr.parallel, "threshold_length", lambda rs, depth: 1
     )
     rs = RationalRedexSet(F_LOOP.graph, "n", "n", R_F)
     message = (
         r"chain limit disagrees with the symbolic limit to effective depth 4 "
-        r"\(asked 4, threshold length 1, 1 members kept\)"
+        r"\(asked 4, threshold length 1, final length 1, 1 cut nodes\)"
     )
     with pytest.raises(ConvergenceError, match=message):
         infinite_parallel_reduce(rs, depth=4)

@@ -2,6 +2,7 @@
 
 import functools
 import random
+from bisect import bisect_right
 from dataclasses import replace
 
 import pytest
@@ -52,6 +53,7 @@ from tests.reference import (
     ref_prefix_check,
     ref_route,
     ref_scan,
+    ref_table_sizes,
     ref_trie,
 )
 
@@ -592,11 +594,21 @@ def test_oracle_supplied_enumeration():
 
 
 def test_oracle_sample_selection():
-    rs = RationalRedexSet(F_LOOP.graph, "n", "n", R_F)
-    report = infinite_parallel_reduce(rs, depth=4, sample_at=[0, 2])
-    assert [s.index for s in report.samples] == [0, 2, report.occurrences]
+    """`sample_at` counts chain positions, and a sample's index is its
+    length: on a 3-node f ring the cut grows at lengths 1, 4, 7, ..., one
+    past each member's, and only there is a sample taken."""
+    ids = ["n0", "n1", "n2"]
+    ring = TermGraph.of(
+        ids, dict.fromkeys(ids, "f"), {"n0": ("n1",), "n1": ("n2",), "n2": ("n0",)}
+    )
+    rs = RationalRedexSet(ring, "n0", "n0", R_F)
+    report = infinite_parallel_reduce(rs, depth=12, sample_at=[0, 2])
+    assert [s.index for s in report.samples] == [0, 4, 10]
+    assert report.occurrences == 4
+    report = infinite_parallel_reduce(rs, depth=12)
+    assert [s.index for s in report.samples] == [0, 1, 4, 7, 10]
     with pytest.raises(KeyError):
-        sample(report, 1)
+        sample(report, 2)
 
 
 def test_oracle_refuses_infinite_copying():
@@ -657,18 +669,20 @@ def generated_sets(seeds=range(300)):
 @functools.cache
 def oracle_cases():
     """(redex set, depth, budget), built once: the generated sets with a
-    member the start reaches, the first one without (a chain of one empty
-    cut), shared 4- and 5-node rings whose depth-48 requirement exceeds
-    the budget, the cdr/cons cycle and a hole below the target."""
+    member the start reaches, at a budget of 16 cut nodes that caps about
+    one in nine of them, the first one without (a chain of one empty cut),
+    shared 4- and 5-node rings whose depth-48 chains need more cut
+    nodes than the budget (one per length: 46 and 62) and stop at 2,047
+    members, the cdr/cons cycle and a hole below the target."""
     sets = list(generated_sets())
     empty = [rs for rs in sets if not enumerate_occurrences(rs, count=1)]
-    cases = [(empty[0], 12, 64)]
-    cases += [(rs, 12, 64) for rs in sets if enumerate_occurrences(rs, count=1)]
+    cases = [(empty[0], 12, 16)]
+    cases += [(rs, 12, 16) for rs in sets if enumerate_occurrences(rs, count=1)]
     cases += [
-        (shared_ring(4, "f", R_F), 48, 2048),
-        (shared_ring(5, "I", R_I), 48, 2048),
+        (shared_ring(4, "f", R_F), 48, 42),
+        (shared_ring(5, "I", R_I), 48, 52),
         (CDR_CONS, 16, 2048),
-        (HOLE_BEHIND_TARGET, 12, 64),
+        (HOLE_BEHIND_TARGET, 12, 16),
     ]
     return tuple(cases)
 
@@ -695,20 +709,56 @@ HOLE_BEHIND_TARGET = RationalRedexSet(
 )
 
 
+def shorter_than(rs, length):
+    """The members shorter than `length`, which the default chain's
+    approximant `length` keeps."""
+    return enumerate_occurrences(rs, maxlen=length - 1)
+
+
+def table_needs(rs, depth):
+    """(length, nodes) for each length up to the threshold of `depth` at
+    which the default chain's cut grows, one past a member's length, with
+    the nodes of the table that holds the cuts of all of them up to it
+    (`ref_table_sizes`)."""
+    bound = threshold_length(rs, depth)
+    counts = [rs.count_below(n) for n in range(bound + 1)]
+    lengths = [n for n in range(1, bound + 1) if counts[n] > counts[n - 1]]
+    return list(zip(lengths, ref_table_sizes(rs, lengths)))
+
+
+def ref_decision(rs, depth, budget, needs):
+    """The effective depth and the final length of the default chain under
+    a budget of cut-table nodes, from `table_needs`: a depth fits when the
+    table holding the cut of every growth length up to its threshold does,
+    and the chain ends at the last growth length up to the asked depth's
+    threshold that fits."""
+
+    def fits(d):
+        bound = threshold_length(rs, d)
+        return all(n <= budget for length, n in needs if length <= bound)
+
+    bound = threshold_length(rs, depth)
+    lengths = [length for length, n in needs if n <= budget and length <= bound]
+    return ref_scan(depth, fits), max(lengths, default=0)
+
+
 def test_cut_graphs_match_the_string_trie(monkeypatch):
     """The oracle's report and every sampled approximant and development
     equal those of the oracle running on the per-cut route it replaced
     (`ref_route`): on the suite's sets, with `sample_at`, with supplied
     enumerations; under a crippled threshold both routes raise alike.
-    The same views built one index at a time, the table growing between
-    calls, are equal too, and the paths from each point to the redex nodes
-    it reaches are exactly the kept members, each once."""
+    The effective depth and final length are those `ref_decision` reads
+    off the table sizes.  The same views built one index at a time, the
+    table growing between calls, are equal too, and the paths from each
+    point to the redex nodes it reaches are exactly the kept members, each
+    once."""
 
     def compare(rs, depth, budget, occurrences=None, sample_at=None, may_raise=False):
+        def kept(i):
+            return shorter_than(rs, i) if occurrences is None else occurrences[:i]
+
         def old_cut(rs, cuts, i):
-            if occurrences is None:
-                return ref_route(rs, enumerate_occurrences(rs, count=i))
-            return ref_route(rs, occurrences[:i])
+            return ref_route(rs, kept(i))
 
         def outcome():  # the report, or the ConvergenceError raised
             try:
@@ -729,7 +779,6 @@ def test_cut_graphs_match_the_string_trie(monkeypatch):
         assert [s.index for s in report.samples] == [s.index for s in old.samples]
         assert report.limit == old.limit
         if occurrences is None:
-            occurrences = enumerate_occurrences(rs, count=report.occurrences)
             cuts = _Cuts(rs)
         else:
             cuts = _Cuts(rs, _prefix_respecting_trie(rs, occurrences))
@@ -738,15 +787,15 @@ def test_cut_graphs_match_the_string_trie(monkeypatch):
             assert new.developed == ref.developed
             cut, developed = _cut_graph(rs, cuts, new.index)
             assert cut == new.approximant and developed == new.developed
-            assert kept_paths(cuts, cut) == sorted(occurrences[: new.index])
+            assert kept_paths(cuts, cut) == sorted(kept(new.index))
+        assert report.occurrences == len(kept(report.samples[-1].index))
         return report
 
     for rs, depth, budget in oracle_cases():
         report = compare(rs, depth, budget)
-        assert report.effective_depth == ref_scan(
-            depth,
-            lambda d: rs.count_below(threshold_length(rs, d)) <= budget,
-        )
+        decision = report.effective_depth, report.samples[-1].index
+        assert decision == ref_decision(rs, depth, budget, table_needs(rs, depth))
+        assert report.nodes <= budget
     picked = oracle_cases()[-6:] + oracle_cases()[1:40:6]
     for rs, depth, budget in picked:
         compare(rs, depth, budget, sample_at=[3, 1, 40, 17])
@@ -763,19 +812,22 @@ def test_cut_graphs_match_the_string_trie(monkeypatch):
 
 
 def test_cut_graphs_share_their_finite_part():
-    """At 2,047 members the cuts of the shared rings, whose unshared trees
-    have 7,167 and 9,214 nodes, reach as few nodes as `minimize` leaves;
-    on the one-node I loop, where nothing repeats, each kept position keeps
-    its own node.  Each cut and its development equal the per-cut route's."""
+    """The cuts that keep 2,047 members (those shorter than 42 and 52 on
+    the shared rings, whose unshared trees have 7,167 and 9,214 nodes)
+    reach as few nodes as `minimize` leaves; on the one-node I loop, where
+    nothing repeats, each kept position keeps its own node.  Each cut and
+    its development equal the per-cut route's."""
     loop = RationalRedexSet(I_LOOP.graph, "n", "n", R_I)
-    for rs, most, redexes in (
-        (shared_ring(4, "f", R_F), 64, 11),
-        (shared_ring(5, "I", R_I), 64, 11),
-        (loop, 2048, 2047),
+    for rs, length, most, redexes in (
+        (shared_ring(4, "f", R_F), 42, 64, 11),
+        (shared_ring(5, "I", R_I), 52, 64, 11),
+        (loop, 2047, 2048, 2047),
     ):
         cuts = _Cuts(rs)
-        cut, developed = _cut_graph(rs, cuts, 2047)
-        ref_cut, ref_developed = ref_route(rs, enumerate_occurrences(rs, count=2047))
+        cut, developed = _cut_graph(rs, cuts, length)
+        kept = shorter_than(rs, length)
+        assert len(kept) == 2047
+        ref_cut, ref_developed = ref_route(rs, kept)
         assert cut == ref_cut and developed == ref_developed
         reach = cut.trimmed().graph
         assert len(reach.nodes) <= most
@@ -801,68 +853,16 @@ def test_supplied_trie_matches_the_root_walk():
             assert trie.lengths == [lengths.count(r) for r in range(longest + 1)]
 
 
-def unrank(rs, table, j):
-    """Member j read off the counts: its length r and its rank q among the
-    members of that length come from the start's counts; then each step
-    takes the first successor whose count of the remaining length covers
-    q, less the counts of the successors before it."""
-    if table.first(j + 1) <= j:
-        return None
-    r, q = table.prefix(j)
-    m, w = table.src, []
-    for left in range(r - 1, -1, -1):
-        for k, s in enumerate(rs.carrier.succs[m], 1):
-            c = table.rows[left].get(s, 0)
-            if q < c:
-                break
-            q -= c
-        w.append(k)
-        m = s
-    return tuple(w)
-
-
-def test_unranked_members_are_the_enumeration():
-    """Member j unranked by the counts is member j of the breadth-first
-    enumeration, and there is none past the end of a finite set: on the
-    suite's sets, the one-node I loop to 300 members, a 5-node f ring (each
-    member extends the last by 5 letters) and a shared binary ring
-    (neighbours differ in their last letters)."""
-    f_ring = RationalRedexSet(
-        TermGraph.of(
-            [f"n{i}" for i in range(5)],
-            {f"n{i}": "f" for i in range(5)},
-            {f"n{i}": (f"n{(i + 1) % 5}",) for i in range(5)},
-        ),
-        "n0",
-        "n0",
-        R_F,
-    )
-    sets = [(rs, 100) for rs, _, _ in oracle_cases()]
-    sets += [
-        (RationalRedexSet(I_LOOP.graph, "n", "n", R_I), 300),
-        (f_ring, 100),
-        (shared_ring(5, "f", R_F), 2000),
-    ]
-    finite = 0
-    for rs, count in sets:
-        table = PathCounts(rs.carrier, rs.start, [rs.target])
-        occs = enumerate_occurrences(rs, count=count)  # each count's prefix
-        assert [unrank(rs, table, j) for j in range(len(occs))] == occs
-        if len(occs) < count:  # a finite set, used up
-            assert unrank(rs, table, len(occs)) is None
-            assert table.first(count) == len(occs)
-            finite += 1
-    assert finite >= 10
-
-
 def test_cuts_match_the_reference():
     """Cuts and their developments equal the per-cut route's at every
     sampled index: those of supplied enumerations (trie states) on the
     suite's sets, listed with shorter members first but otherwise
-    reordered; and those of the default one (count-table states) on the
-    one-node I loop at 2,047 members, where each cut is one path.  The
-    paths to the redex nodes each cut reaches are its kept members.  The
-    oracle's own cuts are compared in the tests above."""
+    reordered; and those of the default chain (states (m, r)) at every
+    length up to 24 that keeps at most 64 members on the same sets, built
+    longest first, and at the
+    sampled lengths up to 2,047 on the one-node I loop, where each cut is
+    one path.  The paths to the redex nodes each cut reaches are its kept
+    members.  The oracle's own cuts are compared in the tests above."""
     for rs, _, _ in oracle_cases():
         occs = enumerate_occurrences(rs, count=64)
         reordered = sorted(occs, key=lambda w: (len(w), [-i for i in w]))
@@ -872,20 +872,26 @@ def test_cuts_match_the_reference():
             ref_cut, ref_developed = ref_route(rs, reordered[:i])
             assert cut == ref_cut and developed == ref_developed
             assert kept_paths(cuts, cut) == sorted(reordered[:i])
+        cuts = _Cuts(rs)
+        most = max(n for n in range(25) if rs.count_below(n) <= 64)
+        for length in range(most, -1, -1):
+            cut, developed = _cut_graph(rs, cuts, length)
+            ref_cut, ref_developed = ref_route(rs, shorter_than(rs, length))
+            assert cut == ref_cut and developed == ref_developed
+            assert kept_paths(cuts, cut) == sorted(shorter_than(rs, length))
     loop = RationalRedexSet(I_LOOP.graph, "n", "n", R_I)
-    occs = enumerate_occurrences(loop, count=2047)
     cuts = _Cuts(loop)
-    for i in parallel._sample_indices(len(occs)):
-        cut, developed = _cut_graph(loop, cuts, i)
-        ref_cut, ref_developed = ref_route(loop, occs[:i])
+    for length in parallel._sample_indices(2047):
+        cut, developed = _cut_graph(loop, cuts, length)
+        ref_cut, ref_developed = ref_route(loop, shorter_than(loop, length))
         assert cut == ref_cut and developed == ref_developed
-        assert kept_paths(cuts, cut) == occs[:i]
+        assert kept_paths(cuts, cut) == shorter_than(loop, length)
 
 
 def test_the_default_chain_builds_no_trie(monkeypatch):
     """On the shared 5-ring at depth 48 the oracle constructs no prefix
-    trie, and builds fewer position nodes (count-table states, one
-    `_Cuts.node` call each) than the trie of its members has states."""
+    trie, and builds fewer position nodes (states (m, r), one `_Cuts.node`
+    call each) than the trie of its members has states."""
     rs = shared_ring(5, "I", R_I)
     tries, built = [], []
     node = _Cuts.node
@@ -907,17 +913,28 @@ def test_the_default_chain_builds_no_trie(monkeypatch):
 
 
 def test_the_budget_is_a_hard_cap():
-    """When not even depth 1 fits, the oracle keeps no more members than
-    the budget allows, down to none."""
+    """The cut table never holds more nodes than the budget, counted on
+    the approximants' graphs (the table as one term, less its past nodes):
+    on the one-node I loop, where not even depth 1 fits the smallest
+    budgets and each node keeps one member, down to none; and on the
+    shared 4-ring and the generated sets at every budget up to 40, where
+    a chain stopped by the budget fills it to the last node."""
     rs = RationalRedexSet(I_LOOP.graph, "n", "n", R_I)
     assert threshold_length(rs, 0) == 3
-    for budget, kept in ((0, 0), (1, 1), (2, 2), (3, 3)):
+    for budget in range(4):
         report = infinite_parallel_reduce(rs, depth=16, budget=budget)
-        assert (report.effective_depth, report.occurrences) == (0, kept)
+        assert (report.effective_depth, report.occurrences) == (0, budget)
         assert report.limit.unravel(4) == BOTTOM
-    ring = shared_ring(4, "f", R_F)
-    report = infinite_parallel_reduce(ring, depth=32, budget=5)
-    assert report.occurrences <= 5
+    sets = [(shared_ring(4, "f", R_F), 32)]
+    sets += [(rs, 12) for rs in generated_sets(range(40))]
+    for rs, depth in sets:
+        past = len(rs.carrier.reachable(rs.start))
+        for budget in range(41):
+            report = infinite_parallel_reduce(rs, depth, budget=budget)
+            built = len(report.samples[-1].approximant.graph.nodes) - past
+            assert built == report.nodes <= budget
+            if report.effective_depth < depth:
+                assert built == budget
 
 
 def test_the_chain_checks_catch_a_skipped_target(monkeypatch):
@@ -932,12 +949,20 @@ def test_the_chain_checks_catch_a_skipped_target(monkeypatch):
     develop = parallel.develop_rational
     errors = []
     for rs, depth, budget in oracle_cases():
-        report = infinite_parallel_reduce(rs, depth, budget=budget)
-        occs = enumerate_occurrences(rs, count=report.occurrences)
+        made = []  # the oracle's own table
+
+        def keep(*args, **kwargs):
+            made.append(_Cuts(*args, **kwargs))
+            return made[-1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(parallel, "_Cuts", keep)
+            report = infinite_parallel_reduce(rs, depth, budget=budget)
         d = min(report.effective_depth, 10)
         for s in report.samples:
             trimmed = s.developed.trimmed()
-            assert s.developed == trimmed == ref_route(rs, occs[: s.index])[1]
+            ref = ref_route(rs, shorter_than(rs, s.index))[1]
+            assert s.developed == trimmed == ref
             assert s.developed.unravel(d) == trimmed.unravel(d)
         if not report.occurrences:
             continue
@@ -947,11 +972,8 @@ def test_the_chain_checks_catch_a_skipped_target(monkeypatch):
                 components = components[:-1]
             return develop(rt, components)
 
-        cuts = _Cuts(rs)  # the table of the oracle's round, built alike
-        for s in report.samples:
-            cuts.point(s.index)
-        _cut_graph(rs, cuts, report.occurrences)
-        last = cuts.point(report.occurrences)
+        (cuts,) = made
+        last = cuts.point(report.samples[-1].index)
         table = cuts.chain[1]
         skipped, resolved = skip_last(table, [(n, rs.rule) for n in cuts.redexes])
         skipped = RationalTerm(
@@ -1048,9 +1070,10 @@ def test_the_threshold_settles_the_limit():
     """Developing the members shorter than `threshold_length` agrees with
     the symbolic limit (the rule developed on the untouched carrier, built
     here) to the depth: on the suite's sets at every depth up to 32 whose
-    members fit the default budget, and on the benchmark's oracle inputs
-    at their depths.  The oracle, given just those members, returns at the
-    depth (checked at every fourth depth)."""
+    cut fits 2,048 nodes, and on the benchmark's oracle inputs at their
+    depths.  The oracle, given just the cut-table nodes its chain needs
+    there, returns at the depth, and given one node fewer below it
+    (checked at every fourth depth)."""
     rng = random.Random(5)
     cases = [(rs, range(33)) for rs in generated_sets()]
     cases += [
@@ -1061,31 +1084,35 @@ def test_the_threshold_settles_the_limit():
     for rs, depths in cases:
         carrier = RationalTerm(rs.carrier, rs.start, rs.bottoms, rs.var_names)
         symbolic, _ = develop_rational(carrier, [(rs.target, rs.rule)])
-        cuts = _Cuts(rs)
+        cuts = _Cuts(rs, budget=2048)
         for depth in depths:
-            kept = rs.count_below(threshold_length(rs, depth))
-            if len(depths) > 1 and kept > 2048:
+            length = threshold_length(rs, depth)
+            if len(depths) > 1 and cuts.point(length) is None:
                 break
-            _, developed = _cut_graph(rs, cuts, kept)
+            _, developed = _cut_graph(rs, cuts, length)
             assert truncated_equal(developed, symbolic, depth), (rs, depth)
             checked += 1
             if depth % 4 == 0 or len(depths) == 1:
-                report = infinite_parallel_reduce(rs, depth, budget=kept)
+                need = max([n for _, n in table_needs(rs, depth)], default=0)
+                report = infinite_parallel_reduce(rs, depth, budget=need)
                 assert report.effective_depth == depth
+                if depth and need:
+                    report = infinite_parallel_reduce(rs, depth, budget=need - 1)
+                    assert report.effective_depth < depth
     assert checked > 10000
 
 
 def test_grouped_walks_match_the_single_ones():
     """One walk per pair of views from many start pairs decides what the
     walks from each pair decide, on the pairs the oracle compares and their
-    reverses (on the suite's sets and on the benchmark's oracle inputs,
-    whose six shared rings run at depth 48, where they need more members
-    than the budget allows) and on random views with holes and names, some
-    of one graph and some alike."""
+    reverses (on the suite's sets at depth 24 or more, under the default
+    budget, and on the benchmark's oracle inputs, whose six shared rings
+    run at depth 48) and on random views with holes and names, some of one
+    graph and some alike."""
     rng = random.Random(5)
     held = failed = 0
-    for rs, depth, budget in oracle_cases():
-        report = infinite_parallel_reduce(rs, depth, budget=budget)
+    for rs, depth, _ in oracle_cases():
+        report = infinite_parallel_reduce(rs, max(depth, 24))
         h, f = grouped_verdicts(sample_pairs(report), rng)
         held, failed = held + h, failed + f
     assert len(BENCH_SHAPES) == 26
@@ -1289,14 +1316,16 @@ def test_a_repeated_occurrence_is_refused():
 
 
 def test_the_depth_decision_matches_the_linear_scan(monkeypatch):
-    """The oracle's effective depth and kept members are those of the old
-    one-step scan over its two predicates: the budget admits every member
-    the depth needs, or a supplied enumeration lists them all.  Every layer
-    past the decision is stubbed out; the tests above check those layers,
-    and running them on all 165,240 inputs would take half a minute."""
+    """The oracle's effective depth, final length and kept members are
+    those of a one-step scan over its two predicates: the budget admits
+    the cut-table nodes the depth needs (`ref_table_sizes`), or a supplied
+    enumeration lists every member it needs.  Every layer past the
+    decision is stubbed out on all 147,560 inputs; the tests above check
+    those layers.  No set here needs more than 260 nodes, so past 377 only
+    2,048 is tried."""
     sets = [RationalRedexSet(I_LOOP.graph, "n", "n", R_I)]
     sets += generated_sets(range(100))
-    budgets = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2048]
+    budgets = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 2048]
     with monkeypatch.context() as mp:
         mp.setattr(parallel, "develop_rational", lambda rt, components: (rt, {}))
         mp.setattr(_Cuts, "point", lambda cuts, i: None)
@@ -1305,14 +1334,22 @@ def test_the_depth_decision_matches_the_linear_scan(monkeypatch):
         mp.setattr(parallel, "truncated_equal", lambda a, b, depth: True)
         for rs in sets:
             counts = [rs.count_below(threshold_length(rs, d)) for d in range(65)]
+            needs = table_needs(rs, 64)
+            lengths, sizes = [n for n, _ in needs], [n for _, n in needs]
+            # the growth lengths each depth needs, and their table's size
+            within = [bisect_right(lengths, threshold_length(rs, d)) for d in range(65)]
+            need = [sizes[k - 1] if k else 0 for k in within]
             for depth in range(65):
                 for budget in budgets:
-                    want = ref_scan(depth, lambda d: counts[d] <= budget)
+                    want = ref_scan(depth, lambda d: need[d] <= budget)
+                    k = min(within[depth], bisect_right(sizes, budget))
+                    final = lengths[k - 1] if k else 0
                     report = infinite_parallel_reduce(
                         rs, depth, budget=budget, sample_at=[]
                     )
                     assert report.effective_depth == want
-                    assert report.occurrences == min(counts[want], budget)
+                    assert report.samples[-1].index == final
+                    assert report.occurrences == rs.count_below(final)
             for c in (0, 1, 2, 5, 17):
                 occs = enumerate_occurrences(rs, count=c)
                 for depth in range(0, 65, 3):

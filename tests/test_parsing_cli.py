@@ -506,7 +506,7 @@ LOOP_I = "sig I/1\ngraph Loop { n: I(n); root n; }\nrule RI: I(x) -> x\n"
 
 
 def test_cli_deep_check_on_a_loop_succeeds(tmp_path, capsys):
-    # with the default budget the oracle's chain reaches ~1000 nodes deep,
+    # with the default budget the oracle's chain reaches ~6000 nodes deep,
     # past the interpreter's recursion limit
     path = tmp_path / "loop.tgr"
     path.write_text(LOOP_I)
@@ -514,6 +514,19 @@ def test_cli_deep_check_on_a_loop_succeeds(tmp_path, capsys):
                          "Loop", "--depth", "3000")
     assert code == 0 and err == ""
     assert out.startswith("ok: RI at n, depth 3000")
+
+
+def test_cli_checks_the_loop_chain_to_3000(capsys):
+    # the I loop's chain needs one cut node per length up to its threshold
+    # of 6,003, which the default budget of 8,192 holds
+    loop = str(Path(__file__).resolve().parent / "corpus" / "loop.tgr")
+    argv = ["verify-soundness", loop, "--graph", "Loop", "--depth", "3000"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "(chain checked to 3000, 6003 occurrences)" in out
+    code, payload = run_json(capsys, *argv)
+    (report,) = payload["reports"]
+    assert (code, report["effective_depth"], report["nodes"]) == (0, 3000, 6003)
 
 
 def test_cli_unravels_a_loop_3000_deep(tmp_path, capsys):
